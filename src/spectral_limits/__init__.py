@@ -60,8 +60,7 @@ from .regularity import (
     smoothing_apply,
     weighted_p_norm,
 )
-from .distortion import DistortionEstimate, delta_p_eps_a, s_eps, \
-    theorem_error_terms, v_p_eps
+from .distortion import delta_p_eps_a, s_eps, theorem_error_terms, v_p_eps
 from .interpolation import (
     KernelContext,
     TestFunction,

@@ -18,7 +18,6 @@ from .geometry import ManifoldModel, Point, ball_volume, model_ball_volume
 
 __all__ = [
     "Estimate",
-    "DistortionEstimate",
     "v_p_eps",
     "s_eps",
     "theorem_error_terms",
@@ -30,19 +29,6 @@ __all__ = [
 class Estimate:
     value: float
     stderr: float
-
-
-@dataclass(frozen=True)
-class DistortionEstimate:
-    """Paired Monte-Carlo estimates of both distortion integrals."""
-
-    v_p_eps: Estimate
-    s_eps: Estimate
-    p: float
-    eps: float
-    n_mc: int
-    n_mc_inner: int
-    seed: int
 
 
 def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,

@@ -47,6 +47,22 @@ class TestVpEps:
         assert est.stderr > 0.0
 
 
+class TestSpindleReference:
+    # values of the per-pair scalar Clairaut solver, before the geodesic was
+    # batched; both estimators see geodesics only through comparisons with
+    # eps, so the batched kernel reproduces them exactly
+    def test_v_p_eps(self):
+        est = v_p_eps(Spindle(2), p=4, eps=0.25, K=1, n_mc=5, seed=0)
+        assert est.value == pytest.approx(0.24770053285221824, rel=0.0, abs=1e-12)
+        assert est.stderr == pytest.approx(0.03848028238986358, rel=0.0, abs=1e-12)
+
+    def test_s_eps(self):
+        est = s_eps(Spindle(2), ("geodesic", "embedded"), eps=0.25,
+                    n_mc_outer=50, n_mc_inner=2000, seed=0)
+        assert est.value == pytest.approx(0.01816007209800442, rel=0.0, abs=1e-12)
+        assert est.stderr == pytest.approx(0.00467931333765298, rel=0.0, abs=1e-12)
+
+
 class TestSEps:
     def test_same_metric_exactly_zero(self, circle):
         est = s_eps(circle, ("geodesic", "geodesic"), eps=0.5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 
 from spectral_limits.geometry import (
     Circle,
@@ -10,6 +11,7 @@ from spectral_limits.geometry import (
     ModelParams,
     Sphere,
     Spindle,
+    _CLAIRAUT_GRID,
     ball_volume,
     bishop_gromov_ratio,
     embedding_distance,
@@ -20,6 +22,90 @@ from spectral_limits.geometry import (
     sphere_area,
     unit_ball_volume,
 )
+
+
+# -- scalar Clairaut solver, the reference for the batched spindle kernel ----
+
+
+def _sweep(c, theta, a):
+    # antiderivative of dphi/dtheta along a geodesic with Clairaut const a
+    A = c * c - a * a
+    if A <= 0.0:
+        return 0.0
+    w = a * (math.cos(theta) / math.sin(theta)) / math.sqrt(A)
+    return -math.asin(min(1.0, max(-1.0, w))) / c
+
+
+def _arclen(c, theta, a):
+    # antiderivative of ds/dtheta along the same geodesic
+    A = c * c - a * a
+    ct = math.cos(theta) / math.sin(theta)
+    rad = A - a * a * ct * ct
+    if rad <= 0.0:
+        return -math.copysign(math.pi / 2.0, ct)
+    return -math.atan(c * ct / math.sqrt(rad))
+
+
+def _rev_distance(c, t1, t2, dphi):
+    # 2-D surface-of-revolution problem: fiber separation dphi in [0, pi];
+    # one pair at a time, a 48-point scan per family and brentq per bracket
+    tiny = 1e-12
+    cands = [t1 + t2, 2.0 * math.pi - t1 - t2]  # paths through the tips
+    if dphi <= tiny:
+        cands.append(abs(t1 - t2))
+        return min(cands)
+    if min(math.sin(t1), math.sin(t2)) <= tiny:
+        return min(cands)
+    if abs(t1 - math.pi / 2.0) <= tiny and abs(t2 - math.pi / 2.0) <= tiny:
+        cands.append(c * dphi)  # equatorial geodesic
+    lo, hi = min(t1, t2), max(t1, t2)
+    a_end = c * min(math.sin(t1), math.sin(t2))
+
+    def sweep_mono(a):
+        return _sweep(c, hi, a) - _sweep(c, lo, a)
+
+    def sweep_down(a):
+        return _sweep(c, t1, a) + _sweep(c, t2, a) + math.pi / c
+
+    def sweep_up(a):
+        return math.pi / c - _sweep(c, t1, a) - _sweep(c, t2, a)
+
+    def len_mono(a):
+        return _arclen(c, hi, a) - _arclen(c, lo, a)
+
+    def len_down(a):
+        return _arclen(c, t1, a) + _arclen(c, t2, a) + math.pi
+
+    def len_up(a):
+        return math.pi - _arclen(c, t1, a) - _arclen(c, t2, a)
+
+    families = [(sweep_down, len_down), (sweep_up, len_up)]
+    if hi - lo > tiny:
+        families.append((sweep_mono, len_mono))
+    grid = a_end * (1.0 - np.geomspace(1e-14, 1.0 - 1e-9, 48))[::-1]
+    for sweep, length in families:
+        vals = np.array([sweep(a) - dphi for a in grid])
+        sign = np.sign(vals)
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            a_root = brentq(
+                lambda a: sweep(a) - dphi, grid[i], grid[i + 1], xtol=1e-14
+            )
+            cands.append(length(a_root))
+        for i in np.nonzero(vals == 0.0)[0]:
+            cands.append(length(grid[i]))
+    return min(cands)
+
+
+def _scalar_geodesic(c, xi, yi):
+    # Spindle.geodesic as it was, one pair at a time
+    u = xi[1:] / np.linalg.norm(xi[1:])
+    v = yi[1:] / np.linalg.norm(yi[1:])
+    dphi = math.acos(min(1.0, max(-1.0, float(np.dot(u, v)))))
+    return _rev_distance(c, float(xi[0]), float(yi[0]), dphi)
+
+
+SPINDLE_SHAPES = [(2, 1.0 / math.sqrt(2.0)), (3, 1.0 / math.sqrt(2.0)),
+                  (2, 1.0), (2, 0.3)]
 
 
 class TestModelFunctions:
@@ -194,6 +280,103 @@ class TestSpindleGeodesics:
         a = np.r_[math.pi / 2, 1.0, 0.0]
         b = np.r_[math.pi / 2, math.cos(1.0), math.sin(1.0)]
         assert spindle2.geodesic(a, b) == pytest.approx(c * 1.0, abs=1e-9)
+
+
+def _unrolled_sphere_distance(c, t1, t2, dphi):
+    # the 2-D spindle is the unit sphere with a lune removed and its edges
+    # glued: psi = c * phi maps it isometrically onto the round metric, so
+    # the shorter of the great-circle arc at longitude gap c * dphi < pi and
+    # the paths through the tips is the distance
+    arc = np.arccos(np.clip(np.cos(t1) * np.cos(t2)
+                            + np.sin(t1) * np.sin(t2) * np.cos(c * dphi), -1.0, 1.0))
+    return np.minimum(arc, np.minimum(t1 + t2, 2.0 * math.pi - t1 - t2))
+
+
+class TestBatchedClairaut:
+    @pytest.mark.parametrize("m,c", SPINDLE_SHAPES)
+    def test_matches_scalar_solver(self, m, c):
+        # 2000 pairs span several kernel blocks; polar angles are uniform so
+        # that the tips are well covered.  Near a turning point the
+        # arclength is ill-conditioned in the Clairaut constant, and there
+        # the scalar solver itself strays from the closed form (by up to
+        # ~7e-9); the kernel may differ from it by that much more
+        sp = Spindle(m=m, c=c)
+        rng = np.random.default_rng(17)
+        za, zb = sp.uniform_intrinsic(2000, rng), sp.uniform_intrinsic(2000, rng)
+        za[:, 0], zb[:, 0] = rng.uniform(0.0, math.pi, size=(2, 2000))
+        got = sp._pair_distances(za, zb)
+        want = np.array([_scalar_geodesic(c, x, y) for x, y in zip(za, zb)])
+        dphi = np.arccos(np.clip(np.sum(za[:, 1:] * zb[:, 1:], axis=1), -1.0, 1.0))
+        slack = np.abs(want - _unrolled_sphere_distance(c, za[:, 0], zb[:, 0], dphi))
+        assert np.all(np.abs(got - want) <= 1e-9 + slack)
+        assert np.mean(np.abs(got - want) <= 1e-9) > 0.999
+
+    @pytest.mark.parametrize("c", [1.0 / math.sqrt(2.0), 0.3, 0.9, 1.0])
+    def test_matches_unrolled_sphere(self, c):
+        t1, t2, dphi = np.random.default_rng(3).uniform(0.0, math.pi, size=(3, 2000))
+        got = Spindle(2, c=c)._rev_distance_many(t1, t2, dphi)
+        want = _unrolled_sphere_distance(c, t1, t2, dphi)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="the Clairaut scan stops at "
+                       "a = a_end * (1 - 1e-14); a root beyond it is missed")
+    def test_root_beyond_the_scan_grid(self):
+        # the monotone geodesic turns within 4e-15 * a_end of the lower
+        # point; both solvers fall back to the path through a tip (2.95)
+        c, pair = 0.3, (1.475125358068018, 1.4764949261958262, 0.5663878314580219)
+        want = _unrolled_sphere_distance(c, *pair)
+        assert _rev_distance(c, *pair) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("t1,t2,dphi", [
+        (0.3, 1.2, 0.0),                   # meridian
+        (2.9, 0.4, 0.0),
+        (0.0, 0.8, 2.0),                   # at a tip
+        (math.pi, 0.8, 2.0),
+        (0.0, math.pi, 1.0),               # tip to tip
+        (math.pi / 2, math.pi / 2, 1.0),   # both on the equator
+        (math.pi / 2, math.pi / 2, math.pi),
+        (1.1, 1.1, 0.7),                   # equal heights: no monotone family
+        (2.5, 2.5, math.pi),
+        (0.05, 0.07, math.pi),             # near a tip, across it
+    ])
+    @pytest.mark.parametrize("c", [1.0 / math.sqrt(2.0), 0.3])
+    def test_edge_cases(self, t1, t2, dphi, c):
+        got = Spindle(2, c=c)._rev_distance_many([t1], [t2], [dphi])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(_rev_distance(c, t1, t2, dphi), abs=1e-9)
+
+    def test_exact_grid_zero(self, spindle2):
+        # dphi equal to the monotone sweep at a grid point makes sweep - dphi
+        # exactly zero there, with no sign change on either side
+        c, t1, t2 = spindle2.c, np.array([1.0]), np.array([1.3])
+        a = c * np.sin(t1)[:, None] * _CLAIRAUT_GRID
+        sweep = (spindle2._sweep(a, (np.cos(t2) / np.sin(t2))[:, None])
+                 - spindle2._sweep(a, (np.cos(t1) / np.sin(t1))[:, None]))
+        dphi = sweep[:, 10]
+        got = spindle2._rev_distance_many(t1, t2, dphi)
+        want = _unrolled_sphere_distance(c, t1, t2, dphi)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_empty_batch(self, spindle2):
+        empty = np.empty(0)
+        assert spindle2._rev_distance_many(empty, empty, empty).shape == (0,)
+        z = spindle2.uniform_intrinsic(1, np.random.default_rng(0))[0]
+        assert spindle2.geodesic_to_many(z, np.empty((0, 3))).shape == (0,)
+
+    def test_geodesic_to_many_matches_geodesic(self, spindle3):
+        z = spindle3.uniform_intrinsic(300, np.random.default_rng(8))
+        many = spindle3.geodesic_to_many(z[0], z)
+        ones = [spindle3.geodesic(z[0], y) for y in z]
+        np.testing.assert_allclose(many, ones, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("m,c,value", [
+        shape + (value,) for shape, value in zip(SPINDLE_SHAPES, [
+            1.5846871248477048, 1.547861315696989, 1.618163470571525,
+            1.6161844422342853])])
+    def test_embedding_constant_unchanged(self, m, c, value):
+        # the estimate as the per-pair loop of the scalar solver computed it
+        assert Spindle(m=m, c=c).embedding_constant == pytest.approx(
+            value, rel=0.0, abs=1e-9)
 
 
 class TestBallVolumes:
