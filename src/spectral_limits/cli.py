@@ -15,7 +15,8 @@ import os
 import sys
 
 from .experiments import (
-    ExperimentConfig,
+    ALL_REPORTS,
+    build_graph,
     load_config,
     make_density_spec,
     make_manifold,
@@ -32,15 +33,6 @@ from .experiments import (
 from .graph import save_graph_csv
 from .sampling import sample_dataset
 
-COMMANDS = (
-    "sample", "graph", "spectrum", "align", "regularity", "distortion",
-    "energy", "moser", "sweep",
-)
-
-
-def _wants(cfg: ExperimentConfig, name: str) -> bool:
-    return name in cfg.reports
-
 
 def _cmd_sample(cfg, out):
     written = []
@@ -56,8 +48,6 @@ def _cmd_sample(cfg, out):
 
 
 def _cmd_graph(cfg, out):
-    from .experiments import build_graph
-
     written = []
     mfd = make_manifold(cfg)
     dens = make_density_spec(cfg)
@@ -81,12 +71,36 @@ def _write_report(rows, out, name):
     return [path]
 
 
+def _cmd_sweep(cfg, out):
+    svg = os.path.join(out, "sweep.svg")
+    rows = run_convergence_sweep(cfg, svg_path=svg)
+    return _write_report(rows, out, "sweep_summary") + ([svg] if rows else [])
+
+
+def _report(run, name):
+    return lambda cfg, out: _write_report(run(cfg), out, name)
+
+
+# one writer per command: (cfg, out) -> the paths it wrote, for run_meta.json
+WRITERS = {
+    "sample": _cmd_sample,
+    "graph": _cmd_graph,
+    "spectrum": _report(run_spectrum_experiment, "spectrum"),
+    "align": _report(run_alignment, "alignment"),
+    "regularity": _report(run_regularity, "regularity"),
+    "distortion": _report(run_distortion, "distortion"),
+    "energy": _report(run_energy, "energy"),
+    "moser": _report(run_moser, "moser"),
+    "sweep": _cmd_sweep,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spectral-limits",
         description="Graph-Laplacian spectral approximation experiments",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=ALL_REPORTS)
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -102,32 +116,8 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     written = []
-    cmd = args.command
-    if not _wants(cfg, cmd):
-        write_run_meta(cfg, args.out, [])
-        return 0
-    if cmd == "sample":
-        written += _cmd_sample(cfg, args.out)
-    elif cmd == "graph":
-        written += _cmd_graph(cfg, args.out)
-    elif cmd == "spectrum":
-        written += _write_report(run_spectrum_experiment(cfg), args.out, "spectrum")
-    elif cmd == "align":
-        written += _write_report(run_alignment(cfg), args.out, "alignment")
-    elif cmd == "regularity":
-        written += _write_report(run_regularity(cfg), args.out, "regularity")
-    elif cmd == "distortion":
-        written += _write_report(run_distortion(cfg), args.out, "distortion")
-    elif cmd == "energy":
-        written += _write_report(run_energy(cfg), args.out, "energy")
-    elif cmd == "moser":
-        written += _write_report(run_moser(cfg), args.out, "moser")
-    elif cmd == "sweep":
-        svg = os.path.join(args.out, "sweep.svg")
-        rows = run_convergence_sweep(cfg, svg_path=svg)
-        written += _write_report(rows, args.out, "sweep_summary")
-        if rows:
-            written.append(svg)
+    if args.command in cfg.reports:
+        written = WRITERS[args.command](cfg, args.out)
     write_run_meta(cfg, args.out, written)
     return 0
 

@@ -30,7 +30,8 @@ from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
 from .regularity import certify, moser_check
 from .sampling import DensitySpec, PointCloud, make_density, sample_dataset, \
     epsilon_schedule
-from .spectral import SpectralResult, eigen_decompose, volume_inner, volume_norm
+from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
+    volume_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -222,10 +223,8 @@ def _spectrum_cell(cfg, mfd, dens_spec, ref, n, seed):
     rows = []
     try:
         spec = eigen_decompose(g, cfg.k_max)
-        connected = 1
-    except ValueError:
+    except DisconnectedGraphError:
         spec = None
-        connected = 0
     for k in range(cfg.k_max + 1):
         lam_ref = float(ref.eigenvalues[k])
         if spec is None:

@@ -8,7 +8,8 @@ L with  d_embedded <= d_geodesic <= L * d_embedded,  so the Euclidean
 distance of embedded points is an admissible surrogate metric.  L is the
 exact pi/2 for the circle, sphere and torus; for the spindle it is a sampled
 estimate, 1.05 times the worst ratio over 200 deterministic pairs, not a
-proven bound.
+proven bound.  Spindle geodesics are great-circle arcs in closed form: with
+psi = c*phi each 2-D section through the axis is the unit sphere minus a lune.
 """
 
 from __future__ import annotations
@@ -330,45 +331,6 @@ class FlatTorus(ManifoldModel):
         return math.pi / 2.0
 
 
-# Spindle geodesics.  A geodesic with Clairaut constant a sweeps the fiber
-# angle alpha*S(theta_A, a) + beta*S(theta_B, a) + gamma*pi/c, where S is the
-# antiderivative Spindle._sweep and each row of _FAMILIES holds (alpha, beta,
-# gamma) for one family: "down" and "up" use (theta_A, theta_B) = (t1, t2)
-# and turn once, on one or the other of the two circles c*sin(theta) = a;
-# "mono" uses (max, min) of the two and has no turning point.  The same
-# coefficients combine the arclengths, with pi in place of pi/c.
-_FAMILIES = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 0.0]])
-# a / a_end on the scan grid, a_end = c * min(sin t1, sin t2): dense near the
-# turning point, where the sweep is steepest
-_CLAIRAUT_GRID = (1.0 - np.geomspace(1e-14, 1.0 - 1e-9, 48))[::-1]
-_TINY = 1e-12  # tolerance for the meridian, tip and equator cases
-_XTOL = 1e-14  # final bracket width of every root
-_BLOCK = 256   # pairs per kernel call; bounds the (3, pairs, 48) arrays
-
-
-def _illinois(func, lo, hi, flo, fhi):
-    """Roots of the vectorized ``func`` in the brackets [lo, hi], elementwise.
-
-    ``flo = func(lo)`` and ``fhi = func(hi)`` have opposite signs.  This is
-    regula falsi with the Illinois modification: an end kept twice in a row
-    has its value halved, so both ends converge.  Iterates until every
-    bracket is at most ``_XTOL`` wide and returns the midpoints.
-    """
-    sign = np.sign(fhi)  # orient every bracket so that func < 0 at lo
-    flo, fhi = sign * flo, sign * fhi
-    prev = np.full(len(lo), 2)  # whether x replaced lo last step; 2: no step yet
-    while (hi - lo > _XTOL).any():
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        fx = sign * func(x)
-        left = fx < 0.0  # x replaces lo
-        h = np.where(left == prev, 0.5, 1.0)
-        flo, fhi = np.where(left, fx, h * flo), np.where(left, h * fhi, fx)
-        lo = np.where(fx <= 0.0, x, lo)  # an exact zero closes the bracket
-        hi = np.where(left, hi, x)
-        prev = left
-    return 0.5 * (lo + hi)
-
-
 class Spindle(ManifoldModel):
     """Warped product over S^{m-1} with profile c*sin(theta), theta in (0, pi).
 
@@ -410,88 +372,35 @@ class Spindle(ManifoldModel):
         x0 = self._profile_x0(th)
         return np.column_stack([x0, (self.c * np.sin(th))[:, None] * u])
 
-    # -- geodesics: Clairaut integrals in closed form ----------------------
-
-    def _sweep(self, a, cot):
-        # antiderivative of dphi/dtheta along a geodesic with Clairaut
-        # constant a, at the polar angle of cotangent cot; 0 < a < c always
-        w = a * cot / np.sqrt(self.c * self.c - a * a)
-        return -np.arcsin(np.minimum(np.maximum(w, -1.0), 1.0)) / self.c
-
-    def _arclen(self, a, cot):
-        # antiderivative of ds/dtheta along the same geodesic
-        rad = (self.c * self.c - a * a) - a * a * cot * cot
-        return -np.arctan2(self.c * cot, np.sqrt(np.maximum(rad, 0.0)))
+    # -- geodesics: great-circle arcs of the unrolled sphere ---------------
+    # psi = c * phi turns dtheta^2 + c^2 sin^2(theta) dphi^2 into the round
+    # metric: the 2-D spindle is the unit sphere with a lune of angle
+    # 2*pi*(1 - c) cut out and its edges glued.  As c <= 1, a fiber gap dphi
+    # in [0, pi] is a longitude gap c * dphi <= pi, no more than the gap the
+    # other way round, so the minor arc stays in the glued sector and, being
+    # a spherical distance, is never longer than either path through a tip
+    # (a path through a pole).  For m >= 3, _pair_distances reduces a pair to
+    # this through the totally geodesic sub-spindle spanned by its fibers.
 
     def _rev_distance_many(self, t1, t2, dphi):
         """Distances of the 2-D surface-of-revolution problem, batched.
 
         ``t1``, ``t2`` are polar angles in [0, pi] and ``dphi`` fiber
-        separations in [0, pi], as equal-length arrays.  Pairs are solved in
-        blocks of ``_BLOCK`` so that the work arrays stay small.
+        separations in [0, pi], as equal-length arrays.  The haversine form
+        keeps short arcs accurate, where the arccos form loses ~1e-8.
         """
         t1, t2, dphi = (np.asarray(v, dtype=float) for v in (t1, t2, dphi))
-        out = np.empty(len(t1))
-        for s in range(0, len(out), _BLOCK):
-            blk = slice(s, s + _BLOCK)
-            out[blk] = self._rev_block(t1[blk], t2[blk], dphi[blk])
-        return out
-
-    def _rev_block(self, t1, t2, dphi):
-        # candidates: both paths through the tips, the meridian, the equator
-        # arc, and every geodesic of the Clairaut families whose sweep equals
-        # dphi; the distance is the shortest of them
-        c = self.c
-        d = np.minimum(t1 + t2, 2.0 * math.pi - t1 - t2)
-        meridian = dphi <= _TINY
-        d = np.where(meridian, np.minimum(d, np.abs(t1 - t2)), d)
-        s1, s2 = np.sin(t1), np.sin(t2)
-        skip = meridian | (np.minimum(s1, s2) <= _TINY)  # meridians, tips
-        equator = ~skip & (np.maximum(np.abs(t1 - math.pi / 2.0),
-                                      np.abs(t2 - math.pi / 2.0)) <= _TINY)
-        d = np.where(equator, np.minimum(d, c * dphi), d)
-
-        # every family's sweep as coef[:, 0] * S(t1) + coef[:, 1] * S(t2)
-        # + const, arrays (family, ..., pair); "mono" takes max minus min
-        coef = np.repeat(_FAMILIES[:, :2, None], len(t1), axis=2)
-        coef[2] *= np.where(t1 >= t2, 1.0, -1.0)
-        gamma = _FAMILIES[:, 2]
-        const = gamma[:, None] * (math.pi / c) - dphi
-        cot = np.array([np.cos(t1) / np.maximum(s1, _TINY),  # finite at tips
-                        np.cos(t2) / np.maximum(s2, _TINY)])
-
-        # scan sweep - dphi on the grid of Clairaut constants; skipped rows
-        # become NaN, so they have neither sign changes nor zeros
-        a = (c * np.minimum(s1, s2))[:, None] * _CLAIRAUT_GRID
-        sw1, sw2 = self._sweep(a, cot[0, :, None]), self._sweep(a, cot[1, :, None])
-        vals = coef[:, 0, :, None] * sw1 + coef[:, 1, :, None] * sw2 + const[..., None]
-        vals[:, skip] = np.nan
-        vals[2, np.abs(t1 - t2) <= _TINY] = np.nan  # no monotone family
-
-        # refine every sign change to a root; exact grid zeros are roots too
-        sign = np.sign(vals)
-        f, j, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
-        cot_b, coef_b, k = cot[:, j], coef[f, :, j].T, const[f, j]
-
-        def sweep_minus_dphi(x):
-            cs = coef_b * self._sweep(x, cot_b)
-            return cs[0] + cs[1] + k
-
-        roots = _illinois(sweep_minus_dphi, a[j, i], a[j, i + 1],
-                          vals[f, j, i], vals[f, j, i + 1])
-        fz, jz, iz = np.nonzero(vals == 0.0)
-        f, j = np.concatenate([f, fz]), np.concatenate([j, jz])
-        roots = np.concatenate([roots, a[jz, iz]])
-        length = (coef[f, 0, j] * self._arclen(roots, cot[0, j])
-                  + coef[f, 1, j] * self._arclen(roots, cot[1, j]) + gamma[f] * math.pi)
-        np.minimum.at(d, j, length)
-        return d
+        h = (np.sin(0.5 * (t1 - t2)) ** 2
+             + np.sin(t1) * np.sin(t2) * np.sin(0.5 * self.c * dphi) ** 2)
+        return 2.0 * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
 
     def _pair_distances(self, za, zb):
         # geodesic distances between the rows of za and zb (broadcast)
         ua = za[:, 1:] / np.linalg.norm(za[:, 1:], axis=1, keepdims=True)
         ub = zb[:, 1:] / np.linalg.norm(zb[:, 1:], axis=1, keepdims=True)
-        dphi = np.arccos(np.clip(np.sum(ua * ub, axis=1), -1.0, 1.0))
+        # half-angle form: small and near-pi gaps stay accurate, unlike arccos
+        dphi = 2.0 * np.arctan2(np.linalg.norm(ua - ub, axis=1),
+                                np.linalg.norm(ua + ub, axis=1))
         t1, t2 = np.broadcast_arrays(za[:, 0], zb[:, 0])
         return self._rev_distance_many(t1, t2, dphi)
 

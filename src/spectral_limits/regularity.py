@@ -144,7 +144,7 @@ def _positive_weight_adjacency(g: WeightedGraph) -> sparse.csr_matrix:
 
 
 def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
-    """Sharp constant on one ball pair; returns (value, exact_flag)."""
+    """Sharp constant on one ball pair."""
     w = g.w_V
     sub = np.full(g.n_vertices, -1, dtype=np.int64)
     sub[s_idx] = np.arange(len(s_idx))
@@ -155,7 +155,7 @@ def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
     b_local = sub[b_idx]
     b_comps = np.unique(labels[b_local])
     if len(b_comps) > 1:
-        return math.inf, True
+        return math.inf
     keep = np.nonzero(labels == b_comps[0])[0]
     comp = s_idx[keep]
     loc = np.full(g.n_vertices, -1, dtype=np.int64)
@@ -182,7 +182,7 @@ def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
     beta = max(np.trace(rhs), 1.0) / nloc
     rhs = rhs + beta * (ones @ ones.T)
     vals = eigh(a, rhs, eigvals_only=True)
-    return float(math.sqrt(max(vals[-1], 0.0))), True
+    return float(math.sqrt(max(vals[-1], 0.0)))
 
 
 def _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions):
@@ -259,7 +259,7 @@ def poincare_constant(
                 val = _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions)
                 solved[key] = val
             else:
-                val, _ = _poincare_ball_constant(g, b_idx, s_idx, r)
+                val = _poincare_ball_constant(g, b_idx, s_idx, r)
                 solved[key] = val
             p = max(p, val)
             if math.isinf(p):
@@ -394,7 +394,6 @@ class RegularityCertificate:
     R: float
     moser_table: list = field(default_factory=list)  # (k, p, ratio)
     sampled_centers: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    sampled_radii: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def nu(self) -> float:

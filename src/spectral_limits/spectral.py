@@ -21,6 +21,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .graph import WeightedGraph, dirichlet_energy, laplacian_apply
 
 __all__ = [
+    "DisconnectedGraphError",
     "SpectralResult",
     "eigen_decompose",
     "rayleigh_quotient",
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 512
+
+
+class DisconnectedGraphError(ValueError):
+    """The graph has more than one connected component."""
 
 
 def volume_inner(g: WeightedGraph, phi, psi) -> float:
@@ -51,7 +56,6 @@ class SpectralResult:
     cluster_ids: np.ndarray        # (k+1,) int; equal id = one near-degenerate cluster
     solver: str
     tolerance: float
-    iterations: int = 0
 
     def cluster(self, cid: int) -> np.ndarray:
         return np.nonzero(self.cluster_ids == cid)[0]
@@ -97,20 +101,21 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     n = g.n_vertices
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
-    if np.any(g.w_V <= 0):
-        bad = np.nonzero(g.w_V <= 0)[0]
-        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    # before the weight check: an isolated vertex of gamma_N has w_V = 0
     ncomp, labels = csgraph.connected_components(g.adjacency(), directed=False)
     if ncomp > 1:
         sizes = np.bincount(labels).tolist()
-        raise ValueError(f"graph is disconnected: {ncomp} components of sizes {sizes}")
+        raise DisconnectedGraphError(
+            f"graph is disconnected: {ncomp} components of sizes {sizes}")
+    if np.any(g.w_V <= 0):
+        bad = np.nonzero(g.w_V <= 0)[0]
+        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
 
     B = _symmetrized_operator(g)
-    iterations = 0
     if method == "dense":
         vals, vecs = eigh(B.toarray())
         vals, vecs = vals[: k + 1], vecs[:, : k + 1]
@@ -144,7 +149,6 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
         cluster_ids=_assign_clusters(np.asarray(vals, dtype=float)),
         solver=solver,
         tolerance=tol,
-        iterations=iterations,
     )
 
 

@@ -89,6 +89,13 @@ class TestSpectrumExperiment:
         assert all(r["connected"] == 0 for r in rows)
         assert all(math.isnan(r["abs_err"]) for r in rows)
 
+    def test_k_not_below_n_raises(self):
+        # a bad config is an error, not a disconnected cell
+        cfg = ExperimentConfig(manifold="circle", n_list=[16], seeds=[1],
+                               k_max=16)
+        with pytest.raises(ValueError, match="k < n"):
+            run_spectrum_experiment(cfg)
+
 
 class TestAlignment:
     def _setup(self, n=400, seed=3):

@@ -11,7 +11,6 @@ from spectral_limits.geometry import (
     ModelParams,
     Sphere,
     Spindle,
-    _CLAIRAUT_GRID,
     ball_volume,
     bishop_gromov_ratio,
     embedding_distance,
@@ -318,14 +317,42 @@ class TestBatchedClairaut:
         want = _unrolled_sphere_distance(c, t1, t2, dphi)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
-    @pytest.mark.xfail(strict=True, reason="the Clairaut scan stops at "
-                       "a = a_end * (1 - 1e-14); a root beyond it is missed")
+    @pytest.mark.xfail(strict=True, reason="documents the oracle's blind "
+                       "spot: its Clairaut scan stops at a = a_end * (1 - 1e-14), "
+                       "so a root beyond it is missed")
     def test_root_beyond_the_scan_grid(self):
         # the monotone geodesic turns within 4e-15 * a_end of the lower
-        # point; both solvers fall back to the path through a tip (2.95)
+        # point; the scalar oracle falls back to the path through a tip (2.95)
         c, pair = 0.3, (1.475125358068018, 1.4764949261958262, 0.5663878314580219)
         want = _unrolled_sphere_distance(c, *pair)
         assert _rev_distance(c, *pair) == pytest.approx(want, abs=1e-8)
+
+    def test_root_beyond_the_scan_grid_production(self):
+        # the pair the scalar oracle gets wrong (2.95): the closed form has
+        # no scan to miss it
+        c, (t1, t2, dphi) = 0.3, (1.475125358068018, 1.4764949261958262,
+                                  0.5663878314580219)
+        x = np.r_[t1, 1.0, 0.0]
+        y = np.r_[t2, math.cos(dphi), math.sin(dphi)]
+        got = Spindle(2, c=c).geodesic(x, y)
+        assert got == pytest.approx(_unrolled_sphere_distance(c, t1, t2, dphi),
+                                    rel=0.0, abs=1e-12)
+        assert got == pytest.approx(0.1691541, abs=1e-7)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_short_arcs(self, m):
+        # pairs 1e-7 apart in theta and in the fiber angle: the distance is
+        # the length of the displacement in the metric to first order
+        sp, delta = Spindle(m=m), 1e-7
+        rng = np.random.default_rng(11)
+        for theta, phi in rng.uniform((0.2, 0.0), (math.pi - 0.2, 2.0 * math.pi),
+                                      size=(50, 2)):
+            u, v = np.zeros(m), np.zeros(m)
+            u[:2] = math.cos(phi), math.sin(phi)
+            v[:2] = math.cos(phi + delta), math.sin(phi + delta)
+            got = sp.geodesic(np.r_[theta, u], np.r_[theta + delta, v])
+            want = delta * math.hypot(1.0, sp.c * math.sin(theta))
+            assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("t1,t2,dphi", [
         (0.3, 1.2, 0.0),                   # meridian
@@ -344,18 +371,6 @@ class TestBatchedClairaut:
         got = Spindle(2, c=c)._rev_distance_many([t1], [t2], [dphi])
         assert got.shape == (1,)
         assert got[0] == pytest.approx(_rev_distance(c, t1, t2, dphi), abs=1e-9)
-
-    def test_exact_grid_zero(self, spindle2):
-        # dphi equal to the monotone sweep at a grid point makes sweep - dphi
-        # exactly zero there, with no sign change on either side
-        c, t1, t2 = spindle2.c, np.array([1.0]), np.array([1.3])
-        a = c * np.sin(t1)[:, None] * _CLAIRAUT_GRID
-        sweep = (spindle2._sweep(a, (np.cos(t2) / np.sin(t2))[:, None])
-                 - spindle2._sweep(a, (np.cos(t1) / np.sin(t1))[:, None]))
-        dphi = sweep[:, 10]
-        got = spindle2._rev_distance_many(t1, t2, dphi)
-        want = _unrolled_sphere_distance(c, t1, t2, dphi)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
     def test_empty_batch(self, spindle2):
         empty = np.empty(0)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import custom_graph
+from conftest import custom_graph, fake_cloud
 from spectral_limits.graph import gamma_N_eps, laplacian_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
 from spectral_limits.spectral import (
+    DisconnectedGraphError,
     eigen_decompose,
     eigenvalue_estimate,
     rayleigh_quotient,
@@ -53,6 +54,14 @@ class TestEigenDecompose:
     def test_disconnected_error_lists_components(self):
         g = custom_graph(5, [[0, 1], [2, 3], [3, 4]], [1.0] * 5, [1.0] * 3)
         with pytest.raises(ValueError, match="2 components"):
+            eigen_decompose(g, 1)
+
+    def test_isolated_vertex_is_a_disconnected_graph(self):
+        # gamma_N gives an isolated vertex the weight 0; connectivity is
+        # checked first, so this is a disconnected graph, not a weight error
+        g = gamma_N_eps(fake_cloud([0.0, 0.5, 3.0], m=1), 1.0)
+        assert g.w_V[2] == 0.0
+        with pytest.raises(DisconnectedGraphError, match="2 components"):
             eigen_decompose(g, 1)
 
     def test_k_bound(self, path3_gamma_N):
