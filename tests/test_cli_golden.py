@@ -1,10 +1,15 @@
 """Golden gate for the CLI output contract.
 
-Every command runs once through ``cli.main`` on a tiny config (n <= 512, so
-the dense eigensolver is used), and the sha256 of every file it writes,
-``run_meta.json`` included, must equal the recorded value.  The commands run
-with ``--out out`` from a temporary directory, so the paths listed in
-``run_meta.json`` do not depend on where the test runs.
+Every command runs through ``cli.main`` on a tiny config (n <= 512, so the
+dense eigensolver is used), once at ``--threads 1`` and once at
+``--threads 2``, and the sha256 of every file it writes, ``run_meta.json``
+included, must equal the recorded value at both thread counts.  All runs
+happen in one child ``python`` with BLAS and OpenMP pinned to one thread,
+as the benchmark runs the CLI: the dense ``eigh`` rounds differently with
+more BLAS threads, so an unpinned run would tie the hashes to the host's
+core count.  The commands run with ``--out out`` from a temporary
+directory, so the paths listed in ``run_meta.json`` do not depend on where
+the test runs.
 
 The hashes pin this platform's floating-point output.  To re-record them
 after an intended output change, run ``python tests/test_cli_golden.py`` and
@@ -12,11 +17,25 @@ paste the printed table over ``GOLDEN``.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
-from spectral_limits.cli import main as cli_main
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# the same pin as PINNED_THREADS in bench/run.py
+PINNED_THREADS = {
+    name: "1" for name in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+    )
+}
+THREADS = (1, 2)
 
 CIRCLE = """
 manifold = "circle"
@@ -58,7 +77,7 @@ CONFIGS = {
 GOLDEN = {
     "align": {
         "alignment.csv":
-            "a2ea15508e2d5ad0e9c36554c957cc0af8f2a943822f54ce84ac8b6ad2a8a1bf",
+            "4b4ba9908f68318b060f052301470e590d5b1ee3b661b08824f931fa0db21619",
         "run_meta.json":
             "f1ffcb84fdf2e358629be24019cb44a94a55816c41a47d45dcde4af2d227f3f7",
     },
@@ -116,13 +135,13 @@ GOLDEN = {
     },
     "moser": {
         "moser.csv":
-            "23f65916db4225260f3368e575b329c901ee96aa0dabc930319753f6d247afa5",
+            "ef977f062cfa31ec377e9f01637013710f06ed657f52d0c1f0a1dc2d21c02615",
         "run_meta.json":
             "2228d91debada7db0d0310e486f689763f73564897a64026efd03790bbfa6b9c",
     },
     "regularity": {
         "regularity.csv":
-            "a08be9a353b9ce9d8f30001b2fa5299118d7c1c67498135aabd25116d129ef1b",
+            "0cc7e4ca78492d7655330da74f738ff0c105a1dea87e72281142a549520b52f7",
         "run_meta.json":
             "1cc694b40f598a7232104e533d7079a12ac89c71502b3250b2b60e035c713569",
     },
@@ -152,7 +171,7 @@ GOLDEN = {
         "run_meta.json":
             "01e17dafae98a7afcc2b9f3fc6c7fb4dac0eac260216fbbc6d0f542812d08c00",
         "spectrum.csv":
-            "d62f6e6b55fdfe76f596ec304790ab4e4bbc984093db86c3f9c02ddedc1b32a6",
+            "35fb7d95b171ff0b706eea32b7247050422d5d2222fc4d5a9bf092938e36a4de",
     },
     "sweep": {
         "run_meta.json":
@@ -160,20 +179,23 @@ GOLDEN = {
         "sweep.svg":
             "d1217634893c6e465f5387e1f22bd768906845e532a6ca941504c1a6c12477f8",
         "sweep_summary.csv":
-            "647d0d6761a2fd49e89d0caccc8a9872971cf87190a7eeede76243ad8a21b117",
+            "5425562ccc3ff032d87f30d5bfd422add1a369b10c683769e1a120ecb51f3965",
     },
 }
 
 
-def run_command(command, workdir):
-    """Run one command in ``workdir``; return {relative path: sha256}."""
+def run_command(command, threads, workdir):
+    """Run one command in ``workdir``; return {file name: sha256}."""
+    from spectral_limits.cli import main as cli_main
+
     cfg = os.path.join(workdir, "cfg.txt")
     with open(cfg, "w") as fh:
         fh.write(CONFIGS[command])
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        assert cli_main([command, "--config", "cfg.txt", "--out", "out"]) == 0
+        assert cli_main([command, "--config", "cfg.txt", "--out", "out",
+                         "--threads", str(threads)]) == 0
     finally:
         os.chdir(cwd)
     out = os.path.join(workdir, "out")
@@ -184,19 +206,52 @@ def run_command(command, workdir):
     return hashes
 
 
+def run_all():
+    """{threads: {command: {file name: sha256}}} for every command."""
+    hashes = {}
+    for threads in THREADS:
+        hashes[str(threads)] = {}
+        for cmd in sorted(CONFIGS):
+            with tempfile.TemporaryDirectory() as tmp:
+                hashes[str(threads)][cmd] = run_command(cmd, threads, tmp)
+    return hashes
+
+
+def run_pinned():
+    """``run_all`` in a child python with BLAS pinned to one thread."""
+    env = dict(os.environ, **PINNED_THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--json"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def pinned_hashes():
+    return run_pinned()
+
+
 @pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_outputs_match_recorded_hashes(command, tmp_path):
-    assert run_command(command, str(tmp_path)) == GOLDEN[command]
+def test_outputs_match_recorded_hashes(command, pinned_hashes):
+    for threads in THREADS:
+        assert pinned_hashes[str(threads)][command] == GOLDEN[command], \
+            f"--threads {threads}"
 
 
 if __name__ == "__main__":
-    import tempfile
-
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps(run_all()))
+        sys.exit(0)
+    runs = run_pinned()
+    for threads in THREADS[1:]:
+        if runs[str(threads)] != runs[str(THREADS[0])]:
+            sys.exit(f"--threads {threads} differs from --threads {THREADS[0]}")
     print("GOLDEN = {")
-    for cmd in sorted(CONFIGS):
-        with tempfile.TemporaryDirectory() as tmp:
-            print(f'    "{cmd}": {{')
-            for name, digest in run_command(cmd, tmp).items():
-                print(f'        "{name}":\n            "{digest}",')
-            print("    },")
+    for cmd, files in runs[str(THREADS[0])].items():
+        print(f'    "{cmd}": {{')
+        for name, digest in files.items():
+            print(f'        "{name}":\n            "{digest}",')
+        print("    },")
     print("}")
