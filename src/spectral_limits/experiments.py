@@ -589,13 +589,14 @@ def write_rows_csv(rows, path):
 
 
 def write_run_meta(cfg: ExperimentConfig, out_dir, reports_written):
+    """Write run_meta.json; written files are listed relative to ``out_dir``."""
     meta = {
         "tool": "spectral-limits",
         "version": __version__,
         "config_hash": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
         "seeds": list(cfg.seeds),
         "n": list(cfg.n_list),
-        "reports": list(reports_written),
+        "reports": [os.path.relpath(p, out_dir) for p in reports_written],
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

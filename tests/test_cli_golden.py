@@ -7,9 +7,8 @@ included, must equal the recorded value at both thread counts.  All runs
 happen in one child ``python`` with BLAS and OpenMP pinned to one thread,
 as the benchmark runs the CLI: the dense ``eigh`` rounds differently with
 more BLAS threads, so an unpinned run would tie the hashes to the host's
-core count.  The commands run with ``--out out`` from a temporary
-directory, so the paths listed in ``run_meta.json`` do not depend on where
-the test runs.
+core count.  ``run_meta.json`` lists file names relative to ``--out``, so
+its hash does not depend on the output directory.
 
 The hashes pin this platform's floating-point output.  To re-record them
 after an intended output change, run ``python tests/test_cli_golden.py`` and
@@ -79,19 +78,19 @@ GOLDEN = {
         "alignment.csv":
             "4b4ba9908f68318b060f052301470e590d5b1ee3b661b08824f931fa0db21619",
         "run_meta.json":
-            "f1ffcb84fdf2e358629be24019cb44a94a55816c41a47d45dcde4af2d227f3f7",
+            "28b7d56e3f2f0acf862f5b7f80787303fd2d680391c8ad389fa6b93dfd2a54ee",
     },
     "distortion": {
         "distortion.csv":
             "5b75e5b71ab8fa2b6a47b48bfd04828f9522ca9d8f4d1860103964ddc3ad1afd",
         "run_meta.json":
-            "1a477e6b9e3a14c52a9e820c2164131e029d677ba7a8de4cfca4f0390db2d167",
+            "15dbdef878f13e19f6f395568b0c6097f59c2d24782053d8e15f97a9e053a105",
     },
     "energy": {
         "energy.csv":
             "069c9b60a90b32a3ec1d9f9f1f8a3d78429002599c27e22ce0d2d656355a45c7",
         "run_meta.json":
-            "3c551f82d10ae3c8cc3933b5e84891e7288d9dab0f2a8b53bdea6ead34896995",
+            "e35d8d6c97ac5a5d1e1bca88f4c1edeb231873c13ba84c8b445967d78cb2b036",
     },
     "graph": {
         "edges_n128_seed1.csv":
@@ -113,7 +112,7 @@ GOLDEN = {
         "edges_n64_seed3.csv":
             "fe6764fb63a60c6edd6da8a6075db9c34ee50a167ebb6e3e95ea851d3c4ca7ee",
         "run_meta.json":
-            "7614eb692439f657d7fb72976b597a70e128e2dcbf40bf2b3b234dcb87c03126",
+            "b0600243a30cf5e574c3c55ff89f0cf580aa3ffcf89327ded0b6bc84920f12e8",
         "vertices_n128_seed1.csv":
             "9cb97fdd5b3d5411bb25f67ccc228320ba0811bb62fd90f1e7313a7b5059c0ad",
         "vertices_n128_seed2.csv":
@@ -137,13 +136,13 @@ GOLDEN = {
         "moser.csv":
             "ef977f062cfa31ec377e9f01637013710f06ed657f52d0c1f0a1dc2d21c02615",
         "run_meta.json":
-            "2228d91debada7db0d0310e486f689763f73564897a64026efd03790bbfa6b9c",
+            "d1823b0a5f880a7e9b28ce5010fe1c3646208001d3bdbfa0797e5118cc59f5b9",
     },
     "regularity": {
         "regularity.csv":
             "0cc7e4ca78492d7655330da74f738ff0c105a1dea87e72281142a549520b52f7",
         "run_meta.json":
-            "1cc694b40f598a7232104e533d7079a12ac89c71502b3250b2b60e035c713569",
+            "9d0bca2019df57f904adf70ecd669e0f2b87b1fe76dfa036f3deaa6cbe7783c1",
     },
     "sample": {
         "points_n128_seed1.csv":
@@ -165,17 +164,17 @@ GOLDEN = {
         "points_n64_seed3.csv":
             "be33126ed30ab9a412def933943ddedd9dfe725f2e0152632b6abe09b6a1d531",
         "run_meta.json":
-            "ac2dda73831babb8dc5a392be178e6f9ab31f3143cc4f501282afde01baea697",
+            "aba2382ba42cf0888b5ea8adafa185e7bdb37e353520fd22e0f579a156146efa",
     },
     "spectrum": {
         "run_meta.json":
-            "01e17dafae98a7afcc2b9f3fc6c7fb4dac0eac260216fbbc6d0f542812d08c00",
+            "d777967fad1f221a295d8e4f9bba6acdbd9a7422bba92589e63a4711d2d0671d",
         "spectrum.csv":
             "35fb7d95b171ff0b706eea32b7247050422d5d2222fc4d5a9bf092938e36a4de",
     },
     "sweep": {
         "run_meta.json":
-            "5c96f8e2ddec804f9533627a5fcaaffcab6e50f91c426fd884ee90ed4625810a",
+            "9d67ccd7dbbfbee6c5268bb53b46d4be006e53511ab49b1f8774bdd0154bda56",
         "sweep.svg":
             "d1217634893c6e465f5387e1f22bd768906845e532a6ca941504c1a6c12477f8",
         "sweep_summary.csv":
@@ -189,16 +188,11 @@ def run_command(command, threads, workdir):
     from spectral_limits.cli import main as cli_main
 
     cfg = os.path.join(workdir, "cfg.txt")
+    out = os.path.join(workdir, "out")
     with open(cfg, "w") as fh:
         fh.write(CONFIGS[command])
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        assert cli_main([command, "--config", "cfg.txt", "--out", "out",
-                         "--threads", str(threads)]) == 0
-    finally:
-        os.chdir(cwd)
-    out = os.path.join(workdir, "out")
+    assert cli_main([command, "--config", cfg, "--out", out,
+                     "--threads", str(threads)]) == 0
     hashes = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
