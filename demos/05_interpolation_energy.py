@@ -17,6 +17,7 @@ from spectral_limits import (
     KernelContext,
     TestFunction,
     energy_comparison_report,
+    gamma_N_eps,
     interpolate,
     l2_norm_comparison_report,
     psi_eps,
@@ -59,8 +60,9 @@ f = TestFunction(
 for n in (1000, 4000):
     cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=5)
     eps_n = epsilon_schedule(n, 1)
-    er = energy_comparison_report(circle, None, cloud, eps_n, f)
-    l2 = l2_norm_comparison_report(circle, None, cloud, eps_n, f)
+    g = gamma_N_eps(cloud, eps_n)
+    er = energy_comparison_report(g, cloud, f)
+    l2 = l2_norm_comparison_report(g, cloud, f)
     print(f"\nn = {n}, eps = {eps_n:.4f}")
     print(f"  Dirichlet: discrete {er.discrete:.6f} vs continuum/(m+2) "
           f"{er.continuous:.6f} (diff {er.difference:+.6f})")

@@ -16,10 +16,8 @@ import sys
 
 from .experiments import (
     ALL_REPORTS,
-    build_graph,
     load_config,
-    make_density_spec,
-    make_manifold,
+    map_cells,
     run_alignment,
     run_convergence_sweep,
     run_distortion,
@@ -31,36 +29,25 @@ from .experiments import (
     write_run_meta,
 )
 from .graph import save_graph_csv
-from .sampling import sample_dataset
 
 
 def _cmd_sample(cfg, out):
-    written = []
-    mfd = make_manifold(cfg)
-    dens = make_density_spec(cfg)
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            cloud = sample_dataset(mfd, dens, n, seed)
-            path = os.path.join(out, f"points_n{n}_seed{seed}.csv")
-            cloud.save(path)
-            written.append(path)
-    return written
+    def save(cell):
+        path = os.path.join(out, f"points_n{cell.n}_seed{cell.seed}.csv")
+        cell.cloud.save(path)
+        return path
+
+    return map_cells(cfg, save)
 
 
 def _cmd_graph(cfg, out):
-    written = []
-    mfd = make_manifold(cfg)
-    dens = make_density_spec(cfg)
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            cloud = sample_dataset(mfd, dens, n, seed)
-            g = build_graph(cfg, cloud, eps)
-            epath = os.path.join(out, f"edges_n{n}_seed{seed}.csv")
-            vpath = os.path.join(out, f"vertices_n{n}_seed{seed}.csv")
-            save_graph_csv(g, epath, vpath)
-            written.extend([epath, vpath])
-    return written
+    def save(cell):
+        paths = [os.path.join(out, f"{kind}_n{cell.n}_seed{cell.seed}.csv")
+                 for kind in ("edges", "vertices")]
+        save_graph_csv(cell.graph, *paths)
+        return paths
+
+    return [p for paths in map_cells(cfg, save) for p in paths]
 
 
 def _write_report(rows, out, name):

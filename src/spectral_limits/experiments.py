@@ -1,9 +1,9 @@
 """Experiment orchestration: spectrum runs, eigenspace alignment, sweeps.
 
-Every run is a deterministic function of its configuration: sampling seeds
-come from the config, eigensolver start vectors from graph hashes, and all
-output rows are sorted before writing, so identical configs produce
-byte-identical CSVs.
+Every report is a function of one (n, seed) ``Cell``, mapped over the
+config by ``map_cells``.  Sampling seeds come from the config, eigensolver
+start vectors from graph hashes, and output rows are sorted before writing,
+so identical configs produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .plotting import svg_line_chart
 from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
     spindle_spectrum, torus_spectrum, weighted_circle_spectrum
 from .regularity import certify, moser_check
-from .sampling import DensitySpec, PointCloud, make_density, sample_dataset, \
-    epsilon_schedule
+from .sampling import Density, DensitySpec, PointCloud, make_density, \
+    sample_dataset, epsilon_schedule
 from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
     volume_norm
 
@@ -40,6 +41,8 @@ __all__ = [
     "load_config",
     "make_manifold",
     "reference_spectrum_for",
+    "Cell",
+    "map_cells",
     "run_spectrum_experiment",
     "align_eigenspaces",
     "run_alignment",
@@ -179,10 +182,6 @@ def make_manifold(cfg: ExperimentConfig) -> ManifoldModel:
     raise ValueError(f"unknown manifold {cfg.manifold!r}")
 
 
-def make_density_spec(cfg: ExperimentConfig) -> DensitySpec:
-    return DensitySpec(kind=cfg.density, amplitude=cfg.amplitude)
-
-
 def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> ReferenceSpectrum:
     """Continuum reference matching the configured manifold and density."""
     k_max = max(cfg.k_max, max(cfg.cluster) + 1 if cfg.cluster else cfg.k_max)
@@ -190,7 +189,8 @@ def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> Referen
         if cfg.density == "uniform":
             return circle_spectrum(mfd.radius, k_max)
         return weighted_circle_spectrum(
-            mfd.radius, make_density_spec(cfg), k_max, mesh=cfg.mesh
+            mfd.radius, DensitySpec(cfg.density, cfg.amplitude), k_max,
+            mesh=cfg.mesh
         )
     if cfg.density != "uniform":
         raise ValueError("non-uniform densities are circle-only")
@@ -206,64 +206,92 @@ def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> Referen
     raise ValueError(f"no reference spectrum for {mfd.kind!r}")
 
 
-def build_graph(cfg: ExperimentConfig, cloud: PointCloud, eps: float) -> WeightedGraph:
-    if cfg.graph_kind == "gamma_N":
-        return gamma_N_eps(cloud, eps)
-    return gamma_m_eps(cloud, eps)
+# ---------------------------------------------------------------------------
+# cells
+
+
+@dataclass
+class Cell:
+    """One (n, seed) cell: a sample of size n and its eps-graph, built once."""
+
+    cfg: ExperimentConfig
+    mfd: ManifoldModel
+    dens: Density
+    n: int
+    seed: int
+
+    @property
+    def eps(self) -> float:
+        return self.cfg.epsilon_for(self.n, self.mfd.m)
+
+    @cached_property
+    def cloud(self) -> PointCloud:
+        return sample_dataset(self.mfd, self.dens, self.n, self.seed)
+
+    @cached_property
+    def graph(self) -> WeightedGraph:
+        if self.cfg.graph_kind == "gamma_N":
+            return gamma_N_eps(self.cloud, self.eps)
+        return gamma_m_eps(self.cloud, self.eps)
+
+
+def map_cells(cfg: ExperimentConfig, fn: Callable[[Cell], object]) -> list:
+    """``fn(cell)`` for every (n, seed) cell of ``cfg``, in (n, seed) order.
+
+    Runs on ``cfg.threads`` worker threads.  Each cell is made inside its
+    worker and dropped when ``fn`` returns, so at most one cell per thread
+    holds a sample and a graph.
+    """
+    mfd = make_manifold(cfg)
+    dens = make_density(mfd, DensitySpec(cfg.density, cfg.amplitude))
+
+    def work(n_seed):
+        return fn(Cell(cfg, mfd, dens, *n_seed))
+
+    pairs = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            return list(pool.map(work, pairs))
+    return [work(pair) for pair in pairs]
+
+
+def _run_cells(cfg: ExperimentConfig, fn) -> list:
+    """All cells' rows, sorted by whichever of n, seed, k and p they carry."""
+    rows = [r for chunk in map_cells(cfg, fn) for r in chunk]
+    rows.sort(key=lambda r: tuple(r[k] for k in ("n", "seed", "k", "p") if k in r))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # spectrum experiment
 
 
-def _spectrum_cell(cfg, mfd, dens_spec, ref, n, seed):
-    eps = cfg.epsilon_for(n, mfd.m)
-    cloud = sample_dataset(mfd, dens_spec, n, seed)
-    g = build_graph(cfg, cloud, eps)
-    rows = []
-    try:
-        spec = eigen_decompose(g, cfg.k_max)
-    except DisconnectedGraphError:
-        spec = None
-    for k in range(cfg.k_max + 1):
-        lam_ref = float(ref.eigenvalues[k])
-        if spec is None:
-            rows.append(dict(n=n, seed=seed, eps=eps, k=k, connected=0,
-                             lam_graph=math.nan, estimate=math.nan,
-                             lam_ref=lam_ref, abs_err=math.nan,
-                             rel_err=math.nan))
-            continue
-        lam = float(spec.eigenvalues[k])
-        est = (mfd.m + 2) * lam
-        abs_err = abs(est - lam_ref)
-        rel = abs_err / lam_ref if lam_ref > 0 else abs_err
-        rows.append(dict(n=n, seed=seed, eps=eps, k=k, connected=1,
-                         lam_graph=lam, estimate=est, lam_ref=lam_ref,
-                         abs_err=abs_err, rel_err=rel))
-    return rows
-
-
-def _run_cells(cfg, worker, cells):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(worker, cells))
-    else:
-        chunks = [worker(c) for c in cells]
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: tuple(r[k] for k in ("n", "seed", "k") if k in r))
-    return rows
-
-
 def run_spectrum_experiment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None):
     """Graph eigenvalues vs continuum reference, one row per (n, seed, k)."""
-    mfd = make_manifold(cfg)
-    dens_spec = make_density_spec(cfg)
     if ref is None:
-        ref = reference_spectrum_for(cfg, mfd)
-    cells = [(n, s) for n in cfg.n_list for s in cfg.seeds]
-    return _run_cells(
-        cfg, lambda c: _spectrum_cell(cfg, mfd, dens_spec, ref, c[0], c[1]), cells
-    )
+        ref = reference_spectrum_for(cfg, make_manifold(cfg))
+
+    def rows(cell):
+        try:
+            spec = eigen_decompose(cell.graph, cfg.k_max)
+        except DisconnectedGraphError:
+            spec = None
+        out = []
+        for k in range(cfg.k_max + 1):
+            lam_ref = float(ref.eigenvalues[k])
+            lam = est = abs_err = rel = math.nan
+            if spec is not None:
+                lam = float(spec.eigenvalues[k])
+                est = (cell.mfd.m + 2) * lam
+                abs_err = abs(est - lam_ref)
+                rel = abs_err / lam_ref if lam_ref > 0 else abs_err
+            out.append(dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
+                            connected=int(spec is not None), lam_graph=lam,
+                            estimate=est, lam_ref=lam_ref, abs_err=abs_err,
+                            rel_err=rel))
+        return out
+
+    return _run_cells(cfg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -367,31 +395,25 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
 
 def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None):
     """Alignment rows per (n, seed) for the configured cluster."""
-    mfd = make_manifold(cfg)
-    dens_spec = make_density_spec(cfg)
     if ref is None:
-        ref = reference_spectrum_for(cfg, mfd)
+        ref = reference_spectrum_for(cfg, make_manifold(cfg))
     k, l = int(cfg.cluster[0]), int(cfg.cluster[1])
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            cloud = sample_dataset(mfd, dens_spec, n, seed)
-            g = build_graph(cfg, cloud, eps)
-            spec = eigen_decompose(g, max(cfg.k_max, l))
-            rep = align_eigenspaces(g, spec, ref, cloud, (k, l))
-            for j in range(l - k + 1):
-                rows.append(dict(
-                    n=n, seed=seed, eps=eps, k=k + j,
-                    gamma=rep.gamma, span_width=rep.span_width,
-                    proj_residual=float(rep.projection_residuals[j]),
-                    rel_residual=float(rep.relative_residuals[j]),
-                    norm_defect=float(rep.norm_defects[j]),
-                    aligned_residual=float(rep.aligned_residuals[j]),
-                    thm12_residual=float(rep.thm12_residuals[j]),
-                ))
-    rows.sort(key=lambda r: (r["n"], r["seed"], r["k"]))
-    return rows
+
+    def rows(cell):
+        g = cell.graph
+        spec = eigen_decompose(g, max(cfg.k_max, l))
+        rep = align_eigenspaces(g, spec, ref, cell.cloud, (k, l))
+        return [dict(
+            n=cell.n, seed=cell.seed, eps=cell.eps, k=k + j,
+            gamma=rep.gamma, span_width=rep.span_width,
+            proj_residual=float(rep.projection_residuals[j]),
+            rel_residual=float(rep.relative_residuals[j]),
+            norm_defect=float(rep.norm_defects[j]),
+            aligned_residual=float(rep.aligned_residuals[j]),
+            thm12_residual=float(rep.thm12_residuals[j]),
+        ) for j in range(l - k + 1)]
+
+    return _run_cells(cfg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,43 +461,30 @@ def _loglog_slope(ns, errs) -> float:
 
 
 def run_regularity(cfg: ExperimentConfig):
-    if "regularity" not in cfg.reports:
-        return []
-    mfd = make_manifold(cfg)
-    dens_spec = make_density_spec(cfg)
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            cloud = sample_dataset(mfd, dens_spec, n, seed)
-            g = build_graph(cfg, cloud, eps)
-            spec = eigen_decompose(g, min(cfg.k_max, g.n_vertices - 1))
-            cert = certify(g, spectral=spec, seed=seed)
-            rows.append(dict(n=n, seed=seed, eps=eps, Q=cert.Q, P=cert.P,
-                             sigma=cert.sigma, R=cert.R,
-                             **{f"moser_k{k}_p{pp}": r
-                                for (k, pp, r) in cert.moser_table}))
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
-    return rows
+    def rows(cell):
+        g = cell.graph
+        spec = eigen_decompose(g, min(cfg.k_max, g.n_vertices - 1))
+        cert = certify(g, spectral=spec, seed=cell.seed)
+        return [dict(n=cell.n, seed=cell.seed, eps=cell.eps, Q=cert.Q,
+                     P=cert.P, sigma=cert.sigma, R=cert.R,
+                     **{f"moser_k{k}_p{pp}": r
+                        for (k, pp, r) in cert.moser_table})]
+
+    return _run_cells(cfg, rows)
 
 
 def run_distortion(cfg: ExperimentConfig):
-    if "distortion" not in cfg.reports:
-        return []
-    mfd = make_manifold(cfg)
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            v = v_p_eps(mfd, cfg.p, eps, cfg.K, cfg.mc_outer, seed)
-            s = s_eps(mfd, ("geodesic", "embedded"), eps,
-                      n_mc_outer=max(cfg.mc_outer // cfg.mc_inner, 50),
-                      n_mc_inner=cfg.mc_inner, seed=seed)
-            rows.append(dict(n=n, seed=seed, eps=eps,
-                             v_p_eps=v.value, v_stderr=v.stderr,
-                             s_eps=s.value, s_stderr=s.stderr))
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
-    return rows
+    def rows(cell):
+        mfd, eps = cell.mfd, cell.eps
+        v = v_p_eps(mfd, cfg.p, eps, cfg.K, cfg.mc_outer, cell.seed)
+        s = s_eps(mfd, ("geodesic", "embedded"), eps,
+                  n_mc_outer=max(cfg.mc_outer // cfg.mc_inner, 50),
+                  n_mc_inner=cfg.mc_inner, seed=cell.seed)
+        return [dict(n=cell.n, seed=cell.seed, eps=eps,
+                     v_p_eps=v.value, v_stderr=v.stderr,
+                     s_eps=s.value, s_stderr=s.stderr)]
+
+    return _run_cells(cfg, rows)
 
 
 def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
@@ -516,51 +525,37 @@ def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
 
 
 def run_energy(cfg: ExperimentConfig):
-    if "energy" not in cfg.reports:
-        return []
-    mfd = make_manifold(cfg)
-    dens = make_density(mfd, make_density_spec(cfg))
-    f = default_test_function(mfd, dens)
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            cloud = sample_dataset(mfd, dens, n, seed)
-            er = energy_comparison_report(mfd, dens, cloud, eps, f)
-            l2 = l2_norm_comparison_report(mfd, dens, cloud, eps, f)
-            rows.append(dict(
-                n=n, seed=seed, eps=eps,
-                energy_discrete=er.discrete, energy_continuous=er.continuous,
-                energy_difference=er.difference,
-                l2_plain_discrete=l2.plain_discrete,
-                l2_plain_continuous=l2.plain_continuous,
-                l2_degree_discrete=l2.degree_discrete,
-                l2_degree_continuous=l2.degree_continuous,
-            ))
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
-    return rows
+    def rows(cell):
+        f = default_test_function(cell.mfd, cell.dens)
+        er = energy_comparison_report(cell.graph, cell.cloud, f)
+        l2 = l2_norm_comparison_report(cell.graph, cell.cloud, f)
+        return [dict(
+            n=cell.n, seed=cell.seed, eps=cell.eps,
+            energy_discrete=er.discrete, energy_continuous=er.continuous,
+            energy_difference=er.difference,
+            l2_plain_discrete=l2.plain_discrete,
+            l2_plain_continuous=l2.plain_continuous,
+            l2_degree_discrete=l2.degree_discrete,
+            l2_degree_continuous=l2.degree_continuous,
+        )]
+
+    return _run_cells(cfg, rows)
 
 
 def run_moser(cfg: ExperimentConfig):
-    if "moser" not in cfg.reports:
-        return []
-    mfd = make_manifold(cfg)
-    dens_spec = make_density_spec(cfg)
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            eps = cfg.epsilon_for(n, mfd.m)
-            cloud = sample_dataset(mfd, dens_spec, n, seed)
-            g = build_graph(cfg, cloud, eps)
-            spec = eigen_decompose(g, cfg.k_max)
-            for k in range(1, cfg.k_max + 1):
-                for p in (2, 4, 8, math.inf):
-                    ratio, shape = moser_check(g, spec, k, p)
-                    rows.append(dict(n=n, seed=seed, eps=eps, k=k,
-                                     p=(p if p != math.inf else -1),
-                                     ratio=ratio, bound_shape=shape))
-    rows.sort(key=lambda r: (r["n"], r["seed"], r["k"], r["p"]))
-    return rows
+    def rows(cell):
+        g = cell.graph
+        spec = eigen_decompose(g, cfg.k_max)
+        out = []
+        for k in range(1, cfg.k_max + 1):
+            for p in (2, 4, 8, math.inf):
+                ratio, shape = moser_check(g, spec, k, p)
+                out.append(dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
+                                p=(p if p != math.inf else -1),
+                                ratio=ratio, bound_shape=shape))
+        return out
+
+    return _run_cells(cfg, rows)
 
 
 # ---------------------------------------------------------------------------

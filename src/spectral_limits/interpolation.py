@@ -20,7 +20,7 @@ from scipy import integrate
 from .geometry import Circle, FlatTorus, ManifoldModel, Point, Sphere, Spindle, \
     model_sn, sphere_area, unit_ball_volume
 from .sampling import Density, DensitySpec, PointCloud, make_density
-from .graph import build_edges
+from .graph import WeightedGraph, _edge_scale
 
 __all__ = [
     "KernelContext",
@@ -198,23 +198,21 @@ class L2Comparison:
     degree_continuous: float
 
 
-def energy_comparison_report(mfd, dens, cloud: PointCloud, eps: float,
+def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
                              f: TestFunction) -> EnergyComparison:
     """Discrete vs continuous Dirichlet energy of a test function.
 
-    The discrete side sums squared difference quotients over surrogate-metric
-    eps-neighbor pairs with the sampling normalization; the continuous side
-    is int |grad f|^2 rho^2 dvol / (m+2).  Reporting only; no bound is
-    asserted.
+    The discrete side sums squared difference quotients over the edges of
+    ``g``, an eps-graph of ``cloud``, with the sampling normalization; the
+    continuous side is int |grad f|^2 rho^2 dvol / (m+2).  Reporting only;
+    no bound is asserted.
     """
     if f.grad_sq_rho2 is None:
         raise ValueError("test function needs the gradient-square integral")
-    n, m = cloud.n, mfd.m
+    n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
-    edges = build_edges(cloud, "embedded", eps)
-    diff = (vals[edges[:, 0]] - vals[edges[:, 1]]) / eps
-    scale = n * (n - 1) * unit_ball_volume(m) * eps**m
-    discrete = 2.0 * float(np.sum(diff**2)) / scale
+    diff = (vals[g.edges[:, 0]] - vals[g.edges[:, 1]]) / eps
+    discrete = 2.0 * float(np.sum(diff**2)) / _edge_scale(n, m, eps)
     continuous = f.grad_sq_rho2 / (m + 2.0)
     return EnergyComparison(
         n=n, eps=eps, discrete=discrete, continuous=continuous,
@@ -222,20 +220,15 @@ def energy_comparison_report(mfd, dens, cloud: PointCloud, eps: float,
     )
 
 
-def l2_norm_comparison_report(mfd, dens, cloud: PointCloud, eps: float,
+def l2_norm_comparison_report(g: WeightedGraph, cloud: PointCloud,
                               f: TestFunction) -> L2Comparison:
-    """Discrete vs continuous L2 norms, plain and degree-weighted."""
+    """Discrete vs continuous L2 norms, plain and weighted by g's degrees."""
     if f.sq_rho is None or f.sq_rho2 is None:
         raise ValueError("test function needs both squared-norm integrals")
-    n, m = cloud.n, mfd.m
+    n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
     plain = float(np.mean(vals**2))
-    edges = build_edges(cloud, "embedded", eps)
-    deg = np.zeros(n)
-    np.add.at(deg, edges[:, 0], 1.0)
-    np.add.at(deg, edges[:, 1], 1.0)
-    scale = n * (n - 1) * unit_ball_volume(m) * eps**m
-    weighted = float(np.sum(vals**2 * deg)) / scale
+    weighted = float(np.sum(vals**2 * g.degrees)) / _edge_scale(n, m, eps)
     return L2Comparison(
         n=n, eps=eps,
         plain_discrete=plain, plain_continuous=f.sq_rho,

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from spectral_limits import graph
 from spectral_limits.cli import main as cli_main
 from spectral_limits.experiments import (
     ExperimentConfig,
@@ -12,9 +14,11 @@ from spectral_limits.experiments import (
     align_eigenspaces,
     load_config,
     make_manifold,
+    map_cells,
     parse_config_text,
     run_alignment,
     run_convergence_sweep,
+    run_energy,
     run_spectrum_experiment,
 )
 from spectral_limits.graph import gamma_N_eps
@@ -167,6 +171,41 @@ class TestAlignment:
         assert len(rows) == 2
         assert all(r["rel_residual"] >= 0 for r in rows)
         assert all(r["thm12_residual"] >= 0 for r in rows)
+
+
+class TestCells:
+    def test_serial_cells_are_freed_before_the_next(self):
+        cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],
+                               seeds=[1, 2])
+        last = []
+
+        def fn(cell):
+            alive = bool(last) and last[-1]() is not None
+            last.append(weakref.ref(cell.graph))
+            return cell.n, cell.seed, alive
+
+        assert map_cells(cfg, fn) == [(64, 1, False), (64, 2, False),
+                                      (128, 1, False), (128, 2, False)]
+
+    def test_threads_keep_the_cell_order(self):
+        cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],
+                               seeds=[1, 2, 3], threads=2)
+        assert map_cells(cfg, lambda cell: (cell.n, cell.seed)) == [
+            (n, s) for n in (64, 128) for s in (1, 2, 3)]
+
+    def test_energy_searches_edges_once_per_cell(self, monkeypatch):
+        trees = []
+
+        def counted(points):
+            trees.append(len(points))
+            return cKDTree(points)
+
+        cKDTree = graph.cKDTree
+        monkeypatch.setattr(graph, "cKDTree", counted)
+        cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],
+                               seeds=[1, 2])
+        assert len(run_energy(cfg)) == 4
+        assert trees == [64, 64, 128, 128]
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_limits.geometry import Circle, Sphere
+from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
     TestFunction,
@@ -209,14 +210,14 @@ class TestComparisonReports:
         cloud = sample_dataset(circle, DensitySpec("uniform"), 100, seed=1)
         f = TestFunction("one", lambda zi, ze: np.ones(len(np.atleast_2d(zi))),
                          grad_sq_rho2=0.0, sq_rho=1.0, sq_rho2=1.0 / (2 * math.pi))
-        rep = energy_comparison_report(circle, None, cloud, 0.3, f)
+        rep = energy_comparison_report(gamma_N_eps(cloud, 0.3), cloud, f)
         assert rep.discrete == 0.0
         assert rep.continuous == 0.0
 
     def test_circle_cosine_quarter_tolerance(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 4000, seed=11)
         eps = epsilon_schedule(4000, 1)
-        rep = energy_comparison_report(circle, None, cloud, eps,
+        rep = energy_comparison_report(gamma_N_eps(cloud, eps), cloud,
                                        circle_cos_testfunction())
         assert rep.continuous == pytest.approx(1.0 / (12.0 * math.pi), rel=1e-12)
         assert rep.discrete == pytest.approx(rep.continuous, rel=0.25)
@@ -229,7 +230,7 @@ class TestComparisonReports:
             for seed in range(5):
                 cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed)
                 eps = epsilon_schedule(n, 1)
-                rep = energy_comparison_report(circle, None, cloud, eps,
+                rep = energy_comparison_report(gamma_N_eps(cloud, eps), cloud,
                                                circle_cos_testfunction())
                 diffs.append(abs(rep.difference))
             meds.append(np.median(diffs))
@@ -239,14 +240,14 @@ class TestComparisonReports:
         cloud = sample_dataset(circle, DensitySpec("uniform"), 500, seed=2)
         f = TestFunction("one", lambda zi, ze: np.ones(len(np.atleast_2d(zi))),
                          grad_sq_rho2=0.0, sq_rho=1.0, sq_rho2=1.0 / (2 * math.pi))
-        rep = l2_norm_comparison_report(circle, None, cloud, 0.2, f)
+        rep = l2_norm_comparison_report(gamma_N_eps(cloud, 0.2), cloud, f)
         assert rep.plain_discrete == pytest.approx(1.0, rel=1e-12)
 
     def test_l2_report_cosine(self, circle):
         n = 4000
         cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=13)
         eps = epsilon_schedule(n, 1)
-        rep = l2_norm_comparison_report(circle, None, cloud, eps,
+        rep = l2_norm_comparison_report(gamma_N_eps(cloud, eps), cloud,
                                         circle_cos_testfunction())
         # plain: CLT check, var(cos^2) = 1/8 under the uniform law
         stderr = math.sqrt(1.0 / 8.0 / n)
