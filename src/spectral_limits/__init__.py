@@ -46,8 +46,8 @@ from .graph import (
     laplacian_apply,
     random_walk_matrix,
 )
-from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
-    eigenvalue_estimate, rayleigh_quotient
+from .spectral import DisconnectedGraphError, SolverError, SpectralResult, \
+    eigen_decompose, eigenvalue_estimate, rayleigh_quotient
 from .regularity import (
     RegularityCertificate,
     almost_regularity,

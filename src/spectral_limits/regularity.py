@@ -393,22 +393,10 @@ class RegularityCertificate:
     sigma: float
     R: float
     moser_table: list = field(default_factory=list)  # (k, p, ratio)
-    sampled_centers: np.ndarray = field(default_factory=lambda: np.empty(0, int))
 
     @property
     def nu(self) -> float:
         return math.log2(self.Q) if self.Q > 1 else 0.0
-
-    def csv_row(self) -> str:
-        moser = {(k, p): r for (k, p, r) in self.moser_table}
-        ps = [2, 4, 8, np.inf]
-        ks = sorted({k for (k, _, _) in self.moser_table})
-        cells = [f"{self.n}", f"{self.eps:.17g}", f"{self.Q:.17g}",
-                 f"{self.P:.17g}", f"{self.sigma:.17g}", f"{self.R:.17g}"]
-        for k in ks:
-            for p in ps:
-                cells.append(f"{moser.get((k, p), float('nan')):.17g}")
-        return ",".join(cells)
 
 
 def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
@@ -418,7 +406,6 @@ def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
     q = doubling_constant(g, center_sample=center_sample, seed=seed)
     p = poincare_constant(g, sigma=sigma, seed=seed)
     r = almost_regularity(g)
-    centers = _pick_centers(g, center_sample, seed)
     table = []
     if spectral is not None:
         for k in moser_ks:
@@ -428,5 +415,5 @@ def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
                     table.append((k, pp, ratio))
     return RegularityCertificate(
         n=g.n_vertices, eps=g.epsilon, Q=q, P=p, sigma=sigma, R=r,
-        moser_table=table, sampled_centers=centers,
+        moser_table=table,
     )

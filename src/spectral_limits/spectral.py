@@ -22,6 +22,7 @@ from .graph import WeightedGraph, dirichlet_energy, laplacian_apply
 
 __all__ = [
     "DisconnectedGraphError",
+    "SolverError",
     "SpectralResult",
     "eigen_decompose",
     "rayleigh_quotient",
@@ -35,6 +36,10 @@ DENSE_LIMIT = 512
 
 class DisconnectedGraphError(ValueError):
     """The graph has more than one connected component."""
+
+
+class SolverError(RuntimeError):
+    """The Lanczos eigensolver did not converge."""
 
 
 def volume_inner(g: WeightedGraph, phi, psi) -> float:
@@ -127,8 +132,8 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
                 B, k=k + 1, which="SA", v0=v0, tol=tol,
                 maxiter=max(100 * n, 10000), ncv=min(n - 1, max(4 * (k + 1), 40)),
             )
-        except ArpackNoConvergence as exc:  # pragma: no cover - depends on data
-            raise RuntimeError(
+        except ArpackNoConvergence as exc:
+            raise SolverError(
                 f"Lanczos did not converge: got {len(exc.eigenvalues)} of {k + 1} "
                 f"eigenvalues"
             ) from exc

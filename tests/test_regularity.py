@@ -247,9 +247,5 @@ def test_certificate_row_format(circle):
     g = gamma_N_eps(cloud, epsilon_schedule(150, 1))
     res = eigen_decompose(g, 2)
     cert = certify(g, spectral=res, seed=0, moser_ks=(1, 2))
-    row = cert.csv_row()
-    cells = row.split(",")
-    assert int(cells[0]) == 150
-    assert len(cells) == 6 + 2 * 4
     assert cert.nu == pytest.approx(math.log2(cert.Q))
     assert cert.Q >= 1.0 and cert.P >= 0.0 and cert.R >= 1.0

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import custom_graph, fake_cloud
+from spectral_limits import spectral
 from spectral_limits.graph import gamma_N_eps, laplacian_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
 from spectral_limits.spectral import (
     DisconnectedGraphError,
+    SolverError,
     eigen_decompose,
     eigenvalue_estimate,
     rayleigh_quotient,
@@ -63,6 +66,16 @@ class TestEigenDecompose:
         assert g.w_V[2] == 0.0
         with pytest.raises(DisconnectedGraphError, match="2 components"):
             eigen_decompose(g, 1)
+
+    def test_lanczos_nonconvergence_is_a_solver_error(self, circle_graph_200,
+                                                       monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(1),
+                                      np.zeros((200, 1)))
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        with pytest.raises(SolverError, match="got 1 of 4 eigenvalues"):
+            eigen_decompose(circle_graph_200, 3, method="lanczos")
 
     def test_k_bound(self, path3_gamma_N):
         with pytest.raises(ValueError, match="k < n"):
