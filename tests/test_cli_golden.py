@@ -185,6 +185,8 @@ GOLDEN = {
 
 def run_command(command, threads, workdir):
     """Run one command in ``workdir``; return {file name: sha256}."""
+    # imported here, so that recording runs without the package on the path:
+    # only the child, which gets src/ on PYTHONPATH, runs the commands
     from spectral_limits.cli import main as cli_main
 
     cfg = os.path.join(workdir, "cfg.txt")
