@@ -55,6 +55,7 @@ from .regularity import (
     certify,
     doubling_constant,
     moser_check,
+    moser_ratio,
     nash_diagnostic,
     poincare_constant,
     smoothing_apply,

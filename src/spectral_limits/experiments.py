@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +28,7 @@ from .interpolation import TestFunction, energy_comparison_report, \
 from .plotting import svg_line_chart
 from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
     spindle_spectrum, torus_spectrum, weighted_circle_spectrum
-from .regularity import certify, moser_check
+from .regularity import certify, graph_diameter, moser_alpha, moser_check
 from .sampling import Density, DensitySpec, PointCloud, make_density, \
     sample_dataset, epsilon_schedule
 from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
@@ -80,7 +80,7 @@ class ExperimentConfig:
     graph_kind: str = "gamma_N"
     k_max: int = 3
     reports: Sequence[str] = ALL_REPORTS
-    cluster: Sequence[int] = (1, 1)
+    cluster: Sequence[int] = ()      # empty: the first non-constant cluster
     mesh: int = 4096
     l_max: int = 6
     p: float = 4.0
@@ -183,8 +183,12 @@ def make_manifold(cfg: ExperimentConfig) -> ManifoldModel:
 
 
 def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> ReferenceSpectrum:
-    """Continuum reference matching the configured manifold and density."""
-    k_max = max(cfg.k_max, max(cfg.cluster) + 1 if cfg.cluster else cfg.k_max)
+    """Continuum reference matching the configured manifold and density.
+
+    It holds eigenvalues 0..k_max and, for ``align``, the one after the
+    configured cluster, whose gap is checked; with no cluster, 0..2 at least.
+    """
+    k_max = max(cfg.k_max, max(cfg.cluster or [1]) + 1)
     if isinstance(mfd, Circle):
         if cfg.density == "uniform":
             return circle_spectrum(mfd.radius, k_max)
@@ -394,10 +398,20 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
 
 
 def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None):
-    """Alignment rows per (n, seed) for the configured cluster."""
+    """Alignment rows per (n, seed) for the configured cluster.
+
+    With no cluster configured, the cluster is the reference's first
+    non-constant one, found by growing the reference until a later
+    eigenvalue bounds that cluster from above.
+    """
     if ref is None:
-        ref = reference_spectrum_for(cfg, make_manifold(cfg))
-    k, l = int(cfg.cluster[0]), int(cfg.cluster[1])
+        mfd = make_manifold(cfg)
+        ref = reference_spectrum_for(cfg, mfd)
+        while not cfg.cluster and len(ref.clusters()) < 3:
+            more = replace(cfg, k_max=2 * len(ref.eigenvalues))
+            ref = reference_spectrum_for(more, mfd)
+    cluster = cfg.cluster or ref.clusters()[1]
+    k, l = int(cluster[0]), int(cluster[1])
 
     def rows(cell):
         g = cell.graph
@@ -546,10 +560,12 @@ def run_moser(cfg: ExperimentConfig):
     def rows(cell):
         g = cell.graph
         spec = eigen_decompose(g, cfg.k_max)
+        alpha, D = moser_alpha(g), graph_diameter(g)
         out = []
         for k in range(1, cfg.k_max + 1):
             for p in (2, 4, 8, math.inf):
-                ratio, shape = moser_check(g, spec, k, p)
+                ratio, shape = moser_check(g, spec, k, p,
+                                           alpha_param=alpha, D=D)
                 out.append(dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
                                 p=(p if p != math.inf else -1),
                                 ratio=ratio, bound_shape=shape))

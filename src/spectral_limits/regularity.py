@@ -32,6 +32,7 @@ __all__ = [
     "almost_regularity",
     "smoothing_apply",
     "nash_diagnostic",
+    "moser_ratio",
     "moser_check",
     "graph_diameter",
     "certify",
@@ -65,12 +66,17 @@ def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
     return float((np.sum(np.abs(phi[idx]) ** p * g.w_V[idx]) / vol) ** (1.0 / p))
 
 
-def _all_hops(g: WeightedGraph) -> np.ndarray:
-    if getattr(g, "_hops_cache", None) is None:
-        g._hops_cache = csgraph.shortest_path(
-            g.adjacency(), method="D", unweighted=True
-        )
-    return g._hops_cache
+# BFS sources per block: a block holds _HOP_BLOCK x n hop counts, never n x n
+_HOP_BLOCK = 128
+
+
+def _hop_blocks(g: WeightedGraph, limit: float = np.inf):
+    """(sources, hop rows) per block of source vertices; inf beyond limit."""
+    adj = g.adjacency()
+    for start in range(0, g.n_vertices, _HOP_BLOCK):
+        src = np.arange(start, min(start + _HOP_BLOCK, g.n_vertices))
+        yield src, csgraph.dijkstra(adj, unweighted=True, indices=src,
+                                    limit=limit)
 
 
 def ball_average(g: WeightedGraph, phi, s: float) -> np.ndarray:
@@ -78,11 +84,12 @@ def ball_average(g: WeightedGraph, phi, s: float) -> np.ndarray:
     if s <= 0:
         raise ValueError("s must be positive")
     phi = np.asarray(phi, dtype=float)
-    hops = _all_hops(g)
-    member = hops * g.epsilon < s
-    w = member * g.w_V[None, :]
-    vol = w.sum(axis=1)
-    return (w @ phi) / vol
+    out = np.empty(g.n_vertices)
+    # one hop past s / eps, so that the exact test below decides membership
+    for src, hops in _hop_blocks(g, limit=math.ceil(s / g.epsilon) + 1):
+        w = (hops * g.epsilon < s) * g.w_V[None, :]
+        out[src] = (w @ phi) / w.sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +150,15 @@ def _positive_weight_adjacency(g: WeightedGraph) -> sparse.csr_matrix:
     return a.tocsr()
 
 
-def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
-    """Sharp constant on one ball pair."""
+def _poincare_ball_constant(g: WeightedGraph, pos_adj, b_idx, s_idx, r: float):
+    """Sharp constant on one ball pair; ``pos_adj`` is the positive-weight
+    adjacency of ``g``."""
     w = g.w_V
     sub = np.full(g.n_vertices, -1, dtype=np.int64)
     sub[s_idx] = np.arange(len(s_idx))
     # the Dirichlet form only sees edges of positive weight, so its null
     # space is governed by the positive-weight component structure
-    adj = _positive_weight_adjacency(g)[s_idx][:, s_idx]
+    adj = pos_adj[s_idx][:, s_idx]
     ncomp, labels = csgraph.connected_components(adj, directed=False)
     b_local = sub[b_idx]
     b_comps = np.unique(labels[b_local])
@@ -243,6 +251,7 @@ def poincare_constant(
     )
     p = 0.0
     solved = {}
+    pos_adj = _positive_weight_adjacency(g)
     for row in hops:
         for k in ks:
             r = (k + 0.5) * g.epsilon
@@ -259,7 +268,7 @@ def poincare_constant(
                 val = _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions)
                 solved[key] = val
             else:
-                val = _poincare_ball_constant(g, b_idx, s_idx, r)
+                val = _poincare_ball_constant(g, pos_adj, b_idx, s_idx, r)
                 solved[key] = val
             p = max(p, val)
             if math.isinf(p):
@@ -331,11 +340,20 @@ def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
 
 
 def graph_diameter(g: WeightedGraph, exact_limit: int = 4000) -> float:
-    """Graph-metric diameter (hops * eps); exact below the size limit."""
+    """Graph-metric diameter: the largest finite hop count times eps.
+
+    Exact for n <= ``exact_limit``: BFS from every vertex, a block of
+    sources at a time, keeping only the running maximum, so memory grows
+    with the edge count plus one block of hop rows, not with n^2.  On a
+    disconnected graph this is the largest diameter of a component.  Above
+    the limit it is a two-sweep lower estimate: the eccentricity of the
+    vertex farthest from vertex 0, within the component of vertex 0.
+    """
     if g.n_vertices <= exact_limit:
-        hops = _all_hops(g)
-        finite = hops[np.isfinite(hops)]
-        return float(np.max(finite) * g.epsilon)
+        top = 0.0
+        for _, hops in _hop_blocks(g):
+            top = float(np.max(hops, initial=top, where=np.isfinite(hops)))
+        return float(top * g.epsilon)
     # two-sweep estimate for big graphs
     h0 = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True, indices=0)
     far = int(np.argmax(np.where(np.isfinite(h0), h0, -1)))
@@ -351,6 +369,12 @@ def moser_alpha(g: WeightedGraph) -> float:
     return float(np.max(g.w_V / dw))
 
 
+def moser_ratio(g: WeightedGraph, spectral: SpectralResult, k: int, p) -> float:
+    """|||phi_k|||_p / |||phi_k|||_1 for the k-th eigenvector phi_k."""
+    phi = np.abs(spectral.eigenvectors[:, k])
+    return float(weighted_p_norm(g, phi, p) / weighted_p_norm(g, phi, 1))
+
+
 def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
                 alpha_param: Optional[float] = None, D: Optional[float] = None):
     """p-norm ratio of the k-th eigenvector and the bound shape it is held to.
@@ -361,12 +385,11 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
     (stability across n) is meaningful, never a literal inequality.
     """
     lam = float(spectral.eigenvalues[k])
-    phi = np.abs(spectral.eigenvectors[:, k])
     if alpha_param is None:
         alpha_param = moser_alpha(g)
     if D is None:
         D = graph_diameter(g)
-    ratio = weighted_p_norm(g, phi, p) / weighted_p_norm(g, phi, 1)
+    ratio = moser_ratio(g, spectral, k, p)
     if p == np.inf or p == "inf":
         shape = math.inf if lam * alpha_param * g.epsilon**2 > 0 else math.exp(
             D * math.sqrt(max(lam, 0.0))
@@ -375,7 +398,7 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
         shape = p ** (2.0 * lam * alpha_param * g.epsilon**2) * math.exp(
             D * math.sqrt(max(lam, 0.0))
         )
-    return float(ratio), float(shape)
+    return ratio, float(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +434,7 @@ def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
         for k in moser_ks:
             if k < len(spectral.eigenvalues):
                 for pp in (2, 4, 8, np.inf):
-                    ratio, _ = moser_check(g, spectral, k, pp)
-                    table.append((k, pp, ratio))
+                    table.append((k, pp, moser_ratio(g, spectral, k, pp)))
     return RegularityCertificate(
         n=g.n_vertices, eps=g.epsilon, Q=q, P=p, sigma=sigma, R=r,
         moser_table=table,

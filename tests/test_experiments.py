@@ -172,6 +172,26 @@ class TestAlignment:
         assert all(r["rel_residual"] >= 0 for r in rows)
         assert all(r["thm12_residual"] >= 0 for r in rows)
 
+    def test_default_cluster_is_the_first_nonconstant_one(self):
+        cfg = ExperimentConfig(manifold="circle", n_list=[256], seeds=[1],
+                               k_max=2)
+        assert [r["k"] for r in run_alignment(cfg)] == [1, 2]
+
+    def test_explicit_cluster_is_still_validated(self):
+        cfg = ExperimentConfig(manifold="sphere", n_list=[300], seeds=[1],
+                               cluster=[1, 1])
+        with pytest.raises(ValueError, match="multiplicity"):
+            run_alignment(cfg)
+
+    def test_sphere_align_without_cluster(self, tmp_path):
+        path = tmp_path / "sphere.toml"
+        path.write_text('manifold = "sphere"\nn = [700]\nseeds = [1]\n')
+        out = str(tmp_path / "a")
+        assert cli_main(["align", "--config", str(path), "--out", out]) == 0
+        lines = open(os.path.join(out, "alignment.csv")).read().splitlines()
+        k_col = lines[0].split(",").index("k")
+        assert [row.split(",")[k_col] for row in lines[1:]] == ["1", "2", "3"]
+
 
 class TestCells:
     def test_serial_cells_are_freed_before_the_next(self):

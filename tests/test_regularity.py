@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import custom_graph
+from spectral_limits import experiments, regularity
+from spectral_limits.geometry import Sphere
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
@@ -13,6 +17,7 @@ from spectral_limits.regularity import (
     graph_diameter,
     moser_alpha,
     moser_check,
+    moser_ratio,
     nash_diagnostic,
     poincare_constant,
     smoothing_apply,
@@ -24,6 +29,31 @@ from spectral_limits.spectral import eigen_decompose
 
 def star_k13():
     return custom_graph(4, [[0, 1], [0, 2], [0, 3]], [0.25] * 4, [1.0] * 3)
+
+
+def random_graph(n, p, seed, eps=0.3):
+    """Erdos-Renyi graph with random vertex weights; may be disconnected."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(len(i)) < p
+    edges = np.column_stack([i[keep], j[keep]])
+    return custom_graph(n, edges, rng.uniform(0.5, 2.0, n),
+                        np.ones(len(edges)), eps=eps)
+
+
+def dense_hops(g):
+    return csgraph.shortest_path(g.adjacency(), method="D", unweighted=True)
+
+
+def dense_diameter(g):
+    hops = dense_hops(g)
+    return float(np.max(hops[np.isfinite(hops)]) * g.epsilon)
+
+
+def dense_ball_average(g, phi, s):
+    """All-pairs-matrix form of ball_average, the oracle for the BFS rows."""
+    w = (dense_hops(g) * g.epsilon < s) * g.w_V[None, :]
+    return (w @ phi) / w.sum(axis=1)
 
 
 class TestWeightedPNorm:
@@ -62,6 +92,63 @@ class TestBallAverage:
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0] * 2)
         out = ball_average(g, np.array([0.0, 3.0, 0.0]), 1.5)
         assert np.allclose(out, [1.5, 1.0, 1.5])
+
+    @pytest.mark.parametrize("n,p,seed", [(40, 0.08, 0), (90, 0.03, 1),
+                                          (300, 0.01, 2)])
+    def test_matches_dense_oracle(self, n, p, seed):
+        g = random_graph(n, p, seed)
+        phi = np.random.default_rng(seed + 10).standard_normal(n)
+        for s in (0.2, 0.3, 0.61, 0.9, 1.5, 100.0):
+            assert np.allclose(ball_average(g, phi, s),
+                               dense_ball_average(g, phi, s),
+                               rtol=1e-13, atol=1e-13)
+
+
+class TestGraphDiameter:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_match_dense_oracle(self, seed):
+        g = random_graph(60, 0.06, seed)
+        assert graph_diameter(g) == dense_diameter(g)
+
+    def test_path(self):
+        n = 50
+        g = custom_graph(n, [[i, i + 1] for i in range(n - 1)], [1.0] * n,
+                         [1.0] * (n - 1), eps=0.1)
+        assert graph_diameter(g) == (n - 1) * 0.1
+
+    def test_n_not_a_multiple_of_the_block(self):
+        n = regularity._HOP_BLOCK + 37
+        g = random_graph(n, 0.012, 5)
+        assert graph_diameter(g) == dense_diameter(g)
+
+    def test_only_the_last_partial_block_sees_the_diameter(self):
+        # a star on the first two blocks (2 hops) and a 10-vertex path,
+        # 9 hops long, on the last 10 vertices
+        b = regularity._HOP_BLOCK
+        n = 2 * b + 10
+        edges = [[0, i] for i in range(1, 2 * b)]
+        edges += [[i, i + 1] for i in range(2 * b, n - 1)]
+        g = custom_graph(n, edges, [1.0] * n, [1.0] * len(edges), eps=0.5)
+        assert graph_diameter(g) == 4.5 == dense_diameter(g)
+
+    def test_disconnected_gives_largest_component(self):
+        # a 7-vertex path and a triangle: the largest finite hop count is 6
+        edges = [[i, i + 1] for i in range(6)] + [[7, 8], [8, 9], [7, 9]]
+        g = custom_graph(10, edges, [1.0] * 10, [1.0] * len(edges), eps=0.5)
+        assert graph_diameter(g) == 3.0 == dense_diameter(g)
+
+    def test_memory_is_not_n_squared(self, sphere2):
+        n = 2000
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=4)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        tracemalloc.start()
+        try:
+            graph_diameter(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = n * n * 8             # one n x n float64 hop matrix: 32 MB
+        assert peak < dense / 4
 
 
 class TestDoubling:
@@ -241,6 +328,28 @@ class TestMoser:
         want = 4.0 ** (2 * lam * alpha * g.epsilon**2) * math.exp(D * math.sqrt(lam))
         assert shape == pytest.approx(want, rel=1e-12)
 
+    def test_ratio_is_the_check_ratio(self, circle_graph_200):
+        res = eigen_decompose(circle_graph_200, 2)
+        for p in (2, 4, 8, np.inf):
+            assert moser_ratio(circle_graph_200, res, 2, p) == \
+                moser_check(circle_graph_200, res, 2, p)[0]
+
+    def test_run_moser_takes_one_diameter_per_cell(self, monkeypatch):
+        calls = []
+
+        def counted(g, *args, **kwargs):
+            calls.append(g.n_vertices)
+            return diameter(g, *args, **kwargs)
+
+        diameter = regularity.graph_diameter
+        monkeypatch.setattr(experiments, "graph_diameter", counted)
+        monkeypatch.setattr(regularity, "graph_diameter", counted)
+        cfg = experiments.ExperimentConfig(manifold="circle", n_list=[64, 128],
+                                           seeds=[1, 2], k_max=2)
+        rows = experiments.run_moser(cfg)
+        assert len(rows) == 4 * 2 * 4
+        assert sorted(calls) == [64, 64, 128, 128]
+
 
 def test_certificate_row_format(circle):
     cloud = sample_dataset(circle, DensitySpec("uniform"), 150, seed=1)
@@ -249,3 +358,18 @@ def test_certificate_row_format(circle):
     cert = certify(g, spectral=res, seed=0, moser_ks=(1, 2))
     assert cert.nu == pytest.approx(math.log2(cert.Q))
     assert cert.Q >= 1.0 and cert.P >= 0.0 and cert.R >= 1.0
+
+
+def test_certify_takes_no_diameter(circle, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify must not compute a diameter")
+
+    monkeypatch.setattr(regularity, "graph_diameter", refuse)
+    monkeypatch.setattr(regularity, "moser_alpha", refuse)
+    cloud = sample_dataset(circle, DensitySpec("uniform"), 150, seed=1)
+    g = gamma_N_eps(cloud, epsilon_schedule(150, 1))
+    res = eigen_decompose(g, 2)
+    cert = certify(g, spectral=res, seed=0, moser_ks=(1, 2))
+    assert [(k, p) for k, p, _ in cert.moser_table] == \
+        [(k, p) for k in (1, 2) for p in (2, 4, 8, np.inf)]
+    assert all(r == moser_ratio(g, res, k, p) for k, p, r in cert.moser_table)
