@@ -7,7 +7,6 @@ from scipy.sparse import csgraph
 
 from conftest import custom_graph
 from spectral_limits import experiments, regularity
-from spectral_limits.geometry import Sphere
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
