@@ -11,12 +11,17 @@ distance is strictly below epsilon; they differ in the weights:
 The Laplacian acts by
 ``(L phi)(x) = 2 / (w_V(x) eps^2) * sum_{xy in E} (phi(x) - phi(y)) w_E(xy)``
 and is self-adjoint, nonnegative in the inner product weighted by w_V.
+
+Each graph holds one symmetric CSR matrix of its edge weights, built once.
+The Laplacian, the random-walk matrix, hop distances, connected components
+and the Dirichlet forms of the regularity certificates all read it.  A
+zero-weight edge is stored as an explicit zero, so it is an edge for hops
+and components but carries no Dirichlet energy.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,7 +50,15 @@ __all__ = [
 
 @dataclass
 class WeightedGraph:
-    """Finite weighted graph (V, E, w_V, w_E, eps) with a degree cache."""
+    """Finite weighted graph (V, E, w_V, w_E, eps) held as one sparse matrix.
+
+    ``weighted_adjacency`` is built once, at construction: the symmetric CSR
+    matrix with w_E at (i, j) and (j, i).  ``degrees`` are its row lengths.
+    A zero-weight edge stays in it as an explicit zero, so it still counts
+    as an edge for degrees, hop distances and connected components.  It
+    carries no Dirichlet energy, so the Poincare constant drops it before
+    it splits a ball into components.
+    """
 
     n_vertices: int
     epsilon: float
@@ -68,45 +81,21 @@ class WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if np.any(self.w_V < 0) or np.any(self.w_E < 0):
             raise ValueError("weights must be nonnegative")
-        key = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
-        if len(key) != len(np.unique(key)):
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        w, n = self.w_E, self.n_vertices
+        # (j, i) first: for sorted edges every row then arrives in column
+        # order, and the conversion has nothing to sort
+        self.weighted_adjacency = sparse.coo_matrix(
+            (np.r_[w, w], (np.r_[j, i], np.r_[i, j])), shape=(n, n)
+        ).tocsr()
+        # a repeated edge, in either orientation, is summed into one entry
+        if self.weighted_adjacency.nnz != 2 * len(self.edges):
             raise ValueError("duplicate edges are not allowed")
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        self.degrees = deg
-        self._adj = None
-        self._wadj = None
-
-    # -- cached sparse views ------------------------------------------------
-
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency with zero diagonal."""
-        if self._adj is None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            ones = np.ones(len(self.edges))
-            a = sparse.coo_matrix(
-                (np.r_[ones, ones], (np.r_[i, j], np.r_[j, i])),
-                shape=(self.n_vertices, self.n_vertices),
-            )
-            self._adj = a.tocsr()
-        return self._adj
-
-    def weighted_adjacency(self) -> sparse.csr_matrix:
-        """Symmetric adjacency carrying the edge weights."""
-        if self._wadj is None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            w = self.w_E
-            a = sparse.coo_matrix(
-                (np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
-                shape=(self.n_vertices, self.n_vertices),
-            )
-            self._wadj = a.tocsr()
-        return self._wadj
+        self.degrees = np.diff(self.weighted_adjacency.indptr)
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
-        return np.asarray(self.weighted_adjacency().sum(axis=1)).ravel()
+        return np.asarray(self.weighted_adjacency.sum(axis=1)).ravel()
 
     @property
     def isolated(self) -> np.ndarray:
@@ -180,18 +169,15 @@ def gamma_N_eps(cloud: PointCloud, eps: float, metric: str = "embedded") -> Weig
     n = cloud.n
     edges = build_edges(cloud, metric, eps)
     scale = _edge_scale(n, cloud.manifold.m, eps)
-    deg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
     g = WeightedGraph(
         n_vertices=n,
         epsilon=eps,
         edges=edges,
-        w_V=deg / scale,
+        w_V=np.zeros(n),
         w_E=np.full(len(edges), 1.0 / scale),
         kind="gamma_N",
     )
+    g.w_V = g.degrees / scale      # the degrees come from the graph's CSR
     return g
 
 
@@ -207,7 +193,7 @@ def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     bad = np.nonzero(g.w_V == 0)[0]
     if len(bad):
         raise ValueError(f"vertices with zero weight w_V: {bad[:10].tolist()}")
-    wa = g.weighted_adjacency()
+    wa = g.weighted_adjacency
     dw = g.incident_edge_weight()
     out = dw * phi - wa @ phi
     return 2.0 / (g.w_V * g.epsilon**2) * out
@@ -216,17 +202,14 @@ def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
 def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
     """The scaled random-walk Laplacian 2 eps^-2 (I - D^-1 A) as sparse CSR.
 
-    A is the 0/1 adjacency with zero diagonal (so D counts true neighbors);
-    its action coincides with the Laplacian of the gamma_N graph.
+    A is the 0/1 pattern of the gamma_N graph's matrix (zero diagonal, so D
+    counts true neighbors); its action coincides with that graph's Laplacian.
     """
-    edges = build_edges(cloud, "embedded", eps)
+    g = gamma_N_eps(cloud, eps)
     n = cloud.n
-    i, j = edges[:, 0], edges[:, 1]
-    ones = np.ones(len(edges))
-    A = sparse.coo_matrix(
-        (np.r_[ones, ones], (np.r_[i, j], np.r_[j, i])), shape=(n, n)
-    ).tocsr()
-    deg = np.asarray(A.sum(axis=1)).ravel()
+    wa = g.weighted_adjacency
+    A = sparse.csr_matrix((np.ones(wa.nnz), wa.indices, wa.indptr), shape=(n, n))
+    deg = g.degrees
     if np.any(deg == 0):
         raise ValueError(
             f"zero-degree rows at {np.nonzero(deg == 0)[0][:10].tolist()}"
@@ -242,8 +225,8 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
 
 def hop_distances(g: WeightedGraph, i: int) -> np.ndarray:
     """BFS hop counts from vertex i (inf when unreachable)."""
-    return csgraph.shortest_path(g.adjacency(), method="D", unweighted=True,
-                                 indices=i)
+    return csgraph.shortest_path(g.weighted_adjacency, method="D",
+                                 unweighted=True, indices=i)
 
 
 def graph_distance(g: WeightedGraph, i: int, j: int) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
@@ -70,13 +69,13 @@ def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
 _HOP_BLOCK = 128
 
 
-def _hop_blocks(g: WeightedGraph, limit: float = np.inf):
-    """(sources, hop rows) per block of source vertices; inf beyond limit."""
-    adj = g.adjacency()
-    for start in range(0, g.n_vertices, _HOP_BLOCK):
-        src = np.arange(start, min(start + _HOP_BLOCK, g.n_vertices))
-        yield src, csgraph.dijkstra(adj, unweighted=True, indices=src,
-                                    limit=limit)
+def _hop_blocks(g: WeightedGraph, sources, limit: float = np.inf):
+    """(sources, hop rows) per block of ``sources``; inf beyond ``limit``."""
+    sources = np.asarray(sources, dtype=np.int64)
+    for start in range(0, len(sources), _HOP_BLOCK):
+        src = sources[start:start + _HOP_BLOCK]
+        yield src, csgraph.dijkstra(g.weighted_adjacency, unweighted=True,
+                                    indices=src, limit=limit)
 
 
 def ball_average(g: WeightedGraph, phi, s: float) -> np.ndarray:
@@ -86,7 +85,8 @@ def ball_average(g: WeightedGraph, phi, s: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     out = np.empty(g.n_vertices)
     # one hop past s / eps, so that the exact test below decides membership
-    for src, hops in _hop_blocks(g, limit=math.ceil(s / g.epsilon) + 1):
+    for src, hops in _hop_blocks(g, np.arange(g.n_vertices),
+                                 limit=math.ceil(s / g.epsilon) + 1):
         w = (hops * g.epsilon < s) * g.w_V[None, :]
         out[src] = (w @ phi) / w.sum(axis=1)
     return out
@@ -117,21 +117,22 @@ def _cumulative_ball_volumes(g: WeightedGraph, hops_row) -> np.ndarray:
 
 
 def doubling_constant(g: WeightedGraph, center_sample="auto", seed: int = 0) -> float:
-    """Worst ratio vol(B(x, 2r)) / vol(B(x, r)) over breakpoint radii r > eps."""
-    centers = _pick_centers(g, center_sample, seed)
-    hops = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True,
-                                 indices=centers)
-    diam_hops = int(np.max(hops[np.isfinite(hops)]))
+    """Worst ratio vol(B(x, 2r)) / vol(B(x, r)) over breakpoint radii r > eps.
+
+    The centres' hop rows are streamed a block at a time.  Each centre's
+    radii stop at its eccentricity: past it both balls are the whole
+    component, and the ratio is exactly 1.
+    """
     q = 1.0
-    for row in hops:
-        cum = _cumulative_ball_volumes(g, row)
-        top = len(cum) - 1
-        # radius (k + 1/2) eps contains hop counts <= k
-        for k in range(1, diam_hops + 1):
-            inner = cum[min(k, top)]
-            outer = cum[min(2 * k, top)]
-            if inner > 0:
-                q = max(q, outer / inner)
+    for _, hops in _hop_blocks(g, _pick_centers(g, center_sample, seed)):
+        for row in hops:
+            cum = _cumulative_ball_volumes(g, row)
+            top = len(cum) - 1
+            # radius (k + 1/2) eps contains hop counts <= k
+            k = np.arange(1, top + 1)
+            inner, outer = cum[k], cum[np.minimum(2 * k, top)]
+            ok = inner > 0
+            q = max(q, float(np.max(outer[ok] / inner[ok], initial=q)))
     return q
 
 
@@ -139,26 +140,16 @@ def doubling_constant(g: WeightedGraph, center_sample="auto", seed: int = 0) -> 
 # Poincare
 
 
-def _positive_weight_adjacency(g: WeightedGraph) -> sparse.csr_matrix:
-    keep = g.w_E > 0
-    e = g.edges[keep]
-    w = g.w_E[keep]
-    a = sparse.coo_matrix(
-        (np.r_[w, w], (np.r_[e[:, 0], e[:, 1]], np.r_[e[:, 1], e[:, 0]])),
-        shape=(g.n_vertices, g.n_vertices),
-    )
-    return a.tocsr()
-
-
-def _poincare_ball_constant(g: WeightedGraph, pos_adj, b_idx, s_idx, r: float):
-    """Sharp constant on one ball pair; ``pos_adj`` is the positive-weight
-    adjacency of ``g``."""
+def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
+    """Sharp constant on one ball pair."""
     w = g.w_V
     sub = np.full(g.n_vertices, -1, dtype=np.int64)
     sub[s_idx] = np.arange(len(s_idx))
     # the Dirichlet form only sees edges of positive weight, so its null
-    # space is governed by the positive-weight component structure
-    adj = pos_adj[s_idx][:, s_idx]
+    # space is governed by the positive-weight component structure: drop
+    # the explicit zeros from this copy of the ball's submatrix
+    adj = g.weighted_adjacency[s_idx][:, s_idx]
+    adj.eliminate_zeros()
     ncomp, labels = csgraph.connected_components(adj, directed=False)
     b_local = sub[b_idx]
     b_comps = np.unique(labels[b_local])
@@ -178,7 +169,7 @@ def _poincare_ball_constant(g: WeightedGraph, pos_adj, b_idx, s_idx, r: float):
     a[bl, bl] = w[b_idx] / vol_b
     a[np.ix_(bl, bl)] -= np.outer(w[b_idx], w[b_idx]) / vol_b**2
     # Dirichlet form over S restricted to in-S edges of this component
-    asub = g.weighted_adjacency()[comp][:, comp].tocoo()
+    asub = g.weighted_adjacency[comp][:, comp].tocoo()
     d = np.zeros((nloc, nloc))
     dw = np.asarray(asub.sum(axis=1)).ravel()
     d[np.arange(nloc), np.arange(nloc)] = dw
@@ -238,8 +229,7 @@ def poincare_constant(
     if center_sample == "auto":
         center_sample = min(8, g.n_vertices)
     centers = _pick_centers(g, center_sample, seed)
-    hops = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True,
-                                 indices=centers)
+    hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
     finite = hops[np.isfinite(hops)]
     diam_hops = int(np.max(finite)) if len(finite) else 1
     ks = np.unique(
@@ -251,7 +241,6 @@ def poincare_constant(
     )
     p = 0.0
     solved = {}
-    pos_adj = _positive_weight_adjacency(g)
     for row in hops:
         for k in ks:
             r = (k + 0.5) * g.epsilon
@@ -268,7 +257,7 @@ def poincare_constant(
                 val = _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions)
                 solved[key] = val
             else:
-                val = _poincare_ball_constant(g, pos_adj, b_idx, s_idx, r)
+                val = _poincare_ball_constant(g, b_idx, s_idx, r)
                 solved[key] = val
             p = max(p, val)
             if math.isinf(p):
@@ -311,7 +300,7 @@ def smoothing_apply(g: WeightedGraph, phi) -> np.ndarray:
     if np.any(dw == 0):
         bad = np.nonzero(dw == 0)[0]
         raise ValueError(f"isolated vertices: {bad[:10].tolist()}")
-    return (g.weighted_adjacency() @ phi) / dw
+    return (g.weighted_adjacency @ phi) / dw
 
 
 def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
@@ -351,13 +340,13 @@ def graph_diameter(g: WeightedGraph, exact_limit: int = 4000) -> float:
     """
     if g.n_vertices <= exact_limit:
         top = 0.0
-        for _, hops in _hop_blocks(g):
+        for _, hops in _hop_blocks(g, np.arange(g.n_vertices)):
             top = float(np.max(hops, initial=top, where=np.isfinite(hops)))
         return float(top * g.epsilon)
     # two-sweep estimate for big graphs
-    h0 = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True, indices=0)
+    (_, h0), = _hop_blocks(g, [0])
     far = int(np.argmax(np.where(np.isfinite(h0), h0, -1)))
-    h1 = csgraph.shortest_path(g.adjacency(), method="D", unweighted=True, indices=far)
+    (_, h1), = _hop_blocks(g, [far])
     return float(np.max(h1[np.isfinite(h1)]) * g.epsilon)
 
 

@@ -67,13 +67,13 @@ class SpectralResult:
 
 
 def _symmetrized_operator(g: WeightedGraph):
-    w = g.w_V
-    wa = g.weighted_adjacency()
-    dw = np.asarray(wa.sum(axis=1)).ravel()
-    lw = sparse.diags(dw) - wa
-    s = 1.0 / np.sqrt(w)
-    B = sparse.diags(s) @ lw @ sparse.diags(s)
-    return (2.0 / g.epsilon**2) * B.tocsr()
+    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), scaled entrywise."""
+    lw = (sparse.diags(g.incident_edge_weight()) - g.weighted_adjacency).tocsr()
+    s = 1.0 / np.sqrt(g.w_V)
+    row = np.repeat(np.arange(g.n_vertices), np.diff(lw.indptr))
+    # the same products, in the same order, as diags(s) @ lw @ diags(s)
+    lw.data = ((s[row] * lw.data) * s[lw.indices]) * (2.0 / g.epsilon**2)
+    return lw
 
 
 def _start_vector(g: WeightedGraph) -> np.ndarray:
@@ -107,7 +107,8 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     # before the weight check: an isolated vertex of gamma_N has w_V = 0
-    ncomp, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    ncomp, labels = csgraph.connected_components(g.weighted_adjacency,
+                                                directed=False)
     if ncomp > 1:
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from conftest import custom_graph, fake_cloud
 from spectral_limits.graph import (
@@ -18,8 +20,9 @@ from spectral_limits.graph import (
     random_walk_matrix,
     save_graph_csv,
 )
-from spectral_limits.sampling import DensitySpec, sample_dataset
-from spectral_limits.spectral import volume_inner
+from spectral_limits.regularity import certify, moser_alpha, smoothing_apply
+from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
+from spectral_limits.spectral import eigen_decompose, volume_inner
 
 
 class TestBuildEdges:
@@ -85,10 +88,60 @@ class TestGraphValidation:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             custom_graph(3, [[0, 1], [0, 1]], [1.0] * 3, [1.0, 1.0])
+        # the same edge in the other orientation is a duplicate too
+        with pytest.raises(ValueError, match="duplicate"):
+            WeightedGraph(2, 1.0, [[0, 1], [1, 0]], [1, 1], [1, 1])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             custom_graph(2, [[0, 1]], [1.0, -1.0], [1.0])
+
+
+class TestOneMatrix:
+    def test_holds_w_E_both_ways(self):
+        rng = np.random.default_rng(3)
+        i, j = np.triu_indices(30, 1)
+        keep = rng.random(len(i)) < 0.2
+        edges = np.column_stack([i[keep], j[keep]])
+        w_E = rng.uniform(0.5, 2.0, len(edges))
+        g = custom_graph(30, edges, np.ones(30), w_E)
+        dense = np.zeros((30, 30))
+        dense[edges[:, 0], edges[:, 1]] = w_E
+        dense[edges[:, 1], edges[:, 0]] = w_E
+        assert g.weighted_adjacency.format == "csr"
+        assert g.weighted_adjacency.has_canonical_format
+        assert np.array_equal(g.weighted_adjacency.toarray(), dense)
+        assert g.degrees.tolist() == np.count_nonzero(dense, axis=1).tolist()
+
+    def test_edge_order_and_orientation_do_not_matter(self, path3_gamma_N):
+        g = path3_gamma_N
+        flipped = custom_graph(3, [[2, 1], [1, 0]], g.w_V, g.w_E,
+                               eps=g.epsilon)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(flipped.weighted_adjacency, name),
+                                  getattr(g.weighted_adjacency, name))
+
+    def test_zero_weight_edge_is_an_edge(self):
+        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
+        assert g.weighted_adjacency.nnz == 4       # two explicit zeros
+        assert g.degrees.tolist() == [1, 2, 1]
+        assert hop_distances(g, 0).tolist() == [0.0, 1.0, 2.0]
+        assert csgraph.connected_components(g.weighted_adjacency)[0] == 1
+
+    def test_no_second_matrix_after_construction(self, circle_cloud_200,
+                                                 monkeypatch):
+        g = gamma_N_eps(circle_cloud_200, epsilon_schedule(200, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second sparse matrix was assembled")
+
+        monkeypatch.setattr(sparse, "coo_matrix", refuse)
+        phi = np.cos(np.arange(200.0))
+        res = eigen_decompose(g, 3)
+        certify(g, res)
+        laplacian_apply(g, phi)
+        smoothing_apply(g, phi)
+        moser_alpha(g)
 
 
 class TestLaplacian:

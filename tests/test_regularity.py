@@ -41,12 +41,31 @@ def random_graph(n, p, seed, eps=0.3):
 
 
 def dense_hops(g):
-    return csgraph.shortest_path(g.adjacency(), method="D", unweighted=True)
+    return csgraph.shortest_path(g.weighted_adjacency, method="D", unweighted=True)
 
 
 def dense_diameter(g):
     hops = dense_hops(g)
     return float(np.max(hops[np.isfinite(hops)]) * g.epsilon)
+
+
+def dense_doubling(g):
+    """Doubling constant from every vertex's hop row held at once, each row
+    scanned up to the graph's largest hop count: the oracle for the streamed
+    rows that stop at their own eccentricity."""
+    hops = dense_hops(g)
+    diam_hops = int(np.max(hops[np.isfinite(hops)]))
+    q = 1.0
+    for row in hops:
+        finite = np.isfinite(row)
+        cum = np.cumsum(np.bincount(row[finite].astype(np.int64),
+                                    weights=g.w_V[finite]))
+        top = len(cum) - 1
+        for k in range(1, diam_hops + 1):
+            inner, outer = cum[min(k, top)], cum[min(2 * k, top)]
+            if inner > 0:
+                q = max(q, outer / inner)
+    return q
 
 
 def dense_ball_average(g, phi, s):
@@ -162,6 +181,31 @@ class TestDoubling:
 
     def test_star_leaf_ratio(self):
         assert doubling_constant(star_k13()) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle(self, seed):
+        # random graphs may be disconnected, and some vertex rows then stop
+        # far below the largest hop count
+        g = random_graph(60 + 40 * seed, 0.04, seed)
+        assert doubling_constant(g) == dense_doubling(g)
+
+    def test_matches_dense_oracle_on_the_sphere(self, sphere2):
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), 600, seed=2)
+        g = gamma_N_eps(cloud, epsilon_schedule(600, 2))
+        assert doubling_constant(g) == dense_doubling(g)
+
+    def test_memory_is_not_n_squared(self, sphere2):
+        n = 2000                      # every vertex is a centre up to 2000
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        tracemalloc.start()
+        try:
+            doubling_constant(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all n hop rows at once are an n x n float64 matrix: 32 MB
+        assert peak < 16 * 2**20
 
     def test_invariant_under_vertex_weight_scaling(self, circle_graph_200):
         g = circle_graph_200

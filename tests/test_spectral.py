@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import custom_graph, fake_cloud
 from spectral_limits import spectral
-from spectral_limits.graph import gamma_N_eps, laplacian_apply
+from spectral_limits.graph import gamma_N_eps, gamma_m_eps, laplacian_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
 from spectral_limits.spectral import (
     DisconnectedGraphError,
@@ -117,6 +118,39 @@ class TestEigenDecompose:
         res = eigen_decompose(g, 4)
         assert res.cluster_ids[0] == 0
         assert len(set(res.cluster_ids[1:].tolist())) == 1
+
+
+def oracle_operator(g):
+    """The operator as diags(s) @ L @ diags(s), the oracle for the entry
+    order and the rounding of the one-pass build."""
+    wa = g.weighted_adjacency
+    lw = sparse.diags(np.asarray(wa.sum(axis=1)).ravel()) - wa
+    s = 1.0 / np.sqrt(g.w_V)
+    B = sparse.diags(s) @ lw @ sparse.diags(s)
+    return (2.0 / g.epsilon**2) * B.tocsr()
+
+
+def assert_same_csr(a, b):
+    assert a.format == b.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestSymmetrizedOperator:
+    @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 1500)])
+    @pytest.mark.parametrize("build", ["gamma_N", "gamma_m"])
+    def test_same_arrays_as_the_oracle(self, request, shape, n, build):
+        mfd = request.getfixturevalue(shape)
+        cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
+        eps = epsilon_schedule(n, mfd.m)
+        g = gamma_N_eps(cloud, eps) if build == "gamma_N" else gamma_m_eps(cloud, eps)
+        assert_same_csr(spectral._symmetrized_operator(g), oracle_operator(g))
+
+    def test_zero_weight_edge(self):
+        edges = [[0, 1], [0, 2], [1, 2], [2, 3]]
+        g = custom_graph(4, edges, [0.5, 1.0, 2.0, 0.25],
+                         [1.0, 0.0, 3.0, 0.5], eps=0.7)
+        assert_same_csr(spectral._symmetrized_operator(g), oracle_operator(g))
 
 
 class TestRayleigh:
