@@ -109,35 +109,49 @@ class WeightedGraph:
 # construction
 
 
+# Relative pad on the kd-tree radius of the geodesic search.  Chord <= arc
+# holds exactly, but a computed chord can round just above a computed arc
+# when the two nearly agree; the pad keeps such a pair a candidate, and the
+# geodesic filter then decides it.
+GEODESIC_SEARCH_PAD = 1e-9
+
+
 def build_edges(cloud: PointCloud, metric: str, eps: float) -> np.ndarray:
-    """All pairs i < j at strict distance < eps, sorted lexicographically."""
+    """All pairs i < j at strict distance < eps, as an (E, 2) int64 array.
+
+    The array is C-contiguous and its rows are sorted lexicographically, by
+    i and then j; the spectral start vector hashes these bytes and
+    ``save_graph_csv`` writes them, so the order is part of the output.
+
+    Both metrics take their candidates from one kd-tree search over the
+    embedded points.  The embedded metric keeps the pairs whose Euclidean
+    distance is below eps.  The geodesic metric, since d_embedded <=
+    d_geodesic, searches at eps padded by ``GEODESIC_SEARCH_PAD`` and keeps
+    the pairs whose geodesic distance, one batched call per source vertex,
+    is below eps.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if metric == "embedded":
-        tree = cKDTree(cloud.embedded)
-        pairs = tree.query_pairs(r=eps, output_type="ndarray")
-        if len(pairs):
-            d = np.linalg.norm(
-                cloud.embedded[pairs[:, 0]] - cloud.embedded[pairs[:, 1]], axis=1
-            )
-            pairs = pairs[d < eps]
-    elif metric == "geodesic":
-        mfd = cloud.manifold
-        rows = []
-        for i in range(cloud.n - 1):
-            d = mfd.geodesic_to_many(cloud.intrinsic[i], cloud.intrinsic[i + 1 :])
-            js = np.nonzero(d < eps)[0] + i + 1
-            if len(js):
-                rows.append(np.column_stack([np.full(len(js), i), js]))
-        pairs = (
-            np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
-        )
-    else:
+    if metric not in ("embedded", "geodesic"):
         raise ValueError(f"unknown metric {metric!r}")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    pairs.sort(axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    x = cloud.embedded
+    radius = eps if metric == "embedded" else eps * (1.0 + GEODESIC_SEARCH_PAD)
+    # the tree returns each pair once, with i < j
+    pairs = cKDTree(x).query_pairs(r=radius, output_type="ndarray")
+    if metric == "embedded":
+        pairs = pairs[np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps]
+    n = cloud.n
+    i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
+    if metric == "geodesic":
+        z = cloud.intrinsic
+        d = np.empty(len(i))
+        bounds = np.searchsorted(i, np.arange(n + 1))
+        for v in np.flatnonzero(np.diff(bounds)):
+            a, b = bounds[v], bounds[v + 1]
+            d[a:b] = cloud.manifold.geodesic_to_many(z[v], z[j[a:b]])
+        keep = d < eps
+        i, j = i[keep], j[keep]
+    return np.column_stack([i, j])
 
 
 def _edge_scale(n: int, m: int, eps: float) -> float:

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from conftest import custom_graph, fake_cloud
 from spectral_limits.graph import (
@@ -22,7 +24,7 @@ from spectral_limits.graph import (
 )
 from spectral_limits.regularity import certify, moser_alpha, smoothing_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
-from spectral_limits.spectral import eigen_decompose, volume_inner
+from spectral_limits.spectral import _start_vector, eigen_decompose, volume_inner
 
 
 class TestBuildEdges:
@@ -40,6 +42,18 @@ class TestBuildEdges:
         assert len(build_edges(cloud, "embedded", 1.0)) == 0
         assert len(build_edges(cloud, "embedded", 1.0 + 1e-9)) == 1
 
+    def test_geodesic_rounding_below_the_chord_and_ties(self):
+        # a stand-in model whose arc rounds below its chord
+        x = np.array([[0.0, 0.0], [0.3, 0.4]])
+        mfd = SimpleNamespace(geodesic_to_many=lambda xi, batch: (
+            np.linalg.norm(batch - xi, axis=1) * (1.0 - 1e-12)))
+        cloud = SimpleNamespace(embedded=x, intrinsic=x, n=2, manifold=mfd)
+        eps = 0.5 * (1.0 - 1e-13)          # arc < eps < chord
+        assert len(build_edges(cloud, "embedded", eps)) == 0
+        assert build_edges(cloud, "geodesic", eps).tolist() == [[0, 1]]
+        arc = float(mfd.geodesic_to_many(x[0], x[1:])[0])
+        assert len(build_edges(cloud, "geodesic", arc)) == 0
+
     def test_embedded_superset_of_geodesic(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 150, seed=2)
         eps = 0.35
@@ -52,6 +66,84 @@ class TestBuildEdges:
         edges = build_edges(cloud, "embedded", 0.5)
         keys = edges[:, 0] * 60 + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+
+def oracle_edges(cloud, metric, eps):
+    """The former build: a kd-tree search or a per-vertex geodesic loop over
+    all later vertices, then a row sort and a lexsort of the pairs."""
+    if metric == "embedded":
+        pairs = cKDTree(cloud.embedded).query_pairs(r=eps, output_type="ndarray")
+        if len(pairs):
+            d = np.linalg.norm(
+                cloud.embedded[pairs[:, 0]] - cloud.embedded[pairs[:, 1]], axis=1
+            )
+            pairs = pairs[d < eps]
+    else:
+        mfd = cloud.manifold
+        rows = []
+        for i in range(cloud.n - 1):
+            d = mfd.geodesic_to_many(cloud.intrinsic[i], cloud.intrinsic[i + 1 :])
+            js = np.nonzero(d < eps)[0] + i + 1
+            if len(js):
+                rows.append(np.column_stack([np.full(len(js), i), js]))
+        pairs = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs.sort(axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order]
+
+
+MODELS = ["circle", "sphere2", "torus", "spindle2", "spindle3"]
+
+
+class TestBuildEdgesOracle:
+    @pytest.mark.parametrize("metric", ["embedded", "geodesic"])
+    @pytest.mark.parametrize("shape", MODELS)
+    def test_same_array_as_the_oracle(self, request, shape, metric):
+        mfd = request.getfixturevalue(shape)
+        for n, seed in ((300, 1), (700, 2)):
+            cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
+            for eps in (0.05, 0.2, 0.5, 1.0):
+                edges = build_edges(cloud, metric, eps)
+                assert edges.dtype == np.int64
+                assert edges.flags.c_contiguous
+                assert np.array_equal(edges, oracle_edges(cloud, metric, eps))
+
+    @pytest.mark.parametrize("metric", ["embedded", "geodesic"])
+    def test_no_edges_is_an_empty_int64_array(self, sphere2, metric):
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), 50, seed=1)
+        edges = build_edges(cloud, metric, 1e-6)
+        assert edges.shape == (0, 2)
+        assert edges.dtype == np.int64
+
+    @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 1500)])
+    def test_start_vector_unchanged(self, request, shape, n):
+        mfd = request.getfixturevalue(shape)
+        cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
+        eps = epsilon_schedule(n, mfd.m)
+        g = gamma_N_eps(cloud, eps)
+        oracle = custom_graph(n, oracle_edges(cloud, "embedded", eps), g.w_V,
+                              g.w_E, eps=eps)
+        assert np.array_equal(_start_vector(g), _start_vector(oracle))
+
+    @pytest.mark.parametrize("shape", MODELS)
+    def test_geodesic_work_is_bounded_by_candidates(self, request, shape,
+                                                    monkeypatch):
+        mfd = request.getfixturevalue(shape)
+        cloud = sample_dataset(mfd, DensitySpec("uniform"), 400, seed=5)
+        eps = 0.3
+        rows = []
+        inner = type(mfd).geodesic_to_many
+
+        def counted(self, xi, batch):
+            rows.append(len(batch))
+            return inner(self, xi, batch)
+
+        monkeypatch.setattr(type(mfd), "geodesic_to_many", counted)
+        edges = build_edges(cloud, "geodesic", eps)
+        candidates = len(cKDTree(cloud.embedded).query_pairs(1.01 * eps))
+        assert len(edges) > 0
+        assert sum(rows) <= candidates
 
 
 class TestGraphConstructions:

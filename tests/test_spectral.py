@@ -45,6 +45,23 @@ class TestEigenDecompose:
         res = eigen_decompose(circle_graph_200, 4)
         assert np.all(res.residuals < 1e-8)
 
+    @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 400)])
+    @pytest.mark.parametrize("build", ["gamma_N", "gamma_m"])
+    def test_residuals_match_per_column_apply(self, request, shape, n, build):
+        # the block residuals do the per-column arithmetic, so they are equal
+        mfd = request.getfixturevalue(shape)
+        cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
+        eps = epsilon_schedule(n, mfd.m)
+        g = gamma_N_eps(cloud, eps) if build == "gamma_N" else gamma_m_eps(cloud, eps)
+        res = eigen_decompose(g, 5)
+        phi, vals = res.eigenvectors, res.eigenvalues
+        oracle = [
+            spectral.volume_norm(g, laplacian_apply(g, phi[:, j]) - vals[j] * phi[:, j])
+            for j in range(6)
+        ]
+        assert res.solver == ("lanczos" if n > spectral.DENSE_LIMIT else "dense")
+        assert np.array_equal(res.residuals, oracle)
+
     def test_dense_vs_lanczos(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 50, seed=6)
         g = gamma_N_eps(cloud, 0.9)
