@@ -109,13 +109,6 @@ class WeightedGraph:
 # construction
 
 
-# Relative pad on the kd-tree radius of the geodesic search.  Chord <= arc
-# holds exactly, but a computed chord can round just above a computed arc
-# when the two nearly agree; the pad keeps such a pair a candidate, and the
-# geodesic filter then decides it.
-GEODESIC_SEARCH_PAD = 1e-9
-
-
 def build_edges(cloud: PointCloud, metric: str, eps: float) -> np.ndarray:
     """All pairs i < j at strict distance < eps, as an (E, 2) int64 array.
 
@@ -123,35 +116,31 @@ def build_edges(cloud: PointCloud, metric: str, eps: float) -> np.ndarray:
     i and then j; the spectral start vector hashes these bytes and
     ``save_graph_csv`` writes them, so the order is part of the output.
 
-    Both metrics take their candidates from one kd-tree search over the
-    embedded points.  The embedded metric keeps the pairs whose Euclidean
-    distance is below eps.  The geodesic metric, since d_embedded <=
-    d_geodesic, searches at eps padded by ``GEODESIC_SEARCH_PAD`` and keeps
-    the pairs whose geodesic distance, one batched call per source vertex,
-    is below eps.
+    The embedded metric takes the kd-tree pairs within eps, keeps those
+    whose Euclidean distance is below eps and sorts them by the single key
+    ``i * n + j``.  The geodesic metric measures each vertex against all
+    later ones, which yields the pairs already in order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if metric not in ("embedded", "geodesic"):
-        raise ValueError(f"unknown metric {metric!r}")
-    x = cloud.embedded
-    radius = eps if metric == "embedded" else eps * (1.0 + GEODESIC_SEARCH_PAD)
-    # the tree returns each pair once, with i < j
-    pairs = cKDTree(x).query_pairs(r=radius, output_type="ndarray")
     if metric == "embedded":
+        x = cloud.embedded
+        # the tree returns each pair once, with i < j
+        pairs = cKDTree(x).query_pairs(r=eps, output_type="ndarray")
         pairs = pairs[np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps]
-    n = cloud.n
-    i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
+        n = cloud.n
+        i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
+        return np.column_stack([i, j])
     if metric == "geodesic":
-        z = cloud.intrinsic
-        d = np.empty(len(i))
-        bounds = np.searchsorted(i, np.arange(n + 1))
-        for v in np.flatnonzero(np.diff(bounds)):
-            a, b = bounds[v], bounds[v + 1]
-            d[a:b] = cloud.manifold.geodesic_to_many(z[v], z[j[a:b]])
-        keep = d < eps
-        i, j = i[keep], j[keep]
-    return np.column_stack([i, j])
+        mfd = cloud.manifold
+        rows = []
+        for i in range(cloud.n - 1):
+            d = mfd.geodesic_to_many(cloud.intrinsic[i], cloud.intrinsic[i + 1 :])
+            js = np.nonzero(d < eps)[0] + i + 1
+            if len(js):
+                rows.append(np.column_stack([np.full(len(js), i), js]))
+        return np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _edge_scale(n: int, m: int, eps: float) -> float:
@@ -200,7 +189,8 @@ def gamma_N_eps(cloud: PointCloud, eps: float, metric: str = "embedded") -> Weig
 
 
 def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
-    """Apply the graph Laplacian to a vertex function."""
+    """Apply the graph Laplacian to a vertex function, or to each column of
+    an (n, k) block of them."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape[0] != g.n_vertices:
         raise ValueError("function length does not match vertex count")
@@ -209,8 +199,11 @@ def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
         raise ValueError(f"vertices with zero weight w_V: {bad[:10].tolist()}")
     wa = g.weighted_adjacency
     dw = g.incident_edge_weight()
+    scale = 2.0 / (g.w_V * g.epsilon**2)
+    if phi.ndim == 2:
+        dw, scale = dw[:, None], scale[:, None]
     out = dw * phi - wa @ phi
-    return 2.0 / (g.w_V * g.epsilon**2) * out
+    return scale * out
 
 
 def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:

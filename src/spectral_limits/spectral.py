@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .graph import WeightedGraph, dirichlet_energy
+from .graph import WeightedGraph, dirichlet_energy, laplacian_apply
 
 __all__ = [
     "DisconnectedGraphError",
@@ -144,9 +144,7 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
 
     # back to original coordinates; columns orthonormal in the w_V measure
     phi = vecs / np.sqrt(g.w_V)[:, None]
-    # laplacian_apply on every column at once: one row sum, one sparse product
-    out = g.incident_edge_weight()[:, None] * phi - g.weighted_adjacency @ phi
-    r = 2.0 / (g.w_V * g.epsilon**2)[:, None] * out - vals * phi
+    r = laplacian_apply(g, phi) - vals * phi
     resid = np.array([volume_norm(g, r[:, j]) for j in range(k + 1)])
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,18 +40,6 @@ class TestBuildEdges:
         cloud = fake_cloud([0.0, 1.0])
         assert len(build_edges(cloud, "embedded", 1.0)) == 0
         assert len(build_edges(cloud, "embedded", 1.0 + 1e-9)) == 1
-
-    def test_geodesic_rounding_below_the_chord_and_ties(self):
-        # a stand-in model whose arc rounds below its chord
-        x = np.array([[0.0, 0.0], [0.3, 0.4]])
-        mfd = SimpleNamespace(geodesic_to_many=lambda xi, batch: (
-            np.linalg.norm(batch - xi, axis=1) * (1.0 - 1e-12)))
-        cloud = SimpleNamespace(embedded=x, intrinsic=x, n=2, manifold=mfd)
-        eps = 0.5 * (1.0 - 1e-13)          # arc < eps < chord
-        assert len(build_edges(cloud, "embedded", eps)) == 0
-        assert build_edges(cloud, "geodesic", eps).tolist() == [[0, 1]]
-        arc = float(mfd.geodesic_to_many(x[0], x[1:])[0])
-        assert len(build_edges(cloud, "geodesic", arc)) == 0
 
     def test_embedded_superset_of_geodesic(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 150, seed=2)
@@ -125,25 +112,6 @@ class TestBuildEdgesOracle:
         oracle = custom_graph(n, oracle_edges(cloud, "embedded", eps), g.w_V,
                               g.w_E, eps=eps)
         assert np.array_equal(_start_vector(g), _start_vector(oracle))
-
-    @pytest.mark.parametrize("shape", MODELS)
-    def test_geodesic_work_is_bounded_by_candidates(self, request, shape,
-                                                    monkeypatch):
-        mfd = request.getfixturevalue(shape)
-        cloud = sample_dataset(mfd, DensitySpec("uniform"), 400, seed=5)
-        eps = 0.3
-        rows = []
-        inner = type(mfd).geodesic_to_many
-
-        def counted(self, xi, batch):
-            rows.append(len(batch))
-            return inner(self, xi, batch)
-
-        monkeypatch.setattr(type(mfd), "geodesic_to_many", counted)
-        edges = build_edges(cloud, "geodesic", eps)
-        candidates = len(cKDTree(cloud.embedded).query_pairs(1.01 * eps))
-        assert len(edges) > 0
-        assert sum(rows) <= candidates
 
 
 class TestGraphConstructions:
@@ -267,6 +235,14 @@ class TestLaplacian:
             rhs = volume_inner(g, phi, laplacian_apply(g, psi))
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(lhs)))
             assert volume_inner(g, phi, laplacian_apply(g, phi)) >= -1e-12
+
+    def test_block_is_the_columns_applied_one_by_one(self, circle_graph_200):
+        g = circle_graph_200
+        block = np.random.default_rng(4).standard_normal((g.n_vertices, 5))
+        out = laplacian_apply(g, block)
+        assert out.shape == block.shape
+        for j in range(5):
+            assert np.array_equal(out[:, j], laplacian_apply(g, block[:, j]))
 
     def test_energy_equals_quadratic_form(self, circle_graph_200):
         g = circle_graph_200
