@@ -13,14 +13,11 @@ from .geometry import (
     Circle,
     FlatTorus,
     ManifoldModel,
-    ModelParams,
     Point,
     Sphere,
     Spindle,
     ball_volume,
     bishop_gromov_ratio,
-    embedding_distance,
-    geodesic_distance,
     model_ball_volume,
     model_sn,
     unit_ball_volume,
@@ -36,22 +33,18 @@ from .sampling import (
 )
 from .graph import (
     WeightedGraph,
-    ball,
     build_edges,
     dirichlet_energy,
     gamma_N_eps,
     gamma_m_eps,
-    graph_distance,
-    graph_volume,
     laplacian_apply,
     random_walk_matrix,
 )
 from .spectral import DisconnectedGraphError, SolverError, SpectralResult, \
-    eigen_decompose, eigenvalue_estimate, rayleigh_quotient
+    eigen_decompose, rayleigh_quotient
 from .regularity import (
     RegularityCertificate,
     almost_regularity,
-    ball_average,
     certify,
     doubling_constant,
     moser_check,

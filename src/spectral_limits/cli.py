@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .experiments import (
     ALL_REPORTS,
@@ -97,9 +98,9 @@ def main(argv=None) -> int:
 
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seeds = [args.seed]
+        cfg = replace(cfg, seeds=[args.seed])
     if args.threads is not None:
-        cfg.threads = args.threads
+        cfg = replace(cfg, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
 
     written = []

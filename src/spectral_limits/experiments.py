@@ -100,6 +100,12 @@ class ExperimentConfig:
         unknown = set(self.reports) - set(ALL_REPORTS)
         if unknown:
             raise ValueError(f"unknown reports: {sorted(unknown)}")
+        eps = self.eps_rule
+        positive = isinstance(eps, (int, float)) and 0 < eps < math.inf
+        if eps != "schedule" and not positive:
+            raise ValueError(f'eps must be "schedule" or a positive number, got {eps!r}')
+        if not isinstance(self.threads, int) or self.threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
     def epsilon_for(self, n: int, m: int) -> float:
         if self.eps_rule == "schedule":
@@ -318,9 +324,6 @@ class AlignmentReport:
     thm12_residuals: np.ndarray             # literal 1/n-weighted squared residuals
     rotation: np.ndarray
 
-    def max_relative_residual(self) -> float:
-        return float(np.max(self.relative_residuals))
-
 
 def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
                       reference: ReferenceSpectrum, cloud: PointCloud,
@@ -450,6 +453,8 @@ def run_convergence_sweep(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum
             if errs:
                 ns.append(n)
                 meds.append(float(np.median(errs)))
+        if not meds:        # no connected cell at this k
+            continue
         slope = _loglog_slope(ns, meds)
         for n, med in zip(ns, meds):
             summary.append(dict(k=k, n=n, median_abs_err=med, slope=slope))

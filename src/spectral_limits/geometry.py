@@ -15,13 +15,12 @@ psi = c*phi each 2-D section through the axis is the unit sphere minus a lune.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "ModelParams",
     "Point",
     "ManifoldModel",
     "Circle",
@@ -32,8 +31,6 @@ __all__ = [
     "sphere_area",
     "model_sn",
     "model_ball_volume",
-    "geodesic_distance",
-    "embedding_distance",
     "ball_volume",
     "mc_ball_volume",
     "bishop_gromov_ratio",
@@ -41,32 +38,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Geometric class parameters: dimension, curvature, diameter, volume.
-
-    ``m`` is the intrinsic dimension, ``K >= 1`` the lower Ricci curvature
-    scale (the comparison model has curvature -K), ``D >= 1`` an upper
-    diameter bound and ``v`` a lower volume bound.
-    """
-
-    m: int
-    K: float = 1.0
-    D: float = 1.0
-    v: float = 0.5
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"dimension m must be >= 1, got {self.m}")
-        if self.K < 1.0:
-            raise ValueError(f"curvature parameter K must be >= 1, got {self.K}")
-        if self.D < 1.0:
-            raise ValueError(f"diameter bound D must be >= 1, got {self.D}")
-        if not 0.0 < self.v < 1.0:
-            raise ValueError(f"volume bound v must lie in (0, 1), got {self.v}")
+# points
 
 
 @dataclass(frozen=True)
@@ -458,16 +430,6 @@ def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # free-function operations
-
-
-def geodesic_distance(mfd: ManifoldModel, x: Point, y: Point) -> float:
-    """Intrinsic distance between two points of the same model."""
-    return mfd.geodesic(x.intrinsic, y.intrinsic)
-
-
-def embedding_distance(mfd: ManifoldModel, x: Point, y: Point) -> float:
-    """Euclidean distance of the embedded coordinates (surrogate metric)."""
-    return float(np.linalg.norm(x.embedded - y.embedded))
 
 
 def mc_ball_volume(mfd, x: Point, r: float, n_mc: int = 40000, rng=None):

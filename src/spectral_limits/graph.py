@@ -1,7 +1,8 @@
 """Weighted epsilon-neighborhood graphs and their Laplacian.
 
-Two constructions are provided.  Both connect sample points whose surrogate
-distance is strictly below epsilon; they differ in the weights:
+Two constructions are provided.  Both connect sample points whose Euclidean
+chord distance is strictly below epsilon (its gap to geodesic distance is
+the distortion integral ``distortion.s_eps``); they differ in the weights:
 
 * ``gamma_m``: vertex weight 1/n, constant edge weight
   vol(M) / (n (n-1) omega_m eps^m)  (needs the total volume),
@@ -22,11 +23,9 @@ and components but carries no Dirichlet energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .geometry import unit_ball_volume
@@ -39,10 +38,6 @@ __all__ = [
     "gamma_N_eps",
     "laplacian_apply",
     "random_walk_matrix",
-    "graph_distance",
-    "hop_distances",
-    "ball",
-    "graph_volume",
     "dirichlet_energy",
     "save_graph_csv",
 ]
@@ -109,68 +104,50 @@ class WeightedGraph:
 # construction
 
 
-def build_edges(cloud: PointCloud, metric: str, eps: float) -> np.ndarray:
-    """All pairs i < j at strict distance < eps, as an (E, 2) int64 array.
+def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
+    """All pairs i < j whose embedded points lie at Euclidean distance
+    strictly below eps, as an (E, 2) int64 array.
 
     The array is C-contiguous and its rows are sorted lexicographically, by
     i and then j; the spectral start vector hashes these bytes and
     ``save_graph_csv`` writes them, so the order is part of the output.
-
-    The embedded metric takes the kd-tree pairs within eps, keeps those
-    whose Euclidean distance is below eps and sorts them by the single key
-    ``i * n + j``.  The geodesic metric measures each vertex against all
-    later ones, which yields the pairs already in order.
+    The kd-tree pairs within eps are re-checked against the strict bound
+    and sorted by the single key ``i * n + j``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if metric == "embedded":
-        x = cloud.embedded
-        # the tree returns each pair once, with i < j
-        pairs = cKDTree(x).query_pairs(r=eps, output_type="ndarray")
-        pairs = pairs[np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps]
-        n = cloud.n
-        i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
-        return np.column_stack([i, j])
-    if metric == "geodesic":
-        mfd = cloud.manifold
-        rows = []
-        for i in range(cloud.n - 1):
-            d = mfd.geodesic_to_many(cloud.intrinsic[i], cloud.intrinsic[i + 1 :])
-            js = np.nonzero(d < eps)[0] + i + 1
-            if len(js):
-                rows.append(np.column_stack([np.full(len(js), i), js]))
-        return np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
-    raise ValueError(f"unknown metric {metric!r}")
+    x = cloud.embedded
+    # the tree returns each pair once, with i < j
+    pairs = cKDTree(x).query_pairs(r=eps, output_type="ndarray")
+    pairs = pairs[np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps]
+    n = cloud.n
+    i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
+    return np.column_stack([i, j])
 
 
 def _edge_scale(n: int, m: int, eps: float) -> float:
     return n * (n - 1) * unit_ball_volume(m) * eps**m
 
 
-def gamma_m_eps(cloud: PointCloud, eps: float, total_volume: Optional[float] = None,
-                metric: str = "embedded") -> WeightedGraph:
+def gamma_m_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     """Volume-normalized graph: w_V = 1/n, constant edge weight."""
-    if total_volume is None:
-        total_volume = cloud.manifold.total_volume
-    if total_volume <= 0:
-        raise ValueError("total_volume must be positive")
     n = cloud.n
-    edges = build_edges(cloud, metric, eps)
+    edges = build_edges(cloud, eps)
     scale = _edge_scale(n, cloud.manifold.m, eps)
     return WeightedGraph(
         n_vertices=n,
         epsilon=eps,
         edges=edges,
         w_V=np.full(n, 1.0 / n),
-        w_E=np.full(len(edges), total_volume / scale),
+        w_E=np.full(len(edges), cloud.manifold.total_volume / scale),
         kind="gamma_m",
     )
 
 
-def gamma_N_eps(cloud: PointCloud, eps: float, metric: str = "embedded") -> WeightedGraph:
+def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     """Degree-weighted (random-walk) graph; needs no knowledge of vol(M)."""
     n = cloud.n
-    edges = build_edges(cloud, metric, eps)
+    edges = build_edges(cloud, eps)
     scale = _edge_scale(n, cloud.manifold.m, eps)
     g = WeightedGraph(
         n_vertices=n,
@@ -227,34 +204,7 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# metric structure
-
-
-def hop_distances(g: WeightedGraph, i: int) -> np.ndarray:
-    """BFS hop counts from vertex i (inf when unreachable)."""
-    return csgraph.shortest_path(g.weighted_adjacency, method="D",
-                                 unweighted=True, indices=i)
-
-
-def graph_distance(g: WeightedGraph, i: int, j: int) -> float:
-    """Graph distance: hop count times eps; inf when disconnected."""
-    hops = hop_distances(g, i)[j]
-    return float(hops * g.epsilon) if np.isfinite(hops) else float("inf")
-
-
-def ball(g: WeightedGraph, i: int, r: float, hops: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vertices at graph distance strictly less than r from vertex i."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if hops is None:
-        hops = hop_distances(g, i)
-    return np.nonzero(hops * g.epsilon < r)[0]
-
-
-def graph_volume(g: WeightedGraph, subset) -> float:
-    """Sum of vertex weights over a subset."""
-    subset = np.asarray(subset, dtype=np.int64)
-    return float(np.sum(g.w_V[subset])) if len(subset) else 0.0
+# energy
 
 
 def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:

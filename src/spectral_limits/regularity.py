@@ -25,7 +25,6 @@ from .spectral import SpectralResult, volume_norm
 __all__ = [
     "RegularityCertificate",
     "weighted_p_norm",
-    "ball_average",
     "doubling_constant",
     "poincare_constant",
     "almost_regularity",
@@ -39,7 +38,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# norms and averages
+# norms
 
 
 def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
@@ -69,27 +68,13 @@ def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
 _HOP_BLOCK = 128
 
 
-def _hop_blocks(g: WeightedGraph, sources, limit: float = np.inf):
-    """(sources, hop rows) per block of ``sources``; inf beyond ``limit``."""
+def _hop_blocks(g: WeightedGraph, sources):
+    """(sources, hop rows) per block of ``sources``; inf when unreachable."""
     sources = np.asarray(sources, dtype=np.int64)
     for start in range(0, len(sources), _HOP_BLOCK):
         src = sources[start:start + _HOP_BLOCK]
         yield src, csgraph.dijkstra(g.weighted_adjacency, unweighted=True,
-                                    indices=src, limit=limit)
-
-
-def ball_average(g: WeightedGraph, phi, s: float) -> np.ndarray:
-    """Mean of phi over the strict s-ball around each vertex."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty(g.n_vertices)
-    # one hop past s / eps, so that the exact test below decides membership
-    for src, hops in _hop_blocks(g, np.arange(g.n_vertices),
-                                 limit=math.ceil(s / g.epsilon) + 1):
-        w = (hops * g.epsilon < s) * g.w_V[None, :]
-        out[src] = (w @ phi) / w.sum(axis=1)
-    return out
+                                    indices=src)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 """Probability densities on the model manifolds and i.i.d. dataset draws.
 
-Densities come in three kinds: ``uniform`` on any model, a ``cosine_tilt``
-on the circle (smooth, non-uniform, with analytic class constants), and a
-``custom_1d`` table density on the circle.  Draws are reproducible: the
-generator is PCG64 seeded directly with the dataset seed, and parallel
-trials derive disjoint child seeds through :func:`derive_seeds`.
+Densities come in two kinds: ``uniform`` on any model and a
+``cosine_tilt`` on the circle (smooth and non-uniform, with an exact
+inverse-CDF sampler).  Draws are reproducible: the generator is PCG64
+seeded directly with the dataset seed, and parallel trials derive disjoint
+child seeds through :func:`derive_seeds`.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import Circle, ManifoldModel, Point
 
@@ -38,42 +36,30 @@ RNG_ALGORITHM = "pcg64"
 class DensitySpec:
     """Declarative density description.
 
-    ``amplitude`` only applies to ``cosine_tilt`` (must be <= 0.5);
-    ``table`` only to ``custom_1d`` (values on a uniform angle grid, taken
-    as-is: an unnormalized table fails validation).  ``alpha`` optionally
-    declares a max/min bound that validation enforces.
+    ``amplitude`` only applies to ``cosine_tilt`` (must be <= 0.5).
     """
 
     kind: str = "uniform"
     amplitude: float = 0.0
-    table: Optional[tuple] = None
-    alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "cosine_tilt", "custom_1d"):
+        if self.kind not in ("uniform", "cosine_tilt"):
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.kind == "cosine_tilt" and not 0.0 <= self.amplitude <= 0.5:
             raise ValueError("cosine_tilt amplitude must lie in [0, 0.5]")
-        if self.kind == "custom_1d" and self.table is None:
-            raise ValueError("custom_1d density needs a table")
 
 
 class Density:
-    """A density bound to a manifold: pdf, class constants, exact sampler.
+    """A density bound to a manifold: its pdf and an exact sampler.
 
     ``pdf`` is with respect to the Riemannian volume measure and integrates
-    to one.  ``alpha`` is max/min, ``lipschitz`` a Lipschitz constant with
-    respect to geodesic distance, ``hessian_log_bound`` an upper bound on
-    the second arclength derivative of log(pdf).
+    to one.
     """
 
-    def __init__(self, mfd, spec, pdf, alpha, lipschitz, hessian_log_bound, sampler):
+    def __init__(self, mfd, spec, pdf, sampler):
         self.manifold = mfd
         self.spec = spec
         self._pdf = pdf
-        self.alpha = alpha
-        self.lipschitz = lipschitz
-        self.hessian_log_bound = hessian_log_bound
         self._sampler = sampler
 
     def pdf(self, intrinsic: np.ndarray) -> np.ndarray:
@@ -82,119 +68,36 @@ class Density:
     def sample_intrinsic(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._sampler(n, rng)
 
-    def validate(self, tol: float = 1e-6):
-        """Check normalization and the declared max/min ratio on a grid."""
-        mfd = self.manifold
-        if isinstance(mfd, Circle):
-            th = np.linspace(0.0, 2.0 * math.pi, 20001)
-            vals = self.pdf(th[:, None])
-            total = np.trapezoid(vals, th) * mfd.radius
-        else:
-            rng = np.random.default_rng(0)
-            z = mfd.uniform_intrinsic(200000, rng)
-            vals = self.pdf(z)
-            total = float(np.mean(vals)) * mfd.total_volume
-            tol = max(tol, 5e-3)  # Monte-Carlo check only
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"density does not integrate to 1 (got {total:.8f})")
-        ratio = float(np.max(vals) / np.min(vals))
-        if ratio > self.alpha * (1.0 + 1e-9):
-            raise ValueError(f"max/min ratio {ratio:.6f} exceeds alpha={self.alpha}")
-        return self
-
 
 def make_density(mfd: ManifoldModel, spec: DensitySpec) -> Density:
-    """Bind a density spec to a manifold and derive its class constants."""
+    """Bind a density spec to a manifold."""
     if spec.kind == "uniform":
         vol = mfd.total_volume
 
         def pdf(z):
             return np.full(len(np.atleast_2d(z)), 1.0 / vol)
 
-        return Density(mfd, spec, pdf, 1.0, 0.0, 0.0, mfd.uniform_intrinsic)
+        return Density(mfd, spec, pdf, mfd.uniform_intrinsic)
 
     if not isinstance(mfd, Circle):
         raise ValueError(f"{spec.kind} density is only available on the circle")
     R = mfd.radius
-
-    if spec.kind == "cosine_tilt":
-        a0 = spec.amplitude
-
-        def pdf(z):
-            th = np.atleast_2d(z)[:, 0]
-            return (1.0 + a0 * np.cos(th)) / (2.0 * math.pi * R)
-
-        alpha = spec.alpha if spec.alpha is not None else (1.0 + a0) / (1.0 - a0)
-        lip = a0 / (2.0 * math.pi * R**2)
-        hess = a0 / ((1.0 - a0) * R**2)  # sup of -a0 (cos t + a0)/(1 + a0 cos t)^2
-
-        def sampler(n, rng):
-            # inverse CDF of F(t) = (t + a0 sin t)/(2 pi), Newton from t = 2 pi u
-            u = rng.uniform(0.0, 1.0, size=n)
-            t = 2.0 * math.pi * u
-            for _ in range(60):
-                f = (t + a0 * np.sin(t)) / (2.0 * math.pi) - u
-                t = t - 2.0 * math.pi * f / (1.0 + a0 * np.cos(t))
-            return (t % (2.0 * math.pi))[:, None]
-
-        return Density(mfd, spec, pdf, alpha, lip, hess, sampler)
-
-    # custom_1d: tabulated values on a uniform angle grid, wrapped
-    # periodically; the table is taken literally, so normalization and the
-    # declared alpha are checked by validate() rather than silently fixed
-    table = np.asarray(spec.table, dtype=float)
-    if np.any(table <= 0):
-        raise ValueError("custom_1d table must be strictly positive")
-    grid = np.linspace(0.0, 2.0 * math.pi, len(table) + 1)
-    vals = np.append(table, table[0])
+    a0 = spec.amplitude
 
     def pdf(z):
-        th = np.atleast_2d(z)[:, 0] % (2.0 * math.pi)
-        return np.interp(th, grid, vals)
-
-    cdf = integrate.cumulative_trapezoid(vals * R, grid, initial=0.0)
-    cdf /= cdf[-1]
-    alpha = spec.alpha if spec.alpha is not None else float(np.max(vals) / np.min(vals))
-    lip = float(np.max(np.abs(np.diff(vals)) / np.diff(grid))) / R
-    logv = np.log(vals)
-    h = grid[1] - grid[0]
-    hess = float(np.max(np.abs(np.diff(logv, 2)))) / h**2 / R**2
+        th = np.atleast_2d(z)[:, 0]
+        return (1.0 + a0 * np.cos(th)) / (2.0 * math.pi * R)
 
     def sampler(n, rng):
+        # inverse CDF of F(t) = (t + a0 sin t)/(2 pi), Newton from t = 2 pi u
         u = rng.uniform(0.0, 1.0, size=n)
-        return np.interp(u, cdf, grid)[:, None]
+        t = 2.0 * math.pi * u
+        for _ in range(60):
+            f = (t + a0 * np.sin(t)) / (2.0 * math.pi) - u
+            t = t - 2.0 * math.pi * f / (1.0 + a0 * np.cos(t))
+        return (t % (2.0 * math.pi))[:, None]
 
-    return Density(mfd, spec, pdf, alpha, lip, hess, sampler)
-
-
-def rejection_sample(mfd, pdf: Callable, pdf_max: float, n: int,
-                     rng: np.random.Generator, max_batches: int = 4000) -> np.ndarray:
-    """Draw from an arbitrary density by rejection against the uniform law.
-
-    Raises if the observed acceptance rate drops below 1e-3.
-    """
-    out = []
-    got = 0
-    proposed = 0
-    accepted = 0
-    while got < n:
-        batch = max(n - got, 1024)
-        z = mfd.uniform_intrinsic(batch, rng)
-        u = rng.uniform(0.0, 1.0, size=batch)
-        keep = u * pdf_max < pdf(z)
-        proposed += batch
-        accepted += int(np.sum(keep))
-        if keep.any():
-            out.append(z[keep])
-            got += int(np.sum(keep))
-        if proposed >= 1024 * 16 and accepted / proposed < 1e-3:
-            raise RuntimeError(
-                f"rejection acceptance rate {accepted / proposed:.2e} below 1e-3; "
-                "check the density configuration"
-            )
-        if proposed > max_batches * 1024:
-            raise RuntimeError("rejection sampling did not finish")
-    return np.concatenate(out)[:n]
+    return Density(mfd, spec, pdf, sampler)
 
 
 # ---------------------------------------------------------------------------

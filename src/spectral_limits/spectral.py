@@ -26,7 +26,6 @@ __all__ = [
     "SpectralResult",
     "eigen_decompose",
     "rayleigh_quotient",
-    "eigenvalue_estimate",
     "volume_inner",
     "volume_norm",
 ]
@@ -164,7 +163,3 @@ def rayleigh_quotient(g: WeightedGraph, phi) -> float:
         raise ValueError("rayleigh_quotient of a zero function")
     return dirichlet_energy(g, phi) / denom
 
-
-def eigenvalue_estimate(spectral: SpectralResult, k: int, m: int) -> float:
-    """Continuum eigenvalue estimator (m+2) * lambda_k(Gamma)."""
-    return (m + 2) * float(spectral.eigenvalues[k])

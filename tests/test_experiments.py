@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds"):
             ExperimentConfig(n_list=[64], seeds=[])
 
+    @pytest.mark.parametrize("line,key", [
+        ('eps = "abc"', "eps"), ("eps = 0", "eps"), ("eps = -0.1", "eps"),
+        ("threads = 0", "threads"), ("threads = 1.5", "threads"),
+    ])
+    def test_bad_value_fails_at_load(self, tmp_path, line, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CIRCLE_CFG + line + "\n")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            load_config(path)
+
+    def test_bad_cli_override_fails(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CIRCLE_CFG)
+        with pytest.raises(ValueError, match="^threads must be"):
+            cli_main(["sample", "--config", str(path), "--threads", "0",
+                      "--out", str(tmp_path / "o")])
+
 
 class TestSpectrumExperiment:
     def test_k0_error_zero(self):
@@ -85,6 +102,8 @@ class TestSpectrumExperiment:
                                seeds=[2], k_max=3)
         rows = run_spectrum_experiment(cfg)
         assert [r["lam_ref"] for r in rows] == [0.0, 2.0, 2.0, 2.0]
+        # the continuum estimator is (m + 2) * lambda_k(Gamma)
+        assert all(r["estimate"] == 4.0 * r["lam_graph"] for r in rows)
 
     def test_disconnected_rows_flagged(self):
         cfg = ExperimentConfig(manifold="circle", n_list=[64], seeds=[1],
@@ -119,7 +138,7 @@ class TestAlignment:
     def test_first_pair_cluster(self):
         g, spec, ref, cloud = self._setup()
         rep = align_eigenspaces(g, spec, ref, cloud, (1, 2))
-        assert rep.max_relative_residual() < 0.5
+        assert np.max(rep.relative_residuals) < 0.5
         assert np.all(rep.projection_residuals >= 0)
         assert rep.gamma == pytest.approx(0.5 * min(1.0, 3.0))
         assert rep.span_width == pytest.approx(0.0)
@@ -243,6 +262,13 @@ class TestSweep:
         assert all(math.isfinite(r["slope"]) for r in rows)
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
+
+    def test_no_connected_cell_gives_no_rows_and_no_svg(self, tmp_path):
+        cfg = ExperimentConfig(manifold="circle", n_list=[16, 20, 24],
+                               seeds=[1, 2, 3], eps_rule=0.001, k_max=2)
+        svg = tmp_path / "sweep.svg"
+        assert run_convergence_sweep(cfg, svg_path=svg) == []
+        assert not svg.exists()
 
     def test_needs_three_points(self):
         cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],

@@ -8,13 +8,10 @@ from scipy.optimize import brentq
 from spectral_limits.geometry import (
     Circle,
     FlatTorus,
-    ModelParams,
     Sphere,
     Spindle,
     ball_volume,
     bishop_gromov_ratio,
-    embedding_distance,
-    geodesic_distance,
     mc_ball_volume,
     model_ball_volume,
     model_sn,
@@ -144,40 +141,28 @@ class TestModelFunctions:
         assert np.all(np.diff(vols) > 0)
 
 
-class TestModelParams:
-    def test_valid(self):
-        ModelParams(m=2, K=1.0, D=2.0, v=0.3)
-
-    @pytest.mark.parametrize(
-        "kwargs", [dict(m=0), dict(K=0.5), dict(D=0.5), dict(v=1.5), dict(v=0.0)]
-    )
-    def test_invalid(self, kwargs):
-        base = dict(m=2, K=1.0, D=1.0, v=0.5)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            ModelParams(**base)
-
-
 class TestDistances:
     def test_circle_antipodal(self, circle):
         x, y = circle.point([0.0]), circle.point([math.pi])
-        assert geodesic_distance(circle, x, y) == pytest.approx(math.pi)
-        assert embedding_distance(circle, x, y) == pytest.approx(2.0)
+        assert circle.geodesic(x.intrinsic, y.intrinsic) == pytest.approx(math.pi)
+        assert np.linalg.norm(x.embedded - y.embedded) == pytest.approx(2.0)
 
     def test_sphere_pole_to_equator(self, sphere2):
         x = sphere2.point([0.0, 0.0, 1.0])
         y = sphere2.point([1.0, 0.0, 0.0])
-        assert geodesic_distance(sphere2, x, y) == pytest.approx(math.pi / 2.0)
+        d = sphere2.geodesic(x.intrinsic, y.intrinsic)
+        assert d == pytest.approx(math.pi / 2.0)
 
     def test_torus_shift(self, torus):
         x, y = torus.point([0.0, 0.0]), torus.point([0.6, 0.0])
-        assert geodesic_distance(torus, x, y) == pytest.approx(0.4)
+        assert torus.geodesic(x.intrinsic, y.intrinsic) == pytest.approx(0.4)
 
     def test_self_distance(self, spindle2):
         z = spindle2.uniform_intrinsic(1, np.random.default_rng(0))[0]
         p = spindle2.point(z)
-        assert embedding_distance(spindle2, p, p) == 0.0
-        assert geodesic_distance(spindle2, p, p) == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(p.embedded - p.embedded) == 0.0
+        d = spindle2.geodesic(p.intrinsic, p.intrinsic)
+        assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_spindle_profile_coordinate(self, spindle2):
         # first embedded coordinate at theta = pi/2 equals the profile

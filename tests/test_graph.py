@@ -9,19 +9,16 @@ from scipy.spatial import cKDTree
 from conftest import custom_graph, fake_cloud
 from spectral_limits.graph import (
     WeightedGraph,
-    ball,
     build_edges,
     dirichlet_energy,
     gamma_N_eps,
     gamma_m_eps,
-    graph_distance,
-    graph_volume,
-    hop_distances,
     laplacian_apply,
     random_walk_matrix,
     save_graph_csv,
 )
-from spectral_limits.regularity import certify, moser_alpha, smoothing_apply
+from spectral_limits.regularity import _hop_blocks, certify, moser_alpha, \
+    smoothing_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
 from spectral_limits.spectral import _start_vector, eigen_decompose, volume_inner
 
@@ -29,51 +26,34 @@ from spectral_limits.spectral import _start_vector, eigen_decompose, volume_inne
 class TestBuildEdges:
     def test_collinear_path(self):
         cloud = fake_cloud([0.0, 0.5, 1.2])
-        edges = build_edges(cloud, "embedded", 1.0)
+        edges = build_edges(cloud, 1.0)
         assert edges.tolist() == [[0, 1], [1, 2]]
 
     def test_no_edges_below_min_gap(self):
         cloud = fake_cloud([0.0, 0.5, 1.2])
-        assert len(build_edges(cloud, "embedded", 0.4)) == 0
+        assert len(build_edges(cloud, 0.4)) == 0
 
     def test_exact_distance_excluded(self):
         cloud = fake_cloud([0.0, 1.0])
-        assert len(build_edges(cloud, "embedded", 1.0)) == 0
-        assert len(build_edges(cloud, "embedded", 1.0 + 1e-9)) == 1
-
-    def test_embedded_superset_of_geodesic(self, circle):
-        cloud = sample_dataset(circle, DensitySpec("uniform"), 150, seed=2)
-        eps = 0.35
-        emb = {tuple(e) for e in build_edges(cloud, "embedded", eps)}
-        geo = {tuple(e) for e in build_edges(cloud, "geodesic", eps)}
-        assert geo <= emb
+        assert len(build_edges(cloud, 1.0)) == 0
+        assert len(build_edges(cloud, 1.0 + 1e-9)) == 1
 
     def test_sorted_lexicographically(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 60, seed=4)
-        edges = build_edges(cloud, "embedded", 0.5)
+        edges = build_edges(cloud, 0.5)
         keys = edges[:, 0] * 60 + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
 
 
-def oracle_edges(cloud, metric, eps):
-    """The former build: a kd-tree search or a per-vertex geodesic loop over
-    all later vertices, then a row sort and a lexsort of the pairs."""
-    if metric == "embedded":
-        pairs = cKDTree(cloud.embedded).query_pairs(r=eps, output_type="ndarray")
-        if len(pairs):
-            d = np.linalg.norm(
-                cloud.embedded[pairs[:, 0]] - cloud.embedded[pairs[:, 1]], axis=1
-            )
-            pairs = pairs[d < eps]
-    else:
-        mfd = cloud.manifold
-        rows = []
-        for i in range(cloud.n - 1):
-            d = mfd.geodesic_to_many(cloud.intrinsic[i], cloud.intrinsic[i + 1 :])
-            js = np.nonzero(d < eps)[0] + i + 1
-            if len(js):
-                rows.append(np.column_stack([np.full(len(js), i), js]))
-        pairs = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
+def oracle_edges(cloud, eps):
+    """The former build: a kd-tree search, then a row sort and a lexsort of
+    the pairs."""
+    pairs = cKDTree(cloud.embedded).query_pairs(r=eps, output_type="ndarray")
+    if len(pairs):
+        d = np.linalg.norm(
+            cloud.embedded[pairs[:, 0]] - cloud.embedded[pairs[:, 1]], axis=1
+        )
+        pairs = pairs[d < eps]
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     pairs.sort(axis=1)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -84,22 +64,20 @@ MODELS = ["circle", "sphere2", "torus", "spindle2", "spindle3"]
 
 
 class TestBuildEdgesOracle:
-    @pytest.mark.parametrize("metric", ["embedded", "geodesic"])
     @pytest.mark.parametrize("shape", MODELS)
-    def test_same_array_as_the_oracle(self, request, shape, metric):
+    def test_same_array_as_the_oracle(self, request, shape):
         mfd = request.getfixturevalue(shape)
         for n, seed in ((300, 1), (700, 2)):
             cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
             for eps in (0.05, 0.2, 0.5, 1.0):
-                edges = build_edges(cloud, metric, eps)
+                edges = build_edges(cloud, eps)
                 assert edges.dtype == np.int64
                 assert edges.flags.c_contiguous
-                assert np.array_equal(edges, oracle_edges(cloud, metric, eps))
+                assert np.array_equal(edges, oracle_edges(cloud, eps))
 
-    @pytest.mark.parametrize("metric", ["embedded", "geodesic"])
-    def test_no_edges_is_an_empty_int64_array(self, sphere2, metric):
+    def test_no_edges_is_an_empty_int64_array(self, sphere2):
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 50, seed=1)
-        edges = build_edges(cloud, metric, 1e-6)
+        edges = build_edges(cloud, 1e-6)
         assert edges.shape == (0, 2)
         assert edges.dtype == np.int64
 
@@ -109,7 +87,7 @@ class TestBuildEdgesOracle:
         cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
         eps = epsilon_schedule(n, mfd.m)
         g = gamma_N_eps(cloud, eps)
-        oracle = custom_graph(n, oracle_edges(cloud, "embedded", eps), g.w_V,
+        oracle = custom_graph(n, oracle_edges(cloud, eps), g.w_V,
                               g.w_E, eps=eps)
         assert np.array_equal(_start_vector(g), _start_vector(oracle))
 
@@ -185,7 +163,8 @@ class TestOneMatrix:
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
         assert g.weighted_adjacency.nnz == 4       # two explicit zeros
         assert g.degrees.tolist() == [1, 2, 1]
-        assert hop_distances(g, 0).tolist() == [0.0, 1.0, 2.0]
+        (_, hops), = _hop_blocks(g, [0])
+        assert hops.tolist() == [[0.0, 1.0, 2.0]]
         assert csgraph.connected_components(g.weighted_adjacency)[0] == 1
 
     def test_no_second_matrix_after_construction(self, circle_cloud_200,
@@ -287,32 +266,6 @@ class TestRandomWalkMatrix:
         cloud = fake_cloud([0.0, 5.0])
         with pytest.raises(ValueError, match="zero-degree"):
             random_walk_matrix(cloud, 1.0)
-
-
-class TestMetricOps:
-    def test_adjacent_distance(self, path3_gamma_N):
-        assert graph_distance(path3_gamma_N, 0, 1) == pytest.approx(1.0)
-
-    def test_path_ends(self, path3_gamma_N):
-        assert graph_distance(path3_gamma_N, 0, 2) == pytest.approx(2.0)
-
-    def test_disconnected_is_inf(self):
-        g = custom_graph(3, [[0, 1]], [1.0] * 3, [1.0])
-        assert graph_distance(g, 0, 2) == math.inf
-
-    def test_strict_ball(self, path3_gamma_N):
-        assert ball(path3_gamma_N, 1, 0.5).tolist() == [1]
-        assert graph_volume(path3_gamma_N, ball(path3_gamma_N, 1, 0.5)) == (
-            pytest.approx(2.0 / 12.0)
-        )
-
-    def test_complete_graph_ball(self):
-        g = custom_graph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
-                         [1.0] * 4, [1.0] * 6)
-        assert len(ball(g, 0, 1.5)) == 4
-
-    def test_empty_volume(self, path3_gamma_N):
-        assert graph_volume(path3_gamma_N, []) == 0.0
 
 
 class TestDirichletEnergy:

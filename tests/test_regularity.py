@@ -10,7 +10,6 @@ from spectral_limits import experiments, regularity
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
-    ball_average,
     certify,
     doubling_constant,
     graph_diameter,
@@ -68,12 +67,6 @@ def dense_doubling(g):
     return q
 
 
-def dense_ball_average(g, phi, s):
-    """All-pairs-matrix form of ball_average, the oracle for the BFS rows."""
-    w = (dense_hops(g) * g.epsilon < s) * g.w_V[None, :]
-    return (w @ phi) / w.sum(axis=1)
-
-
 class TestWeightedPNorm:
     def test_hand_example(self):
         g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
@@ -96,30 +89,6 @@ class TestWeightedPNorm:
     def test_empty_subset(self, path3_gamma_N):
         with pytest.raises(ValueError):
             weighted_p_norm(path3_gamma_N, np.ones(3), 2, subset=[])
-
-
-class TestBallAverage:
-    def test_identity_below_eps(self, path3_gamma_N):
-        phi = np.array([1.0, -2.0, 5.0])
-        assert np.allclose(ball_average(path3_gamma_N, phi, 0.9), phi)
-
-    def test_constant(self, path3_gamma_N):
-        assert np.allclose(ball_average(path3_gamma_N, np.full(3, 7.0), 1.7), 7.0)
-
-    def test_path_hand_average(self):
-        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0] * 2)
-        out = ball_average(g, np.array([0.0, 3.0, 0.0]), 1.5)
-        assert np.allclose(out, [1.5, 1.0, 1.5])
-
-    @pytest.mark.parametrize("n,p,seed", [(40, 0.08, 0), (90, 0.03, 1),
-                                          (300, 0.01, 2)])
-    def test_matches_dense_oracle(self, n, p, seed):
-        g = random_graph(n, p, seed)
-        phi = np.random.default_rng(seed + 10).standard_normal(n)
-        for s in (0.2, 0.3, 0.61, 0.9, 1.5, 100.0):
-            assert np.allclose(ball_average(g, phi, s),
-                               dense_ball_average(g, phi, s),
-                               rtol=1e-13, atol=1e-13)
 
 
 class TestGraphDiameter:

@@ -13,7 +13,6 @@ from spectral_limits.spectral import (
     DisconnectedGraphError,
     SolverError,
     eigen_decompose,
-    eigenvalue_estimate,
     rayleigh_quotient,
     volume_inner,
 )
@@ -190,15 +189,3 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             rayleigh_quotient(circle_graph_200, np.zeros(200))
 
-
-class TestEstimator:
-    def test_k0(self, circle_graph_200):
-        res = eigen_decompose(circle_graph_200, 1)
-        assert eigenvalue_estimate(res, 0, 1) == pytest.approx(0.0, abs=1e-8)
-
-    def test_arithmetic(self, path3_gamma_N):
-        res = eigen_decompose(path3_gamma_N, 1)
-        res.eigenvalues[1] = 0.34
-        assert eigenvalue_estimate(res, 1, 1) == pytest.approx(1.02)
-        res.eigenvalues[1] = 0.5
-        assert eigenvalue_estimate(res, 1, 2) == pytest.approx(2.0)
