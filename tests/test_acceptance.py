@@ -170,7 +170,7 @@ def test_a8_regularity_stability():
         cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=7)
         g = gamma_N_eps(cloud, epsilon_schedule(n, 1))
         qs.append(doubling_constant(g, seed=7))
-        ps.append(poincare_constant(g, sigma=1.0, seed=7))
+        ps.append(poincare_constant(g, seed=7))
         rs.append(almost_regularity(g))
     spreads = {name: float(max(v) / min(v)) for name, v in
                (("Q", qs), ("P", ps), ("R", rs))}

@@ -140,7 +140,7 @@ GOLDEN = {
     },
     "regularity": {
         "regularity.csv":
-            "0cc7e4ca78492d7655330da74f738ff0c105a1dea87e72281142a549520b52f7",
+            "7d6a7ec26b5ba82dc3ec693460a555bfda5e105a94a7109b625cc387ec5f8721",
         "run_meta.json":
             "9d0bca2019df57f904adf70ecd669e0f2b87b1fe76dfa036f3deaa6cbe7783c1",
     },

@@ -74,6 +74,7 @@ class TestConfig:
     @pytest.mark.parametrize("line,key", [
         ('eps = "abc"', "eps"), ("eps = 0", "eps"), ("eps = -0.1", "eps"),
         ("threads = 0", "threads"), ("threads = 1.5", "threads"),
+        ("n = [20.5]", "n"), ("seeds = [1.5]", "seeds"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
         path = tmp_path / "cfg.txt"

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
 from conftest import custom_graph
-from spectral_limits import experiments, regularity
+from spectral_limits import experiments, regularity, spectral
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
@@ -184,50 +185,121 @@ class TestDoubling:
         assert doubling_constant(g2) == pytest.approx(q1, rel=1e-12)
 
 
+def dense_pencil_constant(g, b_idx, s_idx, r: float):
+    """The sharp two-ball constant from a dense generalized eigenproblem:
+    the variance form over B against the Dirichlet form over S, with the
+    constants deflated by a rank-one term.  The oracle for the one-ball
+    constant, with B = S."""
+    w = g.w_V
+    sub = np.full(g.n_vertices, -1, dtype=np.int64)
+    sub[s_idx] = np.arange(len(s_idx))
+    adj = g.weighted_adjacency[s_idx][:, s_idx]
+    adj.eliminate_zeros()
+    ncomp, labels = csgraph.connected_components(adj, directed=False)
+    b_local = sub[b_idx]
+    b_comps = np.unique(labels[b_local])
+    if len(b_comps) > 1:
+        return math.inf
+    keep = np.nonzero(labels == b_comps[0])[0]
+    comp = s_idx[keep]
+    loc = np.full(g.n_vertices, -1, dtype=np.int64)
+    loc[comp] = np.arange(len(comp))
+
+    vol_b = float(np.sum(w[b_idx]))
+    vol_s = float(np.sum(w[s_idx]))
+    nloc = len(comp)
+    # variance form over B: (1/vol(B)) (diag(wB) - wB wB^T / vol(B))
+    a = np.zeros((nloc, nloc))
+    bl = loc[b_idx]
+    a[bl, bl] = w[b_idx] / vol_b
+    a[np.ix_(bl, bl)] -= np.outer(w[b_idx], w[b_idx]) / vol_b**2
+    # Dirichlet form over S restricted to in-S edges of this component
+    asub = g.weighted_adjacency[comp][:, comp].tocoo()
+    d = np.zeros((nloc, nloc))
+    dw = np.asarray(asub.sum(axis=1)).ravel()
+    d[np.arange(nloc), np.arange(nloc)] = dw
+    d[asub.row, asub.col] -= asub.data
+    d *= 2.0 / (vol_s * g.epsilon**2)
+    rhs = r * r * d
+    # deflate the constant null direction with a rank-one term
+    ones = np.ones((nloc, 1))
+    beta = max(np.trace(rhs), 1.0) / nloc
+    rhs = rhs + beta * (ones @ ones.T)
+    vals = eigh(a, rhs, eigvals_only=True)
+    return float(math.sqrt(max(vals[-1], 0.0)))
+
+
+def poincare_case(request, case):
+    """A graph and the ``poincare_constant`` arguments of one oracle case."""
+    if case == "zero-weight-edge":
+        g = custom_graph(4, [[0, 1], [0, 2], [1, 2], [2, 3]],
+                         [0.5, 1.0, 2.0, 0.25], [1.0, 0.0, 3.0, 0.5], eps=0.7)
+        return g, {}
+    if case == "split-ball":
+        return custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0]), {}
+    shape, n, seed, kwargs = {
+        # balls of more than DENSE_LIMIT vertices: the Lanczos branch
+        "sphere2-1500": ("sphere2", 1500, 1, {"seed": 1}),
+        "circle-300": ("circle", 300, 2, {"center_sample": 6, "seed": 3}),
+        "torus-400": ("torus", 400, 1, {"seed": 1}),
+    }[case]
+    mfd = request.getfixturevalue(shape)
+    cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
+    return gamma_N_eps(cloud, epsilon_schedule(n, mfd.m)), kwargs
+
+
 class TestPoincare:
     def test_single_edge_sharp_constant(self):
         g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
         # ||phi - mean||^2 = 1 and r^2 ||grad phi||^2 = 2.25 * 4 for (1,-1)
-        assert poincare_constant(g, sigma=1.0) == pytest.approx(1.0 / 3.0,
-                                                                rel=1e-10)
+        assert poincare_constant(g) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_zero_weight_bridge_is_infinite(self):
         # the edge to vertex 2 exists but carries no Dirichlet weight
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
-        assert poincare_constant(g, sigma=1.0) == math.inf
+        assert poincare_constant(g) == math.inf
 
-    def test_sigma_two_finite_and_deterministic(self, circle):
-        # enlarging sigma does NOT monotonically shrink the sharp constant
-        # under the volume-normalized gradient norm (the averaging domain
-        # grows too); what must hold: both finite, deterministic, and the
-        # unnormalized-energy form of the same ratio is monotone
-        cloud = sample_dataset(circle, DensitySpec("uniform"), 300, seed=2)
-        g = gamma_N_eps(cloud, epsilon_schedule(300, 1))
-        p1 = poincare_constant(g, sigma=1.0, center_sample=6, seed=3)
-        p2 = poincare_constant(g, sigma=2.0, center_sample=6, seed=3)
-        assert math.isfinite(p1) and math.isfinite(p2)
-        assert p2 == poincare_constant(g, sigma=2.0, center_sample=6, seed=3)
+    def test_zero_vertex_weight_is_rejected(self):
+        g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="positive vertex weights"):
+            poincare_constant(g)
 
-    def test_sigma_monotone_unnormalized_ratio(self):
-        # on one explicit ball pair: with the raw (unnormalized) edge-energy
-        # sum, a larger gradient domain can only lower the sharp ratio
-        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0] * 2)
-        phi = np.array([1.0, 0.0, 0.0])
-        r = 1.5
-        b = [0, 1]
-        mean_b = phi[b].sum() / 2.0
-        var = float(np.sum((phi[b] - mean_b) ** 2)) / 2.0
-        energy_s1 = 2.0 * (1.0 - 0.0) ** 2          # edge (0,1) only
-        energy_s2 = energy_s1 + 2.0 * 0.0           # edge (1,2) adds nothing
-        assert var / (r * r * energy_s2) <= var / (r * r * energy_s1) + 1e-15
+    @pytest.mark.parametrize("case", ["sphere2-1500", "circle-300", "torus-400",
+                                      "zero-weight-edge", "split-ball"])
+    def test_every_ball_matches_the_dense_pencil(self, request, monkeypatch,
+                                                  case):
+        g, kwargs = poincare_case(request, case)
+        balls = []
+        solve = regularity._poincare_ball_constant
 
-    def test_testfunction_mode_lower_bounds_exact(self, circle):
-        cloud = sample_dataset(circle, DensitySpec("uniform"), 220, seed=9)
-        g = gamma_N_eps(cloud, epsilon_schedule(220, 1))
-        exact = poincare_constant(g, sigma=1.0, center_sample=4, seed=1)
-        approx = poincare_constant(g, sigma=1.0, center_sample=4, seed=1,
-                                   ball_limit=10)
-        assert approx <= exact + 1e-9
+        def recorded(g, idx, r):
+            val = solve(g, idx, r)
+            balls.append((idx, r, val))
+            return val
+
+        monkeypatch.setattr(regularity, "_poincare_ball_constant", recorded)
+        p = poincare_constant(g, **kwargs)
+        assert p == max(val for _, _, val in balls)
+        for idx, r, val in balls:
+            assert val == pytest.approx(dense_pencil_constant(g, idx, idx, r),
+                                        rel=1e-10)
+        assert math.isfinite(p) == (case != "split-ball")
+        assert poincare_constant(g, **kwargs) == p
+        if case == "sphere2-1500":
+            assert max(len(idx) for idx, _, _ in balls) > spectral.DENSE_LIMIT
+
+    def test_memory_is_not_n_squared(self, sphere2):
+        n = 2000
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        tracemalloc.start()
+        try:
+            poincare_constant(g, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense solve of a ball of n vertices holds n x n float64 matrices
+        assert peak < 16 * 2**20
 
 
 class TestAlmostRegularity:
