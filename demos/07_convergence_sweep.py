@@ -2,10 +2,9 @@
 
 The error of the rescaled graph eigenvalues against the continuum spectrum
 should trend downward in n; the sweep reports medians over seeds, the
-log-log slope per eigenvalue index, and draws a minimal SVG line chart.
+log-log slope per eigenvalue index, and draws a minimal SVG line chart,
+``sweep_circle.svg``, in the working directory.
 """
-
-import os
 
 from spectral_limits.experiments import ExperimentConfig, run_convergence_sweep
 
@@ -19,7 +18,7 @@ cfg = ExperimentConfig(
     k_max=3,
 )
 
-out = os.path.join(os.path.dirname(__file__), "sweep_circle.svg")
+out = "sweep_circle.svg"
 rows = run_convergence_sweep(cfg, svg_path=out)
 
 print(f"{'k':>2} {'n':>6} {'median |err|':>13} {'slope':>8}")

@@ -28,7 +28,8 @@ from .interpolation import TestFunction, energy_comparison_report, \
 from .plotting import svg_line_chart
 from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
     spindle_spectrum, torus_spectrum, weighted_circle_spectrum
-from .regularity import certify, graph_diameter, moser_alpha, moser_check
+from .regularity import MOSER_P, RegularityCertificate, certify, \
+    graph_diameter, moser_alpha, moser_check
 from .sampling import Density, DensitySpec, PointCloud, make_density, \
     sample_dataset, epsilon_schedule
 from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
@@ -94,10 +95,10 @@ class ExperimentConfig:
         for key, values in (("n", self.n_list), ("seeds", self.seeds)):
             if not all(isinstance(v, (int, np.integer)) for v in values):
                 raise ValueError(f"{key} must be integers, got {list(values)!r}")
+            if len(values) == 0:
+                raise ValueError(f"{key} must be nonempty")
         if any(n < 16 for n in self.n_list):
             raise ValueError("all n values must be >= 16")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
         if self.graph_kind not in ("gamma_N", "gamma_m"):
             raise ValueError(f"unknown graph kind {self.graph_kind!r}")
         unknown = set(self.reports) - set(ALL_REPORTS)
@@ -107,8 +108,17 @@ class ExperimentConfig:
         positive = isinstance(eps, (int, float)) and 0 < eps < math.inf
         if eps != "schedule" and not positive:
             raise ValueError(f'eps must be "schedule" or a positive number, got {eps!r}')
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
+        for key, value, low in (("k_max", self.k_max, 0),
+                                ("mc_outer", self.mc_outer, 1),
+                                ("mc_inner", self.mc_inner, 1),
+                                ("threads", self.threads, 1)):
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        c = list(self.cluster)
+        if c and not (len(c) == 2 and all(isinstance(v, (int, np.integer))
+                                          for v in c) and 0 <= c[0] <= c[1]):
+            raise ValueError(
+                f"cluster must be empty or two integers 0 <= k <= l, got {c!r}")
 
     def epsilon_for(self, n: int, m: int) -> float:
         if self.eps_rule == "schedule":
@@ -328,6 +338,17 @@ class AlignmentReport:
     rotation: np.ndarray
 
 
+def _cluster_gap(lam_ref, k: int, l: int):
+    """Half the reference gap around the cluster [k, l], at most 1/2, and
+    the cluster's width."""
+    if l + 1 >= len(lam_ref):
+        raise ValueError("reference spectrum too short for the cluster")
+    gaps = [lam_ref[l + 1] - lam_ref[l], 1.0]
+    if k > 0:
+        gaps.append(lam_ref[k] - lam_ref[k - 1])
+    return float(0.5 * min(gaps)), float(lam_ref[l] - lam_ref[k])
+
+
 def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
                       reference: ReferenceSpectrum, cloud: PointCloud,
                       cluster) -> AlignmentReport:
@@ -342,8 +363,7 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
     if not 0 <= k <= l:
         raise ValueError("cluster must satisfy 0 <= k <= l")
     lam_ref = reference.eigenvalues
-    if l + 1 >= len(lam_ref):
-        raise ValueError("reference spectrum too short for the cluster")
+    gamma, span_width = _cluster_gap(lam_ref, k, l)
     tol = 1e-9
     if (k > 0 and lam_ref[k] - lam_ref[k - 1] <= tol) or lam_ref[l + 1] - lam_ref[l] <= tol:
         ref_gaps = np.diff(lam_ref).tolist()
@@ -383,15 +403,10 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
         for j in range(dim)
     ])
 
-    lam_k = lam_ref[k]
-    gaps = [lam_ref[l + 1] - lam_ref[l], 1.0]
-    if k > 0:
-        gaps.append(lam_ref[k] - lam_ref[k - 1])
-    gamma = 0.5 * min(gaps)
     return AlignmentReport(
         cluster=(k, l),
-        gamma=float(gamma),
-        span_width=float(lam_ref[l] - lam_k),
+        gamma=gamma,
+        span_width=span_width,
         graph_eigenvalues=spectral.eigenvalues[k : l + 1].copy(),
         reference_eigenvalues=lam_ref[k : l + 1].copy(),
         projection_residuals=proj_norms,
@@ -418,19 +433,26 @@ def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None
             ref = reference_spectrum_for(more, mfd)
     cluster = cfg.cluster or ref.clusters()[1]
     k, l = int(cluster[0]), int(cluster[1])
+    gamma, span_width = _cluster_gap(ref.eigenvalues, k, l)
+
+    columns = ("proj_residual", "rel_residual", "norm_defect",
+               "aligned_residual", "thm12_residual")
 
     def rows(cell):
-        g = cell.graph
-        spec = eigen_decompose(g, max(cfg.k_max, l))
-        rep = align_eigenspaces(g, spec, ref, cell.cloud, (k, l))
+        try:
+            spec = eigen_decompose(cell.graph, max(cfg.k_max, l))
+        except DisconnectedGraphError:
+            spec, measured = None, np.full((len(columns), l - k + 1), math.nan)
+        else:
+            rep = align_eigenspaces(cell.graph, spec, ref, cell.cloud, (k, l))
+            measured = (rep.projection_residuals, rep.relative_residuals,
+                        rep.norm_defects, rep.aligned_residuals,
+                        rep.thm12_residuals)
         return [dict(
             n=cell.n, seed=cell.seed, eps=cell.eps, k=k + j,
-            gamma=rep.gamma, span_width=rep.span_width,
-            proj_residual=float(rep.projection_residuals[j]),
-            rel_residual=float(rep.relative_residuals[j]),
-            norm_defect=float(rep.norm_defects[j]),
-            aligned_residual=float(rep.aligned_residuals[j]),
-            thm12_residual=float(rep.thm12_residuals[j]),
+            connected=int(spec is not None), gamma=gamma,
+            span_width=span_width,
+            **{col: float(v[j]) for col, v in zip(columns, measured)},
         ) for j in range(l - k + 1)]
 
     return _run_cells(cfg, rows)
@@ -483,11 +505,24 @@ def _loglog_slope(ns, errs) -> float:
 
 
 def run_regularity(cfg: ExperimentConfig):
+    moser_ks = (1, 2)
+
     def rows(cell):
         g = cell.graph
-        spec = eigen_decompose(g, min(cfg.k_max, g.n_vertices - 1))
-        cert = certify(g, spectral=spec, seed=cell.seed)
-        return [dict(n=cell.n, seed=cell.seed, eps=cell.eps, Q=cert.Q,
+        k_max = min(cfg.k_max, g.n_vertices - 1)
+        try:
+            spec = eigen_decompose(g, k_max)
+        except DisconnectedGraphError:
+            spec, nan = None, math.nan
+            cert = RegularityCertificate(
+                n=cell.n, eps=cell.eps, Q=nan, P=nan, R=nan,
+                moser_table=[(k, pp, nan) for k in moser_ks if k <= k_max
+                             for pp in MOSER_P])
+        else:
+            cert = certify(g, spectral=spec, seed=cell.seed,
+                           moser_ks=moser_ks)
+        return [dict(n=cell.n, seed=cell.seed, eps=cell.eps,
+                     connected=int(spec is not None), Q=cert.Q,
                      P=cert.P, sigma=1.0, R=cert.R,
                      **{f"moser_k{k}_p{pp}": r
                         for (k, pp, r) in cert.moser_table})]
@@ -567,15 +602,22 @@ def run_energy(cfg: ExperimentConfig):
 def run_moser(cfg: ExperimentConfig):
     def rows(cell):
         g = cell.graph
-        spec = eigen_decompose(g, cfg.k_max)
-        alpha, D = moser_alpha(g), graph_diameter(g)
+        try:
+            spec = eigen_decompose(g, cfg.k_max)
+        except DisconnectedGraphError:
+            spec = None
+        else:
+            alpha, D = moser_alpha(g), graph_diameter(g)
         out = []
         for k in range(1, cfg.k_max + 1):
-            for p in (2, 4, 8, math.inf):
-                ratio, shape = moser_check(g, spec, k, p,
-                                           alpha_param=alpha, D=D)
+            for p in MOSER_P:
+                ratio = shape = math.nan
+                if spec is not None:
+                    ratio, shape = moser_check(g, spec, k, p,
+                                               alpha_param=alpha, D=D)
                 out.append(dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
                                 p=(p if p != math.inf else -1),
+                                connected=int(spec is not None),
                                 ratio=ratio, bound_shape=shape))
         return out
 

@@ -13,16 +13,16 @@ The Laplacian acts by
 ``(L phi)(x) = 2 / (w_V(x) eps^2) * sum_{xy in E} (phi(x) - phi(y)) w_E(xy)``
 and is self-adjoint, nonnegative in the inner product weighted by w_V.
 
-Each graph holds one symmetric CSR matrix of its edge weights, built once.
-The Laplacian, the random-walk matrix, hop distances, connected components
-and the Dirichlet forms of the regularity certificates all read it.  A
-zero-weight edge is stored as an explicit zero, so it is an edge for hops
-and components but carries no Dirichlet energy.
+A graph is one symmetric CSR matrix of its edge weights, built once; it
+keeps no other copy of its edges.  The Laplacian, the random-walk matrix,
+hop distances, connected components and the Dirichlet forms of the
+regularity certificates all read it, and the edge list and edge weights
+are views derived from its upper triangle on demand.  A zero-weight edge
+is stored as an explicit zero, so it is an edge for hops and components
+but carries no Dirichlet energy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -43,50 +43,72 @@ __all__ = [
 ]
 
 
-@dataclass
 class WeightedGraph:
     """Finite weighted graph (V, E, w_V, w_E, eps) held as one sparse matrix.
 
-    ``weighted_adjacency`` is built once, at construction: the symmetric CSR
-    matrix with w_E at (i, j) and (j, i).  ``degrees`` are its row lengths.
-    A zero-weight edge stays in it as an explicit zero, so it still counts
+    ``weighted_adjacency`` is the graph: the symmetric CSR matrix with w_E
+    at (i, j) and (j, i), built once at construction from ``edges`` and
+    ``w_E``, which are then dropped.  ``degrees`` are its row lengths.  A
+    zero-weight edge stays in it as an explicit zero, so it still counts
     as an edge for degrees, hop distances and connected components.  It
     carries no Dirichlet energy, so the Poincare constant drops it before
     it splits a ball into components.
+
+    ``edges`` and ``w_E`` are read back from the matrix's upper triangle
+    on each access, never stored: the (E, 2) int64 pairs i < j in
+    lexicographic order, and their weights.
     """
 
-    n_vertices: int
-    epsilon: float
-    edges: np.ndarray          # (E, 2) int array, i < j, lexicographically sorted
-    w_V: np.ndarray            # (n,)
-    w_E: np.ndarray            # (E,)
-    kind: str = "custom"
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.w_V = np.asarray(self.w_V, dtype=float)
-        self.w_E = np.asarray(self.w_E, dtype=float)
-        if self.epsilon <= 0:
+    def __init__(self, n_vertices: int, epsilon: float, edges, w_V, w_E,
+                 kind: str = "custom"):
+        self.n_vertices = n_vertices
+        self.epsilon = epsilon
+        self.w_V = np.asarray(w_V, dtype=float)
+        self.kind = kind
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        w = np.asarray(w_E, dtype=float)
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if len(self.w_V) != self.n_vertices:
+        if len(self.w_V) != n_vertices:
             raise ValueError("w_V length does not match n_vertices")
-        if len(self.w_E) != len(self.edges):
+        if len(w) != len(edges):
             raise ValueError("w_E length does not match edge count")
-        if len(self.edges) and np.any(self.edges[:, 0] == self.edges[:, 1]):
+        i, j = edges[:, 0], edges[:, 1]
+        if np.any(i == j):
             raise ValueError("self-loops are not allowed")
-        if np.any(self.w_V < 0) or np.any(self.w_E < 0):
+        if np.any(self.w_V < 0) or np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        w, n = self.w_E, self.n_vertices
         # (j, i) first: for sorted edges every row then arrives in column
         # order, and the conversion has nothing to sort
         self.weighted_adjacency = sparse.coo_matrix(
-            (np.r_[w, w], (np.r_[j, i], np.r_[i, j])), shape=(n, n)
+            (np.r_[w, w], (np.r_[j, i], np.r_[i, j])),
+            shape=(n_vertices, n_vertices),
         ).tocsr()
         # a repeated edge, in either orientation, is summed into one entry
-        if self.weighted_adjacency.nnz != 2 * len(self.edges):
+        if self.weighted_adjacency.nnz != 2 * len(edges):
             raise ValueError("duplicate edges are not allowed")
         self.degrees = np.diff(self.weighted_adjacency.indptr)
+
+    def _upper_triangle(self):
+        """Row, column and weight of each entry with row < column, in the
+        CSR's row-major order; its indices are sorted, so this is the
+        lexicographic edge order."""
+        wa = self.weighted_adjacency
+        row = np.repeat(np.arange(self.n_vertices, dtype=np.int64),
+                        self.degrees)
+        upper = wa.indices > row
+        return row[upper], wa.indices[upper].astype(np.int64), wa.data[upper]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) int64 array of the edges i < j, sorted lexicographically."""
+        i, j, _ = self._upper_triangle()
+        return np.column_stack([i, j])
+
+    @property
+    def w_E(self) -> np.ndarray:
+        """(E,) edge weights, in the order of ``edges``."""
+        return self._upper_triangle()[2]
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
@@ -210,10 +232,11 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
 def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
     """Double-counted edge energy sum_x sum_{y~x} ((phi_x-phi_y)/eps)^2 w_E."""
     phi = np.asarray(phi, dtype=float)
-    if len(g.edges) == 0:
+    edges, w_E = g.edges, g.w_E
+    if len(edges) == 0:
         return 0.0
-    diff = (phi[g.edges[:, 0]] - phi[g.edges[:, 1]]) / g.epsilon
-    return float(2.0 * np.sum(diff**2 * g.w_E))
+    diff = (phi[edges[:, 0]] - phi[edges[:, 1]]) / g.epsilon
+    return float(2.0 * np.sum(diff**2 * w_E))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +244,9 @@ def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
 
 
 def save_graph_csv(g: WeightedGraph, edge_path, vertex_path):
-    """Edge list `i,j,w_E` and vertex list `i,w_V,deg`, with a header line."""
+    """Edge list `i,j,w_E` and vertex list `i,w_V,deg`, with a header line.
+
+    The edge rows are read from the graph's matrix: i < j, sorted."""
     header = f"# eps={g.epsilon:.17g} kind={g.kind} n={g.n_vertices}\n"
     with open(edge_path, "w") as fh:
         fh.write(header)

@@ -211,7 +211,8 @@ def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
         raise ValueError("test function needs the gradient-square integral")
     n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
-    diff = (vals[g.edges[:, 0]] - vals[g.edges[:, 1]]) / eps
+    i, j = g.edges.T
+    diff = (vals[i] - vals[j]) / eps
     discrete = 2.0 * float(np.sum(diff**2)) / _edge_scale(n, m, eps)
     continuous = f.grad_sq_rho2 / (m + 2.0)
     return EnergyComparison(

@@ -76,7 +76,7 @@ CONFIGS = {
 GOLDEN = {
     "align": {
         "alignment.csv":
-            "4b4ba9908f68318b060f052301470e590d5b1ee3b661b08824f931fa0db21619",
+            "c581ef577af2823b1531122898b2e071bf186dd3e98f1bab4c02ab07a0eb9f59",
         "run_meta.json":
             "28b7d56e3f2f0acf862f5b7f80787303fd2d680391c8ad389fa6b93dfd2a54ee",
     },
@@ -134,13 +134,13 @@ GOLDEN = {
     },
     "moser": {
         "moser.csv":
-            "ef977f062cfa31ec377e9f01637013710f06ed657f52d0c1f0a1dc2d21c02615",
+            "acd4af59100eaeb9ae603bd8e337f7537168166282a6775481a51441e14258a1",
         "run_meta.json":
             "d1823b0a5f880a7e9b28ce5010fe1c3646208001d3bdbfa0797e5118cc59f5b9",
     },
     "regularity": {
         "regularity.csv":
-            "7d6a7ec26b5ba82dc3ec693460a555bfda5e105a94a7109b625cc387ec5f8721",
+            "e49e39f1bc4556220ca34a798b4492abe302e78f11cf021b133877c1c4276a7a",
         "run_meta.json":
             "9d0bca2019df57f904adf70ecd669e0f2b87b1fe76dfa036f3deaa6cbe7783c1",
     },

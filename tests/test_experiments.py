@@ -2,6 +2,7 @@ import json
 import math
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from spectral_limits.experiments import (
     run_alignment,
     run_convergence_sweep,
     run_energy,
+    run_moser,
+    run_regularity,
     run_spectrum_experiment,
 )
 from spectral_limits.graph import gamma_N_eps
@@ -75,6 +78,13 @@ class TestConfig:
         ('eps = "abc"', "eps"), ("eps = 0", "eps"), ("eps = -0.1", "eps"),
         ("threads = 0", "threads"), ("threads = 1.5", "threads"),
         ("n = [20.5]", "n"), ("seeds = [1.5]", "seeds"),
+        ("n = []", "n"), ("seeds = []", "seeds"),
+        ("k_max = 2.5", "k_max"), ("k_max = -1", "k_max"),
+        ("cluster = [1]", "cluster"), ("cluster = [1, 2, 3]", "cluster"),
+        ("cluster = [1, 2.5]", "cluster"), ("cluster = [2, 1]", "cluster"),
+        ("cluster = [-1, 1]", "cluster"),
+        ("mc_outer = 0", "mc_outer"), ("mc_inner = 0", "mc_inner"),
+        ("mc_inner = 2.5", "mc_inner"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
         path = tmp_path / "cfg.txt"
@@ -112,6 +122,26 @@ class TestSpectrumExperiment:
         rows = run_spectrum_experiment(cfg)
         assert all(r["connected"] == 0 for r in rows)
         assert all(math.isnan(r["abs_err"]) for r in rows)
+
+    @pytest.mark.parametrize("run", [run_alignment, run_regularity, run_moser])
+    def test_disconnected_rows_match_a_connected_cell(self, run):
+        # eps = 0.01 splits n = 64 on the circle; the schedule's eps does not
+        cfg = ExperimentConfig(manifold="circle", n_list=[64], seeds=[1],
+                               k_max=2)
+        good = run(cfg)
+        bad = run(replace(cfg, eps_rule=0.01))
+        assert len(bad) == len(good) > 0
+        measured = {"proj_residual", "rel_residual", "norm_defect",
+                    "aligned_residual", "thm12_residual", "Q", "P", "R",
+                    "ratio", "bound_shape"}
+        for b, g in zip(bad, good):
+            assert list(b) == list(g)
+            assert (b["connected"], g["connected"]) == (0, 1)
+            for key, value in b.items():
+                if key in measured or key.startswith("moser_"):
+                    assert math.isnan(value) and not math.isnan(g[key])
+                elif key not in ("connected", "eps"):
+                    assert value == g[key]
 
     def test_k_not_below_n_raises(self):
         # a bad config is an error, not a disconnected cell

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from spectral_limits.graph import (
 from spectral_limits.regularity import _hop_blocks, certify, moser_alpha, \
     smoothing_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
-from spectral_limits.spectral import _start_vector, eigen_decompose, volume_inner
+from spectral_limits.spectral import DENSE_LIMIT, _start_vector, eigen_decompose, \
+    volume_inner
 
 
 class TestBuildEdges:
@@ -87,9 +89,31 @@ class TestBuildEdgesOracle:
         cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
         eps = epsilon_schedule(n, mfd.m)
         g = gamma_N_eps(cloud, eps)
-        oracle = custom_graph(n, oracle_edges(cloud, eps), g.w_V,
-                              g.w_E, eps=eps)
-        assert np.array_equal(_start_vector(g), _start_vector(oracle))
+        assert n > DENSE_LIMIT      # the Lanczos branch hashes the pairs
+        want = oracle_start_vector(n, eps, oracle_edges(cloud, eps))
+        assert np.array_equal(_start_vector(g), want)
+
+    def test_start_vector_hashes_the_sorted_pairs(self):
+        given = np.array([[5, 2], [0, 3], [4, 1], [1, 0], [3, 5]])
+        g = custom_graph(6, given, np.ones(6), np.arange(1.0, 6.0), eps=0.3)
+        pairs = np.sort(given, axis=1)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        want = oracle_start_vector(6, 0.3, pairs)
+        assert np.array_equal(_start_vector(g), want)
+        assert not np.array_equal(_start_vector(g),
+                                  oracle_start_vector(6, 0.3, given))
+
+
+def oracle_start_vector(n, eps, pairs):
+    """The Lanczos start vector's formula: PCG64 seeded from the sha256 of
+    n, eps and the (E, 2) int64 pair bytes."""
+    h = hashlib.sha256()
+    h.update(np.int64(n).tobytes())
+    h.update(np.float64(eps).tobytes())
+    h.update(np.ascontiguousarray(pairs, dtype=np.int64).tobytes())
+    seed = int.from_bytes(h.digest()[:8], "little")
+    v = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 class TestGraphConstructions:
@@ -166,6 +190,34 @@ class TestOneMatrix:
         (_, hops), = _hop_blocks(g, [0])
         assert hops.tolist() == [[0.0, 1.0, 2.0]]
         assert csgraph.connected_components(g.weighted_adjacency)[0] == 1
+
+    def test_edges_and_weights_read_back_sorted(self):
+        g = custom_graph(5, [[3, 1], [0, 4], [2, 0], [1, 2]], np.ones(5),
+                         [0.5, 2.0, 0.0, 1.5])
+        assert g.edges.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
+        assert g.edges.dtype == np.int64
+        assert g.edges.flags.c_contiguous
+        # the explicit zero is kept, in its edge's place
+        assert g.w_E.tolist() == [0.0, 2.0, 1.5, 0.5]
+
+    def test_no_edges_reads_back_empty(self):
+        g = custom_graph(3, np.zeros((0, 2)), np.ones(3), [])
+        assert g.edges.shape == (0, 2)
+        assert g.edges.dtype == np.int64
+        assert g.w_E.shape == (0,)
+
+    def test_no_copy_of_the_edges_beside_the_matrix(self, circle):
+        n = 2000
+        cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 1))
+        n_edges = len(g.edges)
+        assert n_edges > n
+        held = [name for name, value in vars(g).items()
+                if isinstance(value, np.ndarray) and len(value) >= n_edges]
+        assert held == []
+        # the views are derived on each access, never cached
+        assert g.edges is not g.edges
+        assert g.w_E is not g.w_E
 
     def test_no_second_matrix_after_construction(self, circle_cloud_200,
                                                  monkeypatch):

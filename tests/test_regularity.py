@@ -323,6 +323,64 @@ class TestAlmostRegularity:
         assert almost_regularity(g) == pytest.approx(want)
 
 
+def edge_almost_regularity(g):
+    """The former almost-regularity: edge-list ratios and per-vertex w_E
+    extremes gathered with ``ufunc.at``."""
+    if len(g.edges) == 0:
+        return 1.0
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    r = 1.0
+    for val in (g.w_V, g.degrees.astype(float)):
+        q = val[i] / val[j]
+        r = max(r, float(np.max(np.maximum(q, 1.0 / q))))
+    wmax = np.full(g.n_vertices, -np.inf)
+    wmin = np.full(g.n_vertices, np.inf)
+    for a, b in ((i, j), (j, i)):
+        np.maximum.at(wmax, a, g.w_E)
+        np.minimum.at(wmin, a, g.w_E)
+    touched = np.isfinite(wmax)
+    r = max(r, float(np.max(wmax[touched] / wmin[touched])))
+    return r
+
+
+def _built(kind, shape, n):
+    from spectral_limits import geometry, graph
+
+    mfd = geometry.Circle(1.0) if shape == "circle" else geometry.Sphere(2, 1.0)
+    cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=2)
+    return getattr(graph, f"{kind}_eps")(cloud, epsilon_schedule(n, mfd.m))
+
+
+class TestAlmostRegularityOracle:
+    @pytest.mark.parametrize("kind", ["gamma_N", "gamma_m"])
+    @pytest.mark.parametrize("shape,n", [("circle", 800), ("sphere", 600)])
+    def test_built_graphs(self, kind, shape, n):
+        g = _built(kind, shape, n)
+        assert almost_regularity(g) == edge_almost_regularity(g)
+
+    def test_varying_edge_weights(self):
+        g = random_graph(60, 0.15, seed=5)
+        rng = np.random.default_rng(6)
+        g2 = custom_graph(60, g.edges, rng.uniform(0.5, 2.0, 60),
+                          rng.uniform(0.1, 3.0, len(g.edges)))
+        want = edge_almost_regularity(g2)
+        assert want > 1.0
+        assert almost_regularity(g2) == want
+
+    def test_zero_weight_edge(self):
+        g = custom_graph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 2.0, 1.0, 3.0],
+                         [1.0, 0.0, 2.0])
+        with np.errstate(divide="ignore"):
+            want = edge_almost_regularity(g)
+            assert almost_regularity(g) == want == math.inf
+
+    def test_isolated_vertex(self):
+        g = custom_graph(5, [[0, 1], [1, 2], [0, 2], [2, 3]],
+                         [1.0, 1.5, 2.0, 0.5, 4.0], [1.0, 2.0, 0.5, 1.5])
+        assert g.isolated.tolist() == [4]
+        assert almost_regularity(g) == edge_almost_regularity(g)
+
+
 class TestSmoothing:
     def test_constant(self, path3_gamma_N):
         out = smoothing_apply(path3_gamma_N, np.full(3, 4.0))
