@@ -108,7 +108,8 @@ class ExperimentConfig:
         positive = isinstance(eps, (int, float)) and 0 < eps < math.inf
         if eps != "schedule" and not positive:
             raise ValueError(f'eps must be "schedule" or a positive number, got {eps!r}')
-        for key, value, low in (("k_max", self.k_max, 0),
+        for key, value, low in (("m", self.m, 1),
+                                ("k_max", self.k_max, 0),
                                 ("mc_outer", self.mc_outer, 1),
                                 ("mc_inner", self.mc_inner, 1),
                                 ("threads", self.threads, 1)):

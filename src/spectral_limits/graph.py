@@ -13,9 +13,11 @@ The Laplacian acts by
 ``(L phi)(x) = 2 / (w_V(x) eps^2) * sum_{xy in E} (phi(x) - phi(y)) w_E(xy)``
 and is self-adjoint, nonnegative in the inner product weighted by w_V.
 
-A graph is one symmetric CSR matrix of its edge weights, built once; it
-keeps no other copy of its edges.  The Laplacian, the random-walk matrix,
-hop distances, connected components and the Dirichlet forms of the
+A graph is one symmetric CSR matrix of its edge weights, built once,
+straight from the sorted edge pairs; it keeps no other copy of its edges.
+The Laplacian, the random-walk matrix, hop distances, the connectivity
+check (one breadth-first search), the spectral start vector (hashed from
+the matrix a block of rows at a time) and the Dirichlet forms of the
 regularity certificates all read it, and the edge list and edge weights
 are views derived from its upper triangle on demand.  A zero-weight edge
 is stored as an explicit zero, so it is an edge for hops and components
@@ -41,6 +43,38 @@ __all__ = [
     "dirichlet_energy",
     "save_graph_csv",
 ]
+
+
+def _strictly_increasing(i, j) -> bool:
+    """Whether the pairs (i, j) are in strictly increasing lexicographic
+    order."""
+    later = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    return bool(np.all(later))
+
+
+def _symmetric_csr(n: int, i, j, w) -> sparse.csr_matrix:
+    """The symmetric CSR matrix with w at (i, j) and (j, i), for edges
+    i < j in strictly increasing lexicographic order.
+
+    The upper triangle is the edges themselves, row by row; the lower one
+    is its transpose, a counting sort that keeps explicit zeros.  Each row
+    is its lower entries followed by its upper ones, so its columns come
+    out sorted, and nothing edge-sized is built twice over.
+    """
+    idx = np.int32 if max(2 * len(i), n) <= np.iinfo(np.int32).max else np.int64
+    upper_ptr = np.searchsorted(i, np.arange(n + 1)).astype(idx)
+    lower = sparse.csr_matrix((w, j.astype(idx), upper_ptr),
+                              shape=(n, n)).T.tocsr()
+    indptr = upper_ptr + lower.indptr
+    counts = np.column_stack([np.diff(lower.indptr), np.diff(upper_ptr)])
+    is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    indices[is_lower], data[is_lower] = lower.indices, lower.data
+    del lower
+    is_upper = np.logical_not(is_lower, out=is_lower)
+    indices[is_upper], data[is_upper] = j, w
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 class WeightedGraph:
@@ -78,26 +112,31 @@ class WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if np.any(self.w_V < 0) or np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        # (j, i) first: for sorted edges every row then arrives in column
-        # order, and the conversion has nothing to sort
-        self.weighted_adjacency = sparse.coo_matrix(
-            (np.r_[w, w], (np.r_[j, i], np.r_[i, j])),
-            shape=(n_vertices, n_vertices),
-        ).tocsr()
-        # a repeated edge, in either orientation, is summed into one entry
-        if self.weighted_adjacency.nnz != 2 * len(edges):
-            raise ValueError("duplicate edges are not allowed")
+        if len(edges) and (edges.min() < 0 or edges.max() >= n_vertices):
+            raise ValueError("edge endpoints must be vertices 0..n-1")
+        if not (np.all(i < j) and _strictly_increasing(i, j)):
+            # orient each edge i < j and sort; a repeated edge, in either
+            # orientation, then sits next to its copy
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            order = np.lexsort((j, i))
+            i, j, w = i[order], j[order], w[order]
+            if not _strictly_increasing(i, j):
+                raise ValueError("duplicate edges are not allowed")
+        self.weighted_adjacency = _symmetric_csr(n_vertices, i, j, w)
         self.degrees = np.diff(self.weighted_adjacency.indptr)
 
-    def _upper_triangle(self):
-        """Row, column and weight of each entry with row < column, in the
-        CSR's row-major order; its indices are sorted, so this is the
-        lexicographic edge order."""
+    def _upper_triangle(self, r0: int = 0, r1: int | None = None):
+        """Row, column and weight of each entry with row < column in rows
+        r0..r1-1 (all rows by default), in the CSR's row-major order; its
+        indices are sorted, so this is the lexicographic edge order."""
         wa = self.weighted_adjacency
-        row = np.repeat(np.arange(self.n_vertices, dtype=np.int64),
-                        self.degrees)
-        upper = wa.indices > row
-        return row[upper], wa.indices[upper].astype(np.int64), wa.data[upper]
+        r1 = self.n_vertices if r1 is None else r1
+        a, b = wa.indptr[r0], wa.indptr[r1]
+        row = np.repeat(np.arange(r0, r1, dtype=np.int64),
+                        self.degrees[r0:r1])
+        col = wa.indices[a:b]
+        upper = col > row
+        return row[upper], col[upper].astype(np.int64), wa.data[a:b][upper]
 
     @property
     def edges(self) -> np.ndarray:
@@ -122,6 +161,18 @@ class WeightedGraph:
         return float(np.sum(self.w_V))
 
 
+def _row_blocks(indptr, entries: int = 1 << 16):
+    """Row ranges (r0, r1) covering a CSR matrix in order, each holding at
+    most ``entries`` stored entries, or a single row."""
+    n = len(indptr) - 1
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + entries, "right")) - 1
+        r1 = min(max(r1, r0 + 1), n)
+        yield r0, r1
+        r0 = r1
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -131,7 +182,7 @@ def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
     strictly below eps, as an (E, 2) int64 array.
 
     The array is C-contiguous and its rows are sorted lexicographically, by
-    i and then j; the spectral start vector hashes these bytes and
+    i and then j; the spectral start vector hashes these pairs and
     ``save_graph_csv`` writes them, so the order is part of the output.
     The kd-tree pairs within eps are re-checked against the strict bound
     and sorted by the single key ``i * n + j``.
@@ -141,10 +192,39 @@ def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
     x = cloud.embedded
     # the tree returns each pair once, with i < j
     pairs = cKDTree(x).query_pairs(r=eps, output_type="ndarray")
-    pairs = pairs[np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps]
+    keep = _strictly_within(x, pairs, eps)
     n = cloud.n
-    i, j = np.divmod(np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1]), n)
-    return np.column_stack([i, j])
+    key = pairs[:, 0].astype(np.int64)
+    key *= n
+    key += pairs[:, 1]
+    del pairs
+    key = key[keep]
+    key.sort()
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
+
+
+def _strictly_within(x, pairs, eps: float) -> np.ndarray:
+    """Mask of the pairs with ``np.linalg.norm(x[i] - x[j]) < eps``, bit
+    for bit.
+
+    Below 8 coordinates that norm sums the squares in coordinate order, so
+    they are summed here one coordinate at a time into one buffer, with no
+    (E, d) gathers; numpy sums 8 or more of them pairwise, so wider
+    embeddings call the norm itself.
+    """
+    if x.shape[1] >= 8:
+        return np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps
+    d2 = np.zeros(len(pairs))
+    for c in range(x.shape[1]):
+        xc = np.ascontiguousarray(x[:, c])
+        diff = xc[pairs[:, 0]]
+        diff -= xc[pairs[:, 1]]
+        diff *= diff
+        d2 += diff
+        del diff
+    return np.sqrt(d2, out=d2) < eps
 
 
 def _edge_scale(n: int, m: int, eps: float) -> float:

@@ -22,8 +22,8 @@ from scipy.linalg import eigvalsh
 from scipy.sparse import csgraph
 
 from .graph import WeightedGraph, dirichlet_energy
-from .spectral import (DENSE_LIMIT, SpectralResult, _lanczos_above_null,
-                       _symmetrized_operator)
+from .spectral import (DENSE_LIMIT, SpectralResult, _is_connected,
+                       _lanczos_above_null, _symmetrized_operator)
 
 __all__ = [
     "RegularityCertificate",
@@ -143,7 +143,7 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     # the explicit zeros from this copy of the ball's submatrix
     adj = g.weighted_adjacency[idx][:, idx]
     adj.eliminate_zeros()
-    if csgraph.connected_components(adj, directed=False)[0] > 1:
+    if not _is_connected(adj):
         return math.inf
     w = g.w_V[idx]
     if np.any(w <= 0):

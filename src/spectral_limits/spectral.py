@@ -4,8 +4,12 @@ The Laplacian is self-adjoint with respect to the discrete measure given by
 the vertex weights, so the generalized problem is symmetrized by conjugating
 with the square root of the weight matrix.  Small graphs (n <= 512) go to a
 dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
-known zero eigenpair deflated, and a deterministic start vector derived from
-a hash of the graph.
+known zero eigenpair deflated, and a deterministic start vector seeded from
+a sha256 of the graph's edge pairs, read from its CSR a block of rows at a
+time.  Connectivity is one breadth-first search from vertex 0 over the CSR;
+only a disconnected graph also pays for its components, whose sizes the
+error names.  The operator is a second CSR, scaled in place a block of rows
+at a time, so a solve holds two matrices and bounded scratch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import WeightedGraph, dirichlet_energy, laplacian_apply
+from .graph import (WeightedGraph, _row_blocks, dirichlet_energy,
+                    laplacian_apply)
 
 __all__ = [
     "DisconnectedGraphError",
@@ -71,10 +76,26 @@ def _symmetrized_operator(adj, w_V, eps: float):
     the symmetric weighted adjacency ``adj``."""
     lw = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
     s = 1.0 / np.sqrt(w_V)
-    row = np.repeat(np.arange(len(w_V)), np.diff(lw.indptr))
-    # the same products, in the same order, as diags(s) @ lw @ diags(s)
-    lw.data = ((s[row] * lw.data) * s[lw.indices]) * (2.0 / eps**2)
+    counts = np.diff(lw.indptr)
+    # the same products, in the same order, as diags(s) @ lw @ diags(s),
+    # in place, a block of rows at a time
+    for r0, r1 in _row_blocks(lw.indptr):
+        a, b = lw.indptr[r0], lw.indptr[r1]
+        t = np.repeat(s[r0:r1], counts[r0:r1])
+        t *= lw.data[a:b]
+        t *= s[lw.indices[a:b]]
+        t *= 2.0 / eps**2
+        lw.data[a:b] = t
     return lw
+
+
+def _is_connected(adj) -> bool:
+    """Whether the graph of the symmetric matrix ``adj`` is connected: one
+    breadth-first search from vertex 0 over its stored entries, so an
+    explicit zero is an edge."""
+    order = csgraph.breadth_first_order(adj, 0, directed=True,
+                                        return_predecessors=False)
+    return len(order) == adj.shape[0]
 
 
 def _lanczos_above_null(B, w_V, k: int, v0, tol: float):
@@ -112,10 +133,15 @@ def _lanczos_above_null(B, w_V, k: int, v0, tol: float):
 
 
 def _start_vector(g: WeightedGraph) -> np.ndarray:
+    """Unit normal vector seeded from the sha256 of n, eps and the (E, 2)
+    int64 edge pairs i < j in lexicographic order, hashed from the CSR a
+    block of rows at a time."""
     h = hashlib.sha256()
     h.update(np.int64(g.n_vertices).tobytes())
     h.update(np.float64(g.epsilon).tobytes())
-    h.update(np.ascontiguousarray(g.edges).tobytes())
+    for r0, r1 in _row_blocks(g.weighted_adjacency.indptr):
+        i, j, _ = g._upper_triangle(r0, r1)
+        h.update(np.column_stack([i, j]))
     seed = int.from_bytes(h.digest()[:8], "little")
     rng = np.random.Generator(np.random.PCG64(seed))
     v = rng.standard_normal(g.n_vertices)
@@ -142,9 +168,9 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     # before the weight check: an isolated vertex of gamma_N has w_V = 0
-    ncomp, labels = csgraph.connected_components(g.weighted_adjacency,
-                                                directed=False)
-    if ncomp > 1:
+    if not _is_connected(g.weighted_adjacency):
+        ncomp, labels = csgraph.connected_components(g.weighted_adjacency,
+                                                    directed=False)
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(
             f"graph is disconnected: {ncomp} components of sizes {sizes}")

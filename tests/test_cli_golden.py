@@ -1,8 +1,10 @@
 """Golden gate for the CLI output contract.
 
 Every command runs through ``cli.main`` on a tiny config (n <= 512, so the
-dense eigensolver is used), once at ``--threads 1`` and once at
-``--threads 2``, and the sha256 of every file it writes, ``run_meta.json``
+dense eigensolver is used), and ``spectrum``, ``sweep`` and ``regularity``
+run once more above ``DENSE_LIMIT``, where the spectrum and the larger
+Poincare balls go to Lanczos.  Each entry runs once at ``--threads 1`` and
+once at ``--threads 2``, and the sha256 of every file it writes, ``run_meta.json``
 included, must equal the recorded value at both thread counts.  All runs
 happen in one child ``python`` with BLAS and OpenMP pinned to one thread,
 as the benchmark runs the CLI: the dense ``eigh`` rounds differently with
@@ -61,16 +63,37 @@ mc_outer = 10
 mc_inner = 200
 """
 
+# above DENSE_LIMIT: the Lanczos spectrum, with its hashed start vector
+CIRCLE_LANCZOS = """
+manifold = "circle"
+n = [600, 800, 1000]
+seeds = [1, 2, 3]
+k_max = 3
+"""
+
+# Poincare balls of more than DENSE_LIMIT vertices go to Lanczos
+SPHERE_LANCZOS = """
+manifold = "sphere"
+m = 2
+n = [700]
+seeds = [1]
+k_max = 3
+"""
+
+# entry name: (command, config)
 CONFIGS = {
-    "sample": CIRCLE,
-    "graph": CIRCLE,
-    "spectrum": SPHERE,
-    "align": CIRCLE,
-    "regularity": SPHERE,
-    "distortion": SPINDLE,
-    "energy": SPHERE,
-    "moser": CIRCLE,
-    "sweep": CIRCLE,
+    "sample": ("sample", CIRCLE),
+    "graph": ("graph", CIRCLE),
+    "spectrum": ("spectrum", SPHERE),
+    "align": ("align", CIRCLE),
+    "regularity": ("regularity", SPHERE),
+    "distortion": ("distortion", SPINDLE),
+    "energy": ("energy", SPHERE),
+    "moser": ("moser", CIRCLE),
+    "sweep": ("sweep", CIRCLE),
+    "spectrum-lanczos": ("spectrum", CIRCLE_LANCZOS),
+    "sweep-lanczos": ("sweep", CIRCLE_LANCZOS),
+    "regularity-lanczos": ("regularity", SPHERE_LANCZOS),
 }
 
 GOLDEN = {
@@ -144,6 +167,12 @@ GOLDEN = {
         "run_meta.json":
             "9d0bca2019df57f904adf70ecd669e0f2b87b1fe76dfa036f3deaa6cbe7783c1",
     },
+    "regularity-lanczos": {
+        "regularity.csv":
+            "7f89b488703eaf7b0df7392145d6da07b701b228364db039886976bf6ead8aa6",
+        "run_meta.json":
+            "ee119e5062b00df0a5da493529e35d00f4c4f6b987bfb4b9da788e4fce62f49d",
+    },
     "sample": {
         "points_n128_seed1.csv":
             "6492440103048f82e2229ad7f4f3d07f8cab62723df16d2752b92c49cbf3e383",
@@ -172,6 +201,12 @@ GOLDEN = {
         "spectrum.csv":
             "35fb7d95b171ff0b706eea32b7247050422d5d2222fc4d5a9bf092938e36a4de",
     },
+    "spectrum-lanczos": {
+        "run_meta.json":
+            "b9e056bb51f968816db55ae90179e851078ee6d9ebe8817daebee8e1c0f6dd52",
+        "spectrum.csv":
+            "48e07b39cf198462d00df488411e66c796f8614072341478010a6d4937b6172b",
+    },
     "sweep": {
         "run_meta.json":
             "9d67ccd7dbbfbee6c5268bb53b46d4be006e53511ab49b1f8774bdd0154bda56",
@@ -180,19 +215,28 @@ GOLDEN = {
         "sweep_summary.csv":
             "5425562ccc3ff032d87f30d5bfd422add1a369b10c683769e1a120ecb51f3965",
     },
+    "sweep-lanczos": {
+        "run_meta.json":
+            "3d1ac5f7ec137af9aacea38c9e8a8f84d993bd896b1b8396732ed2cb05b12e11",
+        "sweep.svg":
+            "3bc060b985fb50a449a3a09ff97d1216f1365e6d9dea50e3f5685af675d05461",
+        "sweep_summary.csv":
+            "01eaed18a4547708055c21057c4772c08efecec1e1eff82d64a7eab3fa338c45",
+    },
 }
 
 
-def run_command(command, threads, workdir):
-    """Run one command in ``workdir``; return {file name: sha256}."""
+def run_command(entry, threads, workdir):
+    """Run one entry's command in ``workdir``; return {file name: sha256}."""
     # imported here, so that recording runs without the package on the path:
     # only the child, which gets src/ on PYTHONPATH, runs the commands
     from spectral_limits.cli import main as cli_main
 
+    command, text = CONFIGS[entry]
     cfg = os.path.join(workdir, "cfg.txt")
     out = os.path.join(workdir, "out")
     with open(cfg, "w") as fh:
-        fh.write(CONFIGS[command])
+        fh.write(text)
     assert cli_main([command, "--config", cfg, "--out", out,
                      "--threads", str(threads)]) == 0
     hashes = {}
@@ -203,13 +247,13 @@ def run_command(command, threads, workdir):
 
 
 def run_all():
-    """{threads: {command: {file name: sha256}}} for every command."""
+    """{threads: {entry: {file name: sha256}}} for every entry."""
     hashes = {}
     for threads in THREADS:
         hashes[str(threads)] = {}
-        for cmd in sorted(CONFIGS):
+        for entry in sorted(CONFIGS):
             with tempfile.TemporaryDirectory() as tmp:
-                hashes[str(threads)][cmd] = run_command(cmd, threads, tmp)
+                hashes[str(threads)][entry] = run_command(entry, threads, tmp)
     return hashes
 
 
@@ -229,10 +273,10 @@ def pinned_hashes():
     return run_pinned()
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_outputs_match_recorded_hashes(command, pinned_hashes):
+@pytest.mark.parametrize("entry", sorted(CONFIGS))
+def test_outputs_match_recorded_hashes(entry, pinned_hashes):
     for threads in THREADS:
-        assert pinned_hashes[str(threads)][command] == GOLDEN[command], \
+        assert pinned_hashes[str(threads)][entry] == GOLDEN[entry], \
             f"--threads {threads}"
 
 
@@ -245,8 +289,8 @@ if __name__ == "__main__":
         if runs[str(threads)] != runs[str(THREADS[0])]:
             sys.exit(f"--threads {threads} differs from --threads {THREADS[0]}")
     print("GOLDEN = {")
-    for cmd, files in runs[str(THREADS[0])].items():
-        print(f'    "{cmd}": {{')
+    for entry, files in runs[str(THREADS[0])].items():
+        print(f'    "{entry}": {{')
         for name, digest in files.items():
             print(f'        "{name}":\n            "{digest}",')
         print("    },")

@@ -85,6 +85,7 @@ class TestConfig:
         ("cluster = [-1, 1]", "cluster"),
         ("mc_outer = 0", "mc_outer"), ("mc_inner = 0", "mc_inner"),
         ("mc_inner = 2.5", "mc_inner"),
+        ("m = 1.5", "m"), ("m = 0", "m"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
         path = tmp_path / "cfg.txt"

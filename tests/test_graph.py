@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from conftest import custom_graph, fake_cloud
 from spectral_limits.graph import (
     WeightedGraph,
+    _row_blocks,
     build_edges,
     dirichlet_energy,
     gamma_N_eps,
@@ -45,6 +46,60 @@ class TestBuildEdges:
         edges = build_edges(cloud, 0.5)
         keys = edges[:, 0] * 60 + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+
+def boundary_cloud(dim, eps, count, seed):
+    """Far-apart point pairs whose computed chord ``np.linalg.norm`` is eps
+    or one ulp either side, in turn; a pair is dropped when no nudge of its
+    last coordinate by up to 64 ulps hits its target."""
+    rng = np.random.default_rng(seed)
+    targets = (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0))
+    pts = []
+    for p in range(count):
+        a = rng.uniform(-1.0, 1.0, dim)
+        a[0] += 4.0 * p
+        u = rng.standard_normal(dim)
+        b = a + eps * u / np.linalg.norm(u)
+        for k in sorted(range(-64, 65), key=abs):
+            c = b.copy()
+            c[-1] += k * np.spacing(b[-1])
+            if np.linalg.norm(a - c) == targets[p % 3]:
+                pts += [a, c]
+                break
+    return np.array(pts)
+
+
+class TestStrictBoundary:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_keeps_what_the_norm_keeps(self, dim):
+        eps = 0.3
+        x = boundary_cloud(dim, eps, 120, seed=dim)
+        d = np.linalg.norm(x[0::2] - x[1::2], axis=1)
+        for target in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+            assert np.any(d == target)
+        # squared distances against eps^2 decide some of these pairs the
+        # other way, so a squared-distance shortcut fails here
+        d2 = np.sum((x[0::2] - x[1::2]) ** 2, axis=1)
+        assert np.any((d2 < eps * eps) != (d < eps))
+        pairs = np.arange(len(x)).reshape(-1, 2)
+        assert np.array_equal(build_edges(fake_cloud(x), eps), pairs[d < eps])
+
+
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_within_the_bound(self):
+        counts = np.array([3, 0, 5, 1, 9, 0, 2, 2, 4])
+        indptr = np.r_[0, np.cumsum(counts)]
+        blocks = list(_row_blocks(indptr, entries=5))
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
+        for (_, r1), (r0, _) in zip(blocks, blocks[1:]):
+            assert r1 == r0
+        for r0, r1 in blocks:
+            # a block holds at most 5 entries, unless it is one longer row
+            assert indptr[r1] - indptr[r0] <= 5 or r1 == r0 + 1
+        assert (4, 5) in blocks
+
+    def test_no_rows(self):
+        assert list(_row_blocks(np.zeros(1, dtype=np.int32))) == []
 
 
 def oracle_edges(cloud, eps):
@@ -153,6 +208,11 @@ class TestGraphValidation:
         # the same edge in the other orientation is a duplicate too
         with pytest.raises(ValueError, match="duplicate"):
             WeightedGraph(2, 1.0, [[0, 1], [1, 0]], [1, 1], [1, 1])
+
+    @pytest.mark.parametrize("edge", [[0, 2], [-1, 1]])
+    def test_endpoint_outside_the_vertices_rejected(self, edge):
+        with pytest.raises(ValueError, match="endpoints"):
+            custom_graph(2, [edge], [1.0, 1.0], [1.0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

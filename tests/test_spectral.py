@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import custom_graph, fake_cloud
@@ -180,6 +182,85 @@ class TestSymmetrizedOperator:
         g = custom_graph(4, edges, [0.5, 1.0, 2.0, 0.25],
                          [1.0, 0.0, 3.0, 0.5], eps=0.7)
         assert_same_csr(operator(g), oracle_operator(g))
+
+
+def components_oracle(adj):
+    return csgraph.connected_components(adj, directed=False)[0] == 1
+
+
+class TestIsConnected:
+    @pytest.mark.parametrize("n,edges,w_E,connected", [
+        # bridged only by an explicit zero: an edge, as for components
+        (4, [[0, 1], [1, 2], [2, 3]], [1.0, 0.0, 1.0], True),
+        (4, [[0, 1], [1, 2]], [1.0, 1.0], False),            # isolated vertex
+        (5, [[0, 1], [1, 2], [3, 4]], [1.0, 2.0, 1.0], False),  # two parts
+        (1, [], [], True),                                   # one vertex
+    ], ids=["zero-bridge", "isolated", "two-components", "one-vertex"])
+    def test_small_cases(self, n, edges, w_E, connected):
+        g = custom_graph(n, edges, np.ones(n), w_E)
+        assert spectral._is_connected(g.weighted_adjacency) == connected
+        assert components_oracle(g.weighted_adjacency) == connected
+
+    def test_random_sparse_graphs(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            i, j = np.triu_indices(n, 1)
+            keep = rng.random(len(i)) < rng.uniform(0.0, 0.3)
+            w_E = rng.choice([0.0, 0.5, 1.0], size=int(keep.sum()))
+            g = custom_graph(n, np.column_stack([i[keep], j[keep]]),
+                             np.ones(n), w_E)
+            want = components_oracle(g.weighted_adjacency)
+            assert spectral._is_connected(g.weighted_adjacency) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_disconnected_error_text(self):
+        g = custom_graph(6, [[0, 1], [2, 3], [3, 4]], np.ones(6),
+                         [1.0, 1.0, 0.0])
+        with pytest.raises(DisconnectedGraphError) as exc:
+            eigen_decompose(g, 1)
+        assert str(exc.value) == \
+            "graph is disconnected: 3 components of sizes [2, 3, 1]"
+
+
+def circle_cell(circle, n):
+    cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=1)
+    return cloud, epsilon_schedule(n, 1)
+
+
+def csr_nbytes(adj):
+    return adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestCellMemory:
+    """Allocation peaks of the largest sweep step, relative to the graph's
+    CSR: circle n = 4000, 324k edges.  Holding the edge list, an (E, 2)
+    float gather or a second COO copy beside the CSR breaks the graph
+    bound; an int64 row array beside the operator breaks the solve bound."""
+
+    def test_graph_build(self, circle):
+        cloud, eps = circle_cell(circle, 4000)
+        g, peak = traced_peak(gamma_N_eps, cloud, eps)
+        assert peak < 3.1 * csr_nbytes(g.weighted_adjacency)
+
+    def test_eigen_decompose(self, circle):
+        cloud, eps = circle_cell(circle, 4000)
+        g = gamma_N_eps(cloud, eps)
+        res, peak = traced_peak(eigen_decompose, g, 6)
+        assert res.solver == "lanczos"
+        assert peak < 2.2 * csr_nbytes(g.weighted_adjacency)
 
 
 class TestRayleigh:
