@@ -44,6 +44,10 @@ __all__ = [
     "save_graph_csv",
 ]
 
+# the scratch bound of the blocked passes: entries of a CSR row block, or
+# pairs of a distance re-check block
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _strictly_increasing(i, j) -> bool:
     """Whether the pairs (i, j) are in strictly increasing lexicographic
@@ -125,29 +129,31 @@ class WeightedGraph:
         self.weighted_adjacency = _symmetric_csr(n_vertices, i, j, w)
         self.degrees = np.diff(self.weighted_adjacency.indptr)
 
-    def _upper_triangle(self, r0: int = 0, r1: int | None = None):
-        """Row, column and weight of each entry with row < column in rows
-        r0..r1-1 (all rows by default), in the CSR's row-major order; its
-        indices are sorted, so this is the lexicographic edge order."""
+    def _edge_blocks(self):
+        """The edges i < j in lexicographic order, as (i, j, w) with int64
+        i and j, one block of rows of the matrix's upper triangle at a
+        time; its indices are sorted, so row-major order is that order."""
         wa = self.weighted_adjacency
-        r1 = self.n_vertices if r1 is None else r1
-        a, b = wa.indptr[r0], wa.indptr[r1]
-        row = np.repeat(np.arange(r0, r1, dtype=np.int64),
-                        self.degrees[r0:r1])
-        col = wa.indices[a:b]
-        upper = col > row
-        return row[upper], col[upper].astype(np.int64), wa.data[a:b][upper]
+        for r0, r1 in _row_blocks(wa.indptr):
+            a, b = wa.indptr[r0], wa.indptr[r1]
+            row = np.repeat(np.arange(r0, r1, dtype=np.int64),
+                            self.degrees[r0:r1])
+            col = wa.indices[a:b]
+            upper = col > row
+            yield row[upper], col[upper].astype(np.int64), wa.data[a:b][upper]
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) int64 array of the edges i < j, sorted lexicographically."""
-        i, j, _ = self._upper_triangle()
-        return np.column_stack([i, j])
+        return np.concatenate([np.column_stack([i, j])
+                               for i, j, _ in self._edge_blocks()]
+                              + [np.empty((0, 2), dtype=np.int64)])
 
     @property
     def w_E(self) -> np.ndarray:
         """(E,) edge weights, in the order of ``edges``."""
-        return self._upper_triangle()[2]
+        return np.concatenate([w for _, _, w in self._edge_blocks()]
+                              + [np.empty(0)])
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
@@ -161,13 +167,14 @@ class WeightedGraph:
         return float(np.sum(self.w_V))
 
 
-def _row_blocks(indptr, entries: int = 1 << 16):
+def _row_blocks(indptr):
     """Row ranges (r0, r1) covering a CSR matrix in order, each holding at
-    most ``entries`` stored entries, or a single row."""
+    most ``_BLOCK_ENTRIES`` stored entries, or a single row."""
     n = len(indptr) - 1
     r0 = 0
     while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + entries, "right")) - 1
+        r1 = int(np.searchsorted(indptr, indptr[r0] + _BLOCK_ENTRIES,
+                                 "right")) - 1
         r1 = min(max(r1, r0 + 1), n)
         yield r0, r1
         r0 = r1
@@ -206,25 +213,15 @@ def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
 
 
 def _strictly_within(x, pairs, eps: float) -> np.ndarray:
-    """Mask of the pairs with ``np.linalg.norm(x[i] - x[j]) < eps``, bit
-    for bit.
-
-    Below 8 coordinates that norm sums the squares in coordinate order, so
-    they are summed here one coordinate at a time into one buffer, with no
-    (E, d) gathers; numpy sums 8 or more of them pairwise, so wider
-    embeddings call the norm itself.
-    """
-    if x.shape[1] >= 8:
-        return np.linalg.norm(x[pairs[:, 0]] - x[pairs[:, 1]], axis=1) < eps
-    d2 = np.zeros(len(pairs))
-    for c in range(x.shape[1]):
-        xc = np.ascontiguousarray(x[:, c])
-        diff = xc[pairs[:, 0]]
-        diff -= xc[pairs[:, 1]]
-        diff *= diff
-        d2 += diff
-        del diff
-    return np.sqrt(d2, out=d2) < eps
+    """Mask of the pairs with ``np.linalg.norm(x[i] - x[j]) < eps``, the
+    norm taken a block of pairs at a time, so no (E, d) gathers are built."""
+    keep = np.empty(len(pairs), dtype=bool)
+    for a in range(0, len(pairs), _BLOCK_ENTRIES):
+        p = pairs[a:a + _BLOCK_ENTRIES]
+        diff = np.take(x, p[:, 0], axis=0)
+        diff -= np.take(x, p[:, 1], axis=0)
+        keep[a:a + len(p)] = np.linalg.norm(diff, axis=1) < eps
+    return keep
 
 
 def _edge_scale(n: int, m: int, eps: float) -> float:

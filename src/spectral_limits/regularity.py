@@ -199,17 +199,18 @@ def almost_regularity(g: WeightedGraph) -> float:
     """Worst local ratio of vertex weights, degrees, and incident edge weights.
 
     Read from the graph's matrix: the vertex-weight and degree ratios over
-    its entries above the diagonal, one per edge, and each row's largest
-    over its smallest edge weight.
+    its entries above the diagonal, one per edge, a block of rows at a
+    time, and each row's largest over its smallest edge weight.
     """
     wa = g.weighted_adjacency
     if wa.nnz == 0:
         return 1.0
-    i, j, _ = g._upper_triangle()
     r = 1.0
-    for val in (g.w_V, g.degrees.astype(float)):
-        q = val[i] / val[j]
-        r = max(r, float(np.max(np.maximum(q, 1.0 / q))))
+    degrees = g.degrees.astype(float)
+    for i, j, _ in g._edge_blocks():
+        for val in (g.w_V, degrees):
+            q = val[i] / val[j]
+            r = max(r, float(np.max(np.maximum(q, 1.0 / q), initial=1.0)))
     starts = wa.indptr[:-1][g.degrees > 0]
     wmax = np.maximum.reduceat(wa.data, starts)
     wmin = np.minimum.reduceat(wa.data, starts)

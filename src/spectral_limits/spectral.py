@@ -139,8 +139,7 @@ def _start_vector(g: WeightedGraph) -> np.ndarray:
     h = hashlib.sha256()
     h.update(np.int64(g.n_vertices).tobytes())
     h.update(np.float64(g.epsilon).tobytes())
-    for r0, r1 in _row_blocks(g.weighted_adjacency.indptr):
-        i, j, _ = g._upper_triangle(r0, r1)
+    for i, j, _ in g._edge_blocks():
         h.update(np.column_stack([i, j]))
     seed = int.from_bytes(h.digest()[:8], "little")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -8,6 +8,7 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from conftest import custom_graph, fake_cloud
+from spectral_limits import graph as graph_module
 from spectral_limits.graph import (
     WeightedGraph,
     _row_blocks,
@@ -70,7 +71,7 @@ def boundary_cloud(dim, eps, count, seed):
 
 
 class TestStrictBoundary:
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_keeps_what_the_norm_keeps(self, dim):
         eps = 0.3
         x = boundary_cloud(dim, eps, 120, seed=dim)
@@ -86,10 +87,11 @@ class TestStrictBoundary:
 
 
 class TestRowBlocks:
-    def test_blocks_cover_the_rows_within_the_bound(self):
+    def test_blocks_cover_the_rows_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 5)
         counts = np.array([3, 0, 5, 1, 9, 0, 2, 2, 4])
         indptr = np.r_[0, np.cumsum(counts)]
-        blocks = list(_row_blocks(indptr, entries=5))
+        blocks = list(_row_blocks(indptr))
         assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
         for (_, r1), (r0, _) in zip(blocks, blocks[1:]):
             assert r1 == r0
@@ -100,6 +102,20 @@ class TestRowBlocks:
 
     def test_no_rows(self):
         assert list(_row_blocks(np.zeros(1, dtype=np.int32))) == []
+
+    def test_small_blocks_change_no_result(self, monkeypatch, circle):
+        cloud = sample_dataset(circle, DensitySpec("uniform"), 600, seed=2)
+        eps = epsilon_schedule(600, 1)
+        g = gamma_N_eps(cloud, eps)
+        edges, w_E, v0 = g.edges, g.w_E, _start_vector(g)
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 7)
+        assert len(list(_row_blocks(g.weighted_adjacency.indptr))) > 100
+        assert np.array_equal(build_edges(cloud, eps), edges)
+        assert np.array_equal(g.edges, edges)
+        assert np.array_equal(g.w_E, w_E)
+        assert np.array_equal(_start_vector(g), v0)
+        assert np.array_equal(_start_vector(g),
+                              oracle_start_vector(600, eps, oracle_edges(cloud, eps)))
 
 
 def oracle_edges(cloud, eps):
