@@ -8,12 +8,13 @@ so identical configs produce byte-identical CSVs.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -115,6 +116,9 @@ class ExperimentConfig:
                                 ("threads", self.threads, 1)):
             if not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        if self.k_max >= min(self.n_list):
+            raise ValueError(f"k_max must be below the smallest n, "
+                             f"{min(self.n_list)}, got {self.k_max}")
         c = list(self.cluster)
         if c and not (len(c) == 2 and all(isinstance(v, (int, np.integer))
                                           for v in c) and 0 <= c[0] <= c[1]):
@@ -430,7 +434,10 @@ def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None
         mfd = make_manifold(cfg)
         ref = reference_spectrum_for(cfg, mfd)
         while not cfg.cluster and len(ref.clusters()) < 3:
-            more = replace(cfg, k_max=2 * len(ref.eigenvalues))
+            # the reference may outgrow the smallest n, which the config
+            # check forbids k_max to reach: grow it on an unchecked copy
+            more = copy.copy(cfg)
+            more.k_max = 2 * len(ref.eigenvalues)
             ref = reference_spectrum_for(more, mfd)
     cluster = cfg.cluster or ref.clusters()[1]
     k, l = int(cluster[0]), int(cluster[1])
@@ -510,14 +517,13 @@ def run_regularity(cfg: ExperimentConfig):
 
     def rows(cell):
         g = cell.graph
-        k_max = min(cfg.k_max, g.n_vertices - 1)
         try:
-            spec = eigen_decompose(g, k_max)
+            spec = eigen_decompose(g, cfg.k_max)
         except DisconnectedGraphError:
             spec, nan = None, math.nan
             cert = RegularityCertificate(
                 n=cell.n, eps=cell.eps, Q=nan, P=nan, R=nan,
-                moser_table=[(k, pp, nan) for k in moser_ks if k <= k_max
+                moser_table=[(k, pp, nan) for k in moser_ks if k <= cfg.k_max
                              for pp in MOSER_P])
         else:
             cert = certify(g, spectral=spec, seed=cell.seed,

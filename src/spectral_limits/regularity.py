@@ -6,9 +6,12 @@ quantized radius breakpoints, a sharp sampled Poincare constant, a local
 almost-regularity ratio, a neighbor-averaging (smoothing) operator, a
 Nash-type fitted constant, and the Moser-shape check on eigenvector
 p-norm ratios.  All radii live on the breakpoints (k + 1/2) * eps, where
-the quantized graph metric makes ball membership exact.  Each ball's
-Poincare constant is exact, from the first nonzero eigenvalue of the
-ball's Laplacian, in memory that grows with its edge count.
+the quantized graph metric makes ball membership exact.  Hop counts come
+from a bit-parallel BFS, 64 sources per uint64 word, over the stored
+entries of the graph's matrix, so an explicit zero counts as an edge.
+Each ball's Poincare constant is exact, from the first nonzero
+eigenvalue of the ball's Laplacian, in memory that grows with its edge
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh
-from scipy.sparse import csgraph
 
 from .graph import WeightedGraph, dirichlet_energy
 from .spectral import (DENSE_LIMIT, SpectralResult, _is_connected,
@@ -70,17 +72,76 @@ def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
 # the p of every Moser ratio |||phi_k|||_p / |||phi_k|||_1 a report writes
 MOSER_P = (2, 4, 8, np.inf)
 
-# BFS sources per block: a block holds _HOP_BLOCK x n hop counts, never n x n
-_HOP_BLOCK = 128
+# BFS sources per block, one per bit of a uint64 word: a block holds
+# _HOP_BLOCK x n hop counts, never n x n
+_HOP_BLOCK = 64
+
+_BITS = np.uint64(1) << np.arange(_HOP_BLOCK, dtype=np.uint64)
+
+
+def _word_bits(words) -> np.ndarray:
+    """(n, 64) 0/1 array: entry [v, k] is bit k of ``words[v]``."""
+    bytes_ = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(bytes_, bitorder="little").reshape(-1, _HOP_BLOCK)
+
+
+def _count_up(planes: list, mask) -> None:
+    """Add 1 to each bit-sliced counter whose bit is set in ``mask``.
+
+    ``planes[i]`` holds bit i of every counter; the carry ripples up and a
+    new plane is appended when it runs past the top one.
+    """
+    carry = mask
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ carry
+        carry = plane & carry
+        if not carry.any():
+            return
+    planes.append(carry)
 
 
 def _hop_blocks(g: WeightedGraph, sources):
-    """(sources, hop rows) per block of ``sources``; inf when unreachable."""
+    """(sources, hop rows) per block of ``sources``; inf when unreachable.
+
+    One bit-parallel BFS per block of up to 64 sources (multi-source BFS,
+    Then et al., PVLDB 2014): bit k of a vertex's uint64 word says that
+    source k has reached it, and a level ORs each vertex's neighbours'
+    frontier words.  Every source's hop
+    count is a bit-sliced counter that gains 1 on each level at which
+    the source has not reached the vertex yet.  The search reads only the
+    CSR structure, so an explicit zero (a zero-weight edge) is an edge.
+    """
+    adj = g.weighted_adjacency
+    n = g.n_vertices
+    # reduceat misreads an empty segment: OR over the nonempty rows only
+    has = np.diff(adj.indptr) > 0
+    starts = adj.indptr[:-1][has]
+    # gathering through int32 indices converts them on every level
+    indices = adj.indices.astype(np.intp)
     sources = np.asarray(sources, dtype=np.int64)
     for start in range(0, len(sources), _HOP_BLOCK):
         src = sources[start:start + _HOP_BLOCK]
-        yield src, csgraph.dijkstra(g.weighted_adjacency, unweighted=True,
-                                    indices=src)
+        b = len(src)
+        front = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(front, src, _BITS[:b])
+        seen = front.copy()
+        planes = []
+        while True:
+            unseen = ~seen
+            _count_up(planes, unseen)
+            nxt = np.zeros(n, dtype=np.uint64)
+            nxt[has] = np.bitwise_or.reduceat(front[indices], starts)
+            nxt &= unseen
+            if not nxt.any():
+                break
+            seen |= nxt
+            front = nxt
+        count = np.zeros((n, _HOP_BLOCK), dtype=np.uint32)
+        for i, plane in enumerate(planes):
+            count += _word_bits(plane).astype(np.uint32) << np.uint32(i)
+        hops = count[:, :b].T.astype(float)
+        hops[_word_bits(seen)[:, :b].T == 0] = np.inf
+        yield src, hops
 
 
 # ---------------------------------------------------------------------------

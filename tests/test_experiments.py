@@ -86,12 +86,23 @@ class TestConfig:
         ("mc_outer = 0", "mc_outer"), ("mc_inner = 0", "mc_inner"),
         ("mc_inner = 2.5", "mc_inner"),
         ("m = 1.5", "m"), ("m = 0", "m"),
+        ("k_max = 64", "k_max"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
         path = tmp_path / "cfg.txt"
         path.write_text(CIRCLE_CFG + line + "\n")
         with pytest.raises(ValueError, match=f"^{key} must be"):
             load_config(path)
+
+    def test_k_not_below_n_raises(self):
+        # a bad config is an error at load, before any cell runs
+        with pytest.raises(ValueError, match="^k_max must be below the "
+                                             "smallest n, 16, got 16$"):
+            ExperimentConfig(manifold="circle", n_list=[40, 16], seeds=[1],
+                             eps_rule=0.9, k_max=16)
+        cfg = ExperimentConfig(manifold="circle", n_list=[16], seeds=[1],
+                               eps_rule=0.9, k_max=15)
+        assert len(run_spectrum_experiment(cfg)) == 16
 
     def test_bad_cli_override_fails(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -143,13 +154,6 @@ class TestSpectrumExperiment:
                     assert math.isnan(value) and not math.isnan(g[key])
                 elif key not in ("connected", "eps"):
                     assert value == g[key]
-
-    def test_k_not_below_n_raises(self):
-        # a bad config is an error, not a disconnected cell
-        cfg = ExperimentConfig(manifold="circle", n_list=[16], seeds=[1],
-                               k_max=16)
-        with pytest.raises(ValueError, match="k < n"):
-            run_spectrum_experiment(cfg)
 
 
 class TestAlignment:
@@ -227,6 +231,13 @@ class TestAlignment:
         cfg = ExperimentConfig(manifold="circle", n_list=[256], seeds=[1],
                                k_max=2)
         assert [r["k"] for r in run_alignment(cfg)] == [1, 2]
+
+    def test_default_cluster_reference_may_outgrow_the_smallest_n(self):
+        # on S^7 the reference grows to k_max = 18 before it holds three
+        # clusters; that is no config error at n = 16
+        cfg = ExperimentConfig(manifold="sphere", m=7, n_list=[16],
+                               seeds=[1])
+        assert [r["k"] for r in run_alignment(cfg)] == list(range(1, 9))
 
     def test_explicit_cluster_is_still_validated(self):
         cfg = ExperimentConfig(manifold="sphere", n_list=[300], seeds=[1],

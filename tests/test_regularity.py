@@ -92,6 +92,54 @@ class TestWeightedPNorm:
             weighted_p_norm(path3_gamma_N, np.ones(3), 2, subset=[])
 
 
+class TestHopBlocksOracle:
+    """The bit-parallel BFS against one unweighted Dijkstra per source."""
+
+    @staticmethod
+    def check(g, sources):
+        blocks = list(regularity._hop_blocks(g, sources))
+        assert all(len(src) <= 64 for src, _ in blocks)
+        assert np.array_equal(np.concatenate([s for s, _ in blocks]), sources)
+        hops = np.vstack([h for _, h in blocks])
+        assert hops.dtype == np.float64
+        assert np.array_equal(hops, csgraph.dijkstra(
+            g.weighted_adjacency, unweighted=True, indices=sources))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        g = random_graph(90, [0.02, 0.05, 0.2][seed % 3], seed)
+        self.check(g, np.arange(90))
+
+    def test_two_components_and_an_isolated_vertex(self):
+        # a 6-cycle, a 4-vertex path, and vertex 10 with no edge
+        edges = [[i, (i + 1) % 6] for i in range(6)]
+        edges += [[6, 7], [7, 8], [8, 9]]
+        g = custom_graph(11, edges, [1.0] * 11, [1.0] * len(edges))
+        self.check(g, np.array([10, 3, 7, 0, 9]))
+        self.check(g, np.arange(11))
+
+    def test_no_edges(self):
+        g = custom_graph(3, [], [1.0] * 3, [])
+        self.check(g, np.array([1, 0]))
+
+    def test_explicit_zero_is_an_edge(self):
+        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
+        self.check(g, np.array([2, 0, 1]))
+
+    def test_long_path_carries_into_a_ninth_counter_plane(self):
+        # hop counts up to 299 need nine bits
+        n = 300
+        g = custom_graph(n, [[i, i + 1] for i in range(n - 1)], [1.0] * n,
+                         [1.0] * (n - 1))
+        self.check(g, np.array([0, 299, 150, 17]))
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    def test_source_counts_around_the_word(self, count):
+        g = random_graph(200, 0.03, count)
+        sources = np.random.default_rng(count).permutation(200)[:count]
+        self.check(g, sources)
+
+
 class TestGraphDiameter:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_match_dense_oracle(self, seed):
