@@ -3,8 +3,8 @@
     spectral-limits <command> --config <file> [--out dir] [--seed s] [--threads t]
 
 Commands: sample, graph, spectrum, align, regularity, distortion, energy,
-moser, sweep.  The config file is flat `key = value` text; see
-docs/formats.md for all keys and the CSV column layouts.  Every run writes
+moser, sweep.  The config file is TOML; every key is checked at load (see
+docs/formats.md for all keys and the CSV column layouts).  Every run writes
 run_meta.json with the tool version, a config hash, and the seeds used.
 """
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         description="Graph-Laplacian spectral approximation experiments",
     )
     parser.add_argument("command", choices=ALL_REPORTS)
-    parser.add_argument("--config", required=True, help="flat key=value config file")
+    parser.add_argument("--config", required=True, help="TOML config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed list with one seed")

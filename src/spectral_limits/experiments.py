@@ -12,7 +12,9 @@ import copy
 import hashlib
 import json
 import math
+import operator
 import os
+import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +41,7 @@ from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
 __all__ = [
     "ExperimentConfig",
     "AlignmentReport",
-    "parse_config_text",
+    "CONFIG_KEYS",
     "load_config",
     "make_manifold",
     "reference_spectrum_for",
@@ -65,6 +67,63 @@ ALL_REPORTS = (
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# One row per config-file key: the ExperimentConfig field it sets, the type
+# of its value and the bound on each value (on each item, for a list).  A
+# bound is a tuple of choices or comparisons joined by " and ".
+# docs/formats.md prints the same table, and a test holds the two equal.
+CONFIG_KEYS = (
+    ("manifold", "manifold", "string", ("circle", "sphere", "flat_torus", "spindle")),
+    ("radius", "radius", "float", "> 0"),
+    ("m", "m", "int", ">= 1"),
+    ("periods", "periods", "nonempty list of float", "> 0"),
+    ("warp", "warp", "float", "> 0 and <= 1"),
+    ("density", "density", "string", ("uniform", "cosine_tilt")),
+    ("amplitude", "amplitude", "float", ">= 0 and <= 0.5"),
+    ("n", "n_list", "nonempty list of int", ">= 16"),
+    ("seeds", "seeds", "nonempty list of int", ">= 0"),
+    ("eps", "eps_rule", '"schedule" or float', "> 0"),
+    ("graph", "graph_kind", "string", ("gamma_N", "gamma_m")),
+    ("k_max", "k_max", "int", ">= 0"),
+    ("reports", "reports", "list of string", ALL_REPORTS),
+    ("cluster", "cluster", "list of int", ">= 0"),
+    ("mesh", "mesh", "int", ">= 512"),
+    ("l_max", "l_max", "int", ">= 0"),
+    ("p", "p", "float", ">= 1"),
+    ("K", "K", "float", "> 0"),
+    ("mc_outer", "mc_outer", "int", ">= 1"),
+    ("mc_inner", "mc_inner", "int", ">= 1"),
+    ("threads", "threads", "int", ">= 1"),
+)
+
+_TYPES = {"int": (int, np.integer), "string": (str,),
+          "float": (int, float, np.integer, np.floating)}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _bound_text(bound) -> str:
+    if isinstance(bound, str):
+        return bound
+    return "one of " + ", ".join(f'"{choice}"' for choice in bound)
+
+
+def _meets(kind: str, bound, value) -> bool:
+    """``value`` is of type ``kind`` within ``bound``, each item of a list."""
+    item = kind.split()[-1]               # "nonempty list of int": "int"
+    if "list" not in kind:
+        value = [value]
+    elif not isinstance(value, (list, tuple)) or (
+            "nonempty" in kind and not value):
+        return False
+    # bool is a subclass of int, but true is no number
+    if not all(isinstance(v, _TYPES[item]) and not isinstance(v, bool)
+               for v in value):
+        return False
+    if isinstance(bound, tuple):
+        return all(v in bound for v in value)
+    comparisons = [part.split() for part in bound.split(" and ")]
+    return all(math.isfinite(v) and _COMPARE[op](v, float(limit))
+               for v in value for op, limit in comparisons)
 
 
 @dataclass
@@ -93,37 +152,24 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        for key, values in (("n", self.n_list), ("seeds", self.seeds)):
-            if not all(isinstance(v, (int, np.integer)) for v in values):
-                raise ValueError(f"{key} must be integers, got {list(values)!r}")
-            if len(values) == 0:
-                raise ValueError(f"{key} must be nonempty")
-        if any(n < 16 for n in self.n_list):
-            raise ValueError("all n values must be >= 16")
-        if self.graph_kind not in ("gamma_N", "gamma_m"):
-            raise ValueError(f"unknown graph kind {self.graph_kind!r}")
-        unknown = set(self.reports) - set(ALL_REPORTS)
-        if unknown:
-            raise ValueError(f"unknown reports: {sorted(unknown)}")
-        eps = self.eps_rule
-        positive = isinstance(eps, (int, float)) and 0 < eps < math.inf
-        if eps != "schedule" and not positive:
-            raise ValueError(f'eps must be "schedule" or a positive number, got {eps!r}')
-        for key, value, low in (("m", self.m, 1),
-                                ("k_max", self.k_max, 0),
-                                ("mc_outer", self.mc_outer, 1),
-                                ("mc_inner", self.mc_inner, 1),
-                                ("threads", self.threads, 1)):
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-        if self.k_max >= min(self.n_list):
+        for key, field, kind, bound in CONFIG_KEYS:
+            value = getattr(self, field)
+            if key == "eps" and value == "schedule":
+                continue
+            if not _meets(kind, bound, value):
+                items = f", all {key} values" if "list" in kind else ""
+                raise ValueError(f"{key} must be {kind}{items} "
+                                 f"{_bound_text(bound)}, got {value!r}")
+        # the rules that tie one key to another
+        smallest = min(self.n_list)
+        if self.k_max >= smallest:
             raise ValueError(f"k_max must be below the smallest n, "
-                             f"{min(self.n_list)}, got {self.k_max}")
+                             f"{smallest}, got {self.k_max}")
         c = list(self.cluster)
-        if c and not (len(c) == 2 and all(isinstance(v, (int, np.integer))
-                                          for v in c) and 0 <= c[0] <= c[1]):
-            raise ValueError(
-                f"cluster must be empty or two integers 0 <= k <= l, got {c!r}")
+        if c and not (len(c) == 2 and c[0] <= c[1] < smallest):
+            raise ValueError(f"cluster must be empty or two integers "
+                             f"k <= l below the smallest n, {smallest}, "
+                             f"got {c!r}")
 
     def epsilon_for(self, n: int, m: int) -> float:
         if self.eps_rule == "schedule":
@@ -131,67 +177,20 @@ class ExperimentConfig:
         return float(self.eps_rule)
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(t) for t in inner.split(",")]
-    if text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    if text.startswith("'") and text.endswith("'"):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_config_text(text: str) -> dict:
-    """Flat `key = value` lines (a TOML-compatible subset); # comments."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, val = line.split("=", 1)
-        out[key.strip()] = _parse_value(val)
-    return out
-
-
-_KEY_MAP = {
-    "manifold": "manifold", "radius": "radius", "m": "m", "periods": "periods",
-    "warp": "warp", "density": "density", "amplitude": "amplitude",
-    "n": "n_list", "seeds": "seeds", "eps": "eps_rule", "graph": "graph_kind",
-    "k_max": "k_max", "reports": "reports", "cluster": "cluster",
-    "mesh": "mesh", "l_max": "l_max", "p": "p", "K": "K",
-    "mc_outer": "mc_outer", "mc_inner": "mc_inner", "threads": "threads",
-}
-
-
 def load_config(path) -> ExperimentConfig:
+    """Read a TOML config file.  Every key is a row of ``CONFIG_KEYS``; a
+    scalar given for a list key is a one-item list."""
     with open(path) as fh:
         text = fh.read()
-    raw = parse_config_text(text)
-    kwargs = {}
-    for key, val in raw.items():
-        if key not in _KEY_MAP:
+    rows = {key: (field, kind) for key, field, kind, _ in CONFIG_KEYS}
+    fields = {}
+    for key, value in tomllib.loads(text).items():
+        if key not in rows:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[_KEY_MAP[key]] = val
-    for listkey in ("n_list", "seeds", "reports", "cluster", "periods"):
-        if listkey in kwargs and not isinstance(kwargs[listkey], list):
-            kwargs[listkey] = [kwargs[listkey]]
-    return ExperimentConfig(raw_text=text, **kwargs)
+        field, kind = rows[key]
+        wrap = "list" in kind and not isinstance(value, list)
+        fields[field] = [value] if wrap else value
+    return ExperimentConfig(raw_text=text, **fields)
 
 
 def make_manifold(cfg: ExperimentConfig) -> ManifoldModel:
@@ -201,9 +200,7 @@ def make_manifold(cfg: ExperimentConfig) -> ManifoldModel:
         return Sphere(cfg.m, cfg.radius)
     if cfg.manifold == "flat_torus":
         return FlatTorus(cfg.periods)
-    if cfg.manifold == "spindle":
-        return Spindle(cfg.m, cfg.warp)
-    raise ValueError(f"unknown manifold {cfg.manifold!r}")
+    return Spindle(cfg.m, cfg.warp)     # CONFIG_KEYS admits no other manifold
 
 
 def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> ReferenceSpectrum:

@@ -3,13 +3,9 @@
 Four models are shipped: the circle, the round sphere S^m, the flat torus,
 and the spindle (a warped product over S^{m-1} whose completion has two
 non-smooth tips).  Each model knows its intrinsic (geodesic) metric, an
-isometric embedding into Euclidean space, its total volume, and a constant
-L with  d_embedded <= d_geodesic <= L * d_embedded,  so the Euclidean
-distance of embedded points is an admissible surrogate metric.  L is the
-exact pi/2 for the circle, sphere and torus; for the spindle it is a sampled
-estimate, 1.05 times the worst ratio over 200 deterministic pairs, not a
-proven bound.  Spindle geodesics are great-circle arcs in closed form: with
-psi = c*phi each 2-D section through the axis is the unit sphere minus a lune.
+isometric embedding into Euclidean space and its total volume.  Spindle
+geodesics are great-circle arcs in closed form: with psi = c*phi each 2-D
+section through the axis is the unit sphere minus a lune.
 """
 
 from __future__ import annotations
@@ -146,11 +142,6 @@ class ManifoldModel:
         """Closed-form volume of the geodesic r-ball, or None if unavailable."""
         return None
 
-    @property
-    def embedding_constant(self) -> float:
-        """L with d_geodesic <= L * d_embedded (see the module docstring)."""
-        raise NotImplementedError
-
 
 class Circle(ManifoldModel):
     """Round circle of given radius, embedded in R^2."""
@@ -182,11 +173,6 @@ class Circle(ManifoldModel):
 
     def ball_volume_exact(self, xi, r):
         return min(2.0 * r, self.total_volume)
-
-    @property
-    def embedding_constant(self):
-        # arc/chord <= (pi/2) at the antipodal pair
-        return math.pi / 2.0
 
 
 class Sphere(ManifoldModel):
@@ -236,10 +222,6 @@ class Sphere(ManifoldModel):
             lambda s: math.sin(s) ** (self.m - 1), 0.0, t, epsabs=0.0, epsrel=1e-12
         )
         return sphere_area(self.m - 1) * self.radius**self.m * val
-
-    @property
-    def embedding_constant(self):
-        return math.pi / 2.0
 
 
 class FlatTorus(ManifoldModel):
@@ -298,10 +280,6 @@ class FlatTorus(ManifoldModel):
             return self.total_volume
         return None
 
-    @property
-    def embedding_constant(self):
-        return math.pi / 2.0
-
 
 class Spindle(ManifoldModel):
     """Warped product over S^{m-1} with profile c*sin(theta), theta in (0, pi).
@@ -328,7 +306,6 @@ class Spindle(ManifoldModel):
             lambda t: math.sin(t) ** (m - 1), 0.0, math.pi, epsabs=0.0, epsrel=1e-12
         )
         self.total_volume = sphere_area(m - 1) * self.c ** (m - 1) * prof
-        self._L = None
 
     def _profile_x0(self, theta):
         # int_0^theta sqrt(1 - c^2 cos^2 t) dt via incomplete elliptic E
@@ -390,20 +367,6 @@ class Spindle(ManifoldModel):
         g = rng.standard_normal((n, self.m))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         return np.column_stack([th, g])
-
-    @property
-    def embedding_constant(self):
-        # a sampled estimate, not a bound: 1.05 times the worst ratio over 200
-        # deterministic pairs; the worst pairs sit across the tips, where
-        # d_g/d_embedded -> sqrt(2) for c = 1/sqrt(2)
-        if self._L is None:
-            z = self.uniform_intrinsic(400, np.random.default_rng(20240801))
-            emb = self.embed(z)
-            dg = self._pair_distances(z[0::2], z[1::2])
-            de = np.linalg.norm(emb[0::2] - emb[1::2], axis=1)
-            far = de > 1e-9
-            self._L = 1.05 * float(np.max(dg[far] / de[far], initial=1.0))
-        return self._L
 
 
 def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:

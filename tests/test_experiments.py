@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tomllib
 import weakref
 from dataclasses import replace
 
@@ -10,13 +11,14 @@ import pytest
 from spectral_limits import graph
 from spectral_limits.cli import main as cli_main
 from spectral_limits.experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
+    _bound_text,
     _loglog_slope,
     align_eigenspaces,
     load_config,
     make_manifold,
     map_cells,
-    parse_config_text,
     run_alignment,
     run_convergence_sweep,
     run_energy,
@@ -45,12 +47,6 @@ cluster = [1, 2]
 
 
 class TestConfig:
-    def test_parse_values(self):
-        raw = parse_config_text(
-            'a = "x"\nb = 3\nc = 2.5\nd = [1, 2]\ne = true\n# comment\n'
-        )
-        assert raw == {"a": "x", "b": 3, "c": 2.5, "d": [1, 2], "e": True}
-
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(CIRCLE_CFG)
@@ -60,11 +56,40 @@ class TestConfig:
         assert cfg.seeds == [1, 2, 3]
         assert cfg.graph_kind == "gamma_N"
 
+    def test_scalar_for_a_list_key_is_one_item(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text('n = 64\nseeds = 2\nreports = "spectrum"\n')
+        cfg = load_config(path)
+        assert (cfg.n_list, cfg.seeds, cfg.reports) == ([64], [2], ["spectrum"])
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError, match="bogus"):
             load_config(path)
+
+    def test_repeated_key_fails_at_load(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(CIRCLE_CFG + "k_max = 1\n")
+        with pytest.raises(tomllib.TOMLDecodeError):
+            load_config(path)
+
+    def test_docs_key_table_matches_the_schema(self):
+        docs = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                            "formats.md")
+        with open(docs) as fh:
+            section = fh.read().split("## Config files")[1].split("\n## ")[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:5]]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert [row[0] for row in rows] == [key for key, *_ in CONFIG_KEYS]
+        defaults = ExperimentConfig()
+        for (key, field, kind, bound), row in zip(CONFIG_KEYS, rows):
+            default = getattr(defaults, field)
+            if isinstance(default, tuple):
+                default = list(default)
+            _, doc_type, doc_default, doc_bound = row
+            assert (doc_type, doc_bound) == (kind, _bound_text(bound)), key
+            assert tomllib.loads(f"v = {doc_default}")["v"] == default, key
 
     def test_n_floor(self):
         with pytest.raises(ValueError, match="n values"):
@@ -87,10 +112,24 @@ class TestConfig:
         ("mc_inner = 2.5", "mc_inner"),
         ("m = 1.5", "m"), ("m = 0", "m"),
         ("k_max = 64", "k_max"),
+        ('manifold = "bogus"', "manifold"), ('density = "bogus"', "density"),
+        ('graph = "bogus"', "graph"), ('reports = ["bogus"]', "reports"),
+        ("radius = -1", "radius"), ("radius = inf", "radius"),
+        ("warp = 2", "warp"), ("p = 0.5", "p"), ("K = -1", "K"),
+        ("mesh = 0", "mesh"), ("l_max = -1", "l_max"),
+        ("amplitude = 0.9", "amplitude"), ("periods = [-1.0, 1.0]", "periods"),
+        ("seeds = [-1]", "seeds"), ("eps = true", "eps"),
+        ("threads = true", "threads"), ("k_max = true", "k_max"),
+        ("n = [16]\ncluster = [15, 16]", "cluster"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
+        # CIRCLE_CFG's line for each key the case sets is dropped, since a
+        # repeated key is a TOML error before any value is checked
+        keys = {case.split("=")[0].strip() for case in line.splitlines()}
+        kept = [base for base in CIRCLE_CFG.splitlines()
+                if base.split("=")[0].strip() not in keys]
         path = tmp_path / "cfg.txt"
-        path.write_text(CIRCLE_CFG + line + "\n")
+        path.write_text("\n".join(kept + [line]) + "\n")
         with pytest.raises(ValueError, match=f"^{key} must be"):
             load_config(path)
 
