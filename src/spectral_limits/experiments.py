@@ -170,6 +170,13 @@ class ExperimentConfig:
             raise ValueError(f"cluster must be empty or two integers "
                              f"k <= l below the smallest n, {smallest}, "
                              f"got {c!r}")
+        if self.manifold == "spindle" and self.m < 2:
+            raise ValueError(f"m must be >= 2 on the spindle, got {self.m}")
+        if self.density != "uniform" and self.manifold != "circle":
+            raise ValueError(f'density must be "uniform" on the '
+                             f'{self.manifold}, got {self.density!r}')
+        if self.mesh % 4:
+            raise ValueError(f"mesh must be divisible by 4, got {self.mesh}")
 
     def epsilon_for(self, n: int, m: int) -> float:
         if self.eps_rule == "schedule":
@@ -217,8 +224,6 @@ def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> Referen
             mfd.radius, DensitySpec(cfg.density, cfg.amplitude), k_max,
             mesh=cfg.mesh
         )
-    if cfg.density != "uniform":
-        raise ValueError("non-uniform densities are circle-only")
     if isinstance(mfd, Sphere):
         return sphere_spectrum(mfd.m, mfd.radius, k_max)
     if isinstance(mfd, FlatTorus):

@@ -238,7 +238,8 @@ def gamma_m_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
         epsilon=eps,
         edges=edges,
         w_V=np.full(n, 1.0 / n),
-        w_E=np.full(len(edges), cloud.manifold.total_volume / scale),
+        w_E=np.broadcast_to(cloud.manifold.total_volume / scale,
+                            len(edges)),
         kind="gamma_m",
     )
 
@@ -253,7 +254,7 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
         epsilon=eps,
         edges=edges,
         w_V=np.zeros(n),
-        w_E=np.full(len(edges), 1.0 / scale),
+        w_E=np.broadcast_to(1.0 / scale, len(edges)),
         kind="gamma_N",
     )
     g.w_V = g.degrees / scale      # the degrees come from the graph's CSR

@@ -5,13 +5,13 @@ eigenfunctions admit L^p bounds: a volume-doubling constant across
 quantized radius breakpoints, a sharp sampled Poincare constant, a local
 almost-regularity ratio, a neighbor-averaging (smoothing) operator, a
 Nash-type fitted constant, and the Moser-shape check on eigenvector
-p-norm ratios.  All radii live on the breakpoints (k + 1/2) * eps, where
-the quantized graph metric makes ball membership exact.  Hop counts come
-from a bit-parallel BFS, 64 sources per uint64 word, over the stored
-entries of the graph's matrix, so an explicit zero counts as an edge.
-Each ball's Poincare constant is exact, from the first nonzero
-eigenvalue of the ball's Laplacian, in memory that grows with its edge
-count.
+p-norm ratios with the exact graph diameter.  All radii live on the
+breakpoints (k + 1/2) * eps, where the quantized graph metric makes ball
+membership exact.  Hop counts come from a bit-parallel BFS, 64 sources
+per uint64 word, over the stored entries of the graph's matrix, so an
+explicit zero counts as an edge.  Each ball's Poincare constant is exact,
+from the first nonzero eigenvalue of the ball's Laplacian, in memory that
+grows with its edge count.
 """
 
 from __future__ import annotations
@@ -148,15 +148,11 @@ def _hop_blocks(g: WeightedGraph, sources):
 # doubling
 
 
-def _pick_centers(g: WeightedGraph, center_sample, seed: int) -> np.ndarray:
+def _pick_centers(g: WeightedGraph, count: int, seed: int) -> np.ndarray:
+    """Every vertex when ``count >= n``, else a sorted sample of ``count``."""
     n = g.n_vertices
-    if center_sample in ("all", None) or (
-        center_sample == "auto" and n <= 2000
-    ):
+    if count >= n:
         return np.arange(n)
-    if center_sample == "auto":
-        center_sample = 200
-    count = min(int(center_sample), n)
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.sort(rng.choice(n, size=count, replace=False))
 
@@ -168,15 +164,18 @@ def _cumulative_ball_volumes(g: WeightedGraph, hops_row) -> np.ndarray:
     return np.cumsum(vols)
 
 
-def doubling_constant(g: WeightedGraph, center_sample="auto", seed: int = 0) -> float:
+def doubling_constant(g: WeightedGraph, seed: int = 0) -> float:
     """Worst ratio vol(B(x, 2r)) / vol(B(x, r)) over breakpoint radii r > eps.
 
+    Every vertex is a centre up to n = 2000, and 200 sampled ones above.
     The centres' hop rows are streamed a block at a time.  Each centre's
     radii stop at its eccentricity: past it both balls are the whole
     component, and the ratio is exactly 1.
     """
+    n = g.n_vertices
+    centers = _pick_centers(g, n if n <= 2000 else 200, seed)
     q = 1.0
-    for _, hops in _hop_blocks(g, _pick_centers(g, center_sample, seed)):
+    for _, hops in _hop_blocks(g, centers):
         for row in hops:
             cum = _cumulative_ball_volumes(g, row)
             top = len(cum) - 1
@@ -218,7 +217,7 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     return float(1.0 / (r * math.sqrt(lam)))
 
 
-def poincare_constant(g: WeightedGraph, center_sample="auto",
+def poincare_constant(g: WeightedGraph, center_sample: int = 8,
                       seed: int = 0) -> float:
     """Sampled sharp constant of the Poincare inequality on graph balls.
 
@@ -229,8 +228,6 @@ def poincare_constant(g: WeightedGraph, center_sample="auto",
     once zero-weight edges are dropped has no finite constant and yields
     +inf.
     """
-    if center_sample == "auto":
-        center_sample = min(8, g.n_vertices)
     centers = _pick_centers(g, center_sample, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
     top = int(np.max(hops, initial=1, where=np.isfinite(hops)))
@@ -314,26 +311,34 @@ def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
     return numer / denom
 
 
-def graph_diameter(g: WeightedGraph, exact_limit: int = 4000) -> float:
+def graph_diameter(g: WeightedGraph) -> float:
     """Graph-metric diameter: the largest finite hop count times eps.
 
-    Exact for n <= ``exact_limit``: BFS from every vertex, a block of
-    sources at a time, keeping only the running maximum, so memory grows
-    with the edge count plus one block of hop rows, not with n^2.  On a
-    disconnected graph this is the largest diameter of a component.  Above
-    the limit it is a two-sweep lower estimate: the eccentricity of the
-    vertex farthest from vertex 0, within the component of vertex 0.
+    Exact at every n, by eccentricity bounds (BoundingDiameters, Takes and
+    Kosters, CIKM 2011): a BFS from w, of eccentricity e, puts ecc(v) of
+    each vertex v it reaches in [max(d, e - d), e + d], d = d(v, w).  Each
+    round is one bit-parallel pass from up to 64 candidates, taken
+    alternately by largest upper and smallest lower bound; a candidate
+    stays while its upper bound exceeds the largest lower bound.  A vertex
+    no source has reached keeps an infinite upper bound, so on a
+    disconnected graph this is the largest diameter of a component.
     """
-    if g.n_vertices <= exact_limit:
-        top = 0.0
-        for _, hops in _hop_blocks(g, np.arange(g.n_vertices)):
-            top = float(np.max(hops, initial=top, where=np.isfinite(hops)))
-        return float(top * g.epsilon)
-    # two-sweep estimate for big graphs
-    (_, h0), = _hop_blocks(g, [0])
-    far = int(np.argmax(np.where(np.isfinite(h0), h0, -1)))
-    (_, h1), = _hop_blocks(g, [far])
-    return float(np.max(h1[np.isfinite(h1)]) * g.epsilon)
+    lo, hi = np.zeros(g.n_vertices), np.full(g.n_vertices, np.inf)
+    cand = np.ones(g.n_vertices, dtype=bool)
+    while cand.any():
+        idx = np.flatnonzero(cand)
+        by_hi = idx[np.argsort(-hi[idx], kind="stable")]
+        by_lo = idx[np.argsort(lo[idx], kind="stable")]
+        both = np.column_stack([by_hi, by_lo]).ravel()
+        first = np.sort(np.unique(both, return_index=True)[1])
+        (_, hops), = _hop_blocks(g, both[first[:_HOP_BLOCK]])
+        reached = np.isfinite(hops)
+        e = np.max(hops, axis=1, initial=0.0, where=reached)[:, None]
+        lo = np.maximum(lo, np.max(np.maximum(hops, e - hops), axis=0,
+                                   initial=0.0, where=reached))
+        hi = np.minimum(hi, np.min(e + hops, axis=0))
+        cand &= hi > lo.max()
+    return float(lo.max(initial=0.0) * g.epsilon)
 
 
 def moser_alpha(g: WeightedGraph) -> float:
@@ -351,7 +356,7 @@ def moser_ratio(g: WeightedGraph, spectral: SpectralResult, k: int, p) -> float:
 
 
 def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
-                alpha_param: Optional[float] = None, D: Optional[float] = None):
+                alpha_param: float, D: float):
     """p-norm ratio of the k-th eigenvector and the bound shape it is held to.
 
     Returns (ratio, bound_shape) with ratio = |||phi_k|||_p / |||phi_k|||_1
@@ -360,19 +365,13 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
     (stability across n) is meaningful, never a literal inequality.
     """
     lam = float(spectral.eigenvalues[k])
-    if alpha_param is None:
-        alpha_param = moser_alpha(g)
-    if D is None:
-        D = graph_diameter(g)
     ratio = moser_ratio(g, spectral, k, p)
+    power = 2.0 * lam * alpha_param * g.epsilon**2
+    growth = math.exp(D * math.sqrt(max(lam, 0.0)))
     if p == np.inf or p == "inf":
-        shape = math.inf if lam * alpha_param * g.epsilon**2 > 0 else math.exp(
-            D * math.sqrt(max(lam, 0.0))
-        )
+        shape = math.inf if power > 0 else growth
     else:
-        shape = p ** (2.0 * lam * alpha_param * g.epsilon**2) * math.exp(
-            D * math.sqrt(max(lam, 0.0))
-        )
+        shape = p ** power * growth
     return ratio, float(shape)
 
 
@@ -397,10 +396,10 @@ class RegularityCertificate:
 
 
 def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
-            seed: int = 0, moser_ks: Sequence[int] = (1, 2),
-            center_sample="auto") -> RegularityCertificate:
+            seed: int = 0, moser_ks: Sequence[int] = (1, 2)
+            ) -> RegularityCertificate:
     """Measure Q, P, R and Moser ratios on one graph."""
-    q = doubling_constant(g, center_sample=center_sample, seed=seed)
+    q = doubling_constant(g, seed=seed)
     p = poincare_constant(g, seed=seed)
     r = almost_regularity(g)
     table = []

@@ -1,9 +1,9 @@
 """Golden gate for the CLI output contract.
 
 Every command runs through ``cli.main`` on a tiny config (n <= 512, so the
-dense eigensolver is used), and ``spectrum``, ``sweep`` and ``regularity``
-run once more above ``DENSE_LIMIT``, where the spectrum and the larger
-Poincare balls go to Lanczos.  Each entry runs once at ``--threads 1`` and
+dense eigensolver is used), and ``spectrum``, ``sweep``, ``regularity`` and
+``moser`` run once more above ``DENSE_LIMIT``, where the spectrum and the
+larger Poincare balls go to Lanczos.  Each entry runs once at ``--threads 1`` and
 once at ``--threads 2``, and the sha256 of every file it writes, ``run_meta.json``
 included, must equal the recorded value at both thread counts.  All runs
 happen in one child ``python`` with BLAS and OpenMP pinned to one thread,
@@ -90,6 +90,7 @@ CONFIGS = {
     "distortion": ("distortion", SPINDLE),
     "energy": ("energy", SPHERE),
     "moser": ("moser", CIRCLE),
+    "moser-lanczos": ("moser", CIRCLE_LANCZOS),
     "sweep": ("sweep", CIRCLE),
     "spectrum-lanczos": ("spectrum", CIRCLE_LANCZOS),
     "sweep-lanczos": ("sweep", CIRCLE_LANCZOS),
@@ -160,6 +161,12 @@ GOLDEN = {
             "acd4af59100eaeb9ae603bd8e337f7537168166282a6775481a51441e14258a1",
         "run_meta.json":
             "d1823b0a5f880a7e9b28ce5010fe1c3646208001d3bdbfa0797e5118cc59f5b9",
+    },
+    "moser-lanczos": {
+        "moser.csv":
+            "e53b487dcd3cad5777a331375526315517e01552865390de487067e6bc531601",
+        "run_meta.json":
+            "f6b3233d1d1df938ff6b356f64a33eeacf9c918b004010f299bdbcf6276c4ad9",
     },
     "regularity": {
         "regularity.csv":

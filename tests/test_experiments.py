@@ -121,6 +121,9 @@ class TestConfig:
         ("seeds = [-1]", "seeds"), ("eps = true", "eps"),
         ("threads = true", "threads"), ("k_max = true", "k_max"),
         ("n = [16]\ncluster = [15, 16]", "cluster"),
+        ('manifold = "spindle"\nm = 1', "m"),
+        ('manifold = "sphere"\ndensity = "cosine_tilt"', "density"),
+        ("mesh = 514", "mesh"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, line, key):
         # CIRCLE_CFG's line for each key the case sets is dropped, since a

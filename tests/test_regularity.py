@@ -49,6 +49,28 @@ def dense_diameter(g):
     return float(np.max(hops[np.isfinite(hops)]) * g.epsilon)
 
 
+def all_sources_diameter(g):
+    """The largest finite hop count over a BFS from every vertex, times eps."""
+    top = 0.0
+    for _, hops in regularity._hop_blocks(g, np.arange(g.n_vertices)):
+        top = float(np.max(hops, initial=top, where=np.isfinite(hops)))
+    return top * g.epsilon
+
+
+def count_passes(monkeypatch):
+    """Record the source count of every ``_hop_blocks`` pass from now on."""
+    passes = []
+    hop_blocks = regularity._hop_blocks
+
+    def counted(g, sources):
+        for src, hops in hop_blocks(g, sources):
+            passes.append(len(src))
+            yield src, hops
+
+    monkeypatch.setattr(regularity, "_hop_blocks", counted)
+    return passes
+
+
 def dense_doubling(g):
     """Doubling constant from every vertex's hop row held at once, each row
     scanned up to the graph's largest hop count: the oracle for the streamed
@@ -141,21 +163,37 @@ class TestHopBlocksOracle:
 
 
 class TestGraphDiameter:
+    """Eccentricity bounds against the BFS from every vertex."""
+
+    @staticmethod
+    def check(g):
+        d = graph_diameter(g)
+        assert d == all_sources_diameter(g)
+        return d
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_match_dense_oracle(self, seed):
         g = random_graph(60, 0.06, seed)
-        assert graph_diameter(g) == dense_diameter(g)
+        assert self.check(g) == dense_diameter(g)
 
     def test_path(self):
         n = 50
         g = custom_graph(n, [[i, i + 1] for i in range(n - 1)], [1.0] * n,
                          [1.0] * (n - 1), eps=0.1)
-        assert graph_diameter(g) == (n - 1) * 0.1
+        assert self.check(g) == (n - 1) * 0.1
+
+    def test_cycle(self):
+        # every eccentricity is 50, and e + d meets it only at a source, so
+        # every vertex is a source
+        n = 101
+        g = custom_graph(n, [[i, (i + 1) % n] for i in range(n)], [1.0] * n,
+                         [1.0] * n, eps=0.5)
+        assert self.check(g) == 25.0 == dense_diameter(g)
 
     def test_n_not_a_multiple_of_the_block(self):
         n = regularity._HOP_BLOCK + 37
         g = random_graph(n, 0.012, 5)
-        assert graph_diameter(g) == dense_diameter(g)
+        assert self.check(g) == dense_diameter(g)
 
     def test_only_the_last_partial_block_sees_the_diameter(self):
         # a star on the first two blocks (2 hops) and a 10-vertex path,
@@ -165,13 +203,41 @@ class TestGraphDiameter:
         edges = [[0, i] for i in range(1, 2 * b)]
         edges += [[i, i + 1] for i in range(2 * b, n - 1)]
         g = custom_graph(n, edges, [1.0] * n, [1.0] * len(edges), eps=0.5)
-        assert graph_diameter(g) == 4.5 == dense_diameter(g)
+        assert self.check(g) == 4.5 == dense_diameter(g)
 
     def test_disconnected_gives_largest_component(self):
         # a 7-vertex path and a triangle: the largest finite hop count is 6
         edges = [[i, i + 1] for i in range(6)] + [[7, 8], [8, 9], [7, 9]]
         g = custom_graph(10, edges, [1.0] * 10, [1.0] * len(edges), eps=0.5)
-        assert graph_diameter(g) == 3.0 == dense_diameter(g)
+        assert self.check(g) == 3.0 == dense_diameter(g)
+
+    def test_more_components_than_one_pass_holds(self, monkeypatch):
+        # 70 triangles, 60 isolated vertices and a 5-vertex path last: an
+        # unreached vertex stays a candidate until it is a source itself
+        edges = [[3 * t + a, 3 * t + b] for t in range(70)
+                 for a, b in ((0, 1), (1, 2), (0, 2))]
+        edges += [[270 + i, 271 + i] for i in range(4)]
+        n = 275
+        g = custom_graph(n, edges, [1.0] * n, [1.0] * len(edges), eps=0.5)
+        passes = count_passes(monkeypatch)
+        assert graph_diameter(g) == 2.0 == dense_diameter(g)
+        assert len(passes) > 1
+        monkeypatch.undo()
+        self.check(g)
+
+    def test_above_4000_vertices(self, sphere2):
+        n = 4200
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        self.check(gamma_N_eps(cloud, epsilon_schedule(n, 2)))
+
+    def test_each_pass_fills_the_word(self, sphere2, monkeypatch):
+        # one source per pass takes 167 passes on this graph
+        n = 4000
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        passes = count_passes(monkeypatch)
+        graph_diameter(g)
+        assert 1 <= len(passes) <= 8
 
     def test_memory_is_not_n_squared(self, sphere2):
         n = 2000
@@ -491,20 +557,24 @@ class TestNash:
 
 
 class TestMoser:
+    @staticmethod
+    def check(g, res, k, p):
+        return moser_check(g, res, k, p, moser_alpha(g), graph_diameter(g))
+
     def test_constant_eigenvector_ratio_one(self, circle_graph_200):
         res = eigen_decompose(circle_graph_200, 2)
         for p in (2, 4, 8):
-            ratio, _ = moser_check(circle_graph_200, res, 0, p)
+            ratio, _ = self.check(circle_graph_200, res, 0, p)
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_p1_ratio_one(self, circle_graph_200):
         res = eigen_decompose(circle_graph_200, 2)
-        ratio, _ = moser_check(circle_graph_200, res, 2, 1)
+        ratio, _ = self.check(circle_graph_200, res, 2, 1)
         assert ratio == pytest.approx(1.0)
 
     def test_ratio_monotone_in_p(self, circle_graph_200):
         res = eigen_decompose(circle_graph_200, 3)
-        ratios = [moser_check(circle_graph_200, res, 2, p)[0]
+        ratios = [self.check(circle_graph_200, res, 2, p)[0]
                   for p in (1, 2, 4, 8)]
         assert np.all(np.diff(ratios) >= -1e-12)
 
@@ -514,7 +584,7 @@ class TestMoser:
         lam = res.eigenvalues[1]
         alpha = moser_alpha(g)
         D = graph_diameter(g)
-        _, shape = moser_check(g, res, 1, 4)
+        _, shape = moser_check(g, res, 1, 4, alpha, D)
         want = 4.0 ** (2 * lam * alpha * g.epsilon**2) * math.exp(D * math.sqrt(lam))
         assert shape == pytest.approx(want, rel=1e-12)
 
@@ -522,7 +592,7 @@ class TestMoser:
         res = eigen_decompose(circle_graph_200, 2)
         for p in (2, 4, 8, np.inf):
             assert moser_ratio(circle_graph_200, res, 2, p) == \
-                moser_check(circle_graph_200, res, 2, p)[0]
+                self.check(circle_graph_200, res, 2, p)[0]
 
     def test_run_moser_takes_one_diameter_per_cell(self, monkeypatch):
         calls = []

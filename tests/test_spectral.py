@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import custom_graph, fake_cloud
-from spectral_limits import spectral
+from spectral_limits import graph, spectral
 from spectral_limits.graph import gamma_N_eps, gamma_m_eps, laplacian_apply
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
 from spectral_limits.spectral import (
@@ -254,6 +254,16 @@ class TestCellMemory:
         cloud, eps = circle_cell(circle, 4000)
         g, peak = traced_peak(gamma_N_eps, cloud, eps)
         assert peak < 3.1 * csr_nbytes(g.weighted_adjacency)
+
+    @pytest.mark.parametrize("build", [gamma_N_eps, gamma_m_eps])
+    def test_constructor_over_the_edge_list(self, circle, monkeypatch, build):
+        # the edge list is held by the caller; an E-long weight array beside
+        # it, where one constant weight would do, breaks this bound
+        cloud, eps = circle_cell(circle, 4000)
+        edges = graph.build_edges(cloud, eps)
+        monkeypatch.setattr(graph, "build_edges", lambda *args: edges)
+        g, peak = traced_peak(build, cloud, eps)
+        assert peak < 1.75 * csr_nbytes(g.weighted_adjacency)
 
     def test_eigen_decompose(self, circle):
         cloud, eps = circle_cell(circle, 4000)
