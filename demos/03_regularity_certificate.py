@@ -29,7 +29,7 @@ for n in (500, 1000, 2000):
     cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=7)
     g = gamma_N_eps(cloud, epsilon_schedule(n, 1))
     spec = eigen_decompose(g, 2)
-    cert = certify(g, spectral=spec, seed=7, moser_ks=(1,))
+    cert = certify(g, spectral=spec, seed=7)
     moser4 = dict(((k, p), r) for k, p, r in cert.moser_table)[(1, 4)]
     print(f"{n:>5} {cert.Q:>7.3f} {cert.P:>7.3f} {cert.R:>7.3f} "
           f"{cert.nu:>10.3f} {moser4:>22.4f}")

@@ -31,8 +31,7 @@ print(f"V_p_eps on the torus: MC {est.value:.6f} +- {est.stderr:.1e}, "
 # chord-vs-arc discrepancy mass on the circle: arc in [eps, 2 asin(eps/2))
 circle = Circle(1.0)
 exact = 4.0 * math.pi * (2.0 * math.asin(0.5) - 1.0)
-est_s = s_eps(circle, ("geodesic", "embedded"), eps=1.0,
-              n_mc_outer=500, n_mc_inner=4000, seed=2)
+est_s = s_eps(circle, eps=1.0, n_mc_outer=500, n_mc_inner=4000, seed=2)
 print(f"S_eps on the circle : MC {est_s.value:.6f} +- {est_s.stderr:.1e}, "
       f"exact {exact:.6f}")
 
@@ -42,8 +41,7 @@ print(f"S_eps on the circle : MC {est_s.value:.6f} +- {est_s.stderr:.1e}, "
 m, n = 2, 3000
 eps_n = (math.log(n) / n) ** (1.0 / (m + 2))
 v_n = v_p_eps(torus, p=m + 2.0, eps=eps_n, K=1.0, n_mc=50000, seed=3)
-s_n = s_eps(torus, ("geodesic", "embedded"), eps=eps_n,
-            n_mc_outer=400, n_mc_inner=4000, seed=4)
+s_n = s_eps(torus, eps=eps_n, n_mc_outer=400, n_mc_inner=4000, seed=4)
 t1, t2, t3 = theorem_error_terms(m, eps_n, v_n.value, s_n.value)
 print(f"\nerror terms on the torus at n={n} (m={m}, eps={eps_n:.4f}):")
 print(f"  eps^(m/(m+2))                = {t1:.4f}")

@@ -34,7 +34,7 @@ cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed=3)
 ctx = KernelContext(cloud, eps)
 
 # kernel density: empirical vs continuum (closed form eps / (3 pi))
-x = circle.point([1.234])
+x = [1.234]  # chart coordinates: the angle
 tn = theta_n_eps(ctx, x)
 tc = theta_eps(circle, DensitySpec("uniform"), x, eps=eps)
 print(f"theta_n = {tn:.6f}, theta = {tc:.6f} (closed form "

@@ -13,7 +13,6 @@ from .geometry import (
     Circle,
     FlatTorus,
     ManifoldModel,
-    Point,
     Sphere,
     Spindle,
     ball_volume,
@@ -41,7 +40,7 @@ from .graph import (
     random_walk_matrix,
 )
 from .spectral import DisconnectedGraphError, SolverError, SpectralResult, \
-    eigen_decompose, rayleigh_quotient
+    eigen_decompose
 from .regularity import (
     RegularityCertificate,
     almost_regularity,

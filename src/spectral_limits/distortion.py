@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel, Point, ball_volume, model_ball_volume
+from .geometry import ManifoldModel, ball_volume, model_ball_volume
 
 __all__ = [
     "Estimate",
@@ -44,6 +44,8 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
         raise ValueError("p must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if n_mc < 2:
+        raise ValueError("n_mc must be >= 2 for a standard error")
     rng = np.random.Generator(np.random.PCG64(seed))
     vk = model_ball_volume(mfd.m, K, eps)
     z = mfd.uniform_intrinsic(n_mc, rng)
@@ -54,8 +56,7 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
     else:
         vals = np.empty(n_mc)
         for i in range(n_mc):
-            x = Point(intrinsic=z[i], embedded=mfd.embed(z[i : i + 1])[0])
-            vals[i] = ball_volume(mfd, x, eps, n_mc=ball_mc, rng=rng)
+            vals[i] = ball_volume(mfd, z[i], eps, n_mc=ball_mc, rng=rng)
         integrand = np.abs(1.0 - vals / vk) ** p
     total = mfd.total_volume * float(np.mean(integrand))
     se_total = mfd.total_volume * float(np.std(integrand, ddof=1)) / math.sqrt(n_mc)
@@ -67,24 +68,20 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
     return Estimate(value=value, stderr=stderr)
 
 
-def s_eps(mfd: ManifoldModel, metric_pair=("geodesic", "embedded"),
-          eps: float = 0.1, n_mc_outer: int = 200, n_mc_inner: int = 2000,
-          seed: int = 0) -> Estimate:
-    """Mass of eps-discrepancy between surrogate and geodesic balls.
+def s_eps(mfd: ManifoldModel, eps: float, n_mc_outer: int = 200,
+          n_mc_inner: int = 2000, seed: int = 0) -> Estimate:
+    """Mass of eps-discrepancy between embedded (chord) and geodesic balls.
 
-    Nested Monte-Carlo of the integral over x of vol(B_surrogate(x, eps)
+    Nested Monte-Carlo of the integral over x of vol(B_embedded(x, eps)
     minus B_geodesic(x, eps)), scaled by vol(M)^2; fresh inner samples per
     outer point keep the estimator unbiased.  Only pairs already close in
-    the surrogate metric need a geodesic evaluation, since the embedded
+    the embedded metric need a geodesic evaluation, since the embedded
     distance never exceeds the geodesic one.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    true_metric, surrogate = metric_pair
-    if true_metric == surrogate:
-        return Estimate(value=0.0, stderr=0.0)
-    if (true_metric, surrogate) != ("geodesic", "embedded"):
-        raise ValueError(f"unsupported metric pair {metric_pair!r}")
+    if n_mc_outer < 2:
+        raise ValueError("n_mc_outer must be >= 2 for a standard error")
     rng = np.random.Generator(np.random.PCG64(seed))
     vol = mfd.total_volume
     means = np.empty(n_mc_outer)

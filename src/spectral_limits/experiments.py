@@ -18,7 +18,7 @@ import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .interpolation import TestFunction, energy_comparison_report, \
 from .plotting import svg_line_chart
 from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
     spindle_spectrum, torus_spectrum, weighted_circle_spectrum
-from .regularity import MOSER_P, RegularityCertificate, certify, \
+from .regularity import MOSER_K, MOSER_P, RegularityCertificate, certify, \
     graph_diameter, moser_alpha, moser_check
 from .sampling import Density, DensitySpec, PointCloud, make_density, \
     sample_dataset, epsilon_schedule
@@ -91,7 +91,7 @@ CONFIG_KEYS = (
     ("l_max", "l_max", "int", ">= 0"),
     ("p", "p", "float", ">= 1"),
     ("K", "K", "float", "> 0"),
-    ("mc_outer", "mc_outer", "int", ">= 1"),
+    ("mc_outer", "mc_outer", "int", ">= 2"),
     ("mc_inner", "mc_inner", "int", ">= 1"),
     ("threads", "threads", "int", ">= 1"),
 )
@@ -296,10 +296,9 @@ def _run_cells(cfg: ExperimentConfig, fn) -> list:
 # spectrum experiment
 
 
-def run_spectrum_experiment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None):
+def run_spectrum_experiment(cfg: ExperimentConfig):
     """Graph eigenvalues vs continuum reference, one row per (n, seed, k)."""
-    if ref is None:
-        ref = reference_spectrum_for(cfg, make_manifold(cfg))
+    ref = reference_spectrum_for(cfg, make_manifold(cfg))
 
     def rows(cell):
         try:
@@ -425,22 +424,21 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
     )
 
 
-def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None):
+def run_alignment(cfg: ExperimentConfig):
     """Alignment rows per (n, seed) for the configured cluster.
 
     With no cluster configured, the cluster is the reference's first
     non-constant one, found by growing the reference until a later
     eigenvalue bounds that cluster from above.
     """
-    if ref is None:
-        mfd = make_manifold(cfg)
-        ref = reference_spectrum_for(cfg, mfd)
-        while not cfg.cluster and len(ref.clusters()) < 3:
-            # the reference may outgrow the smallest n, which the config
-            # check forbids k_max to reach: grow it on an unchecked copy
-            more = copy.copy(cfg)
-            more.k_max = 2 * len(ref.eigenvalues)
-            ref = reference_spectrum_for(more, mfd)
+    mfd = make_manifold(cfg)
+    ref = reference_spectrum_for(cfg, mfd)
+    while not cfg.cluster and len(ref.clusters()) < 3:
+        # the reference may outgrow the smallest n, which the config check
+        # forbids k_max to reach: grow it on an unchecked copy
+        more = copy.copy(cfg)
+        more.k_max = 2 * len(ref.eigenvalues)
+        ref = reference_spectrum_for(more, mfd)
     cluster = cfg.cluster or ref.clusters()[1]
     k, l = int(cluster[0]), int(cluster[1])
     gamma, span_width = _cluster_gap(ref.eigenvalues, k, l)
@@ -472,12 +470,11 @@ def run_alignment(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None
 # convergence sweep
 
 
-def run_convergence_sweep(cfg: ExperimentConfig, ref: Optional[ReferenceSpectrum] = None,
-                          svg_path=None):
+def run_convergence_sweep(cfg: ExperimentConfig, svg_path=None):
     """Medians over seeds per n and the log-log error slope per k."""
     if len(cfg.n_list) < 3 or len(cfg.seeds) < 3:
         raise ValueError("sweep needs at least 3 n values and 3 seeds")
-    rows = run_spectrum_experiment(cfg, ref=ref)
+    rows = run_spectrum_experiment(cfg)
     summary = []
     series = {}
     for k in range(1, cfg.k_max + 1):
@@ -515,8 +512,6 @@ def _loglog_slope(ns, errs) -> float:
 
 
 def run_regularity(cfg: ExperimentConfig):
-    moser_ks = (1, 2)
-
     def rows(cell):
         g = cell.graph
         try:
@@ -525,11 +520,10 @@ def run_regularity(cfg: ExperimentConfig):
             spec, nan = None, math.nan
             cert = RegularityCertificate(
                 n=cell.n, eps=cell.eps, Q=nan, P=nan, R=nan,
-                moser_table=[(k, pp, nan) for k in moser_ks if k <= cfg.k_max
+                moser_table=[(k, pp, nan) for k in MOSER_K if k <= cfg.k_max
                              for pp in MOSER_P])
         else:
-            cert = certify(g, spectral=spec, seed=cell.seed,
-                           moser_ks=moser_ks)
+            cert = certify(g, spectral=spec, seed=cell.seed)
         return [dict(n=cell.n, seed=cell.seed, eps=cell.eps,
                      connected=int(spec is not None), Q=cert.Q,
                      P=cert.P, sigma=1.0, R=cert.R,
@@ -543,8 +537,7 @@ def run_distortion(cfg: ExperimentConfig):
     def rows(cell):
         mfd, eps = cell.mfd, cell.eps
         v = v_p_eps(mfd, cfg.p, eps, cfg.K, cfg.mc_outer, cell.seed)
-        s = s_eps(mfd, ("geodesic", "embedded"), eps,
-                  n_mc_outer=max(cfg.mc_outer // cfg.mc_inner, 50),
+        s = s_eps(mfd, eps, n_mc_outer=max(cfg.mc_outer // cfg.mc_inner, 50),
                   n_mc_inner=cfg.mc_inner, seed=cell.seed)
         return [dict(n=cell.n, seed=cell.seed, eps=eps,
                      v_p_eps=v.value, v_stderr=v.stderr,

@@ -3,21 +3,20 @@
 Four models are shipped: the circle, the round sphere S^m, the flat torus,
 and the spindle (a warped product over S^{m-1} whose completion has two
 non-smooth tips).  Each model knows its intrinsic (geodesic) metric, an
-isometric embedding into Euclidean space and its total volume.  Spindle
-geodesics are great-circle arcs in closed form: with psi = c*phi each 2-D
-section through the axis is the unit sphere minus a lune.
+isometric embedding into Euclidean space and its total volume; a point is
+its chart coordinates.  Spindle geodesics are great-circle arcs in closed
+form: with psi = c*phi each 2-D section through the axis is the unit
+sphere minus a lune.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "Point",
     "ManifoldModel",
     "Circle",
     "Sphere",
@@ -31,22 +30,6 @@ __all__ = [
     "mc_ball_volume",
     "bishop_gromov_ratio",
 ]
-
-
-# ---------------------------------------------------------------------------
-# points
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point carrying both chart coordinates and embedded coordinates."""
-
-    intrinsic: np.ndarray
-    embedded: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "intrinsic", np.asarray(self.intrinsic, dtype=float))
-        object.__setattr__(self, "embedded", np.asarray(self.embedded, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +100,11 @@ class ManifoldModel:
         """Map an (n, k) array of chart coordinates to (n, d) Euclidean."""
         raise NotImplementedError
 
-    def point(self, intrinsic) -> Point:
-        intrinsic = np.atleast_1d(np.asarray(intrinsic, dtype=float))
-        emb = self.embed(intrinsic[None, :])[0]
-        return Point(intrinsic=intrinsic, embedded=emb)
-
     # -- metric ------------------------------------------------------------
 
     def geodesic(self, xi: np.ndarray, yi: np.ndarray) -> float:
         """Geodesic distance between two chart coordinates."""
-        raise NotImplementedError
+        return float(self.geodesic_to_many(xi, np.atleast_2d(yi))[0])
 
     def geodesic_to_many(self, xi: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """Geodesic distances from one point to a batch of points."""
@@ -160,10 +138,6 @@ class Circle(ManifoldModel):
         th = np.asarray(intrinsic, dtype=float)[:, 0]
         return self.radius * np.column_stack([np.cos(th), np.sin(th)])
 
-    def geodesic(self, xi, yi):
-        d = abs(float(xi[0]) - float(yi[0])) % (2.0 * math.pi)
-        return self.radius * min(d, 2.0 * math.pi - d)
-
     def geodesic_to_many(self, xi, batch):
         d = np.abs(np.asarray(batch, dtype=float)[:, 0] - float(xi[0])) % (2.0 * math.pi)
         return self.radius * np.minimum(d, 2.0 * math.pi - d)
@@ -194,12 +168,6 @@ class Sphere(ManifoldModel):
         u = np.asarray(intrinsic, dtype=float)
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         return self.radius * u / norms
-
-    def geodesic(self, xi, yi):
-        u = np.asarray(xi, dtype=float)
-        v = np.asarray(yi, dtype=float)
-        c = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-        return self.radius * math.acos(min(1.0, max(-1.0, c)))
 
     def geodesic_to_many(self, xi, batch):
         u = np.asarray(xi, dtype=float)
@@ -247,14 +215,6 @@ class FlatTorus(ManifoldModel):
             cols.append(rad * np.cos(ang))
             cols.append(rad * np.sin(ang))
         return np.column_stack(cols)
-
-    def geodesic(self, xi, yi):
-        d2 = 0.0
-        for j, p in enumerate(self.periods):
-            dj = abs(float(xi[j]) - float(yi[j])) % p
-            dj = min(dj, p - dj)
-            d2 += dj * dj
-        return math.sqrt(d2)
 
     def geodesic_to_many(self, xi, batch):
         b = np.asarray(batch, dtype=float)
@@ -353,9 +313,6 @@ class Spindle(ManifoldModel):
         t1, t2 = np.broadcast_arrays(za[:, 0], zb[:, 0])
         return self._rev_distance_many(t1, t2, dphi)
 
-    def geodesic(self, xi, yi):
-        return float(self.geodesic_to_many(xi, [yi])[0])
-
     def geodesic_to_many(self, xi, batch):
         za = np.asarray(xi, dtype=float)[None, :]
         zb = np.asarray(batch, dtype=float).reshape(-1, za.shape[1])
@@ -395,32 +352,32 @@ def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
 # free-function operations
 
 
-def mc_ball_volume(mfd, x: Point, r: float, n_mc: int = 40000, rng=None):
-    """Monte-Carlo geodesic ball volume; returns (value, standard error)."""
+def mc_ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None):
+    """Monte-Carlo volume of B(xi, r); returns (value, standard error)."""
     if rng is None:
         rng = np.random.default_rng(0)
     z = mfd.uniform_intrinsic(n_mc, rng)
-    d = mfd.geodesic_to_many(x.intrinsic, z)
+    d = mfd.geodesic_to_many(xi, z)
     p = float(np.mean(d < r))
     val = mfd.total_volume * p
     stderr = mfd.total_volume * math.sqrt(max(p * (1.0 - p), 0.0) / n_mc)
     return val, stderr
 
 
-def ball_volume(mfd, x: Point, r: float, n_mc: int = 40000, rng=None) -> float:
-    """Volume of the geodesic ball B(x, r); closed form where available."""
+def ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None) -> float:
+    """Volume of the geodesic ball B(xi, r); closed form where available."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    exact = mfd.ball_volume_exact(x.intrinsic, r)
+    exact = mfd.ball_volume_exact(xi, r)
     if exact is not None:
         return exact
-    return mc_ball_volume(mfd, x, r, n_mc=n_mc, rng=rng)[0]
+    return mc_ball_volume(mfd, xi, r, n_mc=n_mc, rng=rng)[0]
 
 
-def bishop_gromov_ratio(mfd, x: Point, r: float, K: float, n_mc: int = 40000, rng=None) -> float:
-    """vol(B(x, r)) / V_K(r); non-increasing in r under the curvature bound."""
+def bishop_gromov_ratio(mfd, xi, r: float, K: float) -> float:
+    """vol(B(xi, r)) / V_K(r); non-increasing in r under the curvature bound."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return ball_volume(mfd, x, r, n_mc=n_mc, rng=rng) / model_ball_volume(mfd.m, K, r)
+    return ball_volume(mfd, xi, r) / model_ball_volume(mfd.m, K, r)

@@ -159,10 +159,6 @@ class WeightedGraph:
         """Per-vertex sum of incident edge weights."""
         return np.asarray(self.weighted_adjacency.sum(axis=1)).ravel()
 
-    @property
-    def isolated(self) -> np.ndarray:
-        return np.nonzero(self.degrees == 0)[0]
-
     def total_volume(self) -> float:
         return float(np.sum(self.w_V))
 

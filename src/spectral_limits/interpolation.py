@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .geometry import Circle, FlatTorus, ManifoldModel, Point, Sphere, Spindle, \
+from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle, \
     model_sn, sphere_area, unit_ball_volume
 from .sampling import Density, DensitySpec, PointCloud, make_density
 from .graph import WeightedGraph, _edge_scale
@@ -57,37 +57,38 @@ class KernelContext:
         self.eps = float(eps)
         self._cache: dict = {}
 
-    def kernel_row(self, x: Point) -> np.ndarray:
-        key = x.intrinsic.tobytes()
+    def kernel_row(self, xi) -> np.ndarray:
+        """psi_eps of the geodesic distances from the chart coordinates
+        ``xi`` to every sample point."""
+        xi = np.asarray(xi, dtype=float)
+        key = xi.tobytes()
         row = self._cache.get(key)
         if row is None:
-            d = self.cloud.manifold.geodesic_to_many(x.intrinsic, self.cloud.intrinsic)
+            d = self.cloud.manifold.geodesic_to_many(xi, self.cloud.intrinsic)
             row = psi_eps(d, self.eps)
             self._cache[key] = row
         return row
 
 
-def theta_n_eps(ctx: KernelContext, x: Point) -> float:
-    """Empirical kernel density (1/(n-1)) * sum_i psi_eps(d_g(x, x_i))."""
-    row = ctx.kernel_row(x)
+def theta_n_eps(ctx: KernelContext, xi) -> float:
+    """Empirical kernel density (1/(n-1)) * sum_i psi_eps(d_g(xi, x_i))."""
+    row = ctx.kernel_row(xi)
     return float(np.sum(row) / (ctx.cloud.n - 1))
 
 
-def theta_eps(mfd: ManifoldModel, dens, x: Point, n_mc: int = 20000,
-              seed: int = 0, eps: Optional[float] = None) -> float:
-    """Continuum kernel density: integral of psi_eps(d_g(x, .)) against rho.
+def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
+              seed: int = 0) -> float:
+    """Continuum kernel density: integral of psi_eps(d_g(xi, .)) against rho.
 
     Radial quadrature on the circle, sphere and torus (below the
     injectivity radius); Monte-Carlo on the spindle.
     """
-    if eps is None:
-        raise ValueError("eps is required")
     if isinstance(dens, DensitySpec):
         dens = make_density(mfd, dens)
     if isinstance(mfd, Circle):
         R = mfd.radius
         half = min(eps, math.pi * R)
-        th0 = float(x.intrinsic[0])
+        th0 = float(xi[0])
 
         def f(s):
             return psi_eps(abs(s), eps) * float(dens.pdf(np.array([[th0 + s / R]]))[0])
@@ -118,11 +119,12 @@ def theta_eps(mfd: ManifoldModel, dens, x: Point, n_mc: int = 20000,
         rng = np.random.Generator(np.random.PCG64(seed))
         z = mfd.uniform_intrinsic(n_mc, rng)
         emb = mfd.embed(z)
-        chord = np.linalg.norm(emb - x.embedded, axis=1)
+        ex = mfd.embed(np.asarray(xi, dtype=float)[None])[0]
+        chord = np.linalg.norm(emb - ex, axis=1)
         close = np.nonzero(chord < eps)[0]
         acc = 0.0
         if len(close):
-            dg = mfd.geodesic_to_many(x.intrinsic, z[close])
+            dg = mfd.geodesic_to_many(xi, z[close])
             acc = float(np.sum(psi_eps(dg, eps)))
         return acc / n_mc  # rho0 * vol(M) = 1
     raise ValueError(f"unsupported manifold {mfd.kind!r}")
@@ -137,14 +139,14 @@ def theta_K_eps(m: int, K: float, eps: float) -> float:
     return m * unit_ball_volume(m) * val
 
 
-def interpolate(ctx: KernelContext, phi, x: Point) -> float:
-    """Kernel-weighted extension of a vertex function to the point x.
+def interpolate(ctx: KernelContext, phi, xi) -> float:
+    """Kernel-weighted extension of a vertex function to the point ``xi``.
 
     The weights form a partition of unity on the support of the kernel
     density, so the value is a convex combination of vertex values.
     """
     phi = np.asarray(phi, dtype=float)
-    row = ctx.kernel_row(x)
+    row = ctx.kernel_row(xi)
     total = float(np.sum(row))
     if total <= 0.0:
         raise ValueError("point lies outside the kernel support (theta_n = 0)")

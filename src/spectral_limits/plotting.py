@@ -9,36 +9,23 @@ __all__ = ["svg_line_chart"]
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _ticks(lo: float, hi: float, loglike: bool):
-    if loglike:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        return [10.0**e for e in range(lo_e, hi_e + 1)]
-    span = hi - lo or 1.0
-    step = 10.0 ** math.floor(math.log10(span))
-    if span / step > 5:
-        step *= 2
-    t = math.ceil(lo / step) * step
-    out = []
-    while t <= hi + 1e-12 * span:
-        out.append(t)
-        t += step
-    return out
+def _ticks(lo: float, hi: float):
+    """The powers of ten from at most ``lo`` to at least ``hi``."""
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
-def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = "",
-                   loglog: bool = True, width: int = 640, height: int = 420):
-    """Write one polyline per series; log-log scaling by default."""
-    margin = 60
+def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = ""):
+    """Write one polyline per series on 640 x 420 log-log axes."""
+    margin, width, height = 60, 640, 420
     xs_all = [x for xs, _ in series.values() for x in xs]
-    ys_all = [y for _, ys in series.values() for y in ys if y > 0 or not loglog]
+    ys_all = [y for _, ys in series.values() for y in ys if y > 0]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot")
-    f = math.log10 if loglog else (lambda v: v)
+    f = math.log10
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if loglog and y_lo <= 0:
-        raise ValueError("log-log chart needs positive values")
 
     def sx(x):
         a, b = f(x_lo), f(x_hi)
@@ -58,7 +45,7 @@ def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = "",
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
     ]
-    for t in _ticks(x_lo, x_hi, loglog):
+    for t in _ticks(x_lo, x_hi):
         if x_lo <= t <= x_hi:
             x = sx(t)
             parts.append(
@@ -67,7 +54,7 @@ def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = "",
                 f'<text x="{x:.1f}" y="{height - margin + 18}" font-size="10" '
                 f'text-anchor="middle">{t:g}</text>'
             )
-    for t in _ticks(y_lo, y_hi, loglog):
+    for t in _ticks(y_lo, y_hi):
         if y_lo <= t <= y_hi:
             y = sy(t)
             parts.append(

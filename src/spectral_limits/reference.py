@@ -4,8 +4,7 @@ Circle and sphere spectra are closed forms.  The non-uniform circle and
 the spindle have no closed forms; they are solved by second-order finite
 differences as generalized symmetric eigenproblems in the appropriate
 weighted L^2, with a mesh-doubling Richardson check (ratio must sit in
-[3, 5]) and Richardson-extrapolated eigenvalues.  Verified runs can be
-frozen into fixture files and replayed at 1e-6.
+[3, 5]) and Richardson-extrapolated eigenvalues.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "weighted_circle_spectrum",
     "spindle_spectrum",
     "appendix_ratio_check",
-    "load_fixture",
     "sphere_harmonic_multiplicity",
 ]
 
@@ -50,12 +48,9 @@ class ReferenceSpectrum:
 
     eigenvalues: np.ndarray
     eigenfunctions: List[Optional[Callable]]
-    provenance: str                       # closed_form | sturm_liouville
     weight: str                           # rho_vol | rho2_vol
     manifold: Optional[ManifoldModel] = None
     labels: List[Tuple[int, int]] = field(default_factory=list)
-    mesh: Optional[int] = None
-    tolerance: Optional[float] = None
     uniform_rho: Optional[float] = None
 
     def __post_init__(self):
@@ -63,13 +58,13 @@ class ReferenceSpectrum:
         if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise ValueError("eigenvalues must be nondecreasing")
 
-    def clusters(self, tol: float = CLUSTER_TOL):
-        """Index ranges [start, end] of equal eigenvalues up to tol."""
+    def clusters(self):
+        """Index ranges [start, end] of equal eigenvalues up to CLUSTER_TOL."""
         out = []
         start = 0
         lam = self.eigenvalues
         for i in range(1, len(lam)):
-            if lam[i] - lam[i - 1] > tol:
+            if lam[i] - lam[i - 1] > CLUSTER_TOL:
                 out.append((start, i - 1))
                 start = i
         out.append((start, len(lam) - 1))
@@ -94,29 +89,6 @@ class ReferenceSpectrum:
         else:
             raise ValueError(f"unknown weight {weight!r}")
         return lambda zi, ze, _f=f, _c=c: _c * np.asarray(_f(zi, ze))
-
-    def save_fixture(self, path):
-        with open(path, "w") as fh:
-            fh.write(
-                f"# provenance={self.provenance} mesh={self.mesh} "
-                f"tolerance={self.tolerance}\n"
-            )
-            fh.write("l,j,lambda\n")
-            labels = self.labels or [(0, i) for i in range(len(self.eigenvalues))]
-            for (l, j), lam in zip(labels, self.eigenvalues):
-                fh.write(f"{l},{j},{lam:.17g}\n")
-
-
-def load_fixture(path) -> np.ndarray:
-    """Eigenvalues of a frozen fixture file, ascending."""
-    lams = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("l,"):
-                continue
-            lams.append(float(line.split(",")[2]))
-    return np.asarray(lams)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +119,6 @@ def circle_spectrum(radius: float, k_max: int) -> ReferenceSpectrum:
     return ReferenceSpectrum(
         eigenvalues=np.array(lams[: k_max + 1]),
         eigenfunctions=funcs[: k_max + 1],
-        provenance="closed_form",
         weight="rho_vol",
         manifold=mfd,
         labels=labels[: k_max + 1],
@@ -207,7 +178,6 @@ def torus_spectrum(periods, k_max: int) -> ReferenceSpectrum:
     return ReferenceSpectrum(
         eigenvalues=np.array(lams[: k_max + 1]),
         eigenfunctions=funcs[: k_max + 1],
-        provenance="closed_form",
         weight="rho_vol",
         manifold=mfd,
         labels=labels[: k_max + 1],
@@ -298,7 +268,6 @@ def sphere_spectrum(m: int, radius: float, k_max: int) -> ReferenceSpectrum:
     return ReferenceSpectrum(
         eigenvalues=np.array(lams[: k_max + 1]),
         eigenfunctions=funcs[: k_max + 1],
-        provenance="closed_form",
         weight="rho_vol",
         manifold=mfd,
         labels=labels[: k_max + 1],
@@ -328,7 +297,7 @@ def _richardson(levels: List[np.ndarray], what: str):
     return fine[:k] + (fine[:k] - mid[:k]) / 3.0
 
 
-def _weighted_circle_eigs(radius, dens: Density, k_max, mesh, v0_seed=11):
+def _weighted_circle_eigs(radius, dens: Density, k_max, mesh):
     n = mesh
     h = 2.0 * math.pi / n
     theta = np.arange(n) * h
@@ -344,7 +313,7 @@ def _weighted_circle_eigs(radius, dens: Density, k_max, mesh, v0_seed=11):
     vals = np.r_[w_edge, w_edge, -w_edge, -w_edge]
     S = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() / radius**2
     M = sparse.diags(mass)
-    rng = np.random.Generator(np.random.PCG64(v0_seed))
+    rng = np.random.Generator(np.random.PCG64(11))
     v0 = rng.standard_normal(n)
     shift = -0.05 / radius**2
     lam, vec = eigsh(S, k=k_max + 1, M=M, sigma=shift, which="LM", v0=v0)
@@ -393,12 +362,9 @@ def weighted_circle_spectrum(radius: float, dens, k_max: int,
     return ReferenceSpectrum(
         eigenvalues=lams,
         eigenfunctions=funcs,
-        provenance="sturm_liouville",
         weight="rho2_vol",
         manifold=mfd,
         labels=[(0, k) for k in range(k_max + 1)],
-        mesh=mesh,
-        tolerance=1e-6,
         uniform_rho=uniform_rho,
     )
 
@@ -493,12 +459,9 @@ def spindle_spectrum(m: int, c: float, l_max: int, k_max: int,
     return ReferenceSpectrum(
         eigenvalues=np.array([t[0] for t in merged]),
         eigenfunctions=[t[3] for t in merged],
-        provenance="sturm_liouville",
         weight="rho2_vol",
         manifold=mfd,
         labels=[(t[1], t[2]) for t in merged],
-        mesh=mesh,
-        tolerance=1e-6,
         uniform_rho=rho0,
     )
 

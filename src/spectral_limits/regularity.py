@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigvalsh
@@ -46,30 +46,26 @@ __all__ = [
 # norms
 
 
-def weighted_p_norm(g: WeightedGraph, phi, p, subset=None) -> float:
-    """Volume-normalized p-norm of a vertex function over a subset.
+def weighted_p_norm(g: WeightedGraph, phi, p) -> float:
+    """Volume-normalized p-norm of a vertex function.
 
-    ``(1/vol(W) * sum_{x in W} |phi(x)|^p w_V(x))^(1/p)``; the sup norm
-    over the subset for p = inf.
+    ``(1/vol(V) * sum_x |phi(x)|^p w_V(x))^(1/p)``; the sup norm for
+    p = inf.
     """
     phi = np.asarray(phi, dtype=float)
-    if subset is None:
-        idx = np.arange(g.n_vertices)
-    else:
-        idx = np.asarray(subset, dtype=np.int64)
-    if len(idx) == 0:
-        raise ValueError("empty subset")
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(phi[idx])))
+    if p == np.inf:
+        return float(np.max(np.abs(phi)))
     if p < 1:
         raise ValueError("p must be >= 1")
-    vol = float(np.sum(g.w_V[idx]))
+    vol = float(np.sum(g.w_V))
     if vol <= 0:
-        raise ValueError("subset has zero volume")
-    return float((np.sum(np.abs(phi[idx]) ** p * g.w_V[idx]) / vol) ** (1.0 / p))
+        raise ValueError("the graph has zero volume")
+    return float((np.sum(np.abs(phi) ** p * g.w_V) / vol) ** (1.0 / p))
 
 
-# the p of every Moser ratio |||phi_k|||_p / |||phi_k|||_1 a report writes
+# the k and p of every Moser ratio |||phi_k|||_p / |||phi_k|||_1 that
+# ``certify`` measures; the moser report writes every p of MOSER_P
+MOSER_K = (1, 2)
 MOSER_P = (2, 4, 8, np.inf)
 
 # BFS sources per block, one per bit of a uint64 word: a block holds
@@ -267,13 +263,20 @@ def almost_regularity(g: WeightedGraph) -> float:
     degrees = g.degrees.astype(float)
     for i, j, _ in g._edge_blocks():
         for val in (g.w_V, degrees):
-            q = val[i] / val[j]
-            r = max(r, float(np.max(np.maximum(q, 1.0 / q), initial=1.0)))
+            r = max(r, _worst_ratio(val[i], val[j]))
     starts = wa.indptr[:-1][g.degrees > 0]
     wmax = np.maximum.reduceat(wa.data, starts)
     wmin = np.minimum.reduceat(wa.data, starts)
-    r = max(r, float(np.max(wmax / wmin)))
-    return r
+    return max(r, _worst_ratio(wmax, wmin))
+
+
+def _worst_ratio(a, b) -> float:
+    """Largest max(a/b, b/a) over pairs of nonnegative weights: 1 where the
+    two are equal, 0/0 included, and inf where only one of them is 0."""
+    q = np.divide(a, b, out=np.full(len(a), np.inf), where=b > 0)
+    q[a == b] = 1.0
+    inv = np.divide(1.0, q, out=np.full(len(q), np.inf), where=q > 0)
+    return float(np.max(np.maximum(q, inv), initial=1.0))
 
 
 def smoothing_apply(g: WeightedGraph, phi) -> np.ndarray:
@@ -368,7 +371,7 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
     ratio = moser_ratio(g, spectral, k, p)
     power = 2.0 * lam * alpha_param * g.epsilon**2
     growth = math.exp(D * math.sqrt(max(lam, 0.0)))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         shape = math.inf if power > 0 else growth
     else:
         shape = p ** power * growth
@@ -396,15 +399,14 @@ class RegularityCertificate:
 
 
 def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
-            seed: int = 0, moser_ks: Sequence[int] = (1, 2)
-            ) -> RegularityCertificate:
-    """Measure Q, P, R and Moser ratios on one graph."""
+            seed: int = 0) -> RegularityCertificate:
+    """Measure Q, P, R and the MOSER_K x MOSER_P Moser ratios on one graph."""
     q = doubling_constant(g, seed=seed)
     p = poincare_constant(g, seed=seed)
     r = almost_regularity(g)
     table = []
     if spectral is not None:
-        for k in moser_ks:
+        for k in MOSER_K:
             if k < len(spectral.eigenvalues):
                 for pp in MOSER_P:
                     table.append((k, pp, moser_ratio(g, spectral, k, pp)))

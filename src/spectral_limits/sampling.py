@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, ManifoldModel, Point
+from .geometry import Circle, ManifoldModel
 
 __all__ = [
     "DensitySpec",
@@ -28,8 +28,6 @@ __all__ = [
     "bernstein_empirical_check",
     "derive_seeds",
 ]
-
-RNG_ALGORITHM = "pcg64"
 
 
 @dataclass(frozen=True)
@@ -113,14 +111,10 @@ class PointCloud:
     seed: int
     intrinsic: np.ndarray
     embedded: np.ndarray
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def n(self) -> int:
         return len(self.intrinsic)
-
-    def point(self, i: int) -> Point:
-        return Point(intrinsic=self.intrinsic[i], embedded=self.embedded[i])
 
     def to_csv(self) -> str:
         mfd = self.manifold

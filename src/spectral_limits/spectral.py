@@ -23,15 +23,13 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import (WeightedGraph, _row_blocks, dirichlet_energy,
-                    laplacian_apply)
+from .graph import WeightedGraph, _row_blocks, laplacian_apply
 
 __all__ = [
     "DisconnectedGraphError",
     "SolverError",
     "SpectralResult",
     "eigen_decompose",
-    "rayleigh_quotient",
     "volume_inner",
     "volume_norm",
 ]
@@ -63,12 +61,7 @@ class SpectralResult:
     eigenvalues: np.ndarray        # (k+1,)
     eigenvectors: np.ndarray       # (n, k+1), columns orthonormal in w_V
     residuals: np.ndarray          # (k+1,)
-    cluster_ids: np.ndarray        # (k+1,) int; equal id = one near-degenerate cluster
     solver: str
-    tolerance: float
-
-    def cluster(self, cid: int) -> np.ndarray:
-        return np.nonzero(self.cluster_ids == cid)[0]
 
 
 def _symmetrized_operator(adj, w_V, eps: float):
@@ -147,15 +140,6 @@ def _start_vector(g: WeightedGraph) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _assign_clusters(eigenvalues: np.ndarray) -> np.ndarray:
-    scale = max(float(eigenvalues[-1]), 1.0)
-    ids = np.zeros(len(eigenvalues), dtype=np.int64)
-    for i in range(1, len(eigenvalues)):
-        same = eigenvalues[i] - eigenvalues[i - 1] < 1e-6 * scale
-        ids[i] = ids[i - 1] if same else ids[i - 1] + 1
-    return ids
-
-
 def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
                     method: str = "auto") -> SpectralResult:
     """The k+1 smallest Laplacian eigenpairs, orthonormal in the w_V measure.
@@ -196,17 +180,5 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=phi,
         residuals=resid,
-        cluster_ids=_assign_clusters(np.asarray(vals, dtype=float)),
         solver=method,
-        tolerance=tol,
     )
-
-
-def rayleigh_quotient(g: WeightedGraph, phi) -> float:
-    """Dirichlet energy over the squared weighted norm."""
-    phi = np.asarray(phi, dtype=float)
-    denom = volume_inner(g, phi, phi)
-    if denom <= 0:
-        raise ValueError("rayleigh_quotient of a zero function")
-    return dirichlet_energy(g, phi) / denom
-

@@ -46,6 +46,10 @@ class TestVpEps:
         assert est.value >= 0.0
         assert est.stderr > 0.0
 
+    def test_one_sample_has_no_standard_error(self, torus):
+        with pytest.raises(ValueError, match="n_mc"):
+            v_p_eps(torus, p=4.0, eps=0.3, K=1.0, n_mc=1, seed=0)
+
 
 class TestSpindleReference:
     # values of the per-pair scalar Clairaut solver, before the geodesic was
@@ -57,30 +61,26 @@ class TestSpindleReference:
         assert est.stderr == pytest.approx(0.03848028238986358, rel=0.0, abs=1e-12)
 
     def test_s_eps(self):
-        est = s_eps(Spindle(2), ("geodesic", "embedded"), eps=0.25,
+        est = s_eps(Spindle(2), eps=0.25,
                     n_mc_outer=50, n_mc_inner=2000, seed=0)
         assert est.value == pytest.approx(0.01816007209800442, rel=0.0, abs=1e-12)
         assert est.stderr == pytest.approx(0.00467931333765298, rel=0.0, abs=1e-12)
 
 
 class TestSEps:
-    def test_same_metric_exactly_zero(self, circle):
-        est = s_eps(circle, ("geodesic", "geodesic"), eps=0.5)
-        assert est.value == 0.0 and est.stderr == 0.0
-
     def test_circle_exact_integral(self, circle):
         # chord < eps but arc >= eps happens iff arc in [eps, 2 asin(eps/2))
         exact = 2.0 * math.pi * 2.0 * (2.0 * math.asin(0.5) - 1.0)
-        est = s_eps(circle, ("geodesic", "embedded"), eps=1.0,
+        est = s_eps(circle, eps=1.0,
                     n_mc_outer=300, n_mc_inner=4000, seed=5)
         assert est.value == pytest.approx(exact, rel=0.08)
         assert abs(est.value - exact) < 4.0 * est.stderr + 0.01 * exact
 
     def test_cubic_scaling(self, circle):
         # arc - chord ~ arc^3 / 24: the discrepancy mass scales like eps^3
-        e1 = s_eps(circle, ("geodesic", "embedded"), eps=0.1,
+        e1 = s_eps(circle, eps=0.1,
                    n_mc_outer=500, n_mc_inner=80000, seed=6)
-        e2 = s_eps(circle, ("geodesic", "embedded"), eps=0.2,
+        e2 = s_eps(circle, eps=0.2,
                    n_mc_outer=500, n_mc_inner=80000, seed=7)
         exact = lambda e: 2 * math.pi * 2 * (2 * math.asin(e / 2) - e)
         assert e1.value == pytest.approx(exact(0.1), rel=0.2)
@@ -88,11 +88,15 @@ class TestSEps:
         assert e1.value / e2.value == pytest.approx(1.0 / 8.0, rel=0.25)
 
     def test_stderr_halves_with_four_times_samples(self, circle):
-        a = s_eps(circle, ("geodesic", "embedded"), eps=0.6,
+        a = s_eps(circle, eps=0.6,
                   n_mc_outer=200, n_mc_inner=2000, seed=8)
-        b = s_eps(circle, ("geodesic", "embedded"), eps=0.6,
+        b = s_eps(circle, eps=0.6,
                   n_mc_outer=800, n_mc_inner=2000, seed=8)
         assert b.stderr == pytest.approx(a.stderr / 2.0, rel=0.3)
+
+    def test_one_outer_sample_has_no_standard_error(self, circle):
+        with pytest.raises(ValueError, match="n_mc_outer"):
+            s_eps(circle, eps=0.5, n_mc_outer=1, seed=0)
 
 
 class TestErrorTerms:

@@ -108,7 +108,8 @@ class TestConfig:
         ("cluster = [1]", "cluster"), ("cluster = [1, 2, 3]", "cluster"),
         ("cluster = [1, 2.5]", "cluster"), ("cluster = [2, 1]", "cluster"),
         ("cluster = [-1, 1]", "cluster"),
-        ("mc_outer = 0", "mc_outer"), ("mc_inner = 0", "mc_inner"),
+        ("mc_outer = 0", "mc_outer"), ("mc_outer = 1", "mc_outer"),
+        ("mc_inner = 0", "mc_inner"),
         ("mc_inner = 2.5", "mc_inner"),
         ("m = 1.5", "m"), ("m = 0", "m"),
         ("k_max = 64", "k_max"),
@@ -239,7 +240,6 @@ class TestAlignment:
         fake = ReferenceSpectrum(
             eigenvalues=lam,
             eigenfunctions=[None] + funcs + [None],
-            provenance="closed_form",
             weight="rho2_vol",
             manifold=g and None,
         )

@@ -143,26 +143,21 @@ class TestModelFunctions:
 
 class TestDistances:
     def test_circle_antipodal(self, circle):
-        x, y = circle.point([0.0]), circle.point([math.pi])
-        assert circle.geodesic(x.intrinsic, y.intrinsic) == pytest.approx(math.pi)
-        assert np.linalg.norm(x.embedded - y.embedded) == pytest.approx(2.0)
+        x, y = [0.0], [math.pi]
+        assert circle.geodesic(x, y) == pytest.approx(math.pi)
+        ex, ey = circle.embed(np.array([x, y]))
+        assert np.linalg.norm(ex - ey) == pytest.approx(2.0)
 
     def test_sphere_pole_to_equator(self, sphere2):
-        x = sphere2.point([0.0, 0.0, 1.0])
-        y = sphere2.point([1.0, 0.0, 0.0])
-        d = sphere2.geodesic(x.intrinsic, y.intrinsic)
+        d = sphere2.geodesic([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         assert d == pytest.approx(math.pi / 2.0)
 
     def test_torus_shift(self, torus):
-        x, y = torus.point([0.0, 0.0]), torus.point([0.6, 0.0])
-        assert torus.geodesic(x.intrinsic, y.intrinsic) == pytest.approx(0.4)
+        assert torus.geodesic([0.0, 0.0], [0.6, 0.0]) == pytest.approx(0.4)
 
     def test_self_distance(self, spindle2):
         z = spindle2.uniform_intrinsic(1, np.random.default_rng(0))[0]
-        p = spindle2.point(z)
-        assert np.linalg.norm(p.embedded - p.embedded) == 0.0
-        d = spindle2.geodesic(p.intrinsic, p.intrinsic)
-        assert d == pytest.approx(0.0, abs=1e-12)
+        assert spindle2.geodesic(z, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_spindle_profile_coordinate(self, spindle2):
         # first embedded coordinate at theta = pi/2 equals the profile
@@ -170,14 +165,15 @@ class TestDistances:
         want, _ = integrate.quad(
             lambda p: math.sqrt(1.0 - 0.5 * math.cos(p) ** 2), 0.0, math.pi / 2
         )
-        pt = spindle2.point([math.pi / 2.0, 1.0, 0.0])
-        assert pt.embedded[0] == pytest.approx(want, rel=1e-10)
+        emb = spindle2.embed(np.array([[math.pi / 2.0, 1.0, 0.0]]))[0]
+        assert emb[0] == pytest.approx(want, rel=1e-10)
 
     def test_point_embeds_consistently(self, spindle3):
+        # a point embeds alone as it does within a batch
         z = spindle3.uniform_intrinsic(5, np.random.default_rng(1))
-        for zi in z:
-            p = spindle3.point(zi)
-            assert np.allclose(p.embedded, spindle3.embed(zi[None, :])[0], atol=1e-12)
+        batch = spindle3.embed(z)
+        for zi, row in zip(z, batch):
+            assert np.allclose(spindle3.embed(zi[None, :])[0], row, atol=1e-12)
 
 
 @pytest.mark.parametrize("mkey", ["circle", "sphere2", "torus", "spindle2"])
@@ -370,26 +366,26 @@ class TestBatchedClairaut:
 
 class TestBallVolumes:
     def test_sphere_cap(self, sphere2):
-        x = sphere2.point([0.0, 0.0, 1.0])
+        x = np.array([0.0, 0.0, 1.0])
         want = 2.0 * math.pi * (1.0 - math.cos(0.5))
         assert ball_volume(sphere2, x, 0.5) == pytest.approx(want, rel=1e-12)
 
     def test_zero_radius(self, sphere2):
-        x = sphere2.point([0.0, 0.0, 1.0])
+        x = np.array([0.0, 0.0, 1.0])
         assert ball_volume(sphere2, x, 0.0) == 0.0
 
     def test_torus_flat_disk(self, torus):
-        x = torus.point([0.2, 0.7])
+        x = np.array([0.2, 0.7])
         assert ball_volume(torus, x, 0.3) == pytest.approx(math.pi * 0.09, rel=1e-12)
 
     def test_circle_ball(self, circle):
-        x = circle.point([1.0])
+        x = np.array([1.0])
         assert ball_volume(circle, x, 0.4) == pytest.approx(0.8)
         assert ball_volume(circle, x, 10.0) == pytest.approx(2.0 * math.pi)
 
     def test_spindle_mc_matches_sphere(self):
         sp = Spindle(2, c=1.0)
-        x = sp.point([math.pi / 2.0, 1.0, 0.0])
+        x = np.array([math.pi / 2.0, 1.0, 0.0])
         val, stderr = mc_ball_volume(sp, x, 0.8, n_mc=4000,
                                      rng=np.random.default_rng(3))
         want = 2.0 * math.pi * (1.0 - math.cos(0.8))
@@ -398,7 +394,7 @@ class TestBallVolumes:
 
     def test_higher_sphere_quadrature(self):
         s3 = Sphere(3, 1.0)
-        x = s3.point([1.0, 0.0, 0.0, 0.0])
+        x = np.array([1.0, 0.0, 0.0, 0.0])
         want, _ = integrate.quad(lambda t: math.sin(t) ** 2, 0.0, 0.7)
         want *= sphere_area(2)
         assert ball_volume(s3, x, 0.7) == pytest.approx(want, rel=1e-10)
@@ -406,7 +402,7 @@ class TestBallVolumes:
 
 class TestBishopGromov:
     def test_sphere_value(self, sphere2):
-        x = sphere2.point([0.0, 0.0, 1.0])
+        x = np.array([0.0, 0.0, 1.0])
         cap = 2.0 * math.pi * (1.0 - math.cos(0.5))
         vk = 2.0 * math.pi * (math.cosh(0.5) - 1.0)
         assert bishop_gromov_ratio(sphere2, x, 0.5, 1.0) == pytest.approx(
@@ -414,19 +410,19 @@ class TestBishopGromov:
         )
 
     def test_small_radius_limit(self, sphere2):
-        x = sphere2.point([0.0, 0.0, 1.0])
+        x = np.array([0.0, 0.0, 1.0])
         assert bishop_gromov_ratio(sphere2, x, 1e-4, 1.0) == pytest.approx(
             1.0, abs=1e-6
         )
 
     def test_circle_identically_one(self, circle):
-        x = circle.point([0.4])
+        x = np.array([0.4])
         assert bishop_gromov_ratio(circle, x, 0.1, 1.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("mkey", ["sphere2", "torus"])
     def test_monotone_in_radius(self, request, mkey):
         mfd = request.getfixturevalue(mkey)
-        x = mfd.point(mfd.uniform_intrinsic(1, np.random.default_rng(0))[0])
+        x = mfd.uniform_intrinsic(1, np.random.default_rng(0))[0]
         rs = np.linspace(0.05, 1.2, 30)
         ratios = [bishop_gromov_ratio(mfd, x, r, 1.0) for r in rs]
         assert np.all(np.diff(ratios) <= 1e-8)

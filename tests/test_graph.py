@@ -207,7 +207,7 @@ class TestGraphConstructions:
         cloud = fake_cloud([0.0, 5.0, 10.0])
         g = gamma_N_eps(cloud, 1.0)
         assert np.all(g.w_V == 0.0)
-        assert len(g.isolated) == 3
+        assert np.flatnonzero(g.degrees == 0).tolist() == [0, 1, 2]
 
     def test_degree_cache(self, path3_gamma_N):
         assert path3_gamma_N.degrees.tolist() == [1, 2, 1]

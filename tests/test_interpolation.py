@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_limits.geometry import Circle, Sphere
+from spectral_limits.geometry import Circle, Sphere, Spindle
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
@@ -43,37 +43,36 @@ class TestThetaN:
         eps = 0.4
         ctx = KernelContext(cloud, eps)
         th0 = cloud.intrinsic[0, 0]
-        x = circle.point([th0 + eps / 2.0])
-        d1 = circle.geodesic(np.array([th0 + eps / 2.0]), cloud.intrinsic[1])
+        x = np.array([th0 + eps / 2.0])
+        d1 = circle.geodesic(x, cloud.intrinsic[1])
         want = psi_eps(eps / 2.0, eps) + psi_eps(min(d1, eps), eps)
         assert theta_n_eps(ctx, x) == pytest.approx(want, rel=1e-12)
 
     def test_out_of_range_zero(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 4, seed=1)
         ctx = KernelContext(cloud, 0.01)
-        far = circle.point([cloud.intrinsic[0, 0] + math.pi])
-        candidates = circle.geodesic_to_many(np.array(
-            [cloud.intrinsic[0, 0] + math.pi]), cloud.intrinsic)
+        far = np.array([cloud.intrinsic[0, 0] + math.pi])
+        candidates = circle.geodesic_to_many(far, cloud.intrinsic)
         if np.all(candidates > 0.01):
             assert theta_n_eps(ctx, far) == 0.0
 
     def test_self_term_included(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 30, seed=2)
         ctx = KernelContext(cloud, 0.05)
-        x = cloud.point(7)
+        x = cloud.intrinsic[7]
         assert theta_n_eps(ctx, x) >= 0.5 / (cloud.n - 1)
 
 
 class TestThetaContinuum:
     def test_circle_uniform_closed_form(self, circle):
-        x = circle.point([1.0])
+        x = np.array([1.0])
         for eps in (0.1, 0.4):
             want = eps / (3.0 * math.pi)
             got = theta_eps(circle, DensitySpec("uniform"), x, eps=eps)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_vanishes_with_eps(self, circle):
-        x = circle.point([0.0])
+        x = np.array([0.0])
         assert theta_eps(circle, DensitySpec("uniform"), x, eps=1e-4) < 1e-4
 
     def test_sphere_by_parts_oracle(self, sphere2):
@@ -84,13 +83,13 @@ class TestThetaContinuum:
         c, s = math.cos(eps), math.sin(eps)
         integral = 0.5 * (1.0 - (2.0 / eps) * s + (2.0 / eps**2) * (1.0 - c))
         want = integral / 2.0
-        x = sphere2.point([0.0, 0.0, 1.0])
+        x = np.array([0.0, 0.0, 1.0])
         got = theta_eps(sphere2, DensitySpec("uniform"), x, eps=eps)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_cosine_tilt_density_window(self, circle):
         dens = DensitySpec("cosine_tilt", amplitude=0.3)
-        x = circle.point([0.5])
+        x = np.array([0.5])
         eps = 0.2
         from scipy.integrate import quad
 
@@ -100,6 +99,23 @@ class TestThetaContinuum:
         )[0]
         got = theta_eps(circle, dens, x, eps=eps)
         assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
+    @pytest.mark.parametrize("eps", [0.3, 0.5])
+    def test_spindle_monte_carlo_matches_sphere(self, sphere2, theta, eps):
+        # Spindle(2, c=1) is isometric to the unit sphere, whose radial
+        # quadrature is the same at every point; the spindle's estimate is
+        # a mean of n_mc kernel values, held to 4 standard errors
+        uniform, n_mc = DensitySpec("uniform"), 20000
+        got = theta_eps(Spindle(2, c=1.0), uniform, np.array([theta, 1.0, 0.0]),
+                        eps, n_mc=n_mc, seed=1)
+        want = theta_eps(sphere2, uniform, np.array([0.0, 0.0, 1.0]), eps)
+        from scipy.integrate import quad
+
+        second = 0.5 * quad(lambda r: psi_eps(r, eps) ** 2 * math.sin(r),
+                            0.0, eps)[0]
+        stderr = math.sqrt((second - want**2) / n_mc)
+        assert abs(got - want) < 4.0 * stderr
 
 
 class TestThetaK:
@@ -135,7 +151,7 @@ class TestInterpolate:
         ones = np.ones(200)
         checked = 0
         while checked < 100:
-            x = circle.point(circle.uniform_intrinsic(1, rng)[0])
+            x = circle.uniform_intrinsic(1, rng)[0]
             if theta_n_eps(ctx, x) > 0:
                 assert interpolate(ctx, ones, x) == pytest.approx(1.0, abs=1e-12)
                 checked += 1
@@ -146,7 +162,7 @@ class TestInterpolate:
         rng = np.random.default_rng(1)
         phi = rng.standard_normal(100)
         psi = rng.standard_normal(100)
-        x = cloud.point(3)
+        x = cloud.intrinsic[3]
         v = interpolate(ctx, phi, x)
         assert np.min(phi) - 1e-12 <= v <= np.max(phi) + 1e-12
         assert interpolate(ctx, 2.0 * phi + psi, x) == pytest.approx(
@@ -161,13 +177,13 @@ class TestInterpolate:
         d = circle.geodesic_to_many(cloud.intrinsic[2], cloud.intrinsic)
         d[2] = np.inf
         if np.all(d[np.arange(5) != 2] > eps):
-            x = cloud.point(2)
+            x = cloud.intrinsic[2]
             assert interpolate(ctx, phi, x) == pytest.approx(2.0)
 
     def test_out_of_support_error(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 3, seed=8)
         ctx = KernelContext(cloud, 1e-6)
-        x = circle.point([cloud.intrinsic[0, 0] + 1.0])
+        x = np.array([cloud.intrinsic[0, 0] + 1.0])
         with pytest.raises(ValueError, match="support"):
             interpolate(ctx, np.zeros(3), x)
 
@@ -260,7 +276,7 @@ class TestComparisonReports:
 def test_theta_n_converges_to_theta_continuum(circle):
     # RMS of theta_n - theta over random query points shrinks with n
     rng = np.random.default_rng(17)
-    queries = [circle.point(z) for z in circle.uniform_intrinsic(40, rng)]
+    queries = circle.uniform_intrinsic(40, rng)
     rms = []
     for n in (500, 2000):
         vals = []

@@ -8,7 +8,6 @@ from spectral_limits.geometry import Sphere, sphere_area
 from spectral_limits.reference import (
     appendix_ratio_check,
     circle_spectrum,
-    load_fixture,
     sphere_harmonic_multiplicity,
     sphere_spectrum,
     spindle_spectrum,
@@ -20,12 +19,33 @@ from spectral_limits.sampling import DensitySpec
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def check_or_freeze(spectrum, name, tol=1e-6):
+def save_fixture(spectrum, path, mesh):
+    """Write a Sturm-Liouville spectrum's ``l,j,lambda`` rows."""
+    with open(path, "w") as fh:
+        fh.write(f"# provenance=sturm_liouville mesh={mesh} tolerance=1e-06\n")
+        fh.write("l,j,lambda\n")
+        for (l, j), lam in zip(spectrum.labels, spectrum.eigenvalues):
+            fh.write(f"{l},{j},{lam:.17g}\n")
+
+
+def load_fixture(path) -> np.ndarray:
+    """Eigenvalues of a frozen fixture file, ascending."""
+    lams = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("l,"):
+                continue
+            lams.append(float(line.split(",")[2]))
+    return np.asarray(lams)
+
+
+def check_or_freeze(spectrum, name, mesh, tol=1e-6):
     """First verified run freezes the fixture; later runs must reproduce it."""
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     path = os.path.join(FIXTURE_DIR, name)
     if not os.path.exists(path):
-        spectrum.save_fixture(path)
+        save_fixture(spectrum, path, mesh)
     frozen = load_fixture(path)
     assert np.max(np.abs(frozen - spectrum.eigenvalues)) < tol
     return frozen
@@ -132,7 +152,7 @@ class TestWeightedCircle:
         spec = weighted_circle_spectrum(
             1.0, DensitySpec("cosine_tilt", amplitude=0.2), 4, mesh=4096
         )
-        check_or_freeze(spec, "weighted_circle_tilt02.csv")
+        check_or_freeze(spec, "weighted_circle_tilt02.csv", mesh=4096)
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_ground_state_constant(self):
@@ -176,7 +196,7 @@ class TestSpindle:
     def test_m3_fixture(self, spindle3):
         spec = spindle_spectrum(3, 1.0 / math.sqrt(2.0), l_max=6, k_max=6,
                                 mesh=2048)
-        check_or_freeze(spec, "spindle_m3_c0707.csv")
+        check_or_freeze(spec, "spindle_m3_c0707.csv", mesh=2048)
         # the radial branch is curvature-only: lambda_1 = 3 exactly on the
         # topological S^3 radial problem, independent of the warp constant
         assert spec.eigenvalues[1] == pytest.approx(3.0, abs=2e-5)

@@ -32,10 +32,6 @@ class TestDeterminism:
         header = cloud.to_csv().splitlines()[0]
         assert header == "# manifold=circle n=16 seed=5 d=2"
 
-    def test_rng_algorithm_recorded(self, circle):
-        cloud = sample_dataset(circle, DensitySpec("uniform"), 16, seed=5)
-        assert cloud.rng_algorithm == "pcg64"
-
     def test_derive_seeds(self):
         a = derive_seeds(7, 5)
         assert a == derive_seeds(7, 5)
