@@ -7,6 +7,12 @@ isometric embedding into Euclidean space and its total volume; a point is
 its chart coordinates.  Spindle geodesics are great-circle arcs in closed
 form: with psi = c*phi each 2-D section through the axis is the unit
 sphere minus a lune.
+
+``scipy.integrate``, which pulls in ``scipy.optimize``, loads on the first
+quadrature (``_integrate``): the comparison volume V_K, the spindle's
+volume and sampler, sphere ball volumes for m >= 3 and the kernel masses
+theta of ``interpolation``.  The graph pipeline itself takes none, so a
+graph command loads it only to build a spindle.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "ManifoldModel",
@@ -30,6 +36,12 @@ __all__ = [
     "mc_ball_volume",
     "bishop_gromov_ratio",
 ]
+
+
+def _integrate():
+    """``scipy.integrate``, imported on first use (see the module docstring)."""
+    from scipy import integrate
+    return integrate
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +88,7 @@ def model_ball_volume(m: int, K: float, r: float) -> float:
         return 0.0
     if m == 1:
         return 2.0 * r
-    val, _ = integrate.quad(
+    val, _ = _integrate().quad(
         lambda t: model_sn(K, t) ** (m - 1), 0.0, r, epsabs=0.0, epsrel=1e-12
     )
     return sphere_area(m - 1) * val
@@ -186,7 +198,7 @@ class Sphere(ManifoldModel):
             return 0.0
         if self.m == 2:
             return 2.0 * math.pi * self.radius**2 * (1.0 - math.cos(t))
-        val, _ = integrate.quad(
+        val, _ = _integrate().quad(
             lambda s: math.sin(s) ** (self.m - 1), 0.0, t, epsabs=0.0, epsrel=1e-12
         )
         return sphere_area(self.m - 1) * self.radius**self.m * val
@@ -262,7 +274,7 @@ class Spindle(ManifoldModel):
         self.c = float(c)
         self.embedding_dim = self.m + 1
         # total volume = vol(S^{m-1}) * c^{m-1} * int_0^pi sin^{m-1}
-        prof, _ = integrate.quad(
+        prof, _ = _integrate().quad(
             lambda t: math.sin(t) ** (m - 1), 0.0, math.pi, epsabs=0.0, epsrel=1e-12
         )
         self.total_volume = sphere_area(m - 1) * self.c ** (m - 1) * prof
@@ -333,11 +345,11 @@ def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if p == 1:
         return np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0, size=n))
     # inverse CDF by Newton on F(t) = int_0^t sin^p, vectorized
-    norm, _ = integrate.quad(lambda t: math.sin(t) ** p, 0.0, math.pi)
+    norm, _ = _integrate().quad(lambda t: math.sin(t) ** p, 0.0, math.pi)
     u = rng.uniform(0.0, 1.0, size=n) * norm
     grid = np.linspace(0.0, math.pi, 4097)
     pdf = np.sin(grid) ** p
-    cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
+    cdf = _integrate().cumulative_trapezoid(pdf, grid, initial=0.0)
     cdf *= norm / cdf[-1]
     t = np.interp(u, cdf, grid)
     for _ in range(40):

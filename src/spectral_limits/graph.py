@@ -105,8 +105,8 @@ class WeightedGraph:
         self.kind = kind
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         w = np.asarray(w_E, dtype=float)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         if len(self.w_V) != n_vertices:
             raise ValueError("w_V length does not match n_vertices")
         if len(w) != len(edges):
@@ -114,8 +114,9 @@ class WeightedGraph:
         i, j = edges[:, 0], edges[:, 1]
         if np.any(i == j):
             raise ValueError("self-loops are not allowed")
-        if np.any(self.w_V < 0) or np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        for name, x in (("w_V", self.w_V), ("w_E", w)):
+            if not np.all(np.isfinite(x) & (x >= 0)):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if len(edges) and (edges.min() < 0 or edges.max() >= n_vertices):
             raise ValueError("edge endpoints must be vertices 0..n-1")
         if not (np.all(i < j) and _strictly_increasing(i, j)):

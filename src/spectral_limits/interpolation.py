@@ -5,7 +5,9 @@ the empirical kernel density turns a vertex function into a Lipschitz
 function on the sample's eps-neighborhood (a convex combination of vertex
 values, hence a partition of unity).  The continuum counterparts of the
 kernel density and the Dirichlet-form / L2-norm comparison reports of the
-discretization direction live here as well.
+discretization direction live here as well.  ``theta_K_eps`` and
+``theta_eps`` off the spindle are radial quadratures; ``scipy.integrate``
+loads on the first of them, through ``geometry._integrate``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle, \
-    model_sn, sphere_area, unit_ball_volume
+    _integrate, model_sn, sphere_area, unit_ball_volume
 from .sampling import Density, DensitySpec, PointCloud, make_density
 from .graph import WeightedGraph, _edge_scale
 
@@ -93,7 +94,7 @@ def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
         def f(s):
             return psi_eps(abs(s), eps) * float(dens.pdf(np.array([[th0 + s / R]]))[0])
 
-        val, _ = integrate.quad(f, -half, half, epsabs=0.0, epsrel=1e-10, limit=200)
+        val, _ = _integrate().quad(f, -half, half, epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
     if dens.spec.kind != "uniform":
         raise ValueError("only the uniform density is supported off the circle")
@@ -101,7 +102,7 @@ def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
     if isinstance(mfd, Sphere):
         R, m = mfd.radius, mfd.m
         top = min(eps, math.pi * R)
-        val, _ = integrate.quad(
+        val, _ = _integrate().quad(
             lambda r: psi_eps(r, eps) * (R * math.sin(r / R)) ** (m - 1),
             0.0, top, epsabs=0.0, epsrel=1e-10, limit=200,
         )
@@ -110,7 +111,7 @@ def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
         if eps > mfd.injectivity_radius:
             raise ValueError("torus radial quadrature needs eps below min period/2")
         m = mfd.m
-        val, _ = integrate.quad(
+        val, _ = _integrate().quad(
             lambda r: psi_eps(r, eps) * r ** (m - 1),
             0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,
         )
@@ -132,7 +133,7 @@ def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
 
 def theta_K_eps(m: int, K: float, eps: float) -> float:
     """Comparison-model kernel mass m omega_m int_0^eps psi_eps sn_K^{m-1}."""
-    val, _ = integrate.quad(
+    val, _ = _integrate().quad(
         lambda r: psi_eps(r, eps) * model_sn(K, r) ** (m - 1),
         0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,
     )

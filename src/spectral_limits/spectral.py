@@ -148,8 +148,8 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     dense below 513 vertices.
     """
     n = g.n_vertices
-    if k >= n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     # before the weight check: an isolated vertex of gamma_N has w_V = 0
     if not _is_connected(g.weighted_adjacency):
         ncomp, labels = csgraph.connected_components(g.weighted_adjacency,

@@ -234,6 +234,18 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             custom_graph(2, [[0, 1]], [1.0, -1.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["epsilon", "w_V", "w_E"])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = {"epsilon": 1.0, "w_V": [1.0, 1.0, 1.0], "w_E": [1.0, 1.0]}
+        if name == "epsilon":
+            args[name] = bad
+        else:
+            args[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            WeightedGraph(3, args["epsilon"], [[0, 1], [1, 2]], args["w_V"],
+                          args["w_E"])
+
 
 class TestOneMatrix:
     def test_holds_w_E_both_ways(self):

@@ -125,6 +125,12 @@ class TestEigenDecompose:
         with pytest.raises(ValueError, match="k < n"):
             eigen_decompose(path3_gamma_N, 3)
 
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_k_rejected(self, circle_graph_200, method, k):
+        with pytest.raises(ValueError, match="0 <= k < n"):
+            eigen_decompose(circle_graph_200, k, method=method)
+
     def test_random_walk_spectrum_box(self, circle_graph_200):
         g = circle_graph_200
         res = eigen_decompose(g, 6)
