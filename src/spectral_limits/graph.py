@@ -13,11 +13,15 @@ The Laplacian acts by
 ``(L phi)(x) = 2 / (w_V(x) eps^2) * sum_{xy in E} (phi(x) - phi(y)) w_E(xy)``
 and is self-adjoint, nonnegative in the inner product weighted by w_V.
 
-A graph is one symmetric CSR matrix of its edge weights, built once,
-straight from the sorted edge pairs; it keeps no other copy of its edges.
-The Laplacian, the random-walk matrix, hop distances, the connectivity
-check (one breadth-first search), the spectral start vector (hashed from
-the matrix a block of rows at a time) and the Dirichlet forms of the
+The edge search returns the edge set as the strict upper triangle of its
+adjacency pattern in CSR form (row pointers and sorted int32 column
+indices); custom (E, 2) edge pairs are checked and put in that form.  A
+graph is one symmetric CSR matrix of its edge weights, built once, straight
+from that form, with the lower triangle a transpose of its pattern; it
+keeps no other copy of its edges.  The Laplacian, the random-walk matrix,
+hop distances, the connectivity check (one breadth-first search), the
+spectral start vector (hashed from the matrix a block of rows at a time),
+the Dirichlet energies, the CSV writer and the Dirichlet forms of the
 regularity certificates all read it, and the edge list and edge weights
 are views derived from its upper triangle on demand.  A zero-weight edge
 is stored as an explicit zero, so it is an edge for hops and components
@@ -25,6 +29,8 @@ but carries no Dirichlet energy.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -56,28 +62,58 @@ def _strictly_increasing(i, j) -> bool:
     return bool(np.all(later))
 
 
-def _symmetric_csr(n: int, i, j, w) -> sparse.csr_matrix:
-    """The symmetric CSR matrix with w at (i, j) and (j, i), for edges
-    i < j in strictly increasing lexicographic order.
+@dataclass(frozen=True, eq=False)
+class UpperTriangle:
+    """An edge set as the strict upper triangle of its adjacency pattern in
+    CSR form: the edges of vertex i are (i, j) for j in
+    ``indices[indptr[i]:indptr[i + 1]]``, each row's columns strictly
+    increasing and above i, so row-major order is lexicographic order.
+    ``build_edges`` makes it and ``WeightedGraph`` takes it as it is; its
+    length is the edge count."""
 
-    The upper triangle is the edges themselves, row by row; the lower one
-    is its transpose, a counting sort that keeps explicit zeros.  Each row
-    is its lower entries followed by its upper ones, so its columns come
-    out sorted, and nothing edge-sized is built twice over.
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
+def _index_dtype(bound: int):
+    """int32 if it holds every index up to ``bound``, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def _symmetric_csr(n: int, upper: UpperTriangle, w) -> sparse.csr_matrix:
+    """The symmetric CSR matrix with w at (i, j) and (j, i) for the edges
+    (i, j) of ``upper``, w in their row-major order.
+
+    The lower triangle is the transpose of the upper one's pattern, a
+    counting sort with 1-byte data that keeps explicit zeros.  Each row is
+    its lower entries followed by its upper ones, so its columns come out
+    sorted.  A stride-0 w is one weight repeated: it is written once, into
+    the matrix's own data, and needs no transposed copy.
     """
-    idx = np.int32 if max(2 * len(i), n) <= np.iinfo(np.int32).max else np.int64
-    upper_ptr = np.searchsorted(i, np.arange(n + 1)).astype(idx)
-    lower = sparse.csr_matrix((w, j.astype(idx), upper_ptr),
+    upper_ptr, upper_idx = upper.indptr, upper.indices
+    n_edges = len(upper_idx)
+    idx = _index_dtype(max(2 * n_edges, n))
+    one_weight = n_edges > 0 and w.strides == (0,)
+    pattern = np.ones(n_edges, dtype=np.int8) if one_weight else w
+    lower = sparse.csr_matrix((pattern, upper_idx, upper_ptr),
                               shape=(n, n)).T.tocsr()
-    indptr = upper_ptr + lower.indptr
+    del pattern
+    indptr = (upper_ptr + lower.indptr).astype(idx)
     counts = np.column_stack([np.diff(lower.indptr), np.diff(upper_ptr)])
     is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
     indices = np.empty(indptr[-1], dtype=idx)
-    data = np.empty(indptr[-1])
-    indices[is_lower], data[is_lower] = lower.indices, lower.data
-    del lower
-    is_upper = np.logical_not(is_lower, out=is_lower)
-    indices[is_upper], data[is_upper] = j, w
+    indices[is_lower] = lower.indices
+    indices[~is_lower] = upper_idx
+    if one_weight:
+        del lower, is_lower
+        data = np.full(indptr[-1], w[0])
+    else:
+        data = np.empty(indptr[-1])
+        data[is_lower] = lower.data
+        data[~is_lower] = w
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -86,11 +122,15 @@ class WeightedGraph:
 
     ``weighted_adjacency`` is the graph: the symmetric CSR matrix with w_E
     at (i, j) and (j, i), built once at construction from ``edges`` and
-    ``w_E``, which are then dropped.  ``degrees`` are its row lengths.  A
-    zero-weight edge stays in it as an explicit zero, so it still counts
-    as an edge for degrees, hop distances and connected components.  It
-    carries no Dirichlet energy, so the Poincare constant drops it before
-    it splits a ball into components.
+    ``w_E``, which are then dropped.  ``edges`` is either an
+    ``UpperTriangle``, as ``build_edges`` returns it, with ``w_E`` in its
+    row-major order, or (E, 2) integer pairs in any order and orientation,
+    which are checked, sorted and turned into that form.  ``degrees`` are
+    the matrix's row lengths.  A zero-weight edge stays in it as an
+    explicit zero, so it still counts as an edge for degrees, hop
+    distances and connected components.  It carries no Dirichlet energy,
+    so the Poincare constant drops it before it splits a ball into
+    components.
 
     ``edges`` and ``w_E`` are read back from the matrix's upper triangle
     on each access, never stored: the (E, 2) int64 pairs i < j in
@@ -103,7 +143,7 @@ class WeightedGraph:
         self.epsilon = epsilon
         self.w_V = np.asarray(w_V, dtype=float)
         self.kind = kind
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = None if isinstance(edges, UpperTriangle) else _vertex_pairs(edges)
         w = np.asarray(w_E, dtype=float)
         if not (np.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -111,23 +151,14 @@ class WeightedGraph:
             raise ValueError("w_V length does not match n_vertices")
         if len(w) != len(edges):
             raise ValueError("w_E length does not match edge count")
-        i, j = edges[:, 0], edges[:, 1]
-        if np.any(i == j):
+        if pairs is not None and np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-loops are not allowed")
         for name, x in (("w_V", self.w_V), ("w_E", w)):
             if not np.all(np.isfinite(x) & (x >= 0)):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if len(edges) and (edges.min() < 0 or edges.max() >= n_vertices):
-            raise ValueError("edge endpoints must be vertices 0..n-1")
-        if not (np.all(i < j) and _strictly_increasing(i, j)):
-            # orient each edge i < j and sort; a repeated edge, in either
-            # orientation, then sits next to its copy
-            i, j = np.minimum(i, j), np.maximum(i, j)
-            order = np.lexsort((j, i))
-            i, j, w = i[order], j[order], w[order]
-            if not _strictly_increasing(i, j):
-                raise ValueError("duplicate edges are not allowed")
-        self.weighted_adjacency = _symmetric_csr(n_vertices, i, j, w)
+        if pairs is not None:
+            edges, w = _upper_triangle(n_vertices, pairs, w)
+        self.weighted_adjacency = _symmetric_csr(n_vertices, edges, w)
         self.degrees = np.diff(self.weighted_adjacency.indptr)
 
     def _edge_blocks(self):
@@ -177,19 +208,49 @@ def _row_blocks(indptr):
         r0 = r1
 
 
+def _vertex_pairs(edges) -> np.ndarray:
+    """Custom edges as an (E, 2) int64 array; endpoints that are not whole
+    numbers are an error, not truncated."""
+    given = np.asarray(edges)
+    if given.dtype.kind not in "biu" and not np.all(
+            np.isfinite(given) & (np.floor(given) == given)):
+        raise ValueError("edges must hold integer vertex indices")
+    return given.astype(np.int64).reshape(-1, 2)
+
+
+def _upper_triangle(n: int, pairs, w):
+    """Checked (E, 2) pairs and their weights as an ``UpperTriangle`` and
+    the weights in its order."""
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("edge endpoints must be vertices 0..n-1")
+    i, j = pairs[:, 0], pairs[:, 1]
+    if not (np.all(i < j) and _strictly_increasing(i, j)):
+        # orient each edge i < j and sort; a repeated edge, in either
+        # orientation, then sits next to its copy
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        order = np.lexsort((j, i))
+        i, j, w = i[order], j[order], w[order]
+        if not _strictly_increasing(i, j):
+            raise ValueError("duplicate edges are not allowed")
+    indptr = np.searchsorted(i, np.arange(n + 1))
+    return UpperTriangle(indptr, j.astype(_index_dtype(n))), w
+
+
 # ---------------------------------------------------------------------------
 # construction
 
 
-def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
+def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
     """All pairs i < j whose embedded points lie at Euclidean distance
-    strictly below eps, as an (E, 2) int64 array.
+    strictly below eps, as the ``UpperTriangle`` of the graph they make:
+    row pointers and sorted int32 column indices.
 
-    The array is C-contiguous and its rows are sorted lexicographically, by
-    i and then j; the spectral start vector hashes these pairs and
-    ``save_graph_csv`` writes them, so the order is part of the output.
-    The kd-tree pairs within eps are re-checked against the strict bound
-    and sorted by the single key ``i * n + j``.
+    Its row-major order is the lexicographic order of the pairs, by i and
+    then j; the spectral start vector hashes the pairs in that order and
+    ``save_graph_csv`` writes them in it, so the order is part of the
+    output.  The kd-tree pairs within eps are re-checked against the strict
+    bound and sorted by the single key ``i * n + j``, whose quotients by n
+    give the row pointers and whose remainders are the column indices.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -204,9 +265,9 @@ def build_edges(cloud: PointCloud, eps: float) -> np.ndarray:
     del pairs
     key = key[keep]
     key.sort()
-    edges = np.empty((len(key), 2), dtype=np.int64)
-    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
-    return edges
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(key, n, out=key)
+    return UpperTriangle(indptr, key.astype(_index_dtype(n)))
 
 
 def _strictly_within(x, pairs, eps: float) -> np.ndarray:
@@ -228,15 +289,15 @@ def _edge_scale(n: int, m: int, eps: float) -> float:
 def gamma_m_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     """Volume-normalized graph: w_V = 1/n, constant edge weight."""
     n = cloud.n
-    edges = build_edges(cloud, eps)
+    upper = build_edges(cloud, eps)
     scale = _edge_scale(n, cloud.manifold.m, eps)
     return WeightedGraph(
         n_vertices=n,
         epsilon=eps,
-        edges=edges,
+        edges=upper,
         w_V=np.full(n, 1.0 / n),
         w_E=np.broadcast_to(cloud.manifold.total_volume / scale,
-                            len(edges)),
+                            len(upper)),
         kind="gamma_m",
     )
 
@@ -244,14 +305,14 @@ def gamma_m_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
 def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     """Degree-weighted (random-walk) graph; needs no knowledge of vol(M)."""
     n = cloud.n
-    edges = build_edges(cloud, eps)
+    upper = build_edges(cloud, eps)
     scale = _edge_scale(n, cloud.manifold.m, eps)
     g = WeightedGraph(
         n_vertices=n,
         epsilon=eps,
-        edges=edges,
+        edges=upper,
         w_V=np.zeros(n),
-        w_E=np.broadcast_to(1.0 / scale, len(edges)),
+        w_E=np.broadcast_to(1.0 / scale, len(upper)),
         kind="gamma_N",
     )
     g.w_V = g.degrees / scale      # the degrees come from the graph's CSR
@@ -307,11 +368,27 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
 def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
     """Double-counted edge energy sum_x sum_{y~x} ((phi_x-phi_y)/eps)^2 w_E."""
     phi = np.asarray(phi, dtype=float)
-    edges, w_E = g.edges, g.w_E
-    if len(edges) == 0:
-        return 0.0
-    diff = (phi[edges[:, 0]] - phi[edges[:, 1]]) / g.epsilon
-    return float(2.0 * np.sum(diff**2 * w_E))
+
+    def term(i, j, w):
+        diff = (phi[i] - phi[j]) / g.epsilon
+        return diff**2 * w
+
+    return 2.0 * _edge_sum(g, term)
+
+
+def _edge_sum(g: WeightedGraph, term) -> float:
+    """``np.sum`` over the edges of ``term(i, j, w)``, one value per edge.
+
+    The terms are written into one E-long array a block of rows at a time,
+    so the sum is NumPy's over the whole array, as if the terms had been
+    computed in one pass over the edge list.
+    """
+    terms = np.empty(g.weighted_adjacency.nnz // 2)
+    a = 0
+    for i, j, w in g._edge_blocks():
+        terms[a:a + len(w)] = term(i, j, w)
+        a += len(w)
+    return float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +398,15 @@ def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
 def save_graph_csv(g: WeightedGraph, edge_path, vertex_path):
     """Edge list `i,j,w_E` and vertex list `i,w_V,deg`, with a header line.
 
-    The edge rows are read from the graph's matrix: i < j, sorted."""
+    The edge rows are read from the graph's matrix, i < j, sorted, and
+    written a block of rows at a time."""
     header = f"# eps={g.epsilon:.17g} kind={g.kind} n={g.n_vertices}\n"
     with open(edge_path, "w") as fh:
         fh.write(header)
         fh.write("i,j,w_E\n")
-        for (i, j), w in zip(g.edges, g.w_E):
-            fh.write(f"{i},{j},{w:.17g}\n")
+        for i, j, w in g._edge_blocks():
+            fh.writelines(f"{a},{b},{c:.17g}\n" for a, b, c
+                          in zip(i.tolist(), j.tolist(), w.tolist()))
     with open(vertex_path, "w") as fh:
         fh.write(header)
         fh.write("i,w_V,deg\n")

@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle, \
     _integrate, model_sn, sphere_area, unit_ball_volume
 from .sampling import Density, DensitySpec, PointCloud, make_density
-from .graph import WeightedGraph, _edge_scale
+from .graph import WeightedGraph, _edge_scale, _edge_sum
 
 __all__ = [
     "KernelContext",
@@ -214,9 +214,12 @@ def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
         raise ValueError("test function needs the gradient-square integral")
     n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
-    i, j = g.edges.T
-    diff = (vals[i] - vals[j]) / eps
-    discrete = 2.0 * float(np.sum(diff**2)) / _edge_scale(n, m, eps)
+
+    def term(i, j, w):
+        diff = (vals[i] - vals[j]) / eps
+        return diff**2
+
+    discrete = 2.0 * _edge_sum(g, term) / _edge_scale(n, m, eps)
     continuous = f.grad_sq_rho2 / (m + 2.0)
     return EnergyComparison(
         n=n, eps=eps, discrete=discrete, continuous=continuous,

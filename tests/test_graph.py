@@ -30,8 +30,10 @@ from spectral_limits.spectral import DENSE_LIMIT, _start_vector, eigen_decompose
 class TestBuildEdges:
     def test_collinear_path(self):
         cloud = fake_cloud([0.0, 0.5, 1.2])
-        edges = build_edges(cloud, 1.0)
-        assert edges.tolist() == [[0, 1], [1, 2]]
+        upper = build_edges(cloud, 1.0)
+        assert upper.indptr.tolist() == [0, 1, 2, 2]
+        assert upper.indices.tolist() == [1, 2]
+        assert pairs_of(upper).tolist() == [[0, 1], [1, 2]]
 
     def test_no_edges_below_min_gap(self):
         cloud = fake_cloud([0.0, 0.5, 1.2])
@@ -44,9 +46,17 @@ class TestBuildEdges:
 
     def test_sorted_lexicographically(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 60, seed=4)
-        edges = build_edges(cloud, 0.5)
+        edges = pairs_of(build_edges(cloud, 0.5))
+        assert np.all(edges[:, 0] < edges[:, 1])
         keys = edges[:, 0] * 60 + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+
+def pairs_of(upper):
+    """The (E, 2) int64 pairs i < j of an ``UpperTriangle``, in its
+    row-major order."""
+    rows = np.repeat(np.arange(len(upper.indptr) - 1), np.diff(upper.indptr))
+    return np.column_stack([rows, upper.indices]).astype(np.int64)
 
 
 def boundary_cloud(dim, eps, count, seed):
@@ -83,7 +93,8 @@ class TestStrictBoundary:
         d2 = np.sum((x[0::2] - x[1::2]) ** 2, axis=1)
         assert np.any((d2 < eps * eps) != (d < eps))
         pairs = np.arange(len(x)).reshape(-1, 2)
-        assert np.array_equal(build_edges(fake_cloud(x), eps), pairs[d < eps])
+        assert np.array_equal(pairs_of(build_edges(fake_cloud(x), eps)),
+                              pairs[d < eps])
 
 
 class TestRowBlocks:
@@ -110,7 +121,7 @@ class TestRowBlocks:
         edges, w_E, v0 = g.edges, g.w_E, _start_vector(g)
         monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 7)
         assert len(list(_row_blocks(g.weighted_adjacency.indptr))) > 100
-        assert np.array_equal(build_edges(cloud, eps), edges)
+        assert np.array_equal(pairs_of(build_edges(cloud, eps)), edges)
         assert np.array_equal(g.edges, edges)
         assert np.array_equal(g.w_E, w_E)
         assert np.array_equal(_start_vector(g), v0)
@@ -143,16 +154,20 @@ class TestBuildEdgesOracle:
         for n, seed in ((300, 1), (700, 2)):
             cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
             for eps in (0.05, 0.2, 0.5, 1.0):
-                edges = build_edges(cloud, eps)
-                assert edges.dtype == np.int64
-                assert edges.flags.c_contiguous
-                assert np.array_equal(edges, oracle_edges(cloud, eps))
+                upper = build_edges(cloud, eps)
+                assert upper.indices.dtype == np.int32
+                assert len(upper.indptr) == n + 1
+                want = oracle_edges(cloud, eps)
+                assert len(upper) == len(want)
+                assert np.array_equal(pairs_of(upper), want)
 
-    def test_no_edges_is_an_empty_int64_array(self, sphere2):
+    def test_no_edges_is_an_empty_triangle(self, sphere2):
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 50, seed=1)
-        edges = build_edges(cloud, 1e-6)
-        assert edges.shape == (0, 2)
-        assert edges.dtype == np.int64
+        upper = build_edges(cloud, 1e-6)
+        assert len(upper) == 0
+        assert upper.indptr.tolist() == [0] * 51
+        assert upper.indices.shape == (0,)
+        assert upper.indices.dtype == np.int32
 
     @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 1500)])
     def test_start_vector_unchanged(self, request, shape, n):
@@ -229,6 +244,19 @@ class TestGraphValidation:
     def test_endpoint_outside_the_vertices_rejected(self, edge):
         with pytest.raises(ValueError, match="endpoints"):
             custom_graph(2, [edge], [1.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("edges", [[[0, 1.7], [1.2, 2.9]],
+                                       [[0, 1], [1, math.nan]],
+                                       [[0, 1], [1, math.inf]]])
+    def test_fractional_endpoints_rejected(self, edges):
+        # they were truncated to [[0, 1], [1, 2]] by the int64 conversion
+        with pytest.raises(ValueError, match="edges"):
+            WeightedGraph(3, 1.0, edges, [1, 1, 1], [1.0, 1.0])
+
+    def test_whole_float_endpoints_accepted(self):
+        g = WeightedGraph(3, 1.0, [[0.0, 1.0], [2.0, 1.0]], [1, 1, 1], [1.0, 2.0])
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.w_E.tolist() == [1.0, 2.0]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -321,6 +349,44 @@ class TestOneMatrix:
         laplacian_apply(g, phi)
         smoothing_apply(g, phi)
         moser_alpha(g)
+
+
+class TestOneBuilder:
+    """The eps-graphs go from ``build_edges`` straight to the matrix, with
+    one weight written into its data; custom (E, 2) input is checked,
+    sorted and built by the same builder with its weights transposed.  The
+    two give the same arrays."""
+
+    @pytest.mark.parametrize("build", [gamma_N_eps, gamma_m_eps])
+    @pytest.mark.parametrize("shape", ["circle", "sphere2", "torus", "spindle2"])
+    def test_same_csr_as_the_custom_path(self, request, shape, build):
+        mfd = request.getfixturevalue(shape)
+        for n, seed in ((300, 1), (900, 4)):
+            cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
+            eps = epsilon_schedule(n, mfd.m)
+            g = build(cloud, eps)
+            edges = oracle_edges(cloud, eps)
+            assert len(edges) > n
+            w_E = np.full(len(edges), g.weighted_adjacency.data[0])
+            custom = WeightedGraph(n, eps, edges, g.w_V, w_E, kind=g.kind)
+            for name in ("indptr", "indices", "data"):
+                got = getattr(g.weighted_adjacency, name)
+                want = getattr(custom.weighted_adjacency, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert np.array_equal(g.degrees, custom.degrees)
+
+    @pytest.mark.parametrize("one_weight", [False, True])
+    def test_zero_weight_edge_is_stored(self, one_weight):
+        edges = np.array([[0, 1], [0, 3], [1, 2]])
+        w_E = (np.broadcast_to(0.0, 3) if one_weight
+               else np.array([1.0, 0.0, 2.0]))
+        g = WeightedGraph(4, 1.0, edges, np.ones(4), w_E)
+        wa = g.weighted_adjacency
+        assert wa.nnz == 6
+        assert g.degrees.tolist() == [2, 2, 1, 1]
+        assert g.w_E.tolist() == w_E.tolist()
+        assert np.count_nonzero(wa.data) == (0 if one_weight else 4)
 
 
 class TestLaplacian:

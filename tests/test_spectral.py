@@ -261,22 +261,24 @@ def traced_peak(fn, *args):
 
 class TestCellMemory:
     """Allocation peaks of the largest sweep step, relative to the graph's
-    CSR: circle n = 4000, 324k edges.  Holding the edge list, an (E, 2)
-    float gather or a second COO copy beside the CSR breaks the graph
-    bound; an int64 row array beside the operator breaks the solve bound."""
+    CSR: circle n = 4000, 324k edges.  An (E, 2) edge list, a transposed
+    copy of the constant weight, an (E, 2) float gather or a second COO
+    copy beside the CSR breaks the graph bound; an int64 row array beside
+    the operator breaks the solve bound."""
 
     def test_graph_build(self, circle):
         cloud, eps = circle_cell(circle, 4000)
         g, peak = traced_peak(gamma_N_eps, cloud, eps)
-        assert peak < 3.1 * csr_nbytes(g.weighted_adjacency)
+        assert peak < 1.5 * csr_nbytes(g.weighted_adjacency)
 
     @pytest.mark.parametrize("build", [gamma_N_eps, gamma_m_eps])
     def test_constructor_over_the_edge_list(self, circle, monkeypatch, build):
-        # the edge list is held by the caller; an E-long weight array beside
-        # it, where one constant weight would do, breaks this bound
+        # the edge set from build_edges is held by the caller; an E-long
+        # weight array beside it, where one constant weight would do, breaks
+        # this bound
         cloud, eps = circle_cell(circle, 4000)
-        edges = graph.build_edges(cloud, eps)
-        monkeypatch.setattr(graph, "build_edges", lambda *args: edges)
+        upper = graph.build_edges(cloud, eps)
+        monkeypatch.setattr(graph, "build_edges", lambda *args: upper)
         g, peak = traced_peak(build, cloud, eps)
         assert peak < 1.75 * csr_nbytes(g.weighted_adjacency)
 
