@@ -1,14 +1,15 @@
 """Experiment orchestration: spectrum runs, eigenspace alignment, sweeps.
 
 Every report is a function of one (n, seed) ``Cell``, mapped over the
-config by ``map_cells``.  Sampling seeds come from the config, eigensolver
-start vectors from graph hashes, and output rows are sorted before writing,
-so identical configs produce byte-identical CSVs.
+config by ``map_cells``.  A cell holds a sample, its eps-graph and its
+spectrum, which is ``None`` for a disconnected graph.  Sampling seeds come
+from the config, eigensolver start vectors from graph hashes, and output
+rows are sorted before writing, so identical configs produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -31,8 +32,8 @@ from .interpolation import TestFunction, energy_comparison_report, \
 from .plotting import svg_line_chart
 from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
     spindle_spectrum, torus_spectrum, weighted_circle_spectrum
-from .regularity import MOSER_K, MOSER_P, RegularityCertificate, certify, \
-    graph_diameter, moser_alpha, moser_check
+from .regularity import MOSER_K, MOSER_P, certify, graph_diameter, \
+    moser_alpha, moser_check
 from .sampling import Density, DensitySpec, PointCloud, make_density, \
     sample_dataset, epsilon_schedule
 from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
@@ -210,13 +211,12 @@ def make_manifold(cfg: ExperimentConfig) -> ManifoldModel:
     return Spindle(cfg.m, cfg.warp)     # CONFIG_KEYS admits no other manifold
 
 
-def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> ReferenceSpectrum:
-    """Continuum reference matching the configured manifold and density.
-
-    It holds eigenvalues 0..k_max and, for ``align``, the one after the
-    configured cluster, whose gap is checked; with no cluster, 0..2 at least.
+def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel,
+                           k_max: int) -> ReferenceSpectrum:
+    """Continuum reference eigenvalues 0..k_max for the configured manifold
+    and density.  ``k_max`` may exceed ``cfg.k_max``: ``align`` needs the
+    eigenvalue after its cluster, whose gap is checked.
     """
-    k_max = max(cfg.k_max, max(cfg.cluster or [1]) + 1)
     if isinstance(mfd, Circle):
         if cfg.density == "uniform":
             return circle_spectrum(mfd.radius, k_max)
@@ -242,7 +242,8 @@ def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel) -> Referen
 
 @dataclass
 class Cell:
-    """One (n, seed) cell: a sample of size n and its eps-graph, built once."""
+    """One (n, seed) cell: a sample of size n and its eps-graph, built once,
+    and the graph's spectrum, solved on request."""
 
     cfg: ExperimentConfig
     mfd: ManifoldModel
@@ -263,6 +264,17 @@ class Cell:
         if self.cfg.graph_kind == "gamma_N":
             return gamma_N_eps(self.cloud, self.eps)
         return gamma_m_eps(self.cloud, self.eps)
+
+    def spectrum(self, k: int) -> SpectralResult | None:
+        """Eigenpairs 0..k of the graph, or ``None`` if it is disconnected.
+
+        The one eigensolve of every report: each solves once per cell, so
+        nothing is cached.
+        """
+        try:
+            return eigen_decompose(self.graph, k)
+        except DisconnectedGraphError:
+            return None
 
 
 def map_cells(cfg: ExperimentConfig, fn: Callable[[Cell], object]) -> list:
@@ -298,13 +310,11 @@ def _run_cells(cfg: ExperimentConfig, fn) -> list:
 
 def run_spectrum_experiment(cfg: ExperimentConfig):
     """Graph eigenvalues vs continuum reference, one row per (n, seed, k)."""
-    ref = reference_spectrum_for(cfg, make_manifold(cfg))
+    ref = reference_spectrum_for(cfg, make_manifold(cfg),
+                                 max(cfg.k_max, max(cfg.cluster or [1]) + 1))
 
     def rows(cell):
-        try:
-            spec = eigen_decompose(cell.graph, cfg.k_max)
-        except DisconnectedGraphError:
-            spec = None
+        spec = cell.spectrum(cfg.k_max)
         out = []
         for k in range(cfg.k_max + 1):
             lam_ref = float(ref.eigenvalues[k])
@@ -346,12 +356,17 @@ class AlignmentReport:
 
 def _cluster_gap(lam_ref, k: int, l: int):
     """Half the reference gap around the cluster [k, l], at most 1/2, and
-    the cluster's width."""
+    the cluster's width.  The cluster must hold whole reference eigenspaces."""
     if l + 1 >= len(lam_ref):
         raise ValueError("reference spectrum too short for the cluster")
     gaps = [lam_ref[l + 1] - lam_ref[l], 1.0]
     if k > 0:
         gaps.append(lam_ref[k] - lam_ref[k - 1])
+    if min(gaps) <= 1e-9:
+        raise ValueError(
+            f"cluster [{k},{l}] does not match reference multiplicity "
+            f"structure; reference gaps {np.diff(lam_ref).tolist()}"
+        )
     return float(0.5 * min(gaps)), float(lam_ref[l] - lam_ref[k])
 
 
@@ -370,14 +385,6 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
         raise ValueError("cluster must satisfy 0 <= k <= l")
     lam_ref = reference.eigenvalues
     gamma, span_width = _cluster_gap(lam_ref, k, l)
-    tol = 1e-9
-    if (k > 0 and lam_ref[k] - lam_ref[k - 1] <= tol) or lam_ref[l + 1] - lam_ref[l] <= tol:
-        ref_gaps = np.diff(lam_ref).tolist()
-        graph_gaps = np.diff(spectral.eigenvalues).tolist()
-        raise ValueError(
-            f"cluster [{k},{l}] does not match reference multiplicity "
-            f"structure; reference gaps {ref_gaps}, graph gaps {graph_gaps}"
-        )
     if l >= spectral.eigenvectors.shape[1]:
         raise ValueError("spectral result holds too few eigenvectors")
 
@@ -432,13 +439,11 @@ def run_alignment(cfg: ExperimentConfig):
     eigenvalue bounds that cluster from above.
     """
     mfd = make_manifold(cfg)
-    ref = reference_spectrum_for(cfg, mfd)
+    ref = reference_spectrum_for(cfg, mfd,
+                                 max(cfg.k_max, max(cfg.cluster or [1]) + 1))
     while not cfg.cluster and len(ref.clusters()) < 3:
-        # the reference may outgrow the smallest n, which the config check
-        # forbids k_max to reach: grow it on an unchecked copy
-        more = copy.copy(cfg)
-        more.k_max = 2 * len(ref.eigenvalues)
-        ref = reference_spectrum_for(more, mfd)
+        # the reference may outgrow the smallest n, which bounds cfg.k_max
+        ref = reference_spectrum_for(cfg, mfd, 2 * len(ref.eigenvalues))
     cluster = cfg.cluster or ref.clusters()[1]
     k, l = int(cluster[0]), int(cluster[1])
     gamma, span_width = _cluster_gap(ref.eigenvalues, k, l)
@@ -447,10 +452,9 @@ def run_alignment(cfg: ExperimentConfig):
                "aligned_residual", "thm12_residual")
 
     def rows(cell):
-        try:
-            spec = eigen_decompose(cell.graph, max(cfg.k_max, l))
-        except DisconnectedGraphError:
-            spec, measured = None, np.full((len(columns), l - k + 1), math.nan)
+        spec = cell.spectrum(max(cfg.k_max, l))
+        if spec is None:
+            measured = np.full((len(columns), l - k + 1), math.nan)
         else:
             rep = align_eigenspaces(cell.graph, spec, ref, cell.cloud, (k, l))
             measured = (rep.projection_residuals, rep.relative_residuals,
@@ -513,22 +517,17 @@ def _loglog_slope(ns, errs) -> float:
 
 def run_regularity(cfg: ExperimentConfig):
     def rows(cell):
-        g = cell.graph
-        try:
-            spec = eigen_decompose(g, cfg.k_max)
-        except DisconnectedGraphError:
-            spec, nan = None, math.nan
-            cert = RegularityCertificate(
-                n=cell.n, eps=cell.eps, Q=nan, P=nan, R=nan,
-                moser_table=[(k, pp, nan) for k in MOSER_K if k <= cfg.k_max
-                             for pp in MOSER_P])
+        spec = cell.spectrum(cfg.k_max)
+        if spec is None:
+            q = p = r = math.nan
+            table = [(k, pp, math.nan) for k in MOSER_K if k <= cfg.k_max
+                     for pp in MOSER_P]
         else:
-            cert = certify(g, spectral=spec, seed=cell.seed)
+            cert = certify(cell.graph, spec, seed=cell.seed)
+            q, p, r, table = cert.Q, cert.P, cert.R, cert.moser_table
         return [dict(n=cell.n, seed=cell.seed, eps=cell.eps,
-                     connected=int(spec is not None), Q=cert.Q,
-                     P=cert.P, sigma=1.0, R=cert.R,
-                     **{f"moser_k{k}_p{pp}": r
-                        for (k, pp, r) in cert.moser_table})]
+                     connected=int(spec is not None), Q=q, P=p, sigma=1.0,
+                     R=r, **{f"moser_k{k}_p{pp}": v for (k, pp, v) in table})]
 
     return _run_cells(cfg, rows)
 
@@ -602,26 +601,21 @@ def run_energy(cfg: ExperimentConfig):
 
 
 def run_moser(cfg: ExperimentConfig):
+    kp = [(k, p) for k in range(1, cfg.k_max + 1) for p in MOSER_P]
+
     def rows(cell):
-        g = cell.graph
-        try:
-            spec = eigen_decompose(g, cfg.k_max)
-        except DisconnectedGraphError:
-            spec = None
+        g, spec = cell.graph, cell.spectrum(cfg.k_max)
+        if spec is None:
+            measured = [(math.nan, math.nan)] * len(kp)
         else:
             alpha, D = moser_alpha(g), graph_diameter(g)
-        out = []
-        for k in range(1, cfg.k_max + 1):
-            for p in MOSER_P:
-                ratio = shape = math.nan
-                if spec is not None:
-                    ratio, shape = moser_check(g, spec, k, p,
-                                               alpha_param=alpha, D=D)
-                out.append(dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
-                                p=(p if p != math.inf else -1),
-                                connected=int(spec is not None),
-                                ratio=ratio, bound_shape=shape))
-        return out
+            measured = [moser_check(g, spec, k, p, alpha_param=alpha, D=D)
+                        for k, p in kp]
+        return [dict(n=cell.n, seed=cell.seed, eps=cell.eps, k=k,
+                     p=(p if p != math.inf else -1),
+                     connected=int(spec is not None),
+                     ratio=ratio, bound_shape=shape)
+                for (k, p), (ratio, shape) in zip(kp, measured)]
 
     return _run_cells(cfg, rows)
 

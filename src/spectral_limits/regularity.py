@@ -17,8 +17,7 @@ grows with its edge count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
@@ -386,31 +385,23 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
 class RegularityCertificate:
     """All regularity quantities measured on one graph."""
 
-    n: int
-    eps: float
     Q: float
     P: float
     R: float
-    moser_table: list = field(default_factory=list)  # (k, p, ratio)
+    moser_table: list               # (k, p, ratio)
 
     @property
     def nu(self) -> float:
         return math.log2(self.Q) if self.Q > 1 else 0.0
 
 
-def certify(g: WeightedGraph, spectral: Optional[SpectralResult] = None,
+def certify(g: WeightedGraph, spectral: SpectralResult,
             seed: int = 0) -> RegularityCertificate:
     """Measure Q, P, R and the MOSER_K x MOSER_P Moser ratios on one graph."""
     q = doubling_constant(g, seed=seed)
     p = poincare_constant(g, seed=seed)
     r = almost_regularity(g)
-    table = []
-    if spectral is not None:
-        for k in MOSER_K:
-            if k < len(spectral.eigenvalues):
-                for pp in MOSER_P:
-                    table.append((k, pp, moser_ratio(g, spectral, k, pp)))
-    return RegularityCertificate(
-        n=g.n_vertices, eps=g.epsilon, Q=q, P=p, R=r,
-        moser_table=table,
-    )
+    table = [(k, pp, moser_ratio(g, spectral, k, pp))
+             for k in MOSER_K if k < len(spectral.eigenvalues)
+             for pp in MOSER_P]
+    return RegularityCertificate(Q=q, P=p, R=r, moser_table=table)

@@ -80,6 +80,17 @@ seeds = [1]
 k_max = 3
 """
 
+# eps = 0.3 splits the (64, 1) cell and leaves the other three connected,
+# so every eigensolve report writes its bad-cell rows beside good ones
+CIRCLE_MIXED = """
+manifold = "circle"
+n = [64, 256]
+seeds = [1, 2]
+k_max = 2
+cluster = [1, 2]
+eps = 0.3
+"""
+
 # entry name: (command, config)
 CONFIGS = {
     "sample": ("sample", CIRCLE),
@@ -95,6 +106,10 @@ CONFIGS = {
     "spectrum-lanczos": ("spectrum", CIRCLE_LANCZOS),
     "sweep-lanczos": ("sweep", CIRCLE_LANCZOS),
     "regularity-lanczos": ("regularity", SPHERE_LANCZOS),
+    "spectrum-mixed": ("spectrum", CIRCLE_MIXED),
+    "align-mixed": ("align", CIRCLE_MIXED),
+    "regularity-mixed": ("regularity", CIRCLE_MIXED),
+    "moser-mixed": ("moser", CIRCLE_MIXED),
 }
 
 GOLDEN = {
@@ -103,6 +118,12 @@ GOLDEN = {
             "c581ef577af2823b1531122898b2e071bf186dd3e98f1bab4c02ab07a0eb9f59",
         "run_meta.json":
             "28b7d56e3f2f0acf862f5b7f80787303fd2d680391c8ad389fa6b93dfd2a54ee",
+    },
+    "align-mixed": {
+        "alignment.csv":
+            "873b84785f88b6a6e9bbc67f7217e4e776ffaf9b5a300e42f14cfcbe504a3400",
+        "run_meta.json":
+            "b4b91db7c74fcff6ec1c71e587302a31e6d1fe8a253680ecccf0b9eb13fefa1b",
     },
     "distortion": {
         "distortion.csv":
@@ -168,6 +189,12 @@ GOLDEN = {
         "run_meta.json":
             "f6b3233d1d1df938ff6b356f64a33eeacf9c918b004010f299bdbcf6276c4ad9",
     },
+    "moser-mixed": {
+        "moser.csv":
+            "df5137703119aa58686339bb21f774ea0b859ac2a3f14e2ca5452c8766a33b2b",
+        "run_meta.json":
+            "ffe852708ccb7bddc759743da3474f113d777ad1c55713548771e823e331731c",
+    },
     "regularity": {
         "regularity.csv":
             "e49e39f1bc4556220ca34a798b4492abe302e78f11cf021b133877c1c4276a7a",
@@ -179,6 +206,12 @@ GOLDEN = {
             "7f89b488703eaf7b0df7392145d6da07b701b228364db039886976bf6ead8aa6",
         "run_meta.json":
             "ee119e5062b00df0a5da493529e35d00f4c4f6b987bfb4b9da788e4fce62f49d",
+    },
+    "regularity-mixed": {
+        "regularity.csv":
+            "d4cc74e834419a744d1bd759c0e99d99d06ec4628283fe33213c3287e5cca7ae",
+        "run_meta.json":
+            "4e2edd938ddec0b5ea9a2a22a8371282b24c61d41a43d2c657dbf3b7b44c255c",
     },
     "sample": {
         "points_n128_seed1.csv":
@@ -213,6 +246,12 @@ GOLDEN = {
             "b9e056bb51f968816db55ae90179e851078ee6d9ebe8817daebee8e1c0f6dd52",
         "spectrum.csv":
             "48e07b39cf198462d00df488411e66c796f8614072341478010a6d4937b6172b",
+    },
+    "spectrum-mixed": {
+        "run_meta.json":
+            "2db8b0eaad687f95a7867ab0b3441d002adde26d7840f57a6e5b63d1a8f0f807",
+        "spectrum.csv":
+            "669328b93967a0e4e8aed48051d17072f0a965e4f15d8e8827a9f8040d177266",
     },
     "sweep": {
         "run_meta.json":

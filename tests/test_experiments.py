@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectral_limits import graph
+from spectral_limits import experiments, graph
 from spectral_limits.cli import main as cli_main
 from spectral_limits.experiments import (
     CONFIG_KEYS,
@@ -178,7 +178,8 @@ class TestSpectrumExperiment:
         assert all(r["connected"] == 0 for r in rows)
         assert all(math.isnan(r["abs_err"]) for r in rows)
 
-    @pytest.mark.parametrize("run", [run_alignment, run_regularity, run_moser])
+    @pytest.mark.parametrize("run", [run_spectrum_experiment, run_alignment,
+                                     run_regularity, run_moser])
     def test_disconnected_rows_match_a_connected_cell(self, run):
         # eps = 0.01 splits n = 64 on the circle; the schedule's eps does not
         cfg = ExperimentConfig(manifold="circle", n_list=[64], seeds=[1],
@@ -186,7 +187,8 @@ class TestSpectrumExperiment:
         good = run(cfg)
         bad = run(replace(cfg, eps_rule=0.01))
         assert len(bad) == len(good) > 0
-        measured = {"proj_residual", "rel_residual", "norm_defect",
+        measured = {"lam_graph", "estimate", "abs_err", "rel_err",
+                    "proj_residual", "rel_residual", "norm_defect",
                     "aligned_residual", "thm12_residual", "Q", "P", "R",
                     "ratio", "bound_shape"}
         for b, g in zip(bad, good):
@@ -287,6 +289,13 @@ class TestAlignment:
         with pytest.raises(ValueError, match="multiplicity"):
             run_alignment(cfg)
 
+    def test_bad_cluster_fails_with_every_cell_disconnected(self):
+        # the cluster is checked against the reference, before any cell
+        cfg = ExperimentConfig(manifold="sphere", n_list=[64, 700], seeds=[1],
+                               cluster=[1, 1], eps_rule=0.05)
+        with pytest.raises(ValueError, match="multiplicity"):
+            run_alignment(cfg)
+
     def test_sphere_align_without_cluster(self, tmp_path):
         path = tmp_path / "sphere.toml"
         path.write_text('manifold = "sphere"\nn = [700]\nseeds = [1]\n')
@@ -330,6 +339,28 @@ class TestCells:
                                seeds=[1, 2])
         assert len(run_energy(cfg)) == 4
         assert trees == [64, 64, 128, 128]
+
+
+    def test_each_report_solves_once_per_cell(self, monkeypatch):
+        solve = experiments.eigen_decompose
+        calls = []
+
+        def counted(g, k):
+            calls.append((g.n_vertices, k))
+            return solve(g, k)
+
+        monkeypatch.setattr(experiments, "eigen_decompose", counted)
+        # eps = 0.3 splits only the (64, 1) cell; align solves up to l = 2
+        cfg = ExperimentConfig(manifold="circle", n_list=[64, 256],
+                               seeds=[1, 2], k_max=1, cluster=[1, 2],
+                               eps_rule=0.3)
+        assert map_cells(cfg, lambda cell: cell.spectrum(1) is None) == [
+            True, False, False, False]
+        for run, k in ((run_spectrum_experiment, 1), (run_alignment, 2),
+                       (run_regularity, 1), (run_moser, 1)):
+            calls.clear()
+            run(cfg)
+            assert calls == [(n, k) for n in (64, 64, 256, 256)], run.__name__
 
 
 class TestSweep:
