@@ -24,7 +24,7 @@ circle = Circle(radius=1.0)
 cloud = sample_dataset(circle, DensitySpec("uniform"), n, seed)
 eps = epsilon_schedule(n, circle.m)
 graph = gamma_N_eps(cloud, eps)
-print(f"n = {n}, eps = {eps:.4f}, edges = {graph.weighted_adjacency.nnz // 2}, "
+print(f"n = {n}, eps = {eps:.4f}, edges = {len(graph.upper)}, "
       f"mean degree = {graph.degrees.mean():.1f}")
 
 result = eigen_decompose(graph, k_max)

@@ -310,8 +310,7 @@ def _run_cells(cfg: ExperimentConfig, fn) -> list:
 
 def run_spectrum_experiment(cfg: ExperimentConfig):
     """Graph eigenvalues vs continuum reference, one row per (n, seed, k)."""
-    ref = reference_spectrum_for(cfg, make_manifold(cfg),
-                                 max(cfg.k_max, max(cfg.cluster or [1]) + 1))
+    ref = reference_spectrum_for(cfg, make_manifold(cfg), cfg.k_max)
 
     def rows(cell):
         spec = cell.spectrum(cfg.k_max)

@@ -16,21 +16,23 @@ and is self-adjoint, nonnegative in the inner product weighted by w_V.
 The edge search returns the edge set as the strict upper triangle of its
 adjacency pattern in CSR form (row pointers and sorted int32 column
 indices); custom (E, 2) edge pairs are checked and put in that form.  A
-graph is one symmetric CSR matrix of its edge weights, built once, straight
-from that form, with the lower triangle a transpose of its pattern; it
-keeps no other copy of its edges.  The Laplacian, the random-walk matrix,
-hop distances, the connectivity check (one breadth-first search), the
-spectral start vector (hashed from the matrix a block of rows at a time),
-the Dirichlet energies, the CSV writer and the Dirichlet forms of the
-regularity certificates all read it, and the edge list and edge weights
-are views derived from its upper triangle on demand.  A zero-weight edge
-is stored as an explicit zero, so it is an edge for hops and components
-but carries no Dirichlet energy.
+graph keeps that triangle and its edge weights, a constant weight as one
+stride-0 value.  Degrees, incident edge weights, the edge list, the
+spectral start vector (hashed a block of rows at a time), the Dirichlet
+energies, the CSV writer and the Laplacian operator of ``spectral`` all
+read the triangle.  The symmetric CSR matrix of the edge weights is built
+from it on first access and kept, for the reports that read it: hop
+distances, the Laplacian and random-walk matrices, smoothing and the
+regularity certificates.  One builder makes every symmetric CSR from a
+triangle: the graph's matrix, and with a diagonal, the D - W of a graph
+or of a Poincare ball.  A zero-weight edge is stored as an explicit zero,
+so it is an edge for hops and components but carries no Dirichlet energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -83,58 +85,110 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def _symmetric_csr(n: int, upper: UpperTriangle, w) -> sparse.csr_matrix:
+def _one_weight(w) -> bool:
+    """Whether w is one edge weight repeated, as a stride-0 array."""
+    return len(w) > 0 and w.strides == (0,)
+
+
+def _degrees(n: int, upper: UpperTriangle) -> np.ndarray:
+    """Each vertex's edge count: its row of the triangle plus its column."""
+    deg = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=n)
+    return deg.astype(_index_dtype(max(2 * len(upper), n)))
+
+
+def _row_sums(n: int, upper: UpperTriangle, w) -> np.ndarray:
+    """Each vertex's sum of incident edge weights, bit for bit the
+    ``adj.sum(axis=1)`` of the symmetric matrix: ``np.add.reduceat`` over
+    the row's weights in column order.  For a stride-0 w the sum depends
+    only on the degree, so it is reduced once per distinct degree."""
+    if _one_weight(w):
+        lengths, row = np.unique(_degrees(n, upper), return_inverse=True)
+        weights = np.full(lengths.sum(), w[0])
+    else:
+        adj = _symmetric_csr(n, upper, w)
+        lengths, row, weights = np.diff(adj.indptr), slice(None), adj.data
+    sums = np.zeros(len(lengths))
+    has = lengths > 0       # reduceat misreads an empty segment
+    sums[has] = np.add.reduceat(weights, (np.cumsum(lengths) - lengths)[has])
+    return sums[row]
+
+
+def _symmetric_csr(n: int, upper: UpperTriangle, w,
+                   diag=None) -> sparse.csr_matrix:
     """The symmetric CSR matrix with w at (i, j) and (j, i) for the edges
-    (i, j) of ``upper``, w in their row-major order.
+    (i, j) of ``upper``, w in their row-major order; with ``diag``, the
+    matrix diag(diag) - W instead, its off-diagonal entries ``0.0 - w``.
 
     The lower triangle is the transpose of the upper one's pattern, a
     counting sort with 1-byte data that keeps explicit zeros.  Each row is
-    its lower entries followed by its upper ones, so its columns come out
-    sorted.  A stride-0 w is one weight repeated: it is written once, into
-    the matrix's own data, and needs no transposed copy.
+    its lower entries, then its diagonal entry, if any, then its upper
+    ones, so its columns come out sorted.  A stride-0 w is one weight
+    repeated: it is written once, into the matrix's own data, and needs no
+    transposed copy.
     """
     upper_ptr, upper_idx = upper.indptr, upper.indices
     n_edges = len(upper_idx)
-    idx = _index_dtype(max(2 * n_edges, n))
-    one_weight = n_edges > 0 and w.strides == (0,)
+    one_weight = _one_weight(w)
+    if diag is not None:
+        w = np.broadcast_to(0.0 - w[0], n_edges) if one_weight else 0.0 - w
     pattern = np.ones(n_edges, dtype=np.int8) if one_weight else w
     lower = sparse.csr_matrix((pattern, upper_idx, upper_ptr),
                               shape=(n, n)).T.tocsr()
     del pattern
-    indptr = (upper_ptr + lower.indptr).astype(idx)
-    counts = np.column_stack([np.diff(lower.indptr), np.diff(upper_ptr)])
-    is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
+    n_diag = 0 if diag is None else 1
+    idx = _index_dtype(max(2 * n_edges + n_diag * n, n))
+    indptr = (upper_ptr + lower.indptr
+              + n_diag * np.arange(n + 1)).astype(idx)
+    before = np.diff(lower.indptr)
+    counts = np.column_stack([before, np.full(n, n_diag), np.diff(upper_ptr)])
+    # 0: lower entry, 1: diagonal, 2: upper entry
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
+    del counts
     indices = np.empty(indptr[-1], dtype=idx)
-    indices[is_lower] = lower.indices
-    indices[~is_lower] = upper_idx
+    indices[part == 0] = lower.indices
+    indices[part == 2] = upper_idx
     if one_weight:
-        del lower, is_lower
+        del lower, part
         data = np.full(indptr[-1], w[0])
     else:
         data = np.empty(indptr[-1])
-        data[is_lower] = lower.data
-        data[~is_lower] = w
+        data[part == 0] = lower.data
+        data[part == 2] = w
+        del lower, part
+    if diag is not None:
+        on_diag = indptr[:-1] + before
+        indices[on_diag] = np.arange(n)
+        data[on_diag] = diag
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-class WeightedGraph:
-    """Finite weighted graph (V, E, w_V, w_E, eps) held as one sparse matrix.
+def _laplacian_csr(n: int, upper: UpperTriangle, w) -> sparse.csr_matrix:
+    """D - W of the edges ``upper`` with weights w: ``_symmetric_csr``
+    with the row sums on the diagonal, explicit zeros included."""
+    return _symmetric_csr(n, upper, w, diag=_row_sums(n, upper, w))
 
-    ``weighted_adjacency`` is the graph: the symmetric CSR matrix with w_E
-    at (i, j) and (j, i), built once at construction from ``edges`` and
-    ``w_E``, which are then dropped.  ``edges`` is either an
-    ``UpperTriangle``, as ``build_edges`` returns it, with ``w_E`` in its
-    row-major order, or (E, 2) integer pairs in any order and orientation,
-    which are checked, sorted and turned into that form.  ``degrees`` are
-    the matrix's row lengths.  A zero-weight edge stays in it as an
+
+class WeightedGraph:
+    """Finite weighted graph (V, E, w_V, w_E, eps) held as its edge triangle.
+
+    ``upper`` is the strict upper triangle of the edge set, an
+    ``UpperTriangle``, and ``upper_w`` its edge weights in row-major
+    order; a constant weight stays a stride-0 array.  ``edges`` is either
+    an ``UpperTriangle``, as ``build_edges`` returns it, with ``w_E`` in
+    its row-major order, which is kept as it is, or (E, 2) integer pairs
+    in any order and orientation, which are checked, sorted and turned
+    into that form.  ``degrees`` are the vertices' edge counts.
+
+    ``weighted_adjacency``, the symmetric CSR matrix with w_E at (i, j)
+    and (j, i), is built from the triangle on first access and kept; a
+    spectrum alone never builds it.  A zero-weight edge stays in it as an
     explicit zero, so it still counts as an edge for degrees, hop
     distances and connected components.  It carries no Dirichlet energy,
     so the Poincare constant drops it before it splits a ball into
     components.
 
-    ``edges`` and ``w_E`` are read back from the matrix's upper triangle
-    on each access, never stored: the (E, 2) int64 pairs i < j in
-    lexicographic order, and their weights.
+    ``edges`` and ``w_E`` are read back from the triangle on each access:
+    the (E, 2) int64 pairs i < j in lexicographic order, and their weights.
     """
 
     def __init__(self, n_vertices: int, epsilon: float, edges, w_V, w_E,
@@ -158,21 +212,44 @@ class WeightedGraph:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if pairs is not None:
             edges, w = _upper_triangle(n_vertices, pairs, w)
-        self.weighted_adjacency = _symmetric_csr(n_vertices, edges, w)
-        self.degrees = np.diff(self.weighted_adjacency.indptr)
+        self.upper, self.upper_w = edges, w
+        self.degrees = _degrees(n_vertices, edges)
+
+    @cached_property
+    def weighted_adjacency(self) -> sparse.csr_matrix:
+        """The symmetric CSR matrix of the edge weights, built on first
+        access."""
+        return _symmetric_csr(self.n_vertices, self.upper, self.upper_w)
 
     def _edge_blocks(self):
         """The edges i < j in lexicographic order, as (i, j, w) with int64
-        i and j, one block of rows of the matrix's upper triangle at a
-        time; its indices are sorted, so row-major order is that order."""
-        wa = self.weighted_adjacency
-        for r0, r1 in _row_blocks(wa.indptr):
-            a, b = wa.indptr[r0], wa.indptr[r1]
+        i and j, one block of rows of the triangle at a time."""
+        ptr = self.upper.indptr
+        for r0, r1 in _row_blocks(ptr):
+            a, b = ptr[r0], ptr[r1]
             row = np.repeat(np.arange(r0, r1, dtype=np.int64),
-                            self.degrees[r0:r1])
-            col = wa.indices[a:b]
-            upper = col > row
-            yield row[upper], col[upper].astype(np.int64), wa.data[a:b][upper]
+                            np.diff(ptr[r0:r1 + 1]))
+            yield (row, self.upper.indices[a:b].astype(np.int64),
+                   self.upper_w[a:b])
+
+    def _ball_triangle(self, idx):
+        """The edges of positive weight with both ends in the sorted
+        vertices ``idx``, numbered by position in ``idx``, as an
+        ``UpperTriangle`` and its weights; a stride-0 weight stays one."""
+        ptr, w = self.upper.indptr, self.upper_w
+        lengths = ptr[idx + 1] - ptr[idx]
+        ends = np.cumsum(lengths)
+        row = np.repeat(np.arange(len(idx)), lengths)
+        at = np.arange(ends[-1]) + np.repeat(ptr[idx] - (ends - lengths),
+                                             lengths)
+        local = np.full(self.n_vertices, -1, dtype=np.int64)
+        local[idx] = np.arange(len(idx))
+        col = local[self.upper.indices[at]]
+        keep = (col >= 0) & (w[at] > 0)
+        indptr = np.searchsorted(row[keep], np.arange(len(idx) + 1))
+        upper = UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
+        return upper, (np.broadcast_to(w[0], len(upper)) if _one_weight(w)
+                       else w[at][keep])
 
     @property
     def edges(self) -> np.ndarray:
@@ -189,7 +266,7 @@ class WeightedGraph:
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
-        return np.asarray(self.weighted_adjacency.sum(axis=1)).ravel()
+        return _row_sums(self.n_vertices, self.upper, self.upper_w)
 
     def total_volume(self) -> float:
         return float(np.sum(self.w_V))
@@ -315,7 +392,7 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
         w_E=np.broadcast_to(1.0 / scale, len(upper)),
         kind="gamma_N",
     )
-    g.w_V = g.degrees / scale      # the degrees come from the graph's CSR
+    g.w_V = g.degrees / scale      # the degrees come from the triangle
     return g
 
 
@@ -383,7 +460,7 @@ def _edge_sum(g: WeightedGraph, term) -> float:
     so the sum is NumPy's over the whole array, as if the terms had been
     computed in one pass over the edge list.
     """
-    terms = np.empty(g.weighted_adjacency.nnz // 2)
+    terms = np.empty(len(g.upper))
     a = 0
     for i, j, w in g._edge_blocks():
         terms[a:a + len(w)] = term(i, j, w)
@@ -398,7 +475,7 @@ def _edge_sum(g: WeightedGraph, term) -> float:
 def save_graph_csv(g: WeightedGraph, edge_path, vertex_path):
     """Edge list `i,j,w_E` and vertex list `i,w_V,deg`, with a header line.
 
-    The edge rows are read from the graph's matrix, i < j, sorted, and
+    The edge rows are read from the graph's triangle, i < j, sorted, and
     written a block of rows at a time."""
     header = f"# eps={g.epsilon:.17g} kind={g.kind} n={g.n_vertices}\n"
     with open(edge_path, "w") as fh:

@@ -5,11 +5,13 @@ the vertex weights, so the generalized problem is symmetrized by conjugating
 with the square root of the weight matrix.  Small graphs (n <= 512) go to a
 dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
 known zero eigenpair deflated, and a deterministic start vector seeded from
-a sha256 of the graph's edge pairs, read from its CSR a block of rows at a
-time.  Connectivity is one breadth-first search from vertex 0 over the CSR;
-only a disconnected graph also pays for its components, whose sizes the
-error names.  The operator is a second CSR, scaled in place a block of rows
-at a time, so a solve holds two matrices and bounded scratch.
+a sha256 of the graph's edge pairs, read from its edge triangle a block of
+rows at a time.  The operator is one CSR, D - W built straight from the
+triangle and then scaled in place a block of rows at a time, so a solve
+holds the triangle, the operator and bounded scratch, and never the
+graph's own matrix.  Connectivity is one breadth-first search from vertex
+0 over the unscaled operator; only a disconnected graph also pays for its
+components, whose sizes the error names.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import WeightedGraph, _row_blocks, laplacian_apply
+from .graph import WeightedGraph, _laplacian_csr, _row_blocks
 
 __all__ = [
     "DisconnectedGraphError",
@@ -56,7 +57,12 @@ def volume_norm(g: WeightedGraph, phi) -> float:
 
 @dataclass
 class SpectralResult:
-    """Ascending eigenvalues with weight-orthonormal eigenvectors."""
+    """Ascending eigenvalues with weight-orthonormal eigenvectors.
+
+    ``residuals[j]`` is ||B psi_j - lam_j psi_j||_2 for the symmetrized
+    operator B and its unit eigenvector psi_j = sqrt(w_V) phi_j, which
+    equals the w_V-norm of L phi_j - lam_j phi_j.
+    """
 
     eigenvalues: np.ndarray        # (k+1,)
     eigenvectors: np.ndarray       # (n, k+1), columns orthonormal in w_V
@@ -64,14 +70,18 @@ class SpectralResult:
     solver: str
 
 
-def _symmetrized_operator(adj, w_V, eps: float):
-    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), scaled entrywise, for
-    the symmetric weighted adjacency ``adj``."""
-    lw = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+def _symmetrized_operator(lw, w_V, eps: float):
+    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), in place, for the
+    D - W ``lw`` of ``graph._laplacian_csr``.
+
+    Its explicit zeros are dropped first, so its arrays are those of
+    scipy's ``diags(d) - adj``; then each entry is scaled by the same
+    products, in the same order, as diags(s) @ lw @ diags(s), a block of
+    rows at a time.
+    """
+    lw.eliminate_zeros()
     s = 1.0 / np.sqrt(w_V)
     counts = np.diff(lw.indptr)
-    # the same products, in the same order, as diags(s) @ lw @ diags(s),
-    # in place, a block of rows at a time
     for r0, r1 in _row_blocks(lw.indptr):
         a, b = lw.indptr[r0], lw.indptr[r1]
         t = np.repeat(s[r0:r1], counts[r0:r1])
@@ -85,7 +95,7 @@ def _symmetrized_operator(adj, w_V, eps: float):
 def _is_connected(adj) -> bool:
     """Whether the graph of the symmetric matrix ``adj`` is connected: one
     breadth-first search from vertex 0 over its stored entries, so an
-    explicit zero is an edge."""
+    explicit zero is an edge and a diagonal entry is ignored."""
     order = csgraph.breadth_first_order(adj, 0, directed=True,
                                         return_predecessors=False)
     return len(order) == adj.shape[0]
@@ -127,8 +137,8 @@ def _lanczos_above_null(B, w_V, k: int, v0, tol: float):
 
 def _start_vector(g: WeightedGraph) -> np.ndarray:
     """Unit normal vector seeded from the sha256 of n, eps and the (E, 2)
-    int64 edge pairs i < j in lexicographic order, hashed from the CSR a
-    block of rows at a time."""
+    int64 edge pairs i < j in lexicographic order, hashed from the edge
+    triangle a block of rows at a time."""
     h = hashlib.sha256()
     h.update(np.int64(g.n_vertices).tobytes())
     h.update(np.float64(g.epsilon).tobytes())
@@ -150,10 +160,10 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     n = g.n_vertices
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+    lw = _laplacian_csr(n, g.upper, g.upper_w)
     # before the weight check: an isolated vertex of gamma_N has w_V = 0
-    if not _is_connected(g.weighted_adjacency):
-        ncomp, labels = csgraph.connected_components(g.weighted_adjacency,
-                                                    directed=False)
+    if not _is_connected(lw):
+        ncomp, labels = csgraph.connected_components(lw, directed=False)
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(
             f"graph is disconnected: {ncomp} components of sizes {sizes}")
@@ -165,20 +175,18 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
 
-    B = _symmetrized_operator(g.weighted_adjacency, g.w_V, g.epsilon)
+    B = _symmetrized_operator(lw, g.w_V, g.epsilon)
     if method == "dense":
         vals, vecs = eigh(B.toarray())
         vals, vecs = vals[: k + 1], vecs[:, : k + 1]
     else:
         vals, vecs = _lanczos_above_null(B, g.w_V, k, _start_vector(g), tol)
 
-    # back to original coordinates; columns orthonormal in the w_V measure
-    phi = vecs / np.sqrt(g.w_V)[:, None]
-    r = laplacian_apply(g, phi) - vals * phi
-    resid = np.array([volume_norm(g, r[:, j]) for j in range(k + 1)])
+    resid = np.linalg.norm(B @ vecs - vals * vecs, axis=0)
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
-        eigenvectors=phi,
+        # back to original coordinates; columns orthonormal in the w_V measure
+        eigenvectors=vecs / np.sqrt(g.w_V)[:, None],
         residuals=resid,
         solver=method,
     )

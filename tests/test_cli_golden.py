@@ -1,11 +1,12 @@
 """Golden gate for the CLI output contract.
 
 Every command runs through ``cli.main`` on a tiny config (n <= 512, so the
-dense eigensolver is used), and ``spectrum``, ``sweep``, ``regularity`` and
-``moser`` run once more above ``DENSE_LIMIT``, where the spectrum and the
-larger Poincare balls go to Lanczos.  Each entry runs once at ``--threads 1`` and
-once at ``--threads 2``, and the sha256 of every file it writes, ``run_meta.json``
-included, must equal the recorded value at both thread counts.  All runs
+dense eigensolver is used), and ``graph``, ``spectrum``, ``sweep``,
+``regularity`` and ``moser`` run once more above ``DENSE_LIMIT``, where the
+spectrum and the larger Poincare balls go to Lanczos.  Each entry runs once
+at ``--threads 1`` and once at ``--threads 2``, and the sha256 of every file
+it writes, ``run_meta.json`` included, must equal the recorded value at both
+thread counts.  All runs
 happen in one child ``python`` with BLAS and OpenMP pinned to one thread,
 as the benchmark runs the CLI: the dense ``eigh`` rounds differently with
 more BLAS threads, so an unpinned run would tie the hashes to the host's
@@ -95,6 +96,7 @@ eps = 0.3
 CONFIGS = {
     "sample": ("sample", CIRCLE),
     "graph": ("graph", CIRCLE),
+    "graph-lanczos": ("graph", CIRCLE_LANCZOS),
     "spectrum": ("spectrum", SPHERE),
     "align": ("align", CIRCLE),
     "regularity": ("regularity", SPHERE),
@@ -176,6 +178,46 @@ GOLDEN = {
             "9bbf9d745ead24d3f546445f3c2166f8fb6924129f1de120a5a6f8368dd94210",
         "vertices_n64_seed3.csv":
             "39614dad989a51d2af7f4dd5dc51ed93bb33c61977da9dc015d8e4fedf458dd2",
+    },
+    "graph-lanczos": {
+        "edges_n1000_seed1.csv":
+            "5b11999fd3a35427cf36442c0f6e5e7882114faaf4909bbe9ba5d9f3bec48797",
+        "edges_n1000_seed2.csv":
+            "bf240fff92d5668320b7320d993fbfcc99ade53b687d6a5f871e6baae9c3474b",
+        "edges_n1000_seed3.csv":
+            "f6650507e9e643741e757a1d0438303cf0bdb5d065c905f411328a4b8d25c747",
+        "edges_n600_seed1.csv":
+            "e97a67d4ddc216497a20e0b8043c402cc14c3168c33c0b1dcd68377bccb8a9e8",
+        "edges_n600_seed2.csv":
+            "1a819d40b193b9f089e296cfe8c9f9dd383533b85fa76a4f7c101caa48715dd8",
+        "edges_n600_seed3.csv":
+            "e3156c7b55d912d236b9c26fc3511b25d2413fc5835f8ceb42d4eb729dec670e",
+        "edges_n800_seed1.csv":
+            "057bb7b00b6b7e42d825613b905bb055c36c5880758f05204f382e44b106d221",
+        "edges_n800_seed2.csv":
+            "a55f1d89281de7f1507d3df121d26d718b80062a5e38c11c05e755c430f4d764",
+        "edges_n800_seed3.csv":
+            "55a136a812488fb6b8b5258ec201a87b9ff4624d0bdba32b470aabe47bd57a89",
+        "run_meta.json":
+            "5ae9c204b4e8141b1da6cdc0637e1f88ca8ff6d849c667864c84e9dc40ad1343",
+        "vertices_n1000_seed1.csv":
+            "4719d4bb18e5ae4657ccfa7900eaa627cfc6b7ff3df0400bbab9dc41ea8ccf5f",
+        "vertices_n1000_seed2.csv":
+            "7ddc31a469d5cad15355b81c58c3ce3942610a0bdddc7c8f8c1544e0e785a77d",
+        "vertices_n1000_seed3.csv":
+            "5a47d310cd67c1261b8ab6925950deccaf5713bd2e12ce8aa9eea79169cb1954",
+        "vertices_n600_seed1.csv":
+            "a514d5d8751632e45fdaa5191f1f98294850338bae8d0224b015c983f3710a87",
+        "vertices_n600_seed2.csv":
+            "ef350dea0c1438461f1cff3eb1438fa9ce118fff10f3041d852853b6b8097cda",
+        "vertices_n600_seed3.csv":
+            "40a2580b3c13bfdbc80b8d1bcf00eaa7942686797caaf08a6676e32d614e1e28",
+        "vertices_n800_seed1.csv":
+            "3c0df29f35b39a82cff2b4cd4b673df623d8151f41952244e5a033a14c7ecac6",
+        "vertices_n800_seed2.csv":
+            "d468ef93876df1ac235e7f37681f08b4fc7ea87b60df9f3c441f423856e3ab3f",
+        "vertices_n800_seed3.csv":
+            "6b3064662617369afd0dd3edf48f5ff54a0cc90ec2350fc8b0a5d62a33505228",
     },
     "moser": {
         "moser.csv":

@@ -171,6 +171,23 @@ class TestSpectrumExperiment:
         # the continuum estimator is (m + 2) * lambda_k(Gamma)
         assert all(r["estimate"] == 4.0 * r["lam_graph"] for r in rows)
 
+    def test_reference_does_not_depend_on_the_cluster(self, tmp_path):
+        # the weighted circle's reference is numerical, so its low
+        # eigenvalues move in the last digits with the number solved for;
+        # the spectrum report solves for k_max + 1 of them, whatever
+        # cluster ``align`` would use
+        base = ('manifold = "circle"\ndensity = "cosine_tilt"\n'
+                'amplitude = 0.2\nn = [200]\nseeds = [1]\nk_max = 2\n')
+        written = []
+        for extra in ("", "cluster = [1, 2]\n", "cluster = [5, 6]\n"):
+            cfg, out = tmp_path / f"cfg{len(written)}.txt", tmp_path / "out"
+            cfg.write_text(base + extra)
+            assert cli_main(["spectrum", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            written.append((out / "spectrum.csv").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
     def test_disconnected_rows_flagged(self):
         cfg = ExperimentConfig(manifold="circle", n_list=[64], seeds=[1],
                                eps_rule=0.01, k_max=1)

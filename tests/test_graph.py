@@ -328,9 +328,15 @@ class TestOneMatrix:
         g = gamma_N_eps(cloud, epsilon_schedule(n, 1))
         n_edges = len(g.edges)
         assert n_edges > n
+        # the graph holds its edge triangle and its one edge weight as a
+        # stride-0 view, which takes no memory per edge; no matrix is built
+        # until one is read
         held = [name for name, value in vars(g).items()
-                if isinstance(value, np.ndarray) and len(value) >= n_edges]
+                if isinstance(value, np.ndarray) and len(value) >= n_edges
+                and value.strides != (0,)]
         assert held == []
+        assert g.upper_w.strides == (0,)
+        assert "weighted_adjacency" not in vars(g)
         # the views are derived on each access, never cached
         assert g.edges is not g.edges
         assert g.w_E is not g.w_E

@@ -11,7 +11,10 @@ from conftest import custom_graph, fake_cloud
 from spectral_limits import graph, spectral
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps, gamma_m_eps, \
     laplacian_apply
-from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
+from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
+from spectral_limits.regularity import _hop_blocks
+from spectral_limits.sampling import (DensitySpec, epsilon_schedule,
+                                      make_density, sample_dataset)
 from spectral_limits.spectral import (
     DisconnectedGraphError,
     SolverError,
@@ -62,10 +65,13 @@ class TestEigenDecompose:
         res = eigen_decompose(circle_graph_200, 4)
         assert np.all(res.residuals < 1e-8)
 
-    @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 400)])
+    @pytest.mark.parametrize("shape,n", [("circle", 2000), ("sphere2", 400),
+                                         ("circle", 300), ("sphere2", 900)])
     @pytest.mark.parametrize("build", ["gamma_N", "gamma_m"])
     def test_residuals_match_per_column_apply(self, request, shape, n, build):
-        # the block residuals do the per-column arithmetic, so they are equal
+        # the residuals come from the symmetrized operator, ||B psi - lam psi||
+        # with psi = sqrt(w_V) phi, which is the w_V-norm of L phi - lam phi;
+        # the two round differently, so they agree to a tolerance
         mfd = request.getfixturevalue(shape)
         cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
         eps = epsilon_schedule(n, mfd.m)
@@ -77,7 +83,7 @@ class TestEigenDecompose:
             for j in range(6)
         ]
         assert res.solver == ("lanczos" if n > spectral.DENSE_LIMIT else "dense")
-        assert np.array_equal(res.residuals, oracle)
+        assert np.allclose(res.residuals, oracle, rtol=0.0, atol=1e-10)
 
     def test_dense_vs_lanczos(self, circle):
         # on the n = 600 graphs, at the default tolerance, Lanczos that also
@@ -172,13 +178,33 @@ def oracle_operator(g):
     return (2.0 / g.epsilon**2) * B.tocsr()
 
 
+def matrix_operator(adj, w_V, eps: float):
+    """The operator built from the symmetric matrix ``adj`` as
+    ``diags(d) - adj``, scaled in place a block of rows at a time: the
+    oracle for the arrays of the build from the edge triangle."""
+    lw = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+    s = 1.0 / np.sqrt(w_V)
+    counts = np.diff(lw.indptr)
+    for r0, r1 in graph._row_blocks(lw.indptr):
+        a, b = lw.indptr[r0], lw.indptr[r1]
+        t = np.repeat(s[r0:r1], counts[r0:r1])
+        t *= lw.data[a:b]
+        t *= s[lw.indices[a:b]]
+        t *= 2.0 / eps**2
+        lw.data[a:b] = t
+    return lw
+
+
 def operator(g):
-    return spectral._symmetrized_operator(g.weighted_adjacency, g.w_V, g.epsilon)
+    """The operator as ``eigen_decompose`` builds it, from the triangle."""
+    lw = graph._laplacian_csr(g.n_vertices, g.upper, g.upper_w)
+    return spectral._symmetrized_operator(lw, g.w_V, g.epsilon)
 
 
 def assert_same_csr(a, b):
     assert a.format == b.format == "csr"
     for name in ("indptr", "indices", "data"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -197,6 +223,80 @@ class TestSymmetrizedOperator:
         g = custom_graph(4, edges, [0.5, 1.0, 2.0, 0.25],
                          [1.0, 0.0, 3.0, 0.5], eps=0.7)
         assert_same_csr(operator(g), oracle_operator(g))
+
+
+class TestOperatorFromTheTriangle:
+    """The operator built from the edge triangle has the arrays, dtypes and
+    rounding of ``diags(d) - adj`` over the graph's matrix, so a solve
+    needs only the triangle."""
+
+    @pytest.mark.parametrize("build", [gamma_N_eps, gamma_m_eps])
+    @pytest.mark.parametrize("shape", ["circle", "sphere2", "torus", "spindle2"])
+    def test_eps_graphs(self, request, shape, build):
+        mfd = request.getfixturevalue(shape)
+        for n, seed in ((300, 1), (900, 4)):
+            cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
+            g = build(cloud, epsilon_schedule(n, mfd.m))
+            got = operator(g)
+            assert "weighted_adjacency" not in vars(g)
+            adj = g.weighted_adjacency
+            assert np.array_equal(g.incident_edge_weight(),
+                                  np.asarray(adj.sum(axis=1)).ravel())
+            assert_same_csr(got, matrix_operator(adj, g.w_V, g.epsilon))
+
+    def test_array_weights_and_a_zero_weight_edge(self):
+        rng = np.random.default_rng(5)
+        n = 60
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(len(i)) < 0.15
+        edges = np.column_stack([i[keep], j[keep]])
+        w_E = rng.uniform(0.1, 3.0, len(edges))
+        w_E[[3, 17]] = 0.0
+        g = custom_graph(n, edges[rng.permutation(len(edges))],
+                         rng.uniform(0.5, 2.0, n), w_E, eps=0.4)
+        got = operator(g)
+        want = matrix_operator(g.weighted_adjacency, g.w_V, g.epsilon)
+        assert want.nnz == 2 * len(edges) + n - 4   # the zeros are dropped
+        assert_same_csr(got, want)
+
+    @pytest.mark.parametrize("case", ["sphere", "zero-weights"])
+    def test_poincare_balls(self, sphere2, case):
+        if case == "sphere":
+            cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
+            g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
+        else:
+            rng = np.random.default_rng(8)
+            n = 80
+            i, j = np.triu_indices(n, 1)
+            keep = rng.random(len(i)) < 0.1
+            w_E = rng.choice([0.0, 0.5, 1.5], size=int(keep.sum()))
+            g = custom_graph(n, np.column_stack([i[keep], j[keep]]),
+                             rng.uniform(0.5, 2.0, n), w_E, eps=0.3)
+        balls = 0
+        for _, hops in _hop_blocks(g, [0, 7, 31]):
+            for row in hops:
+                for k in (1, 2, 3):
+                    idx = np.nonzero(row <= k)[0]
+                    if len(idx) < 2:
+                        continue
+                    sub = g.weighted_adjacency[idx][:, idx]
+                    sub.eliminate_zeros()
+                    w = g.w_V[idx]
+                    lw = graph._laplacian_csr(len(idx), *g._ball_triangle(idx))
+                    got = spectral._symmetrized_operator(lw, w, g.epsilon)
+                    assert_same_csr(got, matrix_operator(sub, w, g.epsilon))
+                    balls += 1
+        assert balls == 9
+
+    def test_eigenvalues_do_not_depend_on_the_matrix(self, circle):
+        cloud = sample_dataset(circle, DensitySpec("uniform"), 900, seed=4)
+        eps = epsilon_schedule(900, 1)
+        fresh, touched = gamma_N_eps(cloud, eps), gamma_N_eps(cloud, eps)
+        touched.weighted_adjacency
+        a, b = eigen_decompose(fresh, 4), eigen_decompose(touched, 4)
+        assert "weighted_adjacency" not in vars(fresh)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 def components_oracle(adj):
@@ -288,6 +388,20 @@ class TestCellMemory:
         res, peak = traced_peak(eigen_decompose, g, 6)
         assert res.solver == "lanczos"
         assert peak < 2.2 * csr_nbytes(g.weighted_adjacency)
+
+    def test_spectrum_only_cell(self):
+        # a spectrum reads the edge triangle and builds one matrix, the
+        # operator; a graph matrix beside it breaks this bound
+        cfg = ExperimentConfig(manifold="circle", n_list=[4000], seeds=[1],
+                               k_max=6)
+        mfd = make_manifold(cfg)
+        cell = Cell(cfg, mfd, make_density(mfd, DensitySpec("uniform")),
+                    4000, 1)
+        cell.cloud
+        res, peak = traced_peak(cell.spectrum, 6)
+        assert res.solver == "lanczos"
+        assert "weighted_adjacency" not in vars(cell.graph)
+        assert peak < 1.6 * csr_nbytes(cell.graph.weighted_adjacency)
 
 
 class TestRayleigh:
