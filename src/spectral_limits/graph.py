@@ -15,12 +15,15 @@ and is self-adjoint, nonnegative in the inner product weighted by w_V.
 
 The edge search returns the edge set as the strict upper triangle of its
 adjacency pattern in CSR form (row pointers and sorted int32 column
-indices); custom (E, 2) edge pairs are checked and put in that form.  A
-graph keeps that triangle and its edge weights, a constant weight as one
-stride-0 value.  Degrees, incident edge weights, the edge list, the
-spectral start vector (hashed a block of rows at a time), the Dirichlet
-energies, the CSV writer and the Laplacian operator of ``spectral`` all
-read the triangle.  The symmetric CSR matrix of the edge weights is built
+indices); custom (E, 2) edge pairs are checked and put in that form.  It
+searches one block of rows at a time, each block's kd-tree against one on
+the points from the block's first row on, so a pair that crosses blocks is
+found once and only one block's pairs are held; the order and the output
+are those of a single search over all points.  A graph keeps that triangle
+and its edge weights, a constant weight as one stride-0 value.  Degrees,
+incident edge weights, the edge list, the spectral start vector (hashed a
+block of rows at a time), the Dirichlet energies, the CSV writer and the
+Laplacian operator of ``spectral`` all read the triangle.  The symmetric CSR matrix of the edge weights is built
 from it on first access and kept, for the reports that read it: hop
 distances, the Laplacian and random-walk matrices, smoothing and the
 regularity certificates.  One builder makes every symmetric CSR from a
@@ -55,6 +58,8 @@ __all__ = [
 # the scratch bound of the blocked passes: entries of a CSR row block, or
 # pairs of a distance re-check block
 _BLOCK_ENTRIES = 1 << 16
+# the row blocks of the edge search: only one block's pairs are held at once
+_EDGE_SEARCH_BLOCKS = 16
 
 
 def _strictly_increasing(i, j) -> bool:
@@ -325,37 +330,62 @@ def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
     Its row-major order is the lexicographic order of the pairs, by i and
     then j; the spectral start vector hashes the pairs in that order and
     ``save_graph_csv`` writes them in it, so the order is part of the
-    output.  The kd-tree pairs within eps are re-checked against the strict
-    bound and sorted by the single key ``i * n + j``, whose quotients by n
-    give the row pointers and whose remainders are the column indices.
+    output.  The search runs one block of rows [r0, r1) at a time, so only
+    that block's pairs are held: a kd-tree on the block's points is searched
+    against one on the points from r0 on, so a pair that crosses blocks is
+    found once, from its lower row.  The block's pairs with j > i are
+    re-checked against the strict bound and sorted by the key ``i * n + j``;
+    the block yields its row counts and, as the remainders, its column
+    indices.  The counts' cumulative sum is the row pointers and the joined
+    columns the indices: the same pairs, order and dtypes as one search over
+    all points.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = cloud.embedded
-    # the tree returns each pair once, with i < j
-    pairs = cKDTree(x).query_pairs(r=eps, output_type="ndarray")
-    keep = _strictly_within(x, pairs, eps)
-    n = cloud.n
-    key = pairs[:, 0].astype(np.int64)
-    key *= n
-    key += pairs[:, 1]
-    del pairs
-    key = key[keep]
-    key.sort()
-    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(key, n, out=key)
-    return UpperTriangle(indptr, key.astype(_index_dtype(n)))
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    x, n = cloud.embedded, cloud.n
+    idx = _index_dtype(n)
+    counts, columns = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=idx)]
+    step = max(1, -(-n // _EDGE_SEARCH_BLOCKS))
+    for r0 in range(0, n, step):
+        ahead = x[r0:]
+        rows = min(step, n - r0)
+        found = _search_tree(ahead[:rows]).sparse_distance_matrix(
+            _search_tree(ahead), eps, output_type="ndarray")
+        i, j = found["i"], found["j"]
+        later = j > i
+        i, j = i[later], j[later]
+        del found, later
+        keep = _strictly_within(ahead, i, j, eps)
+        i, j = i[keep], j[keep]
+        counts.append(np.bincount(i, minlength=rows))
+        i *= n
+        i += j
+        del j
+        i.sort()
+        np.remainder(i, n, out=i)
+        i += r0
+        columns.append(i.astype(idx))
+        del i
+    return UpperTriangle(np.cumsum(np.concatenate(counts)),
+                         np.concatenate(columns))
 
 
-def _strictly_within(x, pairs, eps: float) -> np.ndarray:
+def _search_tree(points) -> cKDTree:
+    """A kd-tree for the edge search.  Each block builds two, so they are
+    the faster-built kind: sliding-midpoint splits, node boxes not shrunk
+    to the points.  A pair's distance test does not depend on the tree's
+    shape."""
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+
+def _strictly_within(x, i, j, eps: float) -> np.ndarray:
     """Mask of the pairs with ``np.linalg.norm(x[i] - x[j]) < eps``, the
     norm taken a block of pairs at a time, so no (E, d) gathers are built."""
-    keep = np.empty(len(pairs), dtype=bool)
-    for a in range(0, len(pairs), _BLOCK_ENTRIES):
-        p = pairs[a:a + _BLOCK_ENTRIES]
-        diff = np.take(x, p[:, 0], axis=0)
-        diff -= np.take(x, p[:, 1], axis=0)
-        keep[a:a + len(p)] = np.linalg.norm(diff, axis=1) < eps
+    keep = np.empty(len(i), dtype=bool)
+    for a in range(0, len(i), _BLOCK_ENTRIES):
+        diff = np.take(x, i[a:a + _BLOCK_ENTRIES], axis=0)
+        diff -= np.take(x, j[a:a + _BLOCK_ENTRIES], axis=0)
+        keep[a:a + len(diff)] = np.linalg.norm(diff, axis=1) < eps
     return keep
 
 

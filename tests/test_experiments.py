@@ -344,18 +344,18 @@ class TestCells:
             (n, s) for n in (64, 128) for s in (1, 2, 3)]
 
     def test_energy_searches_edges_once_per_cell(self, monkeypatch):
-        trees = []
+        searches = []
 
-        def counted(points):
-            trees.append(len(points))
-            return cKDTree(points)
+        def counted(cloud, eps):
+            searches.append(cloud.n)
+            return build_edges(cloud, eps)
 
-        cKDTree = graph.cKDTree
-        monkeypatch.setattr(graph, "cKDTree", counted)
+        build_edges = graph.build_edges
+        monkeypatch.setattr(graph, "build_edges", counted)
         cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],
                                seeds=[1, 2])
         assert len(run_energy(cfg)) == 4
-        assert trees == [64, 64, 128, 128]
+        assert searches == [64, 64, 128, 128]
 
 
     def test_each_report_solves_once_per_cell(self, monkeypatch):

@@ -1,5 +1,9 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from conftest import custom_graph, fake_cloud
+from test_cli_golden import PINNED_THREADS, SRC
 from spectral_limits import graph as graph_module
 from spectral_limits.graph import (
     WeightedGraph,
@@ -43,6 +48,17 @@ class TestBuildEdges:
         cloud = fake_cloud([0.0, 1.0])
         assert len(build_edges(cloud, 1.0)) == 0
         assert len(build_edges(cloud, 1.0 + 1e-9)) == 1
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, monkeypatch, eps):
+        # NaN found no pair and inf every pair; neither may start a search
+        def no_search(*args, **kwargs):
+            raise AssertionError("a kd-tree was built")
+
+        monkeypatch.setattr(graph_module, "cKDTree", no_search)
+        cloud = fake_cloud([0.0, 0.5, 1.2])
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            build_edges(cloud, eps)
 
     def test_sorted_lexicographically(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 60, seed=4)
@@ -161,6 +177,50 @@ class TestBuildEdgesOracle:
                 assert len(upper) == len(want)
                 assert np.array_equal(pairs_of(upper), want)
 
+    @pytest.mark.parametrize("blocks", [16, 10**4])
+    @pytest.mark.parametrize("shape", MODELS)
+    def test_row_blocks_give_the_oracle_array(self, request, monkeypatch,
+                                              shape, blocks):
+        # 16 blocks end in a short block at n = 300 and 700; 10**4 blocks
+        # are one row each
+        monkeypatch.setattr(graph_module, "_EDGE_SEARCH_BLOCKS", blocks)
+        sizes = []
+        search_tree = graph_module._search_tree
+
+        def spied(points):
+            sizes.append(len(points))
+            return search_tree(points)
+
+        monkeypatch.setattr(graph_module, "_search_tree", spied)
+        mfd = request.getfixturevalue(shape)
+        for n, seed in ((300, 1), (700, 2)):
+            x = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed).embedded
+            gap = cKDTree(x).query(x, k=2)[0][:, 1].min()
+            beyond = 1.0 + 2.0 * np.linalg.norm(x, axis=1).max()
+            twins = x.copy()
+            twins[n // 2:n // 2 + 25] = x[:25]   # 25 pairs at distance 0
+            for cloud, eps, count in (
+                    (fake_cloud(x), 0.05, None), (fake_cloud(x), 0.5, None),
+                    (fake_cloud(x), beyond, n * (n - 1) // 2),
+                    (fake_cloud(x), gap / 2, 0),
+                    (fake_cloud(twins), 1e-12, 25),
+                    (fake_cloud(twins), 0.2, None)):
+                sizes.clear()
+                upper = build_edges(cloud, eps)
+                block_rows = sizes[0::2]   # each block's tree, then the one ahead
+                assert sum(block_rows) == n
+                if blocks > n:
+                    assert block_rows == [1] * n
+                else:
+                    assert len(block_rows) == blocks
+                    assert 0 < block_rows[-1] < block_rows[0]
+                assert upper.indptr.dtype == np.int64
+                assert upper.indices.dtype == np.int32
+                assert len(upper.indptr) == n + 1
+                want = oracle_edges(cloud, eps)
+                assert count is None or len(want) == count
+                assert np.array_equal(pairs_of(upper), want)
+
     def test_no_edges_is_an_empty_triangle(self, sphere2):
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 50, seed=1)
         upper = build_edges(cloud, 1e-6)
@@ -188,6 +248,46 @@ class TestBuildEdgesOracle:
         assert np.array_equal(_start_vector(g), want)
         assert not np.array_equal(_start_vector(g),
                                   oracle_start_vector(6, 0.3, given))
+
+
+EDGE_SEARCH_PEAK = '''
+import json
+from spectral_limits.geometry import Circle
+from spectral_limits.graph import build_edges
+from spectral_limits.sampling import DensitySpec, epsilon_schedule, sample_dataset
+
+
+def high_water_mark():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+cloud = sample_dataset(Circle(1.0), DensitySpec("uniform"), 8000, seed=1)
+eps = epsilon_schedule(8000, 1)
+before = high_water_mark()
+upper = build_edges(cloud, eps)
+print(json.dumps({"rise": high_water_mark() - before,
+                  "triangle": upper.indptr.nbytes + upper.indices.nbytes}))
+'''
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set size from /proc")
+def test_edge_search_resident_peak():
+    # the kd-tree's C++ pair vector is invisible to tracemalloc, so the
+    # search runs in a child python and reads its peak resident set size;
+    # circle n = 8000 has 1.06M edges, and one pair list of them all, or
+    # its copy, breaks this bound
+    env = dict(os.environ, **PINNED_THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", EDGE_SEARCH_PEAK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = json.loads(proc.stdout)
+    assert peak["rise"] < 4 * peak["triangle"]
 
 
 def oracle_start_vector(n, eps, pairs):
