@@ -23,13 +23,18 @@ are those of a single search over all points.  A graph keeps that triangle
 and its edge weights, a constant weight as one stride-0 value.  Degrees,
 incident edge weights, the edge list, the spectral start vector (hashed a
 block of rows at a time), the Dirichlet energies, the CSV writer and the
-Laplacian operator of ``spectral`` all read the triangle.  The symmetric CSR matrix of the edge weights is built
-from it on first access and kept, for the reports that read it: hop
-distances, the Laplacian and random-walk matrices, smoothing and the
-regularity certificates.  One builder makes every symmetric CSR from a
-triangle: the graph's matrix, and with a diagonal, the D - W of a graph
-or of a Poincare ball.  A zero-weight edge is stored as an explicit zero,
-so it is an edge for hops and components but carries no Dirichlet energy.
+Laplacian operator of ``spectral`` all read the triangle.  The symmetric
+CSR matrix of the edge weights is built from it on first access and kept,
+for the reports that read it: hop distances, the Laplacian and random-walk
+matrices, smoothing and the regularity certificates.  One builder makes
+every symmetric CSR from a triangle: the graph's matrix, and with a
+diagonal and a scaling, the operator 2 eps^-2 S (D - W) S of a graph or of
+a Poincare ball.  It writes the final arrays one block of triangle rows at
+a time, each block handing its entry (i, j) on to row j as that row's
+entry below the diagonal, so no transposed copy of the triangle is made.
+A zero-weight edge is stored in the graph's matrix as an explicit zero, so
+it is an edge for hops and components but carries no Dirichlet energy;
+the operator leaves it out.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 16
 # the row blocks of the edge search: only one block's pairs are held at once
 _EDGE_SEARCH_BLOCKS = 16
+# the relative width of the band below eps in which the edge search measures
+# a pair's distance again rather than take the kd-tree's
+_DISTANCE_BAND = 1e-12
 
 
 def _strictly_increasing(i, j) -> bool:
@@ -95,19 +103,34 @@ def _one_weight(w) -> bool:
     return len(w) > 0 and w.strides == (0,)
 
 
-def _degrees(n: int, upper: UpperTriangle) -> np.ndarray:
-    """Each vertex's edge count: its row of the triangle plus its column."""
-    deg = np.diff(upper.indptr) + np.bincount(upper.indices, minlength=n)
+def _column_counts(n: int, upper: UpperTriangle) -> np.ndarray:
+    """Each vertex's count among the triangle's columns, its edges to lower
+    vertices: a bincount a block of rows at a time, so the indices are
+    never widened to an E-long intp copy."""
+    counts = np.zeros(n, dtype=np.int64)
+    for r0, r1 in _row_blocks(upper.indptr):
+        counts += np.bincount(upper.indices[upper.indptr[r0]:upper.indptr[r1]],
+                              minlength=n)
+    return counts
+
+
+def _degrees(n: int, upper: UpperTriangle, columns=None) -> np.ndarray:
+    """Each vertex's edge count: its row of the triangle plus its column,
+    from the column counts ``columns`` if given."""
+    if columns is None:
+        columns = _column_counts(n, upper)
+    deg = np.diff(upper.indptr) + columns
     return deg.astype(_index_dtype(max(2 * len(upper), n)))
 
 
-def _row_sums(n: int, upper: UpperTriangle, w) -> np.ndarray:
+def _row_sums(n: int, upper: UpperTriangle, w, degrees) -> np.ndarray:
     """Each vertex's sum of incident edge weights, bit for bit the
     ``adj.sum(axis=1)`` of the symmetric matrix: ``np.add.reduceat`` over
     the row's weights in column order.  For a stride-0 w the sum depends
-    only on the degree, so it is reduced once per distinct degree."""
+    only on the degree, so it is reduced once per distinct degree of
+    ``degrees``, the vertices' edge counts."""
     if _one_weight(w):
-        lengths, row = np.unique(_degrees(n, upper), return_inverse=True)
+        lengths, row = np.unique(degrees, return_inverse=True)
         weights = np.full(lengths.sum(), w[0])
     else:
         adj = _symmetric_csr(n, upper, w)
@@ -118,59 +141,119 @@ def _row_sums(n: int, upper: UpperTriangle, w) -> np.ndarray:
     return sums[row]
 
 
-def _symmetric_csr(n: int, upper: UpperTriangle, w,
-                   diag=None) -> sparse.csr_matrix:
-    """The symmetric CSR matrix with w at (i, j) and (j, i) for the edges
-    (i, j) of ``upper``, w in their row-major order; with ``diag``, the
-    matrix diag(diag) - W instead, its off-diagonal entries ``0.0 - w``.
+def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
+                   diag=None, s=None, c: float = 1.0) -> sparse.csr_matrix:
+    """The symmetric CSR matrix W with w at (i, j) and (j, i) for the edges
+    (i, j) of ``upper``, w in their row-major order, explicit zeros kept.
+    With ``diag`` and the scaling ``s``, the operator c S (diag(diag) - W) S
+    with S = diag(s) instead: each entry is ((s_i * v) * s_j) * c for its
+    value v in diag(diag) - W, ``0.0 - w`` off the diagonal, and a zero
+    diagonal entry is not stored.  ``columns`` are the triangle's column
+    counts, counted here if not given.
 
-    The lower triangle is the transpose of the upper one's pattern, a
-    counting sort with 1-byte data that keeps explicit zeros.  Each row is
-    its lower entries, then its diagonal entry, if any, then its upper
-    ones, so its columns come out sorted.  A stride-0 w is one weight
-    repeated: it is written once, into the matrix's own data, and needs no
-    transposed copy.
+    Each row is its lower entries, then its diagonal entry, if any, then
+    its upper ones, so its columns come out sorted, and the row pointers
+    follow from the row and column counts.  The final arrays are then
+    filled one block of triangle rows at a time, by Gustavson's permuted
+    transpose: a block writes its rows' upper entries, and hands each of
+    its entries (i, j) on to row j's next free lower slot, taking them in
+    the order of the block's transpose, by column and then row, so every
+    row's lower entries come out in row order.  The transpose is a
+    counting sort with 1-byte data where the weight is one stride-0 value.
+    Only one block's scratch is held beside the output, and a triangle
+    that fits in one block takes one pass.
     """
     upper_ptr, upper_idx = upper.indptr, upper.indices
-    n_edges = len(upper_idx)
-    one_weight = _one_weight(w)
+    if columns is None:
+        columns = _column_counts(n, upper)
+    above = np.diff(upper_ptr)
+    lengths = columns + above
     if diag is not None:
-        w = np.broadcast_to(0.0 - w[0], n_edges) if one_weight else 0.0 - w
-    pattern = np.ones(n_edges, dtype=np.int8) if one_weight else w
-    lower = sparse.csr_matrix((pattern, upper_idx, upper_ptr),
-                              shape=(n, n)).T.tocsr()
-    del pattern
-    n_diag = 0 if diag is None else 1
-    idx = _index_dtype(max(2 * n_edges + n_diag * n, n))
-    indptr = (upper_ptr + lower.indptr
-              + n_diag * np.arange(n + 1)).astype(idx)
-    before = np.diff(lower.indptr)
-    counts = np.column_stack([before, np.full(n, n_diag), np.diff(upper_ptr)])
-    # 0: lower entry, 1: diagonal, 2: upper entry
-    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
-    del counts
+        lengths += diag != 0
+    idx = _index_dtype(max(2 * len(upper_idx) + (diag is not None) * n, n))
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(lengths, out=indptr[1:])
+    del lengths
     indices = np.empty(indptr[-1], dtype=idx)
-    indices[part == 0] = lower.indices
-    indices[part == 2] = upper_idx
-    if one_weight:
-        del lower, part
-        data = np.full(indptr[-1], w[0])
+    one_weight = _one_weight(w)
+    if diag is None:
+        data = np.full(indptr[-1], w[0]) if one_weight else np.empty(indptr[-1])
     else:
         data = np.empty(indptr[-1])
-        data[part == 0] = lower.data
-        data[part == 2] = w
-        del lower, part
+        v = 0.0 - w[0] if one_weight else None
+    free = indptr[:-1].astype(np.int64)     # each row's next lower slot
+    for r0, r1 in _row_blocks(upper_ptr):
+        a, b = upper_ptr[r0], upper_ptr[r1]
+        col, count = upper_idx[a:b], above[r0:r1]
+        if not one_weight:
+            v = w[a:b] if diag is None else 0.0 - w[a:b]
+        # a row's upper entries end it
+        at = np.repeat(indptr[r0 + 1:r1 + 1] - upper_ptr[r0 + 1:r1 + 1], count)
+        at += np.arange(a, b)
+        indices[at] = col
+        if diag is not None:
+            t = np.repeat(s[r0:r1], count)
+            t *= v
+            t *= s[col]
+            t *= c
+            data[at] = t
+            del t
+        elif not one_weight:
+            data[at] = v
+        del at
+        pattern = np.ones(b - a, dtype=np.int8) if one_weight else v
+        lower = sparse.csr_matrix((pattern, col, upper_ptr[r0:r1 + 1] - a),
+                                  shape=(r1 - r0, n)).tocsc()
+        del pattern
+        handed = np.diff(lower.indptr)
+        slot = np.repeat(free - lower.indptr[:-1], handed)
+        slot += np.arange(len(slot))
+        free += handed
+        row = lower.indices
+        row += r0
+        indices[slot] = row
+        if diag is not None:
+            t = np.repeat(s, handed)
+            t *= v if one_weight else lower.data
+            t *= s[row]
+            t *= c
+            data[slot] = t
+        elif not one_weight:
+            data[slot] = lower.data
     if diag is not None:
-        on_diag = indptr[:-1] + before
-        indices[on_diag] = np.arange(n)
-        data[on_diag] = diag
+        on_diag = np.flatnonzero(diag)
+        at = indptr[on_diag] + columns[on_diag]
+        indices[at] = on_diag
+        t = s[on_diag] * diag[on_diag]
+        t *= s[on_diag]
+        t *= c
+        data[at] = t
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _laplacian_csr(n: int, upper: UpperTriangle, w) -> sparse.csr_matrix:
-    """D - W of the edges ``upper`` with weights w: ``_symmetric_csr``
-    with the row sums on the diagonal, explicit zeros included."""
-    return _symmetric_csr(n, upper, w, diag=_row_sums(n, upper, w))
+def _operator_csr(n: int, upper: UpperTriangle, w, w_V,
+                  eps: float) -> sparse.csr_matrix:
+    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2) and D the row sums, for
+    the edges ``upper`` with weights w and positive vertex weights w_V:
+    the arrays of ``diags(d) - adj`` with its explicit zeros dropped, each
+    entry then scaled as ((s_i * v) * s_j) * (2 / eps**2).  The columns are
+    counted once, for the degrees and the builder.  Zero-weight edges leave
+    the triangle only after the row sums are taken: a sum's rounding
+    depends on where its terms sit."""
+    columns = _column_counts(n, upper)
+    diag = _row_sums(n, upper, w, _degrees(n, upper, columns))
+    if not np.all(w):
+        upper, w = _positive_edges(upper, w)
+        columns = _column_counts(n, upper)
+    return _symmetric_csr(n, upper, w, columns, diag, 1.0 / np.sqrt(w_V),
+                          2.0 / eps**2)
+
+
+def _positive_edges(upper: UpperTriangle, w):
+    """The edges of positive weight of a triangle, and their weights."""
+    keep = w > 0
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return UpperTriangle(kept[upper.indptr], upper.indices[keep]), w[keep]
 
 
 class WeightedGraph:
@@ -271,7 +354,8 @@ class WeightedGraph:
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
-        return _row_sums(self.n_vertices, self.upper, self.upper_w)
+        return _row_sums(self.n_vertices, self.upper, self.upper_w,
+                         self.degrees)
 
     def total_volume(self) -> float:
         return float(np.sum(self.w_V))
@@ -334,7 +418,9 @@ def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
     that block's pairs are held: a kd-tree on the block's points is searched
     against one on the points from r0 on, so a pair that crosses blocks is
     found once, from its lower row.  The block's pairs with j > i are
-    re-checked against the strict bound and sorted by the key ``i * n + j``;
+    held to the strict bound: the tree's own distance decides a pair closer
+    than eps (1 - 1e-12), and a pair in the band up to eps is measured
+    again as ``np.linalg.norm``.  They are sorted by the key ``i * n + j``;
     the block yields its row counts and, as the remainders, its column
     indices.  The counts' cumulative sum is the row pointers and the joined
     columns the indices: the same pairs, order and dtypes as one search over
@@ -344,6 +430,7 @@ def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     x, n = cloud.embedded, cloud.n
     idx = _index_dtype(n)
+    sure = eps * (1.0 - _DISTANCE_BAND)
     counts, columns = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=idx)]
     step = max(1, -(-n // _EDGE_SEARCH_BLOCKS))
     for r0 in range(0, n, step):
@@ -351,11 +438,16 @@ def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
         rows = min(step, n - r0)
         found = _search_tree(ahead[:rows]).sparse_distance_matrix(
             _search_tree(ahead), eps, output_type="ndarray")
-        i, j = found["i"], found["j"]
-        later = j > i
-        i, j = i[later], j[later]
+        later = found["j"] > found["i"]
+        i, j, d = found["i"][later], found["j"][later], found["v"][later]
         del found, later
-        keep = _strictly_within(ahead, i, j, eps)
+        # the tree's distance is the norm's to a few ulps: a pair far enough
+        # inside eps is kept as it is, and only the band below eps is
+        # measured again
+        keep = d < sure
+        band = np.flatnonzero(~keep)
+        keep[band] = _strictly_within(ahead, i[band], j[band], eps)
+        del d, band
         i, j = i[keep], j[keep]
         counts.append(np.bincount(i, minlength=rows))
         i *= n

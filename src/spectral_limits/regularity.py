@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .graph import WeightedGraph, _laplacian_csr, dirichlet_energy
-from .spectral import (DENSE_LIMIT, SpectralResult, _is_connected,
+from .graph import WeightedGraph, dirichlet_energy
+from .spectral import (DENSE_LIMIT, DisconnectedGraphError, SpectralResult,
                        _lanczos_above_null, _symmetrized_operator)
 
 __all__ = [
@@ -196,13 +196,12 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     # the Dirichlet form only sees edges of positive weight, so its null
     # space is governed by the positive-weight component structure: the
     # ball's triangle leaves out the zero-weight edges
-    lw = _laplacian_csr(len(idx), *g._ball_triangle(idx))
-    if not _is_connected(lw):
-        return math.inf
     w = g.w_V[idx]
-    if np.any(w <= 0):
-        raise ValueError("a Poincare ball needs positive vertex weights")
-    B = _symmetrized_operator(lw, w, g.epsilon)
+    try:
+        B = _symmetrized_operator(len(idx), *g._ball_triangle(idx), w,
+                                  g.epsilon)
+    except DisconnectedGraphError:
+        return math.inf
     if len(idx) <= DENSE_LIMIT:
         lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
     else:

@@ -6,12 +6,14 @@ with the square root of the weight matrix.  Small graphs (n <= 512) go to a
 dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
 known zero eigenpair deflated, and a deterministic start vector seeded from
 a sha256 of the graph's edge pairs, read from its edge triangle a block of
-rows at a time.  The operator is one CSR, D - W built straight from the
-triangle and then scaled in place a block of rows at a time, so a solve
-holds the triangle, the operator and bounded scratch, and never the
-graph's own matrix.  Connectivity is one breadth-first search from vertex
-0 over the unscaled operator; only a disconnected graph also pays for its
-components, whose sizes the error names.
+rows at a time.  The operator is one CSR, written scaled from the
+triangle a block of rows at a time, so a solve holds the triangle, the
+operator and one block's scratch, and never the graph's own matrix.
+Connectivity is one breadth-first search from vertex 0 over the
+operator's entries; only a graph that the operator leaves disconnected
+also pays for the graph's matrix, whose zero-weight edges still connect
+it, and a disconnected graph for its components, whose sizes the error
+names.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import WeightedGraph, _laplacian_csr, _row_blocks
+from .graph import WeightedGraph, _operator_csr, _symmetric_csr
 
 __all__ = [
     "DisconnectedGraphError",
@@ -70,26 +72,32 @@ class SpectralResult:
     solver: str
 
 
-def _symmetrized_operator(lw, w_V, eps: float):
-    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), in place, for the
-    D - W ``lw`` of ``graph._laplacian_csr``.
+def _symmetrized_operator(n: int, upper, w, w_V, eps: float):
+    """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), as
+    ``graph._operator_csr`` builds it from the edges ``upper`` with weights
+    w, for a connected graph with positive vertex weights.
 
-    Its explicit zeros are dropped first, so its arrays are those of
-    scipy's ``diags(d) - adj``; then each entry is scaled by the same
-    products, in the same order, as diags(s) @ lw @ diags(s), a block of
-    rows at a time.
+    A graph is connected if its edges, zero-weight ones included, connect
+    it; that is checked before the vertex weights, since an isolated vertex
+    of gamma_N has w_V = 0.  The operator drops the zero-weight edges, so
+    only a graph it does not connect, or a nonpositive vertex weight, pays
+    for the graph's own matrix.
     """
-    lw.eliminate_zeros()
-    s = 1.0 / np.sqrt(w_V)
-    counts = np.diff(lw.indptr)
-    for r0, r1 in _row_blocks(lw.indptr):
-        a, b = lw.indptr[r0], lw.indptr[r1]
-        t = np.repeat(s[r0:r1], counts[r0:r1])
-        t *= lw.data[a:b]
-        t *= s[lw.indices[a:b]]
-        t *= 2.0 / eps**2
-        lw.data[a:b] = t
-    return lw
+    positive = bool(np.all(w_V > 0))
+    if positive:
+        B = _operator_csr(n, upper, w, w_V, eps)
+        if _is_connected(B):
+            return B
+    adj = _symmetric_csr(n, upper, w)
+    if not _is_connected(adj):
+        ncomp, labels = csgraph.connected_components(adj, directed=False)
+        sizes = np.bincount(labels).tolist()
+        raise DisconnectedGraphError(
+            f"graph is disconnected: {ncomp} components of sizes {sizes}")
+    if not positive:
+        bad = np.nonzero(w_V <= 0)[0]
+        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    return B
 
 
 def _is_connected(adj) -> bool:
@@ -160,22 +168,12 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     n = g.n_vertices
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
-    lw = _laplacian_csr(n, g.upper, g.upper_w)
-    # before the weight check: an isolated vertex of gamma_N has w_V = 0
-    if not _is_connected(lw):
-        ncomp, labels = csgraph.connected_components(lw, directed=False)
-        sizes = np.bincount(labels).tolist()
-        raise DisconnectedGraphError(
-            f"graph is disconnected: {ncomp} components of sizes {sizes}")
-    if np.any(g.w_V <= 0):
-        bad = np.nonzero(g.w_V <= 0)[0]
-        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    B = _symmetrized_operator(n, g.upper, g.upper_w, g.w_V, g.epsilon)
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
 
-    B = _symmetrized_operator(lw, g.w_V, g.epsilon)
     if method == "dense":
         vals, vecs = eigh(B.toarray())
         vals, vecs = vals[: k + 1], vecs[:, : k + 1]

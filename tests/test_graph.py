@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 
 from conftest import custom_graph, fake_cloud
 from test_cli_golden import PINNED_THREADS, SRC
+from test_spectral import assert_same_csr
 from spectral_limits import graph as graph_module
 from spectral_limits.graph import (
     WeightedGraph,
@@ -112,6 +113,42 @@ class TestStrictBoundary:
         assert np.array_equal(pairs_of(build_edges(fake_cloud(x), eps)),
                               pairs[d < eps])
 
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_the_band_below_eps_is_measured_again(self, monkeypatch, dim):
+        # the kd-tree's own distance decides a pair far inside eps; a pair at
+        # eps or one ulp either side is measured again by the norm
+        eps = 0.3
+        x = boundary_cloud(dim, eps, 120, seed=dim)
+        d = np.linalg.norm(x[0::2] - x[1::2], axis=1)
+        measured = []
+        within = graph_module._strictly_within
+
+        def spied(x, i, j, eps):
+            measured.append(len(i))
+            return within(x, i, j, eps)
+
+        monkeypatch.setattr(graph_module, "_strictly_within", spied)
+        cloud = fake_cloud(x)
+        assert np.array_equal(pairs_of(build_edges(cloud, eps)),
+                              oracle_edges(cloud, eps))
+        assert sum(measured) >= np.count_nonzero(d <= np.nextafter(eps, 0.0))
+
+    def test_pairs_inside_the_band_are_not_measured_again(self, monkeypatch,
+                                                          circle):
+        measured = []
+        within = graph_module._strictly_within
+
+        def spied(x, i, j, eps):
+            measured.append(len(i))
+            return within(x, i, j, eps)
+
+        monkeypatch.setattr(graph_module, "_strictly_within", spied)
+        cloud = sample_dataset(circle, DensitySpec("uniform"), 2000, seed=1)
+        eps = epsilon_schedule(2000, 1)
+        upper = build_edges(cloud, eps)
+        assert np.array_equal(pairs_of(upper), oracle_edges(cloud, eps))
+        assert len(upper) > 90000 and sum(measured) < len(upper) // 1000
 
 class TestRowBlocks:
     def test_blocks_cover_the_rows_within_the_bound(self, monkeypatch):
@@ -289,6 +326,63 @@ def test_edge_search_resident_peak():
     peak = json.loads(proc.stdout)
     assert peak["rise"] < 4 * peak["triangle"]
 
+
+OPERATOR_PEAK = '''
+import json
+from spectral_limits import spectral
+from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
+from spectral_limits.sampling import DensitySpec, make_density
+
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(key):
+                return int(line.split()[1]) * 1024
+
+
+class Built(Exception):
+    pass
+
+
+def built(B, *args):
+    # the solve starts from the finished operator: stop there
+    raise Built(status("VmHWM:"),
+                B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+
+
+cfg = ExperimentConfig(manifold="circle", n_list=[4000, 8000], seeds=[1],
+                       k_max=6)
+mfd = make_manifold(cfg)
+density = make_density(mfd, DensitySpec("uniform"))
+Cell(cfg, mfd, density, 4000, 1).spectrum(6)
+cell = Cell(cfg, mfd, density, 8000, 1)
+cell.graph
+spectral._lanczos_above_null = built
+before = status("VmRSS:")
+try:
+    cell.spectrum(6)
+except Built as stop:
+    peak, operator = stop.args
+print(json.dumps({"rise": peak - before, "operator": operator}))
+'''
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set size from /proc")
+def test_operator_build_resident_peak():
+    # a sweep's first n = 8000 cell sets its peak while it builds the
+    # operator, after an n = 4000 cell has left its heap behind; a whole
+    # transposed copy of the edge triangle beside the operator's arrays
+    # (1.33 times the operator) breaks this bound
+    env = dict(os.environ, **PINNED_THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", OPERATOR_PEAK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = json.loads(proc.stdout)
+    assert peak["rise"] < 1.2 * peak["operator"]
 
 def oracle_start_vector(n, eps, pairs):
     """The Lanczos start vector's formula: PCG64 seeded from the sha256 of
@@ -493,6 +587,145 @@ class TestOneBuilder:
         assert g.degrees.tolist() == [2, 2, 1, 1]
         assert g.w_E.tolist() == w_E.tolist()
         assert np.count_nonzero(wa.data) == (0 if one_weight else 4)
+
+
+def oracle_symmetric_csr(n, upper, w, diag=None):
+    """The former whole-triangle builder: the lower triangle is a transposed
+    copy of the upper one, and each row is its lower entries, its diagonal
+    entry, if any, and its upper ones, placed by E-long masks."""
+    upper_ptr, upper_idx = upper.indptr, upper.indices
+    n_edges = len(upper_idx)
+    one_weight = len(w) > 0 and w.strides == (0,)
+    if diag is not None:
+        w = np.broadcast_to(0.0 - w[0], n_edges) if one_weight else 0.0 - w
+    pattern = np.ones(n_edges, dtype=np.int8) if one_weight else w
+    lower = sparse.csr_matrix((pattern, upper_idx, upper_ptr),
+                              shape=(n, n)).T.tocsr()
+    n_diag = 0 if diag is None else 1
+    idx = graph_module._index_dtype(max(2 * n_edges + n_diag * n, n))
+    indptr = (upper_ptr + lower.indptr + n_diag * np.arange(n + 1)).astype(idx)
+    before = np.diff(lower.indptr)
+    counts = np.column_stack([before, np.full(n, n_diag), np.diff(upper_ptr)])
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
+    indices = np.empty(indptr[-1], dtype=idx)
+    indices[part == 0] = lower.indices
+    indices[part == 2] = upper_idx
+    if one_weight:
+        data = np.full(indptr[-1], w[0])
+    else:
+        data = np.empty(indptr[-1])
+        data[part == 0] = lower.data
+        data[part == 2] = w
+    if diag is not None:
+        on_diag = indptr[:-1] + before
+        indices[on_diag] = np.arange(n)
+        data[on_diag] = diag
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def oracle_operator_csr(n, upper, w, w_V, eps):
+    """The former operator build: D - W with its explicit zeros, the row
+    sums on the diagonal, then its zeros dropped and each row scaled."""
+    adj = oracle_symmetric_csr(n, upper, w)
+    lw = oracle_symmetric_csr(n, upper, w,
+                              diag=np.asarray(adj.sum(axis=1)).ravel())
+    lw.eliminate_zeros()
+    s = 1.0 / np.sqrt(w_V)
+    t = np.repeat(s, np.diff(lw.indptr))
+    t *= lw.data
+    t *= s[lw.indices]
+    t *= 2.0 / eps**2
+    lw.data[:] = t
+    return lw
+
+
+def random_triangle(n, n_edges, seed, zeros=0):
+    """A random graph's triangle and weights, positive vertex weights, and
+    ``zeros`` of its edges of weight 0."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(2 * n_edges, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)[:n_edges]
+    w_E = rng.uniform(0.1, 3.0, len(pairs))
+    w_E[rng.choice(len(pairs), zeros, replace=False)] = 0.0
+    g = custom_graph(n, pairs[rng.permutation(len(pairs))],
+                     rng.uniform(0.5, 2.0, n), w_E, eps=0.4)
+    return g.upper, g.upper_w, g.w_V
+
+
+class TestBlockedBuilder:
+    """The graph matrix and the operator, filled a block of triangle rows
+    at a time, have the arrays and dtypes of the former whole-triangle
+    build, whatever the block size."""
+
+    def cases(self, circle, sphere2):
+        cloud = sample_dataset(circle, DensitySpec("uniform"), 900, seed=4)
+        g = gamma_N_eps(cloud, epsilon_schedule(900, 1))
+        yield "stride-0", 900, g.upper, g.upper_w, g.w_V
+        yield "array", 500, *random_triangle(500, 6000, seed=1)
+        yield "zero-weights", 300, *random_triangle(300, 2000, seed=2, zeros=40)
+        yield "all-zero", 900, g.upper, np.broadcast_to(0.0, len(g.upper)), g.w_V
+        empty = graph_module.UpperTriangle(np.zeros(6, dtype=np.int64),
+                                           np.empty(0, dtype=np.int32))
+        yield "empty", 5, empty, np.empty(0), np.ones(5)
+        iso = custom_graph(5, [[0, 1], [1, 3], [3, 4]], np.ones(5),
+                           [1.0, 2.0, 0.5])
+        yield "isolated", 5, iso.upper, iso.upper_w, iso.w_V
+        # columns far above the block's rows, in more than 2^16 vertices
+        yield "wide", 70000, *random_triangle(70000, 800, seed=3)
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
+        g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
+        (_, hops), = _hop_blocks(g, [0, 7, 31])
+        for row, k in zip(hops, (1, 2, 3)):
+            idx = np.nonzero(row <= k)[0]
+            yield f"ball-{k}", len(idx), *g._ball_triangle(idx), g.w_V[idx]
+
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_same_arrays_as_the_oracle(self, monkeypatch, circle, sphere2,
+                                       block):
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
+        seen, eps = [], 0.3
+        for name, n, upper, w, w_V in self.cases(circle, sphere2):
+            assert_same_csr(graph_module._symmetric_csr(n, upper, w),
+                            oracle_symmetric_csr(n, upper, w))
+            assert_same_csr(graph_module._operator_csr(n, upper, w, w_V, eps),
+                            oracle_operator_csr(n, upper, w, w_V, eps))
+            seen.append(name)
+        assert seen[:7] == ["stride-0", "array", "zero-weights", "all-zero",
+                            "empty", "isolated", "wide"]
+        assert len(seen) == 10
+
+    def test_one_block_is_one_pass(self, monkeypatch):
+        upper, w, w_V = random_triangle(300, 2000, seed=4)
+        transposed = []
+        tocsc = sparse.csr_matrix.tocsc
+
+        def spied(self, *args, **kwargs):
+            transposed.append(self.nnz)
+            return tocsc(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_matrix, "tocsc", spied)
+        graph_module._symmetric_csr(300, upper, w)
+        assert transposed == [2000]
+        transposed.clear()
+        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 500)
+        graph_module._symmetric_csr(300, upper, w)
+        assert len(transposed) >= 4 and sum(transposed) == 2000
+        assert max(transposed) <= 500 + max(np.diff(upper.indptr))
+
+    def test_zero_weight_bridge_still_connects(self):
+        # the operator drops the zero-weight edge, the graph keeps it
+        g = custom_graph(4, [[0, 1], [1, 2], [2, 3]], np.ones(4),
+                         [1.0, 0.0, 1.0])
+        res = eigen_decompose(g, 2)
+        assert np.allclose(res.eigenvalues[:2], 0.0, atol=1e-12)
+        assert res.eigenvalues[2] > 1.0
+
+    def test_nonpositive_vertex_weight(self):
+        g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"nonpositive vertex weights at \[1\]"):
+            eigen_decompose(g, 1)
 
 
 class TestLaplacian:

@@ -197,8 +197,8 @@ def matrix_operator(adj, w_V, eps: float):
 
 def operator(g):
     """The operator as ``eigen_decompose`` builds it, from the triangle."""
-    lw = graph._laplacian_csr(g.n_vertices, g.upper, g.upper_w)
-    return spectral._symmetrized_operator(lw, g.w_V, g.epsilon)
+    return graph._operator_csr(g.n_vertices, g.upper, g.upper_w, g.w_V,
+                               g.epsilon)
 
 
 def assert_same_csr(a, b):
@@ -282,8 +282,8 @@ class TestOperatorFromTheTriangle:
                     sub = g.weighted_adjacency[idx][:, idx]
                     sub.eliminate_zeros()
                     w = g.w_V[idx]
-                    lw = graph._laplacian_csr(len(idx), *g._ball_triangle(idx))
-                    got = spectral._symmetrized_operator(lw, w, g.epsilon)
+                    got = graph._operator_csr(len(idx), *g._ball_triangle(idx),
+                                              w, g.epsilon)
                     assert_same_csr(got, matrix_operator(sub, w, g.epsilon))
                     balls += 1
         assert balls == 9
