@@ -30,8 +30,8 @@ from .graph import WeightedGraph, gamma_N_eps, gamma_m_eps
 from .interpolation import TestFunction, energy_comparison_report, \
     l2_norm_comparison_report
 from .plotting import svg_line_chart
-from .reference import ReferenceSpectrum, circle_spectrum, sphere_spectrum, \
-    spindle_spectrum, torus_spectrum, weighted_circle_spectrum
+from .reference import CLUSTER_TOL, ReferenceSpectrum, circle_spectrum, \
+    sphere_spectrum, spindle_spectrum, torus_spectrum, weighted_circle_spectrum
 from .regularity import MOSER_K, MOSER_P, certify, graph_diameter, \
     moser_alpha, moser_check
 from .sampling import Density, DensitySpec, PointCloud, make_density, \
@@ -361,7 +361,7 @@ def _cluster_gap(lam_ref, k: int, l: int):
     gaps = [lam_ref[l + 1] - lam_ref[l], 1.0]
     if k > 0:
         gaps.append(lam_ref[k] - lam_ref[k - 1])
-    if min(gaps) <= 1e-9:
+    if min(gaps) <= CLUSTER_TOL:
         raise ValueError(
             f"cluster [{k},{l}] does not match reference multiplicity "
             f"structure; reference gaps {np.diff(lam_ref).tolist()}"
@@ -433,9 +433,11 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
 def run_alignment(cfg: ExperimentConfig):
     """Alignment rows per (n, seed) for the configured cluster.
 
-    With no cluster configured, the cluster is the reference's first
-    non-constant one, found by growing the reference until a later
-    eigenvalue bounds that cluster from above.
+    The cluster must fit the reference's multiplicities and have an
+    eigenfunction in the graph's weight at every index; both are checked
+    before any cell is made.  With no cluster configured, the cluster is
+    the reference's first non-constant one, found by growing the reference
+    until a later eigenvalue bounds that cluster from above.
     """
     mfd = make_manifold(cfg)
     ref = reference_spectrum_for(cfg, mfd,
@@ -446,6 +448,13 @@ def run_alignment(cfg: ExperimentConfig):
     cluster = cfg.cluster or ref.clusters()[1]
     k, l = int(cluster[0]), int(cluster[1])
     gamma, span_width = _cluster_gap(ref.eigenvalues, k, l)
+    weight = "rho2_vol" if cfg.graph_kind == "gamma_N" else "rho_vol"
+    for j in range(k, l + 1):
+        try:
+            ref.evaluator(j, weight)
+        except ValueError as exc:
+            raise ValueError(f"cluster [{k},{l}] cannot be aligned on the "
+                             f"{mfd.kind} with m = {mfd.m}: {exc}") from None
 
     columns = ("proj_residual", "rel_residual", "norm_defect",
                "aligned_residual", "thm12_residual")

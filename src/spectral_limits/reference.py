@@ -1,16 +1,20 @@
 """Ground-truth spectra and eigenfunctions of the continuum operators.
 
-Circle and sphere spectra are closed forms.  The non-uniform circle and
-the spindle have no closed forms; they are solved by second-order finite
-differences as generalized symmetric eigenproblems in the appropriate
-weighted L^2, with a mesh-doubling Richardson check (ratio must sit in
-[3, 5]) and Richardson-extrapolated eigenvalues.
+Circle, sphere and flat-torus spectra are closed forms.  The non-uniform
+circle and the spindle have no closed forms; they are solved by
+second-order finite differences as generalized symmetric eigenproblems in
+the appropriate weighted L^2, with a mesh-doubling Richardson check (ratio
+must sit in [3, 5]) and Richardson-extrapolated eigenvalues.  Every builder
+lists its ascending (eigenvalue, eigenfunction, label) entries, and
+``_spectrum`` keeps the first k_max + 1 of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count, islice, product
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -18,7 +22,8 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
-from .geometry import Circle, ManifoldModel, Sphere, Spindle, sphere_area
+from .geometry import (Circle, FlatTorus, ManifoldModel, Sphere, Spindle,
+                       sphere_area)
 from .sampling import Density, DensitySpec, make_density
 
 __all__ = [
@@ -91,19 +96,32 @@ class ReferenceSpectrum:
         return lambda zi, ze, _f=f, _c=c: _c * np.asarray(_f(zi, ze))
 
 
+def _spectrum(entries, k_max: int, weight: str, manifold: ManifoldModel,
+              uniform_rho: Optional[float]) -> ReferenceSpectrum:
+    """The first k_max + 1 of ascending (eigenvalue, eigenfunction, label)
+    entries, as a reference spectrum orthonormal in ``weight``."""
+    lams, funcs, labels = zip(*islice(entries, k_max + 1))
+    return ReferenceSpectrum(
+        eigenvalues=np.array(lams),
+        eigenfunctions=list(funcs),
+        weight=weight,
+        manifold=manifold,
+        labels=list(labels),
+        uniform_rho=uniform_rho,
+    )
+
+
+def _constant(zi, ze):
+    return np.ones(len(np.atleast_2d(zi)))
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def circle_spectrum(radius: float, k_max: int) -> ReferenceSpectrum:
-    """Spectrum (j/R)^2 with cos/sin pairs, uniform density normalization."""
-    mfd = Circle(radius)
-    rho0 = 1.0 / mfd.total_volume
-    lams = [0.0]
-    funcs: List[Optional[Callable]] = [lambda zi, ze: np.ones(len(np.atleast_2d(zi)))]
-    labels = [(0, 0)]
-    j = 1
-    while len(lams) < k_max + 1:
+def _circle_entries(radius: float):
+    yield 0.0, _constant, (0, 0)
+    for j in count(1):
         lam = (j / radius) ** 2
 
         def fc(zi, ze, _j=j):
@@ -112,77 +130,61 @@ def circle_spectrum(radius: float, k_max: int) -> ReferenceSpectrum:
         def fs(zi, ze, _j=j):
             return math.sqrt(2.0) * np.sin(_j * np.atleast_2d(zi)[:, 0])
 
-        lams.extend([lam, lam])
-        funcs.extend([fc, fs])
-        labels.extend([(j, 0), (j, 1)])
-        j += 1
-    return ReferenceSpectrum(
-        eigenvalues=np.array(lams[: k_max + 1]),
-        eigenfunctions=funcs[: k_max + 1],
-        weight="rho_vol",
-        manifold=mfd,
-        labels=labels[: k_max + 1],
-        uniform_rho=rho0,
-    )
+        yield lam, fc, (j, 0)
+        yield lam, fs, (j, 1)
+
+
+def circle_spectrum(radius: float, k_max: int) -> ReferenceSpectrum:
+    """Spectrum (j/R)^2 with cos/sin pairs, uniform density normalization."""
+    mfd = Circle(radius)
+    return _spectrum(_circle_entries(radius), k_max, "rho_vol", mfd,
+                     1.0 / mfd.total_volume)
+
+
+def _torus_entries(frequencies, p):
+    """The constant for kv = 0, else a cos/sin pair labelled by |kv|^2, for
+    each of the ascending ``(lambda, kv)`` frequency vectors."""
+    for lam, kv in frequencies:
+        if not kv.any():
+            yield 0.0, _constant, (0, 0)
+            continue
+        freq = 2.0 * math.pi * kv / p
+
+        def fc(zi, ze, _f=freq):
+            return math.sqrt(2.0) * np.cos(np.atleast_2d(zi) @ _f)
+
+        def fs(zi, ze, _f=freq):
+            return math.sqrt(2.0) * np.sin(np.atleast_2d(zi) @ _f)
+
+        label = int(np.sum(kv * kv))
+        yield lam, fc, (label, 0)
+        yield lam, fs, (label, 1)
 
 
 def torus_spectrum(periods, k_max: int) -> ReferenceSpectrum:
     """Flat-torus spectrum sum_j (2 pi k_j / p_j)^2 over frequency vectors."""
-    from .geometry import FlatTorus
-    from itertools import product
-
     mfd = FlatTorus(periods)
-    rho0 = 1.0 / mfd.total_volume
     p = np.asarray(periods, dtype=float)
     # enumerate enough lattice vectors; bound grows until we have k_max+1
     kmax_per_axis = 1
     while True:
-        seen = set()
-        entries = []
-        for kvec in product(range(-kmax_per_axis, kmax_per_axis + 1), repeat=len(p)):
-            kv = np.asarray(kvec)
-            if tuple(-kv) in seen:
-                continue
-            seen.add(tuple(kv))
-            lam = float(np.sum((2.0 * math.pi * kv / p) ** 2))
-            entries.append((lam, kv))
-        entries.sort(key=lambda t: t[0])
-        if len(entries) * 2 >= k_max + 2:
+        # one of each pair +-k: the one whose first nonzero entry is negative,
+        # which comes first in product order
+        kvs = (np.asarray(kv) for kv in product(
+            range(-kmax_per_axis, kmax_per_axis + 1), repeat=len(p)))
+        frequencies = sorted(
+            ((float(np.sum((2.0 * math.pi * kv / p) ** 2)), kv)
+             for kv in kvs if not kv.any() or kv[kv != 0][0] < 0),
+            key=lambda t: t[0],
+        )
+        if len(frequencies) * 2 >= k_max + 2:
             # safe once the per-axis bound dominates the needed eigenvalue
-            cutoff = entries[min(len(entries) - 1, k_max)][0]
+            cutoff = frequencies[min(len(frequencies) - 1, k_max)][0]
             if (2.0 * math.pi * kmax_per_axis / np.max(p)) ** 2 > cutoff:
                 break
         kmax_per_axis += 1
-    lams: List[float] = []
-    funcs: List[Optional[Callable]] = []
-    labels = []
-    for lam, kv in entries:
-        if len(lams) > k_max + 1:
-            break
-        freq = 2.0 * math.pi * kv / p
-
-        def fc(zi, ze, _f=freq.copy()):
-            return math.sqrt(2.0) * np.cos(np.atleast_2d(zi) @ _f)
-
-        def fs(zi, ze, _f=freq.copy()):
-            return math.sqrt(2.0) * np.sin(np.atleast_2d(zi) @ _f)
-
-        if np.all(kv == 0):
-            lams.append(0.0)
-            funcs.append(lambda zi, ze: np.ones(len(np.atleast_2d(zi))))
-            labels.append((0, 0))
-        else:
-            lams.extend([lam, lam])
-            funcs.extend([fc, fs])
-            labels.extend([(int(np.sum(kv * kv)), 0), (int(np.sum(kv * kv)), 1)])
-    return ReferenceSpectrum(
-        eigenvalues=np.array(lams[: k_max + 1]),
-        eigenfunctions=funcs[: k_max + 1],
-        weight="rho_vol",
-        manifold=mfd,
-        labels=labels[: k_max + 1],
-        uniform_rho=rho0,
-    )
+    return _spectrum(_torus_entries(frequencies, p), k_max, "rho_vol", mfd,
+                     1.0 / mfd.total_volume)
 
 
 def sphere_harmonic_multiplicity(l: int, m: int) -> int:
@@ -235,6 +237,23 @@ def _sphere2_harmonics(l: int, radius: float):
     return out
 
 
+def _sphere_entries(m: int, radius: float):
+    for l in count():
+        # eigenvalue of the metric sphere of radius R scales by 1/R^2; the
+        # harmonics themselves are scale-invariant in the embedded coords
+        lam = l * (l + m - 1) / radius**2
+        if l == 0:
+            fl = [_constant]
+        elif l == 1:
+            fl = _sphere_l1_functions(m, radius)
+        elif m == 2:
+            fl = _sphere2_harmonics(l, radius)
+        else:
+            fl = [None] * sphere_harmonic_multiplicity(l, m)
+        for j, f in enumerate(fl):
+            yield lam, f, (l, j)
+
+
 def sphere_spectrum(m: int, radius: float, k_max: int) -> ReferenceSpectrum:
     """Spectrum l(l+m-1)/R^2 with harmonic multiplicities.
 
@@ -242,46 +261,27 @@ def sphere_spectrum(m: int, radius: float, k_max: int) -> ReferenceSpectrum:
     higher harmonics on higher spheres carry eigenvalues only.
     """
     mfd = Sphere(m, radius)
-    rho0 = 1.0 / mfd.total_volume
-    lams: List[float] = []
-    funcs: List[Optional[Callable]] = []
-    labels = []
-    l = 0
-    while len(lams) < k_max + 1:
-        lam = l * (l + m - 1) / radius**2
-        mult = sphere_harmonic_multiplicity(l, m)
-        if l == 0:
-            fl = [lambda zi, ze: np.ones(len(np.atleast_2d(ze)))]
-        elif l == 1:
-            fl = _sphere_l1_functions(m, radius)
-        elif m == 2:
-            fl = _sphere2_harmonics(l, radius)
-        else:
-            fl = [None] * mult
-        # eigenvalue of the metric sphere of radius R scales by 1/R^2; the
-        # harmonics themselves are scale-invariant in the embedded coords
-        for j in range(mult):
-            lams.append(lam)
-            funcs.append(fl[j])
-            labels.append((l, j))
-        l += 1
-    return ReferenceSpectrum(
-        eigenvalues=np.array(lams[: k_max + 1]),
-        eigenfunctions=funcs[: k_max + 1],
-        weight="rho_vol",
-        manifold=mfd,
-        labels=labels[: k_max + 1],
-        uniform_rho=rho0,
-    )
+    return _spectrum(_sphere_entries(m, radius), k_max, "rho_vol", mfd,
+                     1.0 / mfd.total_volume)
 
 
 # ---------------------------------------------------------------------------
 # finite-difference Sturm-Liouville oracles
 
 
-def _richardson(levels: List[np.ndarray], what: str):
-    """Check second-order mesh convergence and extrapolate the fine level."""
-    coarse, mid, fine = levels
+def _richardson(solve: Callable, mesh: int, what: str):
+    """Solve on meshes mesh/4, mesh/2 and mesh, check second-order
+    convergence, and extrapolate the fine level.
+
+    ``solve(n)`` returns the eigenvalues on an n-cell mesh followed by any
+    further outputs; those of the finest mesh follow the extrapolated
+    eigenvalues in the returned tuple.
+    """
+    if mesh < 512 or mesh % 4:
+        raise ValueError("mesh must be >= 512 and divisible by 4")
+    coarse = solve(mesh // 4)[0]
+    mid = solve(mesh // 2)[0]
+    fine, *finest = solve(mesh)
     k = min(len(coarse), len(mid), len(fine))
     for i in range(1, k):
         denom = mid[i] - fine[i]
@@ -294,7 +294,7 @@ def _richardson(levels: List[np.ndarray], what: str):
                 f"{what}: mesh sequence not second-order at index {i} "
                 f"(Richardson ratio {ratio:.3f})"
             )
-    return fine[:k] + (fine[:k] - mid[:k]) / 3.0
+    return (fine[:k] + (fine[:k] - mid[:k]) / 3.0, *finest)
 
 
 def _weighted_circle_eigs(radius, dens: Density, k_max, mesh):
@@ -331,42 +331,25 @@ def weighted_circle_spectrum(radius: float, dens, k_max: int,
     mesh/4, mesh/2, mesh; eigenvalues are Richardson-extrapolated and the
     second-order ratio is enforced.
     """
-    if mesh < 512 or mesh % 4:
-        raise ValueError("mesh must be >= 512 and divisible by 4")
     mfd = Circle(radius)
     if isinstance(dens, DensitySpec):
         dens = make_density(mfd, dens)
-    levels = []
-    keep = None
-    for n in (mesh // 4, mesh // 2, mesh):
-        lam, vec, theta = _weighted_circle_eigs(radius, dens, k_max, n)
-        levels.append(lam)
-        keep = (vec, theta)
-    lams = _richardson(levels, "weighted_circle_spectrum")
-    vec, theta = keep
-
-    funcs: List[Optional[Callable]] = []
+    lams, vec, theta = _richardson(
+        partial(_weighted_circle_eigs, radius, dens, k_max), mesh,
+        "weighted_circle_spectrum")
     grid = np.append(theta, 2.0 * math.pi)
-    for k in range(k_max + 1):
+
+    def periodic(k):
         u = vec[:, k] / math.sqrt(radius)  # M-orthonormal -> rho2_vol-orthonormal
         table = np.append(u, u[0])
+        return lambda zi, ze: np.interp(
+            np.atleast_2d(zi)[:, 0] % (2.0 * math.pi), grid, table)
 
-        def f(zi, ze, _t=table, _g=grid):
-            th = np.atleast_2d(zi)[:, 0] % (2.0 * math.pi)
-            return np.interp(th, _g, _t)
-
-        funcs.append(f)
     uniform_rho = (
         1.0 / mfd.total_volume if dens.spec.kind == "uniform" else None
     )
-    return ReferenceSpectrum(
-        eigenvalues=lams,
-        eigenfunctions=funcs,
-        weight="rho2_vol",
-        manifold=mfd,
-        labels=[(0, k) for k in range(k_max + 1)],
-        uniform_rho=uniform_rho,
-    )
+    entries = ((lam, periodic(k), (0, k)) for k, lam in enumerate(lams))
+    return _spectrum(entries, k_max, "rho2_vol", mfd, uniform_rho)
 
 
 def _spindle_radial_eigs(m, c, mu, k_keep, mesh):
@@ -409,61 +392,40 @@ def spindle_spectrum(m: int, c: float, l_max: int, k_max: int,
         raise ValueError("spindle needs m >= 2")
     if not 0.0 < c <= 1.0:
         raise ValueError("c must lie in (0, 1]")
-    if mesh < 512 or mesh % 4:
-        raise ValueError("mesh must be >= 512 and divisible by 4")
     mfd = Spindle(m, c)
     rho0 = 1.0 / mfd.total_volume
-    k_keep = k_max + 2
-    merged = []  # (lambda, l, j, evaluator or None)
+    # normalize in L^2(rho^2 H^m): rho0^2 * area * c^{m-1} * int u^2 J
+    scale2 = rho0**2 * sphere_area(m - 1) * c ** (m - 1)
+
+    def radial(u, theta, mass):
+        table = u / math.sqrt(scale2 * float(np.sum(u**2 * mass)))
+        return lambda zi, ze: np.interp(
+            np.clip(np.atleast_2d(zi)[:, 0], theta[0], theta[-1]), theta, table)
+
+    entries = []
     for l in range(l_max + 1):
-        mu = l * (l + m - 2)
-        levels = []
-        keep = None
-        for n in (mesh // 4, mesh // 2, mesh):
-            vals, u, theta, mass = _spindle_radial_eigs(m, c, mu, k_keep, n)
-            levels.append(vals)
-            keep = (u, theta, mass)
-        vals = _richardson(levels, f"spindle_spectrum l={l}")
-        u, theta, mass = keep
-        mult = 1 if l == 0 else _fiber_multiplicity(l, m)
+        vals, u, theta, mass = _richardson(
+            partial(_spindle_radial_eigs, m, c, l * (l + m - 2), k_max + 2),
+            mesh, f"spindle_spectrum l={l}")
+        mult = _fiber_multiplicity(l, m)
         for j, lam in enumerate(vals):
-            if l == 0:
-                # normalize in L^2(rho^2 H^m): rho0^2 * area * c^{m-1} * int u^2 J
-                scale2 = rho0**2 * sphere_area(m - 1) * c ** (m - 1)
-                norm = math.sqrt(scale2 * float(np.sum(u[:, j] ** 2 * mass)))
-                table = u[:, j] / norm
-                grid = theta
-
-                def f(zi, ze, _t=table, _g=grid):
-                    th = np.clip(np.atleast_2d(zi)[:, 0], _g[0], _g[-1])
-                    return np.interp(th, _g, _t)
-
-                evaluator = f
-            else:
-                evaluator = None
-            for _ in range(mult):
-                merged.append((float(lam), l, j, evaluator))
-    merged.sort(key=lambda t: (t[0], t[1], t[2]))
-    if len(merged) < k_max + 1:
+            f = radial(u[:, j], theta, mass) if l == 0 else None
+            entries += [(float(lam), f, (l, j))] * mult
+    entries.sort(key=lambda t: (t[0], t[2]))
+    spec = _spectrum(entries, k_max, "rho2_vol", mfd, rho0)
+    if len(spec.eigenvalues) < k_max + 1:
         raise ValueError("l_max too small for the requested k_max")
-    merged = merged[: k_max + 1]
     # tail guard: the ground eigenvalue of fiber index l is at least
     # l(l+m-2)/c^2 (the potential term alone), so anything truncated away
     # must lie above the reported top
     mu_next = (l_max + 1) * (l_max + 1 + m - 2)
-    if mu_next / (c * c) <= merged[-1][0]:
+    top = spec.eigenvalues[-1]
+    if mu_next / (c * c) <= top:
         raise ValueError(
             f"l_max={l_max} too small: truncated fiber indices could reach "
-            f"down to {mu_next / (c * c):.4f} <= lambda_{k_max}={merged[-1][0]:.4f}"
+            f"down to {mu_next / (c * c):.4f} <= lambda_{k_max}={top:.4f}"
         )
-    return ReferenceSpectrum(
-        eigenvalues=np.array([t[0] for t in merged]),
-        eigenfunctions=[t[3] for t in merged],
-        weight="rho2_vol",
-        manifold=mfd,
-        labels=[(t[1], t[2]) for t in merged],
-        uniform_rho=rho0,
-    )
+    return spec
 
 
 def _fiber_multiplicity(l: int, m: int) -> int:

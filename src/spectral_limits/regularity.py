@@ -73,6 +73,9 @@ _HOP_BLOCK = 64
 
 _BITS = np.uint64(1) << np.arange(_HOP_BLOCK, dtype=np.uint64)
 
+# ball centers sampled by ``poincare_constant``
+_POINCARE_CENTERS = 8
+
 
 def _word_bits(words) -> np.ndarray:
     """(n, 64) 0/1 array: entry [v, k] is bit k of ``words[v]``."""
@@ -210,18 +213,17 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     return float(1.0 / (r * math.sqrt(lam)))
 
 
-def poincare_constant(g: WeightedGraph, center_sample: int = 8,
-                      seed: int = 0) -> float:
+def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     """Sampled sharp constant of the Poincare inequality on graph balls.
 
-    For each sampled center x and six breakpoint radii r, geometrically
-    spaced up to the largest hop count seen, the sharp constant of the
-    ball B(x, r) is solved exactly: densely up to ``DENSE_LIMIT`` vertices,
-    by deflated Lanczos above.  A ball that splits into several components
-    once zero-weight edges are dropped has no finite constant and yields
-    +inf.
+    For each of ``_POINCARE_CENTERS`` sampled centers x and six breakpoint
+    radii r, geometrically spaced up to the largest hop count seen, the
+    sharp constant of the ball B(x, r) is solved exactly: densely up to
+    ``DENSE_LIMIT`` vertices, by deflated Lanczos above.  A ball that splits
+    into several components once zero-weight edges are dropped has no
+    finite constant and yields +inf.
     """
-    centers = _pick_centers(g, center_sample, seed)
+    centers = _pick_centers(g, _POINCARE_CENTERS, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
     top = int(np.max(hops, initial=1, where=np.isfinite(hops)))
     ks = np.unique(np.clip(np.round(np.geomspace(1, top, 6)).astype(int), 1, top))

@@ -313,6 +313,27 @@ class TestAlignment:
         with pytest.raises(ValueError, match="multiplicity"):
             run_alignment(cfg)
 
+    @pytest.mark.parametrize("fields, reason", [
+        # S^3 ships no evaluator above l = 1, the spindle none above l = 0
+        (dict(manifold="sphere", m=3, cluster=[5, 13]), "no evaluator"),
+        (dict(manifold="spindle", m=2, cluster=[2, 3]), "no evaluator"),
+        # a tilted density cannot be renormalized to gamma_m's weight
+        (dict(manifold="circle", m=1, density="cosine_tilt", amplitude=0.2,
+              graph_kind="gamma_m", cluster=[1, 2]), "renormalize"),
+    ])
+    def test_cluster_without_eigenfunctions_fails_before_any_cell(
+            self, monkeypatch, fields, reason):
+        sampled = []
+        monkeypatch.setattr(experiments, "sample_dataset",
+                            lambda *args: sampled.append(args))
+        cfg = ExperimentConfig(n_list=[300], seeds=[1], **fields)
+        k, l = fields["cluster"]
+        with pytest.raises(ValueError, match=rf"cluster \[{k},{l}\] .* the "
+                           rf"{fields['manifold']} with m = {fields['m']}: "
+                           rf".*{reason}"):
+            run_alignment(cfg)
+        assert sampled == []
+
     def test_sphere_align_without_cluster(self, tmp_path):
         path = tmp_path / "sphere.toml"
         path.write_text('manifold = "sphere"\nn = [700]\nseeds = [1]\n')

@@ -1,3 +1,11 @@
+"""Reference spectra against closed forms and frozen fixtures.
+
+The two Sturm-Liouville fixtures under ``tests/fixtures`` are frozen once
+from a verified run and must be reproduced; a missing one fails its test.
+To freeze the missing ones, run
+``PYTHONPATH=src python tests/test_reference.py``.
+"""
+
 import math
 import os
 
@@ -17,6 +25,14 @@ from spectral_limits.reference import (
 from spectral_limits.sampling import DensitySpec
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# fixture file: (mesh, builder call)
+FIXTURES = {
+    "weighted_circle_tilt02.csv": (4096, lambda: weighted_circle_spectrum(
+        1.0, DensitySpec("cosine_tilt", amplitude=0.2), 4, mesh=4096)),
+    "spindle_m3_c0707.csv": (2048, lambda: spindle_spectrum(
+        3, 1.0 / math.sqrt(2.0), l_max=6, k_max=6, mesh=2048)),
+}
 
 
 def save_fixture(spectrum, path, mesh):
@@ -40,15 +56,23 @@ def load_fixture(path) -> np.ndarray:
     return np.asarray(lams)
 
 
-def check_or_freeze(spectrum, name, mesh, tol=1e-6):
-    """First verified run freezes the fixture; later runs must reproduce it."""
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
+def check_fixture(spectrum, name, tol=1e-6):
+    """The spectrum must reproduce the frozen fixture ``name``."""
     path = os.path.join(FIXTURE_DIR, name)
     if not os.path.exists(path):
-        save_fixture(spectrum, path, mesh)
+        pytest.fail(f"fixture {path} is missing; freeze it with "
+                    "`PYTHONPATH=src python tests/test_reference.py`")
     frozen = load_fixture(path)
     assert np.max(np.abs(frozen - spectrum.eigenvalues)) < tol
     return frozen
+
+
+def test_missing_fixture_fails(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "FIXTURE_DIR", str(tmp_path))
+    with pytest.raises(pytest.fail.Exception,
+                       match="PYTHONPATH=src python tests/test_reference.py"):
+        check_fixture(circle_spectrum(1.0, 2), "absent.csv")
+    assert os.listdir(tmp_path) == []
 
 
 class TestCircle:
@@ -149,10 +173,8 @@ class TestWeightedCircle:
         assert np.max(np.abs(spec.eigenvalues - want)) < 1e-6
 
     def test_tilt_fixture(self):
-        spec = weighted_circle_spectrum(
-            1.0, DensitySpec("cosine_tilt", amplitude=0.2), 4, mesh=4096
-        )
-        check_or_freeze(spec, "weighted_circle_tilt02.csv", mesh=4096)
+        spec = FIXTURES["weighted_circle_tilt02.csv"][1]()
+        check_fixture(spec, "weighted_circle_tilt02.csv")
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_ground_state_constant(self):
@@ -194,9 +216,8 @@ class TestSpindle:
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_m3_fixture(self, spindle3):
-        spec = spindle_spectrum(3, 1.0 / math.sqrt(2.0), l_max=6, k_max=6,
-                                mesh=2048)
-        check_or_freeze(spec, "spindle_m3_c0707.csv", mesh=2048)
+        spec = FIXTURES["spindle_m3_c0707.csv"][1]()
+        check_fixture(spec, "spindle_m3_c0707.csv")
         # the radial branch is curvature-only: lambda_1 = 3 exactly on the
         # topological S^3 radial problem, independent of the warp constant
         assert spec.eigenvalues[1] == pytest.approx(3.0, abs=2e-5)
@@ -264,3 +285,14 @@ def test_richardson_governs_mesh_quality():
     b = weighted_circle_spectrum(1.0, DensitySpec("cosine_tilt", amplitude=0.2),
                                  3, mesh=4096)
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) < 1e-6
+
+
+if __name__ == "__main__":
+    os.makedirs(FIXTURE_DIR, exist_ok=True)
+    for name, (mesh, build) in FIXTURES.items():
+        path = os.path.join(FIXTURE_DIR, name)
+        if os.path.exists(path):
+            print(f"kept {path}")
+        else:
+            save_fixture(build(), path, mesh)
+            print(f"froze {path}")

@@ -350,7 +350,7 @@ def poincare_case(request, case):
     shape, n, seed, kwargs = {
         # balls of more than DENSE_LIMIT vertices: the Lanczos branch
         "sphere2-1500": ("sphere2", 1500, 1, {"seed": 1}),
-        "circle-300": ("circle", 300, 2, {"center_sample": 6, "seed": 3}),
+        "circle-300": ("circle", 300, 2, {"seed": 3}),
         "torus-400": ("torus", 400, 1, {"seed": 1}),
     }[case]
     mfd = request.getfixturevalue(shape)
