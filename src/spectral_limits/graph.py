@@ -15,12 +15,11 @@ and is self-adjoint, nonnegative in the inner product weighted by w_V.
 
 The edge search returns the edge set as the strict upper triangle of its
 adjacency pattern in CSR form (row pointers and sorted int32 column
-indices); custom (E, 2) edge pairs are checked and put in that form.  It
-searches one block of rows at a time, each block's kd-tree against one on
-the points from the block's first row on, so a pair that crosses blocks is
-found once and only one block's pairs are held; the order and the output
-are those of a single search over all points.  A graph keeps that triangle
-and its edge weights, a constant weight as one stride-0 value.  Degrees,
+indices).  It searches one block of rows at a time, each block's kd-tree
+against one on the points from the block's first row on, so a pair that
+crosses blocks is found once and only one block's pairs are held; the
+order and the output are those of a single search over all points.  A
+graph keeps that triangle and its one positive edge weight.  Degrees,
 incident edge weights, the edge list, the spectral start vector (hashed a
 block of rows at a time), the Dirichlet energies, the CSV writer and the
 Laplacian operator of ``spectral`` all read the triangle.  The symmetric
@@ -32,9 +31,6 @@ diagonal and a scaling, the operator 2 eps^-2 S (D - W) S of a graph or of
 a Poincare ball.  It writes the final arrays one block of triangle rows at
 a time, each block handing its entry (i, j) on to row j as that row's
 entry below the diagonal, so no transposed copy of the triangle is made.
-A zero-weight edge is stored in the graph's matrix as an explicit zero, so
-it is an edge for hops and components but carries no Dirichlet energy;
-the operator leaves it out.
 """
 
 from __future__ import annotations
@@ -70,13 +66,6 @@ _EDGE_SEARCH_BLOCKS = 16
 _DISTANCE_BAND = 1e-12
 
 
-def _strictly_increasing(i, j) -> bool:
-    """Whether the pairs (i, j) are in strictly increasing lexicographic
-    order."""
-    later = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
-    return bool(np.all(later))
-
-
 @dataclass(frozen=True, eq=False)
 class UpperTriangle:
     """An edge set as the strict upper triangle of its adjacency pattern in
@@ -96,11 +85,6 @@ class UpperTriangle:
 def _index_dtype(bound: int):
     """int32 if it holds every index up to ``bound``, else int64."""
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-
-
-def _one_weight(w) -> bool:
-    """Whether w is one edge weight repeated, as a stride-0 array."""
-    return len(w) > 0 and w.strides == (0,)
 
 
 def _column_counts(n: int, upper: UpperTriangle) -> np.ndarray:
@@ -123,33 +107,29 @@ def _degrees(n: int, upper: UpperTriangle, columns=None) -> np.ndarray:
     return deg.astype(_index_dtype(max(2 * len(upper), n)))
 
 
-def _row_sums(n: int, upper: UpperTriangle, w, degrees) -> np.ndarray:
+def _row_sums(w: float, degrees) -> np.ndarray:
     """Each vertex's sum of incident edge weights, bit for bit the
     ``adj.sum(axis=1)`` of the symmetric matrix: ``np.add.reduceat`` over
-    the row's weights in column order.  For a stride-0 w the sum depends
-    only on the degree, so it is reduced once per distinct degree of
-    ``degrees``, the vertices' edge counts."""
-    if _one_weight(w):
-        lengths, row = np.unique(degrees, return_inverse=True)
-        weights = np.full(lengths.sum(), w[0])
-    else:
-        adj = _symmetric_csr(n, upper, w)
-        lengths, row, weights = np.diff(adj.indptr), slice(None), adj.data
+    the row's weights.  With one weight w the sum depends only on the
+    degree, so it is reduced once per distinct degree of ``degrees``, the
+    vertices' edge counts."""
+    lengths, row = np.unique(degrees, return_inverse=True)
     sums = np.zeros(len(lengths))
     has = lengths > 0       # reduceat misreads an empty segment
-    sums[has] = np.add.reduceat(weights, (np.cumsum(lengths) - lengths)[has])
+    sums[has] = np.add.reduceat(np.full(lengths.sum(), w),
+                                (np.cumsum(lengths) - lengths)[has])
     return sums[row]
 
 
-def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
+def _symmetric_csr(n: int, upper: UpperTriangle, w: float, columns=None,
                    diag=None, s=None, c: float = 1.0) -> sparse.csr_matrix:
-    """The symmetric CSR matrix W with w at (i, j) and (j, i) for the edges
-    (i, j) of ``upper``, w in their row-major order, explicit zeros kept.
-    With ``diag`` and the scaling ``s``, the operator c S (diag(diag) - W) S
-    with S = diag(s) instead: each entry is ((s_i * v) * s_j) * c for its
-    value v in diag(diag) - W, ``0.0 - w`` off the diagonal, and a zero
-    diagonal entry is not stored.  ``columns`` are the triangle's column
-    counts, counted here if not given.
+    """The symmetric CSR matrix W with the weight w at (i, j) and (j, i)
+    for the edges (i, j) of ``upper``.  With ``diag`` and the scaling
+    ``s``, the operator c S (diag(diag) - W) S with S = diag(s) instead:
+    each entry is ((s_i * v) * s_j) * c for its value v in diag(diag) - W,
+    ``0.0 - w`` off the diagonal, and a zero diagonal entry is not stored.
+    ``columns`` are the triangle's column counts, counted here if not
+    given.
 
     Each row is its lower entries, then its diagonal entry, if any, then
     its upper ones, so its columns come out sorted, and the row pointers
@@ -159,9 +139,9 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
     its entries (i, j) on to row j's next free lower slot, taking them in
     the order of the block's transpose, by column and then row, so every
     row's lower entries come out in row order.  The transpose is a
-    counting sort with 1-byte data where the weight is one stride-0 value.
-    Only one block's scratch is held beside the output, and a triangle
-    that fits in one block takes one pass.
+    counting sort with 1-byte pattern data.  Only one block's scratch is
+    held beside the output, and a triangle that fits in one block takes
+    one pass.
     """
     upper_ptr, upper_idx = upper.indptr, upper.indices
     if columns is None:
@@ -175,18 +155,15 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
     np.cumsum(lengths, out=indptr[1:])
     del lengths
     indices = np.empty(indptr[-1], dtype=idx)
-    one_weight = _one_weight(w)
     if diag is None:
-        data = np.full(indptr[-1], w[0]) if one_weight else np.empty(indptr[-1])
+        data = np.full(indptr[-1], w)
     else:
         data = np.empty(indptr[-1])
-        v = 0.0 - w[0] if one_weight else None
+        v = 0.0 - w
     free = indptr[:-1].astype(np.int64)     # each row's next lower slot
     for r0, r1 in _row_blocks(upper_ptr):
         a, b = upper_ptr[r0], upper_ptr[r1]
         col, count = upper_idx[a:b], above[r0:r1]
-        if not one_weight:
-            v = w[a:b] if diag is None else 0.0 - w[a:b]
         # a row's upper entries end it
         at = np.repeat(indptr[r0 + 1:r1 + 1] - upper_ptr[r0 + 1:r1 + 1], count)
         at += np.arange(a, b)
@@ -198,13 +175,10 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
             t *= c
             data[at] = t
             del t
-        elif not one_weight:
-            data[at] = v
         del at
-        pattern = np.ones(b - a, dtype=np.int8) if one_weight else v
-        lower = sparse.csr_matrix((pattern, col, upper_ptr[r0:r1 + 1] - a),
+        lower = sparse.csr_matrix((np.ones(b - a, dtype=np.int8), col,
+                                   upper_ptr[r0:r1 + 1] - a),
                                   shape=(r1 - r0, n)).tocsc()
-        del pattern
         handed = np.diff(lower.indptr)
         slot = np.repeat(free - lower.indptr[:-1], handed)
         slot += np.arange(len(slot))
@@ -214,12 +188,10 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
         indices[slot] = row
         if diag is not None:
             t = np.repeat(s, handed)
-            t *= v if one_weight else lower.data
+            t *= v
             t *= s[row]
             t *= c
             data[slot] = t
-        elif not one_weight:
-            data[slot] = lower.data
     if diag is not None:
         on_diag = np.flatnonzero(diag)
         at = indptr[on_diag] + columns[on_diag]
@@ -231,100 +203,72 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w, columns=None,
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _operator_csr(n: int, upper: UpperTriangle, w, w_V,
+def _operator_csr(n: int, upper: UpperTriangle, w: float, w_V,
                   eps: float) -> sparse.csr_matrix:
     """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2) and D the row sums, for
-    the edges ``upper`` with weights w and positive vertex weights w_V:
-    the arrays of ``diags(d) - adj`` with its explicit zeros dropped, each
-    entry then scaled as ((s_i * v) * s_j) * (2 / eps**2).  The columns are
-    counted once, for the degrees and the builder.  Zero-weight edges leave
-    the triangle only after the row sums are taken: a sum's rounding
-    depends on where its terms sit."""
+    the edges ``upper`` with the weight w and positive vertex weights w_V:
+    the arrays of ``diags(d) - adj``, each entry then scaled as
+    ((s_i * v) * s_j) * (2 / eps**2).  The columns are counted once, for
+    the degrees and the builder."""
     columns = _column_counts(n, upper)
-    diag = _row_sums(n, upper, w, _degrees(n, upper, columns))
-    if not np.all(w):
-        upper, w = _positive_edges(upper, w)
-        columns = _column_counts(n, upper)
+    diag = _row_sums(w, _degrees(n, upper, columns))
     return _symmetric_csr(n, upper, w, columns, diag, 1.0 / np.sqrt(w_V),
                           2.0 / eps**2)
-
-
-def _positive_edges(upper: UpperTriangle, w):
-    """The edges of positive weight of a triangle, and their weights."""
-    keep = w > 0
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    return UpperTriangle(kept[upper.indptr], upper.indices[keep]), w[keep]
 
 
 class WeightedGraph:
     """Finite weighted graph (V, E, w_V, w_E, eps) held as its edge triangle.
 
     ``upper`` is the strict upper triangle of the edge set, an
-    ``UpperTriangle``, and ``upper_w`` its edge weights in row-major
-    order; a constant weight stays a stride-0 array.  ``edges`` is either
-    an ``UpperTriangle``, as ``build_edges`` returns it, with ``w_E`` in
-    its row-major order, which is kept as it is, or (E, 2) integer pairs
-    in any order and orientation, which are checked, sorted and turned
-    into that form.  ``degrees`` are the vertices' edge counts.
+    ``UpperTriangle`` as ``build_edges`` returns it, kept as it is, and
+    ``w_E`` the one finite, positive weight of every edge, a float.
+    ``degrees`` are the vertices' edge counts.
 
     ``weighted_adjacency``, the symmetric CSR matrix with w_E at (i, j)
     and (j, i), is built from the triangle on first access and kept; a
-    spectrum alone never builds it.  A zero-weight edge stays in it as an
-    explicit zero, so it still counts as an edge for degrees, hop
-    distances and connected components.  It carries no Dirichlet energy,
-    so the Poincare constant drops it before it splits a ball into
-    components.
-
-    ``edges`` and ``w_E`` are read back from the triangle on each access:
-    the (E, 2) int64 pairs i < j in lexicographic order, and their weights.
+    spectrum alone never builds it.  ``edges`` is read back from the
+    triangle on each access: the (E, 2) int64 pairs i < j in lexicographic
+    order.
     """
 
-    def __init__(self, n_vertices: int, epsilon: float, edges, w_V, w_E,
-                 kind: str = "custom"):
+    def __init__(self, n_vertices: int, epsilon: float, upper: UpperTriangle,
+                 w_V, w_E: float, kind: str = "custom"):
         self.n_vertices = n_vertices
         self.epsilon = epsilon
         self.w_V = np.asarray(w_V, dtype=float)
+        self.w_E = float(w_E)
         self.kind = kind
-        pairs = None if isinstance(edges, UpperTriangle) else _vertex_pairs(edges)
-        w = np.asarray(w_E, dtype=float)
         if not (np.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         if len(self.w_V) != n_vertices:
             raise ValueError("w_V length does not match n_vertices")
-        if len(w) != len(edges):
-            raise ValueError("w_E length does not match edge count")
-        if pairs is not None and np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("self-loops are not allowed")
-        for name, x in (("w_V", self.w_V), ("w_E", w)):
-            if not np.all(np.isfinite(x) & (x >= 0)):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if pairs is not None:
-            edges, w = _upper_triangle(n_vertices, pairs, w)
-        self.upper, self.upper_w = edges, w
-        self.degrees = _degrees(n_vertices, edges)
+        if not np.all(np.isfinite(self.w_V) & (self.w_V >= 0)):
+            raise ValueError("w_V must be finite and nonnegative")
+        if not (np.isfinite(self.w_E) and self.w_E > 0):
+            raise ValueError(f"w_E must be finite and positive, got {w_E}")
+        self.upper = upper
+        self.degrees = _degrees(n_vertices, upper)
 
     @cached_property
     def weighted_adjacency(self) -> sparse.csr_matrix:
         """The symmetric CSR matrix of the edge weights, built on first
         access."""
-        return _symmetric_csr(self.n_vertices, self.upper, self.upper_w)
+        return _symmetric_csr(self.n_vertices, self.upper, self.w_E)
 
     def _edge_blocks(self):
-        """The edges i < j in lexicographic order, as (i, j, w) with int64
-        i and j, one block of rows of the triangle at a time."""
+        """The edges i < j in lexicographic order, as (i, j) with int64 i
+        and j, one block of rows of the triangle at a time."""
         ptr = self.upper.indptr
         for r0, r1 in _row_blocks(ptr):
             a, b = ptr[r0], ptr[r1]
             row = np.repeat(np.arange(r0, r1, dtype=np.int64),
                             np.diff(ptr[r0:r1 + 1]))
-            yield (row, self.upper.indices[a:b].astype(np.int64),
-                   self.upper_w[a:b])
+            yield row, self.upper.indices[a:b].astype(np.int64)
 
-    def _ball_triangle(self, idx):
-        """The edges of positive weight with both ends in the sorted
-        vertices ``idx``, numbered by position in ``idx``, as an
-        ``UpperTriangle`` and its weights; a stride-0 weight stays one."""
-        ptr, w = self.upper.indptr, self.upper_w
+    def _ball_triangle(self, idx) -> UpperTriangle:
+        """The edges with both ends in the sorted vertices ``idx``,
+        numbered by position in ``idx``, as an ``UpperTriangle``."""
+        ptr = self.upper.indptr
         lengths = ptr[idx + 1] - ptr[idx]
         ends = np.cumsum(lengths)
         row = np.repeat(np.arange(len(idx)), lengths)
@@ -333,29 +277,19 @@ class WeightedGraph:
         local = np.full(self.n_vertices, -1, dtype=np.int64)
         local[idx] = np.arange(len(idx))
         col = local[self.upper.indices[at]]
-        keep = (col >= 0) & (w[at] > 0)
+        keep = col >= 0
         indptr = np.searchsorted(row[keep], np.arange(len(idx) + 1))
-        upper = UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
-        return upper, (np.broadcast_to(w[0], len(upper)) if _one_weight(w)
-                       else w[at][keep])
+        return UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) int64 array of the edges i < j, sorted lexicographically."""
-        return np.concatenate([np.column_stack([i, j])
-                               for i, j, _ in self._edge_blocks()]
+        return np.concatenate([np.column_stack(ij) for ij in self._edge_blocks()]
                               + [np.empty((0, 2), dtype=np.int64)])
-
-    @property
-    def w_E(self) -> np.ndarray:
-        """(E,) edge weights, in the order of ``edges``."""
-        return np.concatenate([w for _, _, w in self._edge_blocks()]
-                              + [np.empty(0)])
 
     def incident_edge_weight(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
-        return _row_sums(self.n_vertices, self.upper, self.upper_w,
-                         self.degrees)
+        return _row_sums(self.w_E, self.degrees)
 
     def total_volume(self) -> float:
         return float(np.sum(self.w_V))
@@ -372,34 +306,6 @@ def _row_blocks(indptr):
         r1 = min(max(r1, r0 + 1), n)
         yield r0, r1
         r0 = r1
-
-
-def _vertex_pairs(edges) -> np.ndarray:
-    """Custom edges as an (E, 2) int64 array; endpoints that are not whole
-    numbers are an error, not truncated."""
-    given = np.asarray(edges)
-    if given.dtype.kind not in "biu" and not np.all(
-            np.isfinite(given) & (np.floor(given) == given)):
-        raise ValueError("edges must hold integer vertex indices")
-    return given.astype(np.int64).reshape(-1, 2)
-
-
-def _upper_triangle(n: int, pairs, w):
-    """Checked (E, 2) pairs and their weights as an ``UpperTriangle`` and
-    the weights in its order."""
-    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError("edge endpoints must be vertices 0..n-1")
-    i, j = pairs[:, 0], pairs[:, 1]
-    if not (np.all(i < j) and _strictly_increasing(i, j)):
-        # orient each edge i < j and sort; a repeated edge, in either
-        # orientation, then sits next to its copy
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        order = np.lexsort((j, i))
-        i, j, w = i[order], j[order], w[order]
-        if not _strictly_increasing(i, j):
-            raise ValueError("duplicate edges are not allowed")
-    indptr = np.searchsorted(i, np.arange(n + 1))
-    return UpperTriangle(indptr, j.astype(_index_dtype(n))), w
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +399,9 @@ def gamma_m_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     return WeightedGraph(
         n_vertices=n,
         epsilon=eps,
-        edges=upper,
+        upper=upper,
         w_V=np.full(n, 1.0 / n),
-        w_E=np.broadcast_to(cloud.manifold.total_volume / scale,
-                            len(upper)),
+        w_E=cloud.manifold.total_volume / scale,
         kind="gamma_m",
     )
 
@@ -509,9 +414,9 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
     g = WeightedGraph(
         n_vertices=n,
         epsilon=eps,
-        edges=upper,
+        upper=upper,
         w_V=np.zeros(n),
-        w_E=np.broadcast_to(1.0 / scale, len(upper)),
+        w_E=1.0 / scale,
         kind="gamma_N",
     )
     g.w_V = g.degrees / scale      # the degrees come from the triangle
@@ -568,15 +473,15 @@ def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
     """Double-counted edge energy sum_x sum_{y~x} ((phi_x-phi_y)/eps)^2 w_E."""
     phi = np.asarray(phi, dtype=float)
 
-    def term(i, j, w):
+    def term(i, j):
         diff = (phi[i] - phi[j]) / g.epsilon
-        return diff**2 * w
+        return diff**2 * g.w_E
 
     return 2.0 * _edge_sum(g, term)
 
 
 def _edge_sum(g: WeightedGraph, term) -> float:
-    """``np.sum`` over the edges of ``term(i, j, w)``, one value per edge.
+    """``np.sum`` over the edges of ``term(i, j)``, one value per edge.
 
     The terms are written into one E-long array a block of rows at a time,
     so the sum is NumPy's over the whole array, as if the terms had been
@@ -584,9 +489,9 @@ def _edge_sum(g: WeightedGraph, term) -> float:
     """
     terms = np.empty(len(g.upper))
     a = 0
-    for i, j, w in g._edge_blocks():
-        terms[a:a + len(w)] = term(i, j, w)
-        a += len(w)
+    for i, j in g._edge_blocks():
+        terms[a:a + len(i)] = term(i, j)
+        a += len(i)
     return float(np.sum(terms))
 
 
@@ -598,14 +503,15 @@ def save_graph_csv(g: WeightedGraph, edge_path, vertex_path):
     """Edge list `i,j,w_E` and vertex list `i,w_V,deg`, with a header line.
 
     The edge rows are read from the graph's triangle, i < j, sorted, and
-    written a block of rows at a time."""
+    written a block of rows at a time; the one weight is formatted once."""
     header = f"# eps={g.epsilon:.17g} kind={g.kind} n={g.n_vertices}\n"
     with open(edge_path, "w") as fh:
         fh.write(header)
         fh.write("i,j,w_E\n")
-        for i, j, w in g._edge_blocks():
-            fh.writelines(f"{a},{b},{c:.17g}\n" for a, b, c
-                          in zip(i.tolist(), j.tolist(), w.tolist()))
+        tail = f",{g.w_E:.17g}\n"
+        for i, j in g._edge_blocks():
+            fh.writelines(f"{a},{b}{tail}"
+                          for a, b in zip(i.tolist(), j.tolist()))
     with open(vertex_path, "w") as fh:
         fh.write(header)
         fh.write("i,w_V,deg\n")

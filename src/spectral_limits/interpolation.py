@@ -215,7 +215,7 @@ def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
     n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
 
-    def term(i, j, w):
+    def term(i, j):
         diff = (vals[i] - vals[j]) / eps
         return diff**2
 

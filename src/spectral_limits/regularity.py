@@ -8,10 +8,9 @@ Nash-type fitted constant, and the Moser-shape check on eigenvector
 p-norm ratios with the exact graph diameter.  All radii live on the
 breakpoints (k + 1/2) * eps, where the quantized graph metric makes ball
 membership exact.  Hop counts come from a bit-parallel BFS, 64 sources
-per uint64 word, over the stored entries of the graph's matrix, so an
-explicit zero counts as an edge.  Each ball's Poincare constant is exact,
-from the first nonzero eigenvalue of the ball's Laplacian, in memory that
-grows with its edge count.
+per uint64 word, over the stored entries of the graph's matrix.  Each
+ball's Poincare constant is exact, from the first nonzero eigenvalue of
+the ball's Laplacian, in memory that grows with its edge count.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .graph import WeightedGraph, dirichlet_energy
-from .spectral import (DENSE_LIMIT, DisconnectedGraphError, SpectralResult,
-                       _lanczos_above_null, _symmetrized_operator)
+from .spectral import (DENSE_LIMIT, SpectralResult, _lanczos_above_null,
+                       _symmetrized_operator)
 
 __all__ = [
     "RegularityCertificate",
@@ -107,7 +106,7 @@ def _hop_blocks(g: WeightedGraph, sources):
     frontier words.  Every source's hop
     count is a bit-sliced counter that gains 1 on each level at which
     the source has not reached the vertex yet.  The search reads only the
-    CSR structure, so an explicit zero (a zero-weight edge) is an edge.
+    CSR structure.
     """
     adj = g.weighted_adjacency
     n = g.n_vertices
@@ -194,17 +193,12 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
 
     lam_1 is the smallest nonzero eigenvalue of the ball's own Laplacian
     (2 / eps^2) W^-1 L, with the gradient counting edges with both
-    endpoints inside the ball; the ball's volume cancels.
+    endpoints inside the ball; the ball's volume cancels.  A hop ball is
+    connected: a shortest path from its centre stays inside it.
     """
-    # the Dirichlet form only sees edges of positive weight, so its null
-    # space is governed by the positive-weight component structure: the
-    # ball's triangle leaves out the zero-weight edges
     w = g.w_V[idx]
-    try:
-        B = _symmetrized_operator(len(idx), *g._ball_triangle(idx), w,
-                                  g.epsilon)
-    except DisconnectedGraphError:
-        return math.inf
+    B = _symmetrized_operator(len(idx), g._ball_triangle(idx), g.w_E, w,
+                              g.epsilon)
     if len(idx) <= DENSE_LIMIT:
         lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
     else:
@@ -219,9 +213,7 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     For each of ``_POINCARE_CENTERS`` sampled centers x and six breakpoint
     radii r, geometrically spaced up to the largest hop count seen, the
     sharp constant of the ball B(x, r) is solved exactly: densely up to
-    ``DENSE_LIMIT`` vertices, by deflated Lanczos above.  A ball that splits
-    into several components once zero-weight edges are dropped has no
-    finite constant and yields +inf.
+    ``DENSE_LIMIT`` vertices, by deflated Lanczos above.
     """
     centers = _pick_centers(g, _POINCARE_CENTERS, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
@@ -239,8 +231,6 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
             if key not in solved:
                 solved[key] = _poincare_ball_constant(g, idx, r)
             p = max(p, solved[key])
-            if math.isinf(p):
-                return p
     return p
 
 
@@ -249,24 +239,18 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
 
 
 def almost_regularity(g: WeightedGraph) -> float:
-    """Worst local ratio of vertex weights, degrees, and incident edge weights.
+    """Worst local ratio of vertex weights and degrees.
 
-    Read from the graph's matrix: the vertex-weight and degree ratios over
-    its entries above the diagonal, one per edge, a block of rows at a
-    time, and each row's largest over its smallest edge weight.
+    The ratios are taken over the edges of the triangle, a block of rows at
+    a time.  The ratio of a vertex's largest to its smallest incident edge
+    weight is 1, since every edge has the weight w_E.
     """
-    wa = g.weighted_adjacency
-    if wa.nnz == 0:
-        return 1.0
     r = 1.0
     degrees = g.degrees.astype(float)
-    for i, j, _ in g._edge_blocks():
+    for i, j in g._edge_blocks():
         for val in (g.w_V, degrees):
             r = max(r, _worst_ratio(val[i], val[j]))
-    starts = wa.indptr[:-1][g.degrees > 0]
-    wmax = np.maximum.reduceat(wa.data, starts)
-    wmin = np.minimum.reduceat(wa.data, starts)
-    return max(r, _worst_ratio(wmax, wmin))
+    return r
 
 
 def _worst_ratio(a, b) -> float:

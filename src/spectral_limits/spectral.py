@@ -9,11 +9,10 @@ a sha256 of the graph's edge pairs, read from its edge triangle a block of
 rows at a time.  The operator is one CSR, written scaled from the
 triangle a block of rows at a time, so a solve holds the triangle, the
 operator and one block's scratch, and never the graph's own matrix.
-Connectivity is one breadth-first search from vertex 0 over the
-operator's entries; only a graph that the operator leaves disconnected
-also pays for the graph's matrix, whose zero-weight edges still connect
-it, and a disconnected graph for its components, whose sizes the error
-names.
+Every edge has the same positive weight, so the operator has an entry for
+each edge, and connectivity is one breadth-first search from vertex 0 over
+its entries; only a disconnected graph pays for its components, whose
+sizes the error names.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import WeightedGraph, _operator_csr, _symmetric_csr
+from .graph import WeightedGraph, _operator_csr
 
 __all__ = [
     "DisconnectedGraphError",
@@ -72,38 +72,35 @@ class SpectralResult:
     solver: str
 
 
-def _symmetrized_operator(n: int, upper, w, w_V, eps: float):
+def _symmetrized_operator(n: int, upper, w: float, w_V, eps: float):
     """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), as
-    ``graph._operator_csr`` builds it from the edges ``upper`` with weights
-    w, for a connected graph with positive vertex weights.
+    ``graph._operator_csr`` builds it from the edges ``upper`` with the
+    weight w, for a connected graph with positive vertex weights.
 
-    A graph is connected if its edges, zero-weight ones included, connect
-    it; that is checked before the vertex weights, since an isolated vertex
-    of gamma_N has w_V = 0.  The operator drops the zero-weight edges, so
-    only a graph it does not connect, or a nonpositive vertex weight, pays
-    for the graph's own matrix.
+    Connectivity is checked before the vertex weights, since an isolated
+    vertex of gamma_N has w_V = 0.  With a nonpositive vertex weight there
+    is no operator, and the components are taken on the triangle itself.
     """
-    positive = bool(np.all(w_V > 0))
-    if positive:
+    if np.all(w_V > 0):
         B = _operator_csr(n, upper, w, w_V, eps)
         if _is_connected(B):
             return B
-    adj = _symmetric_csr(n, upper, w)
-    if not _is_connected(adj):
-        ncomp, labels = csgraph.connected_components(adj, directed=False)
+    else:
+        B = sparse.csr_matrix((np.ones(len(upper), dtype=np.int8),
+                               upper.indices, upper.indptr), shape=(n, n))
+    ncomp, labels = csgraph.connected_components(B, directed=False)
+    if ncomp > 1:
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(
             f"graph is disconnected: {ncomp} components of sizes {sizes}")
-    if not positive:
-        bad = np.nonzero(w_V <= 0)[0]
-        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
-    return B
+    bad = np.nonzero(w_V <= 0)[0]
+    raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
 
 
 def _is_connected(adj) -> bool:
     """Whether the graph of the symmetric matrix ``adj`` is connected: one
-    breadth-first search from vertex 0 over its stored entries, so an
-    explicit zero is an edge and a diagonal entry is ignored."""
+    breadth-first search from vertex 0 over its stored entries; a diagonal
+    entry is ignored."""
     order = csgraph.breadth_first_order(adj, 0, directed=True,
                                         return_predecessors=False)
     return len(order) == adj.shape[0]
@@ -150,7 +147,7 @@ def _start_vector(g: WeightedGraph) -> np.ndarray:
     h = hashlib.sha256()
     h.update(np.int64(g.n_vertices).tobytes())
     h.update(np.float64(g.epsilon).tobytes())
-    for i, j, _ in g._edge_blocks():
+    for i, j in g._edge_blocks():
         h.update(np.column_stack([i, j]))
     seed = int.from_bytes(h.digest()[:8], "little")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -168,7 +165,7 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     n = g.n_vertices
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
-    B = _symmetrized_operator(n, g.upper, g.upper_w, g.w_V, g.epsilon)
+    B = _symmetrized_operator(n, g.upper, g.w_E, g.w_V, g.epsilon)
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "lanczos"
     if method not in ("dense", "lanczos"):

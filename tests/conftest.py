@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spectral_limits.geometry import Circle, FlatTorus, Sphere, Spindle
-from spectral_limits.graph import WeightedGraph, gamma_N_eps
+from spectral_limits.graph import UpperTriangle, WeightedGraph, gamma_N_eps
 from spectral_limits.sampling import DensitySpec, sample_dataset
 
 
@@ -18,13 +19,24 @@ def fake_cloud(embedded, m=1, total_volume=2.0 * math.pi):
     return SimpleNamespace(embedded=embedded, n=len(embedded), manifold=manifold)
 
 
-def custom_graph(n, edges, w_V, w_E, eps=1.0, kind="custom"):
+def custom_graph(n, edges, w_V, w_E=1.0, eps=1.0, kind="custom"):
+    """A graph on the (E, 2) pairs ``edges``, in any order and orientation,
+    with the one edge weight ``w_E``, given as a number or as equal
+    per-edge values."""
+    weights = np.unique(np.asarray(w_E, dtype=float))
+    if len(weights) != 1:
+        raise ValueError(f"a graph has one edge weight, got {weights}")
+    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    upper = sparse.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                              shape=(n, n))
+    upper.sort_indices()
     return WeightedGraph(
         n_vertices=n,
         epsilon=eps,
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        upper=UpperTriangle(upper.indptr.astype(np.int64),
+                            upper.indices.astype(np.int32)),
         w_V=np.asarray(w_V, dtype=float),
-        w_E=np.asarray(w_E, dtype=float),
+        w_E=weights[0],
         kind=kind,
     )
 

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from conftest import custom_graph, fake_cloud
@@ -171,12 +170,11 @@ class TestRowBlocks:
         cloud = sample_dataset(circle, DensitySpec("uniform"), 600, seed=2)
         eps = epsilon_schedule(600, 1)
         g = gamma_N_eps(cloud, eps)
-        edges, w_E, v0 = g.edges, g.w_E, _start_vector(g)
+        edges, v0 = g.edges, _start_vector(g)
         monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 7)
         assert len(list(_row_blocks(g.weighted_adjacency.indptr))) > 100
         assert np.array_equal(pairs_of(build_edges(cloud, eps)), edges)
         assert np.array_equal(g.edges, edges)
-        assert np.array_equal(g.w_E, w_E)
         assert np.array_equal(_start_vector(g), v0)
         assert np.array_equal(_start_vector(g),
                               oracle_start_vector(600, eps, oracle_edges(cloud, eps)))
@@ -278,7 +276,7 @@ class TestBuildEdgesOracle:
 
     def test_start_vector_hashes_the_sorted_pairs(self):
         given = np.array([[5, 2], [0, 3], [4, 1], [1, 0], [3, 5]])
-        g = custom_graph(6, given, np.ones(6), np.arange(1.0, 6.0), eps=0.3)
+        g = custom_graph(6, given, np.ones(6), 2.5, eps=0.3)
         pairs = np.sort(given, axis=1)
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         want = oracle_start_vector(6, 0.3, pairs)
@@ -404,7 +402,7 @@ class TestGraphConstructions:
         # vol / (n (n-1) omega_1 eps) with omega_1 = 2
         assert np.allclose(g.w_E, 2.0 * math.pi / 12.0)
         assert np.sum(g.w_V) == pytest.approx(1.0)
-        assert len(set(np.round(g.w_E, 15))) == 1
+        assert isinstance(g.w_E, float)
 
     def test_gamma_N_weights(self, path3_gamma_N):
         g = path3_gamma_N
@@ -423,50 +421,26 @@ class TestGraphConstructions:
 
 
 class TestGraphValidation:
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            custom_graph(2, [[0, 0]], [1.0, 1.0], [1.0])
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            custom_graph(3, [[0, 1], [0, 1]], [1.0] * 3, [1.0, 1.0])
-        # the same edge in the other orientation is a duplicate too
-        with pytest.raises(ValueError, match="duplicate"):
-            WeightedGraph(2, 1.0, [[0, 1], [1, 0]], [1, 1], [1, 1])
-
-    @pytest.mark.parametrize("edge", [[0, 2], [-1, 1]])
-    def test_endpoint_outside_the_vertices_rejected(self, edge):
-        with pytest.raises(ValueError, match="endpoints"):
-            custom_graph(2, [edge], [1.0, 1.0], [1.0])
-
-    @pytest.mark.parametrize("edges", [[[0, 1.7], [1.2, 2.9]],
-                                       [[0, 1], [1, math.nan]],
-                                       [[0, 1], [1, math.inf]]])
-    def test_fractional_endpoints_rejected(self, edges):
-        # they were truncated to [[0, 1], [1, 2]] by the int64 conversion
-        with pytest.raises(ValueError, match="edges"):
-            WeightedGraph(3, 1.0, edges, [1, 1, 1], [1.0, 1.0])
-
-    def test_whole_float_endpoints_accepted(self):
-        g = WeightedGraph(3, 1.0, [[0.0, 1.0], [2.0, 1.0]], [1, 1, 1], [1.0, 2.0])
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
-        assert g.w_E.tolist() == [1.0, 2.0]
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             custom_graph(2, [[0, 1]], [1.0, -1.0], [1.0])
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
-    @pytest.mark.parametrize("name", ["epsilon", "w_V", "w_E"])
+    @pytest.mark.parametrize("name,bad", [
+        ("epsilon", math.inf), ("epsilon", math.nan),
+        ("w_V", math.inf), ("w_V", math.nan),
+        ("w_E", math.inf), ("w_E", math.nan), ("w_E", 0.0), ("w_E", -1.0),
+    ], ids=["epsilon-inf", "epsilon-nan", "w_V-inf", "w_V-nan",
+            "w_E-inf", "w_E-nan", "w_E-zero", "w_E-negative"])
     def test_non_finite_input_rejected(self, name, bad):
-        args = {"epsilon": 1.0, "w_V": [1.0, 1.0, 1.0], "w_E": [1.0, 1.0]}
-        if name == "epsilon":
-            args[name] = bad
-        else:
+        # w_V = 0 stays allowed: an isolated gamma_N vertex weighs 0
+        args = {"epsilon": 1.0, "w_V": [1.0, 0.0, 1.0], "w_E": 1.0}
+        if name == "w_V":
             args[name][1] = bad
+        else:
+            args[name] = bad
+        path = custom_graph(3, [[0, 1], [1, 2]], np.ones(3)).upper
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            WeightedGraph(3, args["epsilon"], [[0, 1], [1, 2]], args["w_V"],
-                          args["w_E"])
+            WeightedGraph(3, args["epsilon"], path, args["w_V"], args["w_E"])
 
 
 class TestOneMatrix:
@@ -475,7 +449,7 @@ class TestOneMatrix:
         i, j = np.triu_indices(30, 1)
         keep = rng.random(len(i)) < 0.2
         edges = np.column_stack([i[keep], j[keep]])
-        w_E = rng.uniform(0.5, 2.0, len(edges))
+        w_E = 1.7
         g = custom_graph(30, edges, np.ones(30), w_E)
         dense = np.zeros((30, 30))
         dense[edges[:, 0], edges[:, 1]] = w_E
@@ -485,36 +459,22 @@ class TestOneMatrix:
         assert np.array_equal(g.weighted_adjacency.toarray(), dense)
         assert g.degrees.tolist() == np.count_nonzero(dense, axis=1).tolist()
 
-    def test_edge_order_and_orientation_do_not_matter(self, path3_gamma_N):
-        g = path3_gamma_N
-        flipped = custom_graph(3, [[2, 1], [1, 0]], g.w_V, g.w_E,
-                               eps=g.epsilon)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(flipped.weighted_adjacency, name),
-                                  getattr(g.weighted_adjacency, name))
-
-    def test_zero_weight_edge_is_an_edge(self):
-        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
-        assert g.weighted_adjacency.nnz == 4       # two explicit zeros
-        assert g.degrees.tolist() == [1, 2, 1]
-        (_, hops), = _hop_blocks(g, [0])
-        assert hops.tolist() == [[0.0, 1.0, 2.0]]
-        assert csgraph.connected_components(g.weighted_adjacency)[0] == 1
-
-    def test_edges_and_weights_read_back_sorted(self):
-        g = custom_graph(5, [[3, 1], [0, 4], [2, 0], [1, 2]], np.ones(5),
-                         [0.5, 2.0, 0.0, 1.5])
+    def test_edges_and_weights_read_back_sorted(self, circle):
+        g = custom_graph(5, [[3, 1], [0, 4], [2, 0], [1, 2]], np.ones(5), 0.5)
         assert g.edges.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
         assert g.edges.dtype == np.int64
         assert g.edges.flags.c_contiguous
-        # the explicit zero is kept, in its edge's place
-        assert g.w_E.tolist() == [0.0, 2.0, 1.5, 0.5]
+        assert g.w_E == 0.5
+        # the benchmark's graph span reads len(g.edges) as its edge count
+        cloud = sample_dataset(circle, DensitySpec("uniform"), 300, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(300, 1))
+        assert len(g.edges) == len(g.upper) > 300
+        assert np.array_equal(g.edges, pairs_of(g.upper))
 
     def test_no_edges_reads_back_empty(self):
-        g = custom_graph(3, np.zeros((0, 2)), np.ones(3), [])
+        g = custom_graph(3, np.zeros((0, 2)), np.ones(3))
         assert g.edges.shape == (0, 2)
         assert g.edges.dtype == np.int64
-        assert g.w_E.shape == (0,)
 
     def test_no_copy_of_the_edges_beside_the_matrix(self, circle):
         n = 2000
@@ -522,18 +482,15 @@ class TestOneMatrix:
         g = gamma_N_eps(cloud, epsilon_schedule(n, 1))
         n_edges = len(g.edges)
         assert n_edges > n
-        # the graph holds its edge triangle and its one edge weight as a
-        # stride-0 view, which takes no memory per edge; no matrix is built
-        # until one is read
+        # the graph holds its edge triangle and its one edge weight, a
+        # float; no matrix is built until one is read
         held = [name for name, value in vars(g).items()
-                if isinstance(value, np.ndarray) and len(value) >= n_edges
-                and value.strides != (0,)]
+                if isinstance(value, np.ndarray) and len(value) >= n_edges]
         assert held == []
-        assert g.upper_w.strides == (0,)
+        assert isinstance(g.w_E, float)
         assert "weighted_adjacency" not in vars(g)
-        # the views are derived on each access, never cached
+        # the edge list is derived on each access, never cached
         assert g.edges is not g.edges
-        assert g.w_E is not g.w_E
 
     def test_no_second_matrix_after_construction(self, circle_cloud_200,
                                                  monkeypatch):
@@ -553,9 +510,8 @@ class TestOneMatrix:
 
 class TestOneBuilder:
     """The eps-graphs go from ``build_edges`` straight to the matrix, with
-    one weight written into its data; custom (E, 2) input is checked,
-    sorted and built by the same builder with its weights transposed.  The
-    two give the same arrays."""
+    one weight written into its data; a graph on the oracle's sorted pairs,
+    put in triangle form by ``custom_graph``, gives the same arrays."""
 
     @pytest.mark.parametrize("build", [gamma_N_eps, gamma_m_eps])
     @pytest.mark.parametrize("shape", ["circle", "sphere2", "torus", "spindle2"])
@@ -567,26 +523,13 @@ class TestOneBuilder:
             g = build(cloud, eps)
             edges = oracle_edges(cloud, eps)
             assert len(edges) > n
-            w_E = np.full(len(edges), g.weighted_adjacency.data[0])
-            custom = WeightedGraph(n, eps, edges, g.w_V, w_E, kind=g.kind)
+            custom = custom_graph(n, edges, g.w_V, g.w_E, eps, kind=g.kind)
             for name in ("indptr", "indices", "data"):
                 got = getattr(g.weighted_adjacency, name)
                 want = getattr(custom.weighted_adjacency, name)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             assert np.array_equal(g.degrees, custom.degrees)
-
-    @pytest.mark.parametrize("one_weight", [False, True])
-    def test_zero_weight_edge_is_stored(self, one_weight):
-        edges = np.array([[0, 1], [0, 3], [1, 2]])
-        w_E = (np.broadcast_to(0.0, 3) if one_weight
-               else np.array([1.0, 0.0, 2.0]))
-        g = WeightedGraph(4, 1.0, edges, np.ones(4), w_E)
-        wa = g.weighted_adjacency
-        assert wa.nnz == 6
-        assert g.degrees.tolist() == [2, 2, 1, 1]
-        assert g.w_E.tolist() == w_E.tolist()
-        assert np.count_nonzero(wa.data) == (0 if one_weight else 4)
 
 
 def oracle_symmetric_csr(n, upper, w, diag=None):
@@ -595,12 +538,10 @@ def oracle_symmetric_csr(n, upper, w, diag=None):
     entry, if any, and its upper ones, placed by E-long masks."""
     upper_ptr, upper_idx = upper.indptr, upper.indices
     n_edges = len(upper_idx)
-    one_weight = len(w) > 0 and w.strides == (0,)
     if diag is not None:
-        w = np.broadcast_to(0.0 - w[0], n_edges) if one_weight else 0.0 - w
-    pattern = np.ones(n_edges, dtype=np.int8) if one_weight else w
-    lower = sparse.csr_matrix((pattern, upper_idx, upper_ptr),
-                              shape=(n, n)).T.tocsr()
+        w = 0.0 - w
+    lower = sparse.csr_matrix((np.ones(n_edges, dtype=np.int8), upper_idx,
+                               upper_ptr), shape=(n, n)).T.tocsr()
     n_diag = 0 if diag is None else 1
     idx = graph_module._index_dtype(max(2 * n_edges + n_diag * n, n))
     indptr = (upper_ptr + lower.indptr + n_diag * np.arange(n + 1)).astype(idx)
@@ -610,12 +551,7 @@ def oracle_symmetric_csr(n, upper, w, diag=None):
     indices = np.empty(indptr[-1], dtype=idx)
     indices[part == 0] = lower.indices
     indices[part == 2] = upper_idx
-    if one_weight:
-        data = np.full(indptr[-1], w[0])
-    else:
-        data = np.empty(indptr[-1])
-        data[part == 0] = lower.data
-        data[part == 2] = w
+    data = np.full(indptr[-1], w)
     if diag is not None:
         on_diag = indptr[:-1] + before
         indices[on_diag] = np.arange(n)
@@ -639,18 +575,16 @@ def oracle_operator_csr(n, upper, w, w_V, eps):
     return lw
 
 
-def random_triangle(n, n_edges, seed, zeros=0):
-    """A random graph's triangle and weights, positive vertex weights, and
-    ``zeros`` of its edges of weight 0."""
+def random_triangle(n, n_edges, seed):
+    """A random graph's triangle, edge weight and positive vertex
+    weights."""
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(2 * n_edges, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     pairs = np.unique(np.sort(pairs, axis=1), axis=0)[:n_edges]
-    w_E = rng.uniform(0.1, 3.0, len(pairs))
-    w_E[rng.choice(len(pairs), zeros, replace=False)] = 0.0
     g = custom_graph(n, pairs[rng.permutation(len(pairs))],
-                     rng.uniform(0.5, 2.0, n), w_E, eps=0.4)
-    return g.upper, g.upper_w, g.w_V
+                     rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 3.0), eps=0.4)
+    return g.upper, g.w_E, g.w_V
 
 
 class TestBlockedBuilder:
@@ -661,16 +595,13 @@ class TestBlockedBuilder:
     def cases(self, circle, sphere2):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 900, seed=4)
         g = gamma_N_eps(cloud, epsilon_schedule(900, 1))
-        yield "stride-0", 900, g.upper, g.upper_w, g.w_V
-        yield "array", 500, *random_triangle(500, 6000, seed=1)
-        yield "zero-weights", 300, *random_triangle(300, 2000, seed=2, zeros=40)
-        yield "all-zero", 900, g.upper, np.broadcast_to(0.0, len(g.upper)), g.w_V
+        yield "eps-graph", 900, g.upper, g.w_E, g.w_V
+        yield "random", 500, *random_triangle(500, 6000, seed=1)
         empty = graph_module.UpperTriangle(np.zeros(6, dtype=np.int64),
                                            np.empty(0, dtype=np.int32))
-        yield "empty", 5, empty, np.empty(0), np.ones(5)
-        iso = custom_graph(5, [[0, 1], [1, 3], [3, 4]], np.ones(5),
-                           [1.0, 2.0, 0.5])
-        yield "isolated", 5, iso.upper, iso.upper_w, iso.w_V
+        yield "empty", 5, empty, 1.0, np.ones(5)
+        iso = custom_graph(5, [[0, 1], [1, 3], [3, 4]], np.ones(5), 2.0)
+        yield "isolated", 5, iso.upper, iso.w_E, iso.w_V
         # columns far above the block's rows, in more than 2^16 vertices
         yield "wide", 70000, *random_triangle(70000, 800, seed=3)
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
@@ -678,7 +609,7 @@ class TestBlockedBuilder:
         (_, hops), = _hop_blocks(g, [0, 7, 31])
         for row, k in zip(hops, (1, 2, 3)):
             idx = np.nonzero(row <= k)[0]
-            yield f"ball-{k}", len(idx), *g._ball_triangle(idx), g.w_V[idx]
+            yield f"ball-{k}", len(idx), g._ball_triangle(idx), g.w_E, g.w_V[idx]
 
     @pytest.mark.parametrize("block", [None, 7, 1])
     def test_same_arrays_as_the_oracle(self, monkeypatch, circle, sphere2,
@@ -692,9 +623,8 @@ class TestBlockedBuilder:
             assert_same_csr(graph_module._operator_csr(n, upper, w, w_V, eps),
                             oracle_operator_csr(n, upper, w, w_V, eps))
             seen.append(name)
-        assert seen[:7] == ["stride-0", "array", "zero-weights", "all-zero",
-                            "empty", "isolated", "wide"]
-        assert len(seen) == 10
+        assert seen[:5] == ["eps-graph", "random", "empty", "isolated", "wide"]
+        assert len(seen) == 8
 
     def test_one_block_is_one_pass(self, monkeypatch):
         upper, w, w_V = random_triangle(300, 2000, seed=4)
@@ -713,14 +643,6 @@ class TestBlockedBuilder:
         graph_module._symmetric_csr(300, upper, w)
         assert len(transposed) >= 4 and sum(transposed) == 2000
         assert max(transposed) <= 500 + max(np.diff(upper.indptr))
-
-    def test_zero_weight_bridge_still_connects(self):
-        # the operator drops the zero-weight edge, the graph keeps it
-        g = custom_graph(4, [[0, 1], [1, 2], [2, 3]], np.ones(4),
-                         [1.0, 0.0, 1.0])
-        res = eigen_decompose(g, 2)
-        assert np.allclose(res.eigenvalues[:2], 0.0, atol=1e-12)
-        assert res.eigenvalues[2] > 1.0
 
     def test_nonpositive_vertex_weight(self):
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])

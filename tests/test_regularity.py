@@ -36,8 +36,7 @@ def random_graph(n, p, seed, eps=0.3):
     i, j = np.triu_indices(n, 1)
     keep = rng.random(len(i)) < p
     edges = np.column_stack([i[keep], j[keep]])
-    return custom_graph(n, edges, rng.uniform(0.5, 2.0, n),
-                        np.ones(len(edges)), eps=eps)
+    return custom_graph(n, edges, rng.uniform(0.5, 2.0, n), eps=eps)
 
 
 def dense_hops(g):
@@ -137,12 +136,8 @@ class TestHopBlocksOracle:
         self.check(g, np.arange(11))
 
     def test_no_edges(self):
-        g = custom_graph(3, [], [1.0] * 3, [])
+        g = custom_graph(3, [], [1.0] * 3)
         self.check(g, np.array([1, 0]))
-
-    def test_explicit_zero_is_an_edge(self):
-        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
-        self.check(g, np.array([2, 0, 1]))
 
     def test_long_path_carries_into_a_ninth_counter_plane(self):
         # hop counts up to 299 need nine bits
@@ -341,12 +336,6 @@ def dense_pencil_constant(g, b_idx, s_idx, r: float):
 
 def poincare_case(request, case):
     """A graph and the ``poincare_constant`` arguments of one oracle case."""
-    if case == "zero-weight-edge":
-        g = custom_graph(4, [[0, 1], [0, 2], [1, 2], [2, 3]],
-                         [0.5, 1.0, 2.0, 0.25], [1.0, 0.0, 3.0, 0.5], eps=0.7)
-        return g, {}
-    if case == "split-ball":
-        return custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0]), {}
     shape, n, seed, kwargs = {
         # balls of more than DENSE_LIMIT vertices: the Lanczos branch
         "sphere2-1500": ("sphere2", 1500, 1, {"seed": 1}),
@@ -364,18 +353,12 @@ class TestPoincare:
         # ||phi - mean||^2 = 1 and r^2 ||grad phi||^2 = 2.25 * 4 for (1,-1)
         assert poincare_constant(g) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
-    def test_zero_weight_bridge_is_infinite(self):
-        # the edge to vertex 2 exists but carries no Dirichlet weight
-        g = custom_graph(3, [[0, 1], [1, 2]], [1.0] * 3, [1.0, 0.0])
-        assert poincare_constant(g) == math.inf
-
     def test_zero_vertex_weight_is_rejected(self):
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="positive vertex weights"):
             poincare_constant(g)
 
-    @pytest.mark.parametrize("case", ["sphere2-1500", "circle-300", "torus-400",
-                                      "zero-weight-edge", "split-ball"])
+    @pytest.mark.parametrize("case", ["sphere2-1500", "circle-300", "torus-400"])
     def test_every_ball_matches_the_dense_pencil(self, request, monkeypatch,
                                                   case):
         g, kwargs = poincare_case(request, case)
@@ -393,7 +376,7 @@ class TestPoincare:
         for idx, r, val in balls:
             assert val == pytest.approx(dense_pencil_constant(g, idx, idx, r),
                                         rel=1e-10)
-        assert math.isfinite(p) == (case != "split-ball")
+        assert math.isfinite(p)
         assert poincare_constant(g, **kwargs) == p
         if case == "sphere2-1500":
             assert max(len(idx) for idx, _, _ in balls) > spectral.DENSE_LIMIT
@@ -468,38 +451,20 @@ class TestAlmostRegularityOracle:
         g = _built(kind, shape, n)
         assert almost_regularity(g) == edge_almost_regularity(g)
 
-    def test_varying_edge_weights(self):
-        g = random_graph(60, 0.15, seed=5)
-        rng = np.random.default_rng(6)
-        g2 = custom_graph(60, g.edges, rng.uniform(0.5, 2.0, 60),
-                          rng.uniform(0.1, 3.0, len(g.edges)))
-        want = edge_almost_regularity(g2)
-        assert want > 1.0
-        assert almost_regularity(g2) == want
-
-    def test_zero_weight_edge(self):
-        g = custom_graph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 2.0, 1.0, 3.0],
-                         [1.0, 0.0, 2.0])
-        with np.errstate(divide="ignore"):
-            want = edge_almost_regularity(g)
-            assert almost_regularity(g) == want == math.inf
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,w_V,w_E,want", [
-        # vertex 3's edges weigh 1 and 0: infinite, though vertex 4's one
-        # edge of weight 0 is a 0/0 of equal weights
-        (5, [1.0] * 5, [1.0, 1.0, 1.0, 0.0], math.inf),
         # vertex weights 1 against 0, beside an edge whose ends both weigh 0
         (3, [1.0, 0.0, 0.0], [1.0, 1.0], math.inf),
-        (2, [0.0, 0.0], [0.0], 1.0),
-    ], ids=["edge-weight", "vertex-weight", "all-zero"])
+        # every vertex weighs 0: a 0/0 of equal weights
+        (2, [0.0, 0.0], [1.0], 1.0),
+    ], ids=["vertex-weight", "all-zero"])
     def test_zero_weights_on_a_path(self, n, w_V, w_E, want):
         edges = [[i, i + 1] for i in range(n - 1)]
         assert almost_regularity(custom_graph(n, edges, w_V, w_E)) == want
 
     def test_isolated_vertex(self):
         g = custom_graph(5, [[0, 1], [1, 2], [0, 2], [2, 3]],
-                         [1.0, 1.5, 2.0, 0.5, 4.0], [1.0, 2.0, 0.5, 1.5])
+                         [1.0, 1.5, 2.0, 0.5, 4.0], 2.0)
         assert np.flatnonzero(g.degrees == 0).tolist() == [4]
         assert almost_regularity(g) == edge_almost_regularity(g)
 

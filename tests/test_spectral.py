@@ -154,7 +154,7 @@ class TestEigenDecompose:
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         w_V = np.empty(80)
         w_V[perm] = g.w_V
-        gp = custom_graph(80, edges[order], w_V, g.w_E[order], eps=g.epsilon)
+        gp = custom_graph(80, edges[order], w_V, g.w_E, eps=g.epsilon)
         resp = eigen_decompose(gp, 3)
         assert np.allclose(resp.eigenvalues, res.eigenvalues, atol=1e-9)
         # compare weighted spectral projectors per cluster (basis-free)
@@ -197,7 +197,7 @@ def matrix_operator(adj, w_V, eps: float):
 
 def operator(g):
     """The operator as ``eigen_decompose`` builds it, from the triangle."""
-    return graph._operator_csr(g.n_vertices, g.upper, g.upper_w, g.w_V,
+    return graph._operator_csr(g.n_vertices, g.upper, g.w_E, g.w_V,
                                g.epsilon)
 
 
@@ -216,12 +216,6 @@ class TestSymmetrizedOperator:
         cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=1)
         eps = epsilon_schedule(n, mfd.m)
         g = gamma_N_eps(cloud, eps) if build == "gamma_N" else gamma_m_eps(cloud, eps)
-        assert_same_csr(operator(g), oracle_operator(g))
-
-    def test_zero_weight_edge(self):
-        edges = [[0, 1], [0, 2], [1, 2], [2, 3]]
-        g = custom_graph(4, edges, [0.5, 1.0, 2.0, 0.25],
-                         [1.0, 0.0, 3.0, 0.5], eps=0.7)
         assert_same_csr(operator(g), oracle_operator(g))
 
 
@@ -244,22 +238,7 @@ class TestOperatorFromTheTriangle:
                                   np.asarray(adj.sum(axis=1)).ravel())
             assert_same_csr(got, matrix_operator(adj, g.w_V, g.epsilon))
 
-    def test_array_weights_and_a_zero_weight_edge(self):
-        rng = np.random.default_rng(5)
-        n = 60
-        i, j = np.triu_indices(n, 1)
-        keep = rng.random(len(i)) < 0.15
-        edges = np.column_stack([i[keep], j[keep]])
-        w_E = rng.uniform(0.1, 3.0, len(edges))
-        w_E[[3, 17]] = 0.0
-        g = custom_graph(n, edges[rng.permutation(len(edges))],
-                         rng.uniform(0.5, 2.0, n), w_E, eps=0.4)
-        got = operator(g)
-        want = matrix_operator(g.weighted_adjacency, g.w_V, g.epsilon)
-        assert want.nnz == 2 * len(edges) + n - 4   # the zeros are dropped
-        assert_same_csr(got, want)
-
-    @pytest.mark.parametrize("case", ["sphere", "zero-weights"])
+    @pytest.mark.parametrize("case", ["sphere", "random"])
     def test_poincare_balls(self, sphere2, case):
         if case == "sphere":
             cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
@@ -269,9 +248,8 @@ class TestOperatorFromTheTriangle:
             n = 80
             i, j = np.triu_indices(n, 1)
             keep = rng.random(len(i)) < 0.1
-            w_E = rng.choice([0.0, 0.5, 1.5], size=int(keep.sum()))
             g = custom_graph(n, np.column_stack([i[keep], j[keep]]),
-                             rng.uniform(0.5, 2.0, n), w_E, eps=0.3)
+                             rng.uniform(0.5, 2.0, n), 1.5, eps=0.3)
         balls = 0
         for _, hops in _hop_blocks(g, [0, 7, 31]):
             for row in hops:
@@ -280,10 +258,9 @@ class TestOperatorFromTheTriangle:
                     if len(idx) < 2:
                         continue
                     sub = g.weighted_adjacency[idx][:, idx]
-                    sub.eliminate_zeros()
                     w = g.w_V[idx]
-                    got = graph._operator_csr(len(idx), *g._ball_triangle(idx),
-                                              w, g.epsilon)
+                    got = graph._operator_csr(len(idx), g._ball_triangle(idx),
+                                              g.w_E, w, g.epsilon)
                     assert_same_csr(got, matrix_operator(sub, w, g.epsilon))
                     balls += 1
         assert balls == 9
@@ -304,15 +281,13 @@ def components_oracle(adj):
 
 
 class TestIsConnected:
-    @pytest.mark.parametrize("n,edges,w_E,connected", [
-        # bridged only by an explicit zero: an edge, as for components
-        (4, [[0, 1], [1, 2], [2, 3]], [1.0, 0.0, 1.0], True),
-        (4, [[0, 1], [1, 2]], [1.0, 1.0], False),            # isolated vertex
-        (5, [[0, 1], [1, 2], [3, 4]], [1.0, 2.0, 1.0], False),  # two parts
-        (1, [], [], True),                                   # one vertex
-    ], ids=["zero-bridge", "isolated", "two-components", "one-vertex"])
-    def test_small_cases(self, n, edges, w_E, connected):
-        g = custom_graph(n, edges, np.ones(n), w_E)
+    @pytest.mark.parametrize("n,edges,connected", [
+        (4, [[0, 1], [1, 2]], False),                 # isolated vertex
+        (5, [[0, 1], [1, 2], [3, 4]], False),         # two parts
+        (1, [], True),                                # one vertex
+    ], ids=["isolated", "two-components", "one-vertex"])
+    def test_small_cases(self, n, edges, connected):
+        g = custom_graph(n, edges, np.ones(n))
         assert spectral._is_connected(g.weighted_adjacency) == connected
         assert components_oracle(g.weighted_adjacency) == connected
 
@@ -323,17 +298,15 @@ class TestIsConnected:
             n = int(rng.integers(1, 30))
             i, j = np.triu_indices(n, 1)
             keep = rng.random(len(i)) < rng.uniform(0.0, 0.3)
-            w_E = rng.choice([0.0, 0.5, 1.0], size=int(keep.sum()))
             g = custom_graph(n, np.column_stack([i[keep], j[keep]]),
-                             np.ones(n), w_E)
+                             np.ones(n), 0.5)
             want = components_oracle(g.weighted_adjacency)
             assert spectral._is_connected(g.weighted_adjacency) == want
             seen.add(want)
         assert seen == {True, False}
 
     def test_disconnected_error_text(self):
-        g = custom_graph(6, [[0, 1], [2, 3], [3, 4]], np.ones(6),
-                         [1.0, 1.0, 0.0])
+        g = custom_graph(6, [[0, 1], [2, 3], [3, 4]], np.ones(6))
         with pytest.raises(DisconnectedGraphError) as exc:
             eigen_decompose(g, 1)
         assert str(exc.value) == \
