@@ -24,6 +24,9 @@ __all__ = [
     "delta_p_eps_a",
 ]
 
+# Monte-Carlo samples per ball volume, where the model has no closed form
+_BALL_MC = 2000
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -32,13 +35,13 @@ class Estimate:
 
 
 def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
-            n_mc: int, seed: int, ball_mc: int = 2000) -> Estimate:
+            n_mc: int, seed: int) -> Estimate:
     """L^p ball-volume deficit (integral over M of |1 - vol(B)/V_K|^p)^(1/p).
 
     Uniform Monte-Carlo over the manifold; ball volumes are closed-form
-    where the model provides them and Monte-Carlo otherwise.  The standard
-    error of the p-th power integral is pushed through the 1/p power by the
-    delta method.
+    where the model provides them and Monte-Carlo from ``_BALL_MC`` samples
+    otherwise.  The standard error of the p-th power integral is pushed
+    through the 1/p power by the delta method.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -56,7 +59,7 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
     else:
         vals = np.empty(n_mc)
         for i in range(n_mc):
-            vals[i] = ball_volume(mfd, z[i], eps, n_mc=ball_mc, rng=rng)
+            vals[i] = ball_volume(mfd, z[i], eps, n_mc=_BALL_MC, rng=rng)
         integrand = np.abs(1.0 - vals / vk) ** p
     total = mfd.total_volume * float(np.mean(integrand))
     se_total = mfd.total_volume * float(np.std(integrand, ddof=1)) / math.sqrt(n_mc)

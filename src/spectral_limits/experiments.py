@@ -639,18 +639,13 @@ def _format_cell(v) -> str:
 
 
 def write_rows_csv(rows, path):
-    """Write dict rows with a stable header; floats at 17 significant digits."""
-    if not rows:
-        return
-    header = list(rows[0].keys())
-    for r in rows:
-        for key in r:
-            if key not in header:
-                header.append(key)
+    """Write nonempty dict rows that share one key set, in the first row's
+    key order; floats at 17 significant digits."""
+    header = list(rows[0])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
-            fh.write(",".join(_format_cell(r.get(h, "")) for h in header) + "\n")
+            fh.write(",".join(_format_cell(r[h]) for h in header) + "\n")
 
 
 def write_run_meta(cfg: ExperimentConfig, out_dir, reports_written):

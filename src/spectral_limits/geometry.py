@@ -339,9 +339,7 @@ class Spindle(ManifoldModel):
 
 
 def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw angles on (0, pi) with density proportional to sin^p."""
-    if p == 0:
-        return rng.uniform(0.0, math.pi, size=n)
+    """Draw angles on (0, pi) with density proportional to sin^p, p >= 1."""
     if p == 1:
         return np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0, size=n))
     # inverse CDF by Newton on F(t) = int_0^t sin^p, vectorized

@@ -6,8 +6,8 @@ function on the sample's eps-neighborhood (a convex combination of vertex
 values, hence a partition of unity).  The continuum counterparts of the
 kernel density and the Dirichlet-form / L2-norm comparison reports of the
 discretization direction live here as well.  ``theta_K_eps`` and
-``theta_eps`` off the spindle are radial quadratures; ``scipy.integrate``
-loads on the first of them, through ``geometry._integrate``.
+``theta_eps`` are radial quadratures; ``scipy.integrate`` loads on the
+first of them, through ``geometry._integrate``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle, \
-    _integrate, model_sn, sphere_area, unit_ball_volume
+from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _integrate, \
+    model_sn, sphere_area, unit_ball_volume
 from .sampling import Density, DensitySpec, PointCloud, make_density
 from .graph import WeightedGraph, _edge_scale, _edge_sum
 
@@ -77,12 +77,11 @@ def theta_n_eps(ctx: KernelContext, xi) -> float:
     return float(np.sum(row) / (ctx.cloud.n - 1))
 
 
-def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
-              seed: int = 0) -> float:
+def theta_eps(mfd: ManifoldModel, dens, xi, eps: float) -> float:
     """Continuum kernel density: integral of psi_eps(d_g(xi, .)) against rho.
 
     Radial quadrature on the circle, sphere and torus (below the
-    injectivity radius); Monte-Carlo on the spindle.
+    injectivity radius); any other model raises.
     """
     if isinstance(dens, DensitySpec):
         dens = make_density(mfd, dens)
@@ -116,18 +115,6 @@ def theta_eps(mfd: ManifoldModel, dens, xi, eps: float, n_mc: int = 20000,
             0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,
         )
         return rho0 * m * unit_ball_volume(m) * val
-    if isinstance(mfd, Spindle):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        z = mfd.uniform_intrinsic(n_mc, rng)
-        emb = mfd.embed(z)
-        ex = mfd.embed(np.asarray(xi, dtype=float)[None])[0]
-        chord = np.linalg.norm(emb - ex, axis=1)
-        close = np.nonzero(chord < eps)[0]
-        acc = 0.0
-        if len(close):
-            dg = mfd.geodesic_to_many(xi, z[close])
-            acc = float(np.sum(psi_eps(dg, eps)))
-        return acc / n_mc  # rho0 * vol(M) = 1
     raise ValueError(f"unsupported manifold {mfd.kind!r}")
 
 

@@ -16,7 +16,7 @@ def _ticks(lo: float, hi: float):
     return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
-def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = ""):
+def svg_line_chart(series: dict, path, xlabel: str, ylabel: str):
     """Write one polyline per series on 640 x 420 log-log axes."""
     margin, width, height = 60, 640, 420
     xs_all = [x for xs, _ in series.values() for x in xs]
@@ -63,17 +63,15 @@ def svg_line_chart(series: dict, path, xlabel: str = "", ylabel: str = ""):
                 f'<text x="{margin - 8}" y="{y + 3:.1f}" font-size="10" '
                 f'text-anchor="end">{t:g}</text>'
             )
-    if xlabel:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="12" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{height / 2:.0f}" font-size="12" '
-            f'text-anchor="middle" transform="rotate(-90 16 {height / 2:.0f})">'
-            f"{ylabel}</text>"
-        )
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="12" '
+        f'text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{height / 2:.0f}" font-size="12" '
+        f'text-anchor="middle" transform="rotate(-90 16 {height / 2:.0f})">'
+        f"{ylabel}</text>"
+    )
     for idx, (label, (xs, ys)) in enumerate(sorted(series.items())):
         color = _COLORS[idx % len(_COLORS)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

@@ -444,9 +444,10 @@ def appendix_ratio_check(spectrum: ReferenceSpectrum, k_max: int,
                          grid: int = 1 << 14):
     """Per eigenfunction: sup/L2 and Lip/L2 ratios on a dense grid.
 
-    Returns a list of rows (k, sup_ratio, lip_ratio).  The L2 norm is taken
-    in the spectrum's stored weight; for the shipped closed forms that norm
-    is one, so the ratios are the plain sup norm and Lipschitz constant.
+    Implemented for the circle and S^2; any other model raises.  Returns a
+    list of rows (k, sup_ratio, lip_ratio).  The L2 norm is taken in the
+    spectrum's stored weight; for the shipped closed forms that norm is one,
+    so the ratios are the plain sup norm and Lipschitz constant.
     """
     mfd = spectrum.manifold
     rows = []
@@ -465,17 +466,6 @@ def appendix_ratio_check(spectrum: ReferenceSpectrum, k_max: int,
             lip = float(np.max(np.abs(np.diff(np.append(vals, vals[0])))) / step)
         elif isinstance(mfd, Sphere) and mfd.m == 2:
             sup, lip, l2 = _sphere2_ratios(mfd, f, grid)
-        elif isinstance(mfd, Spindle):
-            th = np.linspace(1e-6, math.pi - 1e-6, grid)
-            z = np.column_stack([th] + [np.ones(grid)] + [np.zeros(grid)] * (mfd.m - 1))
-            vals = np.asarray(f(z, mfd.embed(z)))
-            jac = np.sin(th) ** (mfd.m - 1)
-            w = jac / np.sum(jac)
-            scale2 = (spectrum.uniform_rho or 1.0) ** 2 * sphere_area(mfd.m - 1) \
-                * mfd.c ** (mfd.m - 1) * (math.pi / grid) * np.sum(jac)
-            l2 = math.sqrt(float(np.sum(vals**2 * w)) * scale2)
-            sup = float(np.max(np.abs(vals)))
-            lip = float(np.max(np.abs(np.diff(vals))) / (th[1] - th[0]))
         else:
             raise ValueError(f"ratio check not implemented for {mfd!r}")
         rows.append((k, sup / l2, lip / l2))

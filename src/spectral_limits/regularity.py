@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .graph import WeightedGraph, dirichlet_energy
-from .spectral import (DENSE_LIMIT, SpectralResult, _lanczos_above_null,
-                       _symmetrized_operator)
+from .graph import WeightedGraph, _operator_csr, dirichlet_energy
+from .spectral import DENSE_LIMIT, SpectralResult, _lanczos_above_null
 
 __all__ = [
     "RegularityCertificate",
@@ -197,8 +196,10 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     connected: a shortest path from its centre stays inside it.
     """
     w = g.w_V[idx]
-    B = _symmetrized_operator(len(idx), g._ball_triangle(idx), g.w_E, w,
-                              g.epsilon)
+    bad = np.nonzero(w <= 0)[0]
+    if len(bad):
+        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    B = _operator_csr(len(idx), g._ball_triangle(idx), g.w_E, w, g.epsilon)
     if len(idx) <= DENSE_LIMIT:
         lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
     else:

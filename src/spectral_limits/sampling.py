@@ -186,28 +186,22 @@ def bernstein_empirical_check(mfd, dens, f, n: int, delta: float,
     """Empirical violation rate of the Bernstein deviation bound.
 
     ``f`` maps (intrinsic, embedded) coordinate arrays to one value per
-    point.  The true mean, variance and sup norm are computed against the
-    bound density by quadrature (circle) or a large fixed-seed reference
-    sample (other models).
+    point.  The model must be the circle: the true mean, variance and sup
+    norm are computed against the bound density by quadrature.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    if not isinstance(mfd, Circle):
+        raise ValueError(f"the Bernstein check needs the circle, not {mfd.kind!r}")
     if isinstance(dens, DensitySpec):
         dens = make_density(mfd, dens)
 
-    if isinstance(mfd, Circle):
-        th = np.linspace(0.0, 2.0 * math.pi, 40001)
-        z = th[:, None]
-        vals = np.asarray(f(z, mfd.embed(z)), dtype=float)
-        w = dens.pdf(z) * mfd.radius
-        mean = np.trapezoid(vals * w, th)
-        second = np.trapezoid(vals**2 * w, th)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0B]))
-        z = dens.sample_intrinsic(400000, rng)
-        vals = np.asarray(f(z, mfd.embed(z)), dtype=float)
-        mean = float(np.mean(vals))
-        second = float(np.mean(vals**2))
+    th = np.linspace(0.0, 2.0 * math.pi, 40001)
+    z = th[:, None]
+    vals = np.asarray(f(z, mfd.embed(z)), dtype=float)
+    w = dens.pdf(z) * mfd.radius
+    mean = np.trapezoid(vals * w, th)
+    second = np.trapezoid(vals**2 * w, th)
     sup = float(np.max(np.abs(vals)))
     sigma = math.sqrt(max(second - mean**2, 0.0))
     deviation, _ = bernstein_bound(sup, sigma, n, delta)

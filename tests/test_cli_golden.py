@@ -92,6 +92,18 @@ cluster = [1, 2]
 eps = 0.3
 """
 
+# no other entry reaches the flat torus's reference spectrum and test function
+TORUS = """
+manifold = "flat_torus"
+n = [200, 400]
+seeds = [1, 2]
+k_max = 4
+"""
+
+# the CIRCLE cells on the gamma_m graph
+CIRCLE_GAMMA_M = CIRCLE + """graph = "gamma_m"
+"""
+
 # entry name: (command, config)
 CONFIGS = {
     "sample": ("sample", CIRCLE),
@@ -112,6 +124,9 @@ CONFIGS = {
     "align-mixed": ("align", CIRCLE_MIXED),
     "regularity-mixed": ("regularity", CIRCLE_MIXED),
     "moser-mixed": ("moser", CIRCLE_MIXED),
+    "spectrum-torus": ("spectrum", TORUS),
+    "energy-torus": ("energy", TORUS),
+    "spectrum-gamma-m": ("spectrum", CIRCLE_GAMMA_M),
 }
 
 GOLDEN = {
@@ -138,6 +153,12 @@ GOLDEN = {
             "069c9b60a90b32a3ec1d9f9f1f8a3d78429002599c27e22ce0d2d656355a45c7",
         "run_meta.json":
             "e35d8d6c97ac5a5d1e1bca88f4c1edeb231873c13ba84c8b445967d78cb2b036",
+    },
+    "energy-torus": {
+        "energy.csv":
+            "a5c92290dac5d152cdf7f5db13964be4cc31014817785daac86bcdbde6d3d016",
+        "run_meta.json":
+            "8026d8a267eacf1a5b8d3750bd65d92e1a64d16c21729c1c76da604d6890b603",
     },
     "graph": {
         "edges_n128_seed1.csv":
@@ -283,6 +304,12 @@ GOLDEN = {
         "spectrum.csv":
             "35fb7d95b171ff0b706eea32b7247050422d5d2222fc4d5a9bf092938e36a4de",
     },
+    "spectrum-gamma-m": {
+        "run_meta.json":
+            "f931ebd28cad3bce5daf220adcd63adc0e9d4cde5e5960c0a20fff900595cc11",
+        "spectrum.csv":
+            "d1744d021e91b7547dc4b40af237ae7c2ddb61b92d295c4747e97b7839fdf93e",
+    },
     "spectrum-lanczos": {
         "run_meta.json":
             "b9e056bb51f968816db55ae90179e851078ee6d9ebe8817daebee8e1c0f6dd52",
@@ -294,6 +321,12 @@ GOLDEN = {
             "2db8b0eaad687f95a7867ab0b3441d002adde26d7840f57a6e5b63d1a8f0f807",
         "spectrum.csv":
             "669328b93967a0e4e8aed48051d17072f0a965e4f15d8e8827a9f8040d177266",
+    },
+    "spectrum-torus": {
+        "run_meta.json":
+            "8e4e669d17d2cdccd7a144069c7ca97a35fb34ef0a1dc813fa0e6d2a87073ca2",
+        "spectrum.csv":
+            "f1632b68d1d8aa062f924ad906a264f0f8f53321125b863569d18391c1cfac02",
     },
     "sweep": {
         "run_meta.json":

@@ -41,8 +41,7 @@ class TestVpEps:
         assert e1.value <= e2.value + 2.0 * (e1.stderr + e2.stderr)
 
     def test_spindle_monte_carlo_runs(self, spindle2):
-        est = v_p_eps(spindle2, p=2.0, eps=0.5, K=1.0, n_mc=24, seed=4,
-                      ball_mc=200)
+        est = v_p_eps(spindle2, p=2.0, eps=0.5, K=1.0, n_mc=24, seed=4)
         assert est.value >= 0.0
         assert est.stderr > 0.0
 

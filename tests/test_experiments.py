@@ -4,6 +4,7 @@ import os
 import tomllib
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestAlignment:
         path.write_text('manifold = "sphere"\nn = [700]\nseeds = [1]\n')
         out = str(tmp_path / "a")
         assert cli_main(["align", "--config", str(path), "--out", out]) == 0
-        lines = open(os.path.join(out, "alignment.csv")).read().splitlines()
+        lines = Path(out, "alignment.csv").read_text().splitlines()
         k_col = lines[0].split(",").index("k")
         assert [row.split(",")[k_col] for row in lines[1:]] == ["1", "2", "3"]
 
@@ -442,10 +443,10 @@ class TestCli:
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert cli_main(["spectrum", "--config", cfg, "--out", out1]) == 0
         assert cli_main(["spectrum", "--config", cfg, "--out", out2]) == 0
-        a = open(os.path.join(out1, "spectrum.csv")).read()
-        b = open(os.path.join(out2, "spectrum.csv")).read()
+        a = Path(out1, "spectrum.csv").read_text()
+        b = Path(out2, "spectrum.csv").read_text()
         assert a == b
-        meta = json.load(open(os.path.join(out1, "run_meta.json")))
+        meta = json.loads(Path(out1, "run_meta.json").read_text())
         assert meta["tool"] == "spectral-limits"
         assert len(meta["config_hash"]) == 64
 
@@ -454,7 +455,7 @@ class TestCli:
         out = str(tmp_path / "o")
         assert cli_main(["sample", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "points_n64_seed1.csv"))
-        first = open(os.path.join(out, "points_n64_seed1.csv")).readline()
+        first = Path(out, "points_n64_seed1.csv").read_text().splitlines()[0]
         assert first.startswith("# manifold=circle n=64 seed=1")
         assert cli_main(["graph", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "edges_n64_seed1.csv"))
@@ -472,7 +473,7 @@ class TestCli:
         out = str(tmp_path / "s")
         assert cli_main(["spectrum", "--config", cfg, "--out", out,
                          "--seed", "42"]) == 0
-        lines = open(os.path.join(out, "spectrum.csv")).read().splitlines()
+        lines = Path(out, "spectrum.csv").read_text().splitlines()
         seed_col = lines[0].split(",").index("seed")
         seeds = {row.split(",")[seed_col] for row in lines[1:]}
         assert seeds == {"42"}
@@ -490,7 +491,7 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, "mc_outer = 2000\nmc_inner = 500\n")
         out = str(tmp_path / "d")
         assert cli_main(["distortion", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "distortion.csv")).read().splitlines()
+        lines = Path(out, "distortion.csv").read_text().splitlines()
         assert lines[0].startswith("n,seed,eps,v_p_eps")
         assert len(lines) == 1 + 2 * 3
 
@@ -501,6 +502,6 @@ class TestCli:
                          "--threads", "1"]) == 0
         assert cli_main(["spectrum", "--config", cfg, "--out", out2,
                          "--threads", "3"]) == 0
-        a = open(os.path.join(out1, "spectrum.csv")).read()
-        b = open(os.path.join(out2, "spectrum.csv")).read()
+        a = Path(out1, "spectrum.csv").read_text()
+        b = Path(out2, "spectrum.csv").read_text()
         assert a == b

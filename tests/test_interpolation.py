@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from spectral_limits.geometry import Circle, Sphere, Spindle
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
@@ -100,22 +99,24 @@ class TestThetaContinuum:
         got = theta_eps(circle, dens, x, eps=eps)
         assert got == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
-    @pytest.mark.parametrize("eps", [0.3, 0.5])
-    def test_spindle_monte_carlo_matches_sphere(self, sphere2, theta, eps):
-        # Spindle(2, c=1) is isometric to the unit sphere, whose radial
-        # quadrature is the same at every point; the spindle's estimate is
-        # a mean of n_mc kernel values, held to 4 standard errors
-        uniform, n_mc = DensitySpec("uniform"), 20000
-        got = theta_eps(Spindle(2, c=1.0), uniform, np.array([theta, 1.0, 0.0]),
-                        eps, n_mc=n_mc, seed=1)
-        want = theta_eps(sphere2, uniform, np.array([0.0, 0.0, 1.0]), eps)
-        from scipy.integrate import quad
+    def test_torus_closed_form(self, torus):
+        # below the injectivity radius the ball is a flat disc at every
+        # point: (1/vol) 2 pi int_0^eps (1 - (r/eps)^2)/2 r dr = pi eps^2 / 4
+        x = np.array([0.3, 0.7])
+        for eps in (0.2, 0.4):
+            want = math.pi * eps**2 / (4.0 * torus.total_volume)
+            got = theta_eps(torus, DensitySpec("uniform"), x, eps=eps)
+            assert got == pytest.approx(want, rel=1e-9)
 
-        second = 0.5 * quad(lambda r: psi_eps(r, eps) ** 2 * math.sin(r),
-                            0.0, eps)[0]
-        stderr = math.sqrt((second - want**2) / n_mc)
-        assert abs(got - want) < 4.0 * stderr
+    @pytest.mark.parametrize("model, x, eps, match", [
+        ("torus", [0.3, 0.7], 0.6,
+         "torus radial quadrature needs eps below min period/2"),
+        ("spindle2", [1.2, 1.0, 0.0], 0.3, "unsupported manifold 'spindle'"),
+    ], ids=["torus-eps-0.6", "spindle"])
+    def test_rejected(self, request, model, x, eps, match):
+        mfd = request.getfixturevalue(model)
+        with pytest.raises(ValueError, match=match):
+            theta_eps(mfd, DensitySpec("uniform"), np.array(x), eps=eps)
 
 
 class TestThetaK:

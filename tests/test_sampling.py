@@ -145,8 +145,13 @@ class TestBernstein:
                                          n=100, delta=1.0, trials=100, seed=1)
         assert rate == 0.0
 
-    def test_trials_floor(self, circle):
+    def test_trials_floor(self, circle, sphere2):
         f = lambda zi, ze: np.cos(np.atleast_2d(zi)[:, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="100 trials"):
             bernstein_empirical_check(circle, DensitySpec("uniform"), f,
                                       n=100, delta=0.1, trials=10, seed=1)
+        # the true mean is a quadrature on the circle; any other model is
+        # rejected before its first trial
+        with pytest.raises(ValueError, match="needs the circle, not 'sphere'"):
+            bernstein_empirical_check(sphere2, DensitySpec("uniform"), f,
+                                      n=100, delta=0.1, trials=100, seed=1)
