@@ -27,7 +27,6 @@ from .sampling import (
     bernstein_bound,
     bernstein_empirical_check,
     epsilon_schedule,
-    make_density,
     sample_dataset,
 )
 from .graph import (

@@ -34,8 +34,8 @@ from .reference import CLUSTER_TOL, ReferenceSpectrum, circle_spectrum, \
     sphere_spectrum, spindle_spectrum, torus_spectrum, weighted_circle_spectrum
 from .regularity import MOSER_K, MOSER_P, certify, graph_diameter, \
     moser_alpha, moser_check
-from .sampling import Density, DensitySpec, PointCloud, make_density, \
-    sample_dataset, epsilon_schedule
+from .sampling import DensitySpec, PointCloud, sample_dataset, \
+    epsilon_schedule
 from .spectral import DisconnectedGraphError, SpectralResult, eigen_decompose, \
     volume_norm
 
@@ -187,8 +187,9 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read a TOML config file.  Every key is a row of ``CONFIG_KEYS``; a
-    scalar given for a list key is a one-item list."""
-    with open(path) as fh:
+    scalar given for a list key is a one-item list.  TOML text is UTF-8,
+    whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     rows = {key: (field, kind) for key, field, kind, _ in CONFIG_KEYS}
     fields = {}
@@ -247,7 +248,7 @@ class Cell:
 
     cfg: ExperimentConfig
     mfd: ManifoldModel
-    dens: Density
+    dens: DensitySpec
     n: int
     seed: int
 
@@ -285,7 +286,7 @@ def map_cells(cfg: ExperimentConfig, fn: Callable[[Cell], object]) -> list:
     holds a sample and a graph.
     """
     mfd = make_manifold(cfg)
-    dens = make_density(mfd, DensitySpec(cfg.density, cfg.amplitude))
+    dens = DensitySpec(cfg.density, cfg.amplitude)
 
     def work(n_seed):
         return fn(Cell(cfg, mfd, dens, *n_seed))
@@ -553,9 +554,9 @@ def run_distortion(cfg: ExperimentConfig):
     return _run_cells(cfg, rows)
 
 
-def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
+def default_test_function(mfd: ManifoldModel, dens: DensitySpec) -> TestFunction:
     """A smooth built-in test function with analytic reference integrals."""
-    if isinstance(mfd, Circle) and dens.spec.kind == "uniform":
+    if isinstance(mfd, Circle) and dens.kind == "uniform":
         R = mfd.radius
         # f = cos(theta): |grad f|^2 = sin^2/R^2, rho = 1/(2 pi R)
         return TestFunction(
@@ -565,7 +566,7 @@ def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
             sq_rho=0.5,
             sq_rho2=1.0 / (4.0 * math.pi * R),
         )
-    if isinstance(mfd, Sphere) and mfd.m == 2 and dens.spec.kind == "uniform":
+    if isinstance(mfd, Sphere) and mfd.m == 2 and dens.kind == "uniform":
         R = mfd.radius
         # f = z/R on S^2: int f^2 dvol = vol/3, int |grad f|^2 dvol = (2/R^2)(vol/3)
         vol = mfd.total_volume
@@ -576,7 +577,7 @@ def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
             sq_rho=1.0 / 3.0,
             sq_rho2=1.0 / (3.0 * vol),
         )
-    if isinstance(mfd, FlatTorus) and dens.spec.kind == "uniform":
+    if isinstance(mfd, FlatTorus) and dens.kind == "uniform":
         p0 = mfd.periods[0]
         vol = mfd.total_volume
         w = 2.0 * math.pi / p0
@@ -587,7 +588,7 @@ def default_test_function(mfd: ManifoldModel, dens) -> TestFunction:
             sq_rho=0.5,
             sq_rho2=0.5 / vol,
         )
-    raise ValueError(f"no built-in test function for {mfd.kind}/{dens.spec.kind}")
+    raise ValueError(f"no built-in test function for {mfd.kind}/{dens.kind}")
 
 
 def run_energy(cfg: ExperimentConfig):

@@ -17,20 +17,23 @@ The edge search returns the edge set as the strict upper triangle of its
 adjacency pattern in CSR form (row pointers and sorted int32 column
 indices).  It searches one block of rows at a time, each block's kd-tree
 against one on the points from the block's first row on, so a pair that
-crosses blocks is found once and only one block's pairs are held; the
-order and the output are those of a single search over all points.  A
-graph keeps that triangle and its one positive edge weight.  Degrees,
-incident edge weights, the edge list, the spectral start vector (hashed a
-block of rows at a time), the Dirichlet energies, the CSV writer and the
-Laplacian operator of ``spectral`` all read the triangle.  The symmetric
-CSR matrix of the edge weights is built from it on first access and kept,
-for the reports that read it: hop distances, the Laplacian and random-walk
-matrices, smoothing and the regularity certificates.  One builder makes
-every symmetric CSR from a triangle: the graph's matrix, and with a
-diagonal and a scaling, the operator 2 eps^-2 S (D - W) S of a graph or of
-a Poincare ball.  It writes the final arrays one block of triangle rows at
-a time, each block handing its entry (i, j) on to row j as that row's
-entry below the diagonal, so no transposed copy of the triangle is made.
+crosses blocks is found once and only one block's pairs are held; the order
+and the output are those of a single search over all points.  A graph keeps
+that triangle and its one positive edge weight, and counts its degrees from
+it once, when it is made.  Incident edge weights, the edge list, the
+spectral start vector (hashed a block of rows at a time), the Dirichlet
+energies, the CSV writer and the Laplacian operator of ``spectral`` all
+read the triangle.  The symmetric CSR matrix of the edge weights is built
+from it on first access and kept, for the reports that read it: hop
+distances, the Laplacian and random-walk matrices, smoothing and the
+regularity certificates.  A Poincare ball is a subgraph: the edges with
+both ends in the ball, its vertex weights, and the graph's edge weight and
+eps.  One builder makes every symmetric CSR from a graph: its matrix, and
+with a diagonal and a scaling, its operator 2 eps^-2 S (D - W) S, so a
+graph and a ball take the same path.  It writes the final arrays one block
+of triangle rows at a time, each block handing its entry (i, j) on to row j
+as that row's entry below the diagonal, so no transposed copy of the
+triangle is made.
 """
 
 from __future__ import annotations
@@ -98,15 +101,6 @@ def _column_counts(n: int, upper: UpperTriangle) -> np.ndarray:
     return counts
 
 
-def _degrees(n: int, upper: UpperTriangle, columns=None) -> np.ndarray:
-    """Each vertex's edge count: its row of the triangle plus its column,
-    from the column counts ``columns`` if given."""
-    if columns is None:
-        columns = _column_counts(n, upper)
-    deg = np.diff(upper.indptr) + columns
-    return deg.astype(_index_dtype(max(2 * len(upper), n)))
-
-
 def _row_sums(w: float, degrees) -> np.ndarray:
     """Each vertex's sum of incident edge weights, bit for bit the
     ``adj.sum(axis=1)`` of the symmetric matrix: ``np.add.reduceat`` over
@@ -121,15 +115,15 @@ def _row_sums(w: float, degrees) -> np.ndarray:
     return sums[row]
 
 
-def _symmetric_csr(n: int, upper: UpperTriangle, w: float, columns=None,
-                   diag=None, s=None, c: float = 1.0) -> sparse.csr_matrix:
-    """The symmetric CSR matrix W with the weight w at (i, j) and (j, i)
-    for the edges (i, j) of ``upper``.  With ``diag`` and the scaling
-    ``s``, the operator c S (diag(diag) - W) S with S = diag(s) instead:
-    each entry is ((s_i * v) * s_j) * c for its value v in diag(diag) - W,
-    ``0.0 - w`` off the diagonal, and a zero diagonal entry is not stored.
-    ``columns`` are the triangle's column counts, counted here if not
-    given.
+def _symmetric_csr(g: WeightedGraph, diag=None, s=None,
+                   c: float = 1.0) -> sparse.csr_matrix:
+    """The symmetric CSR matrix W of the graph g, with its edge weight w at
+    (i, j) and (j, i) for the edges (i, j) of its triangle.  With ``diag``
+    and the scaling ``s``, the operator c S (diag(diag) - W) S with
+    S = diag(s) instead: each entry is ((s_i * v) * s_j) * c for its value
+    v in diag(diag) - W, ``0.0 - w`` off the diagonal, and a zero diagonal
+    entry is not stored.  A vertex's column count, its edges to lower
+    vertices, is its degree less its row length.
 
     Each row is its lower entries, then its diagonal entry, if any, then
     its upper ones, so its columns come out sorted, and the row pointers
@@ -143,10 +137,10 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w: float, columns=None,
     held beside the output, and a triangle that fits in one block takes
     one pass.
     """
-    upper_ptr, upper_idx = upper.indptr, upper.indices
-    if columns is None:
-        columns = _column_counts(n, upper)
+    n, w = g.n_vertices, g.w_E
+    upper_ptr, upper_idx = g.upper.indptr, g.upper.indices
     above = np.diff(upper_ptr)
+    columns = g.degrees - above
     lengths = columns + above
     if diag is not None:
         lengths += diag != 0
@@ -203,17 +197,13 @@ def _symmetric_csr(n: int, upper: UpperTriangle, w: float, columns=None,
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _operator_csr(n: int, upper: UpperTriangle, w: float, w_V,
-                  eps: float) -> sparse.csr_matrix:
+def _operator_csr(g: WeightedGraph) -> sparse.csr_matrix:
     """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2) and D the row sums, for
-    the edges ``upper`` with the weight w and positive vertex weights w_V:
-    the arrays of ``diags(d) - adj``, each entry then scaled as
-    ((s_i * v) * s_j) * (2 / eps**2).  The columns are counted once, for
-    the degrees and the builder."""
-    columns = _column_counts(n, upper)
-    diag = _row_sums(w, _degrees(n, upper, columns))
-    return _symmetric_csr(n, upper, w, columns, diag, 1.0 / np.sqrt(w_V),
-                          2.0 / eps**2)
+    a graph g with positive vertex weights: the arrays of
+    ``diags(d) - adj``, each entry then scaled as
+    ((s_i * v) * s_j) * (2 / eps**2)."""
+    return _symmetric_csr(g, g.incident_edge_weight(), 1.0 / np.sqrt(g.w_V),
+                          2.0 / g.epsilon**2)
 
 
 class WeightedGraph:
@@ -247,13 +237,15 @@ class WeightedGraph:
         if not (np.isfinite(self.w_E) and self.w_E > 0):
             raise ValueError(f"w_E must be finite and positive, got {w_E}")
         self.upper = upper
-        self.degrees = _degrees(n_vertices, upper)
+        # a vertex's edge count: its row of the triangle plus its column
+        deg = np.diff(upper.indptr) + _column_counts(n_vertices, upper)
+        self.degrees = deg.astype(_index_dtype(max(2 * len(upper), n_vertices)))
 
     @cached_property
     def weighted_adjacency(self) -> sparse.csr_matrix:
         """The symmetric CSR matrix of the edge weights, built on first
         access."""
-        return _symmetric_csr(self.n_vertices, self.upper, self.w_E)
+        return _symmetric_csr(self)
 
     def _edge_blocks(self):
         """The edges i < j in lexicographic order, as (i, j) with int64 i
@@ -265,9 +257,10 @@ class WeightedGraph:
                             np.diff(ptr[r0:r1 + 1]))
             yield row, self.upper.indices[a:b].astype(np.int64)
 
-    def _ball_triangle(self, idx) -> UpperTriangle:
-        """The edges with both ends in the sorted vertices ``idx``,
-        numbered by position in ``idx``, as an ``UpperTriangle``."""
+    def _subgraph(self, idx) -> WeightedGraph:
+        """The subgraph on the sorted vertices ``idx``, numbered by position
+        in ``idx``: the edges with both ends among them, their weights and
+        the same eps."""
         ptr = self.upper.indptr
         lengths = ptr[idx + 1] - ptr[idx]
         ends = np.cumsum(lengths)
@@ -279,7 +272,9 @@ class WeightedGraph:
         col = local[self.upper.indices[at]]
         keep = col >= 0
         indptr = np.searchsorted(row[keep], np.arange(len(idx) + 1))
-        return UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
+        upper = UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
+        return WeightedGraph(len(idx), self.epsilon, upper, self.w_V[idx],
+                             self.w_E)
 
     @property
     def edges(self) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _integrate, \
     model_sn, sphere_area, unit_ball_volume
-from .sampling import Density, DensitySpec, PointCloud, make_density
+from .sampling import DensitySpec, PointCloud
 from .graph import WeightedGraph, _edge_scale, _edge_sum
 
 __all__ = [
@@ -77,25 +77,23 @@ def theta_n_eps(ctx: KernelContext, xi) -> float:
     return float(np.sum(row) / (ctx.cloud.n - 1))
 
 
-def theta_eps(mfd: ManifoldModel, dens, xi, eps: float) -> float:
+def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
     """Continuum kernel density: integral of psi_eps(d_g(xi, .)) against rho.
 
     Radial quadrature on the circle, sphere and torus (below the
     injectivity radius); any other model raises.
     """
-    if isinstance(dens, DensitySpec):
-        dens = make_density(mfd, dens)
     if isinstance(mfd, Circle):
         R = mfd.radius
         half = min(eps, math.pi * R)
         th0 = float(xi[0])
 
         def f(s):
-            return psi_eps(abs(s), eps) * float(dens.pdf(np.array([[th0 + s / R]]))[0])
+            return psi_eps(abs(s), eps) * float(dens.pdf(mfd, np.array([[th0 + s / R]]))[0])
 
         val, _ = _integrate().quad(f, -half, half, epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
-    if dens.spec.kind != "uniform":
+    if dens.kind != "uniform":
         raise ValueError("only the uniform density is supported off the circle")
     rho0 = 1.0 / mfd.total_volume
     if isinstance(mfd, Sphere):
@@ -155,7 +153,7 @@ class TestFunction:
     """A smooth test function bundled with its analytic reference integrals.
 
     ``values`` maps (intrinsic, embedded) arrays to one value per point.
-    The integrals are against the bound density: ``grad_sq_rho2`` is
+    The integrals are against the sampling density: ``grad_sq_rho2`` is
     int |grad f|^2 rho^2 dvol, ``sq_rho`` is int f^2 rho dvol, and
     ``sq_rho2`` is int f^2 rho^2 dvol.
     """

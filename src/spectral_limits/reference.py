@@ -24,7 +24,7 @@ from scipy.sparse.linalg import eigsh
 
 from .geometry import (Circle, FlatTorus, ManifoldModel, Sphere, Spindle,
                        sphere_area)
-from .sampling import Density, DensitySpec, make_density
+from .sampling import DensitySpec
 
 __all__ = [
     "ReferenceSpectrum",
@@ -297,13 +297,13 @@ def _richardson(solve: Callable, mesh: int, what: str):
     return (fine[:k] + (fine[:k] - mid[:k]) / 3.0, *finest)
 
 
-def _weighted_circle_eigs(radius, dens: Density, k_max, mesh):
+def _weighted_circle_eigs(mfd: Circle, dens: DensitySpec, k_max, mesh):
     n = mesh
     h = 2.0 * math.pi / n
     theta = np.arange(n) * h
     mid = theta + h / 2.0
-    rho = dens.pdf(theta[:, None])
-    rho_mid = dens.pdf(mid[:, None])
+    rho = dens.pdf(mfd, theta[:, None])
+    rho_mid = dens.pdf(mfd, mid[:, None])
     w_edge = rho_mid**2 / h          # stiffness coefficients in theta
     mass = rho**2 * h
     i = np.arange(n)
@@ -311,11 +311,11 @@ def _weighted_circle_eigs(radius, dens: Density, k_max, mesh):
     rows = np.r_[i, j, i, j]
     cols = np.r_[i, j, j, i]
     vals = np.r_[w_edge, w_edge, -w_edge, -w_edge]
-    S = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() / radius**2
+    S = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() / mfd.radius**2
     M = sparse.diags(mass)
     rng = np.random.Generator(np.random.PCG64(11))
     v0 = rng.standard_normal(n)
-    shift = -0.05 / radius**2
+    shift = -0.05 / mfd.radius**2
     lam, vec = eigsh(S, k=k_max + 1, M=M, sigma=shift, which="LM", v0=v0)
     order = np.argsort(lam)
     lam = lam[order]
@@ -323,7 +323,7 @@ def _weighted_circle_eigs(radius, dens: Density, k_max, mesh):
     return lam, vec[:, order], theta
 
 
-def weighted_circle_spectrum(radius: float, dens, k_max: int,
+def weighted_circle_spectrum(radius: float, dens: DensitySpec, k_max: int,
                              mesh: int = 4096) -> ReferenceSpectrum:
     """FD spectrum of the drift Laplacian -f'' - 2 (log rho)' f' on the circle.
 
@@ -332,10 +332,8 @@ def weighted_circle_spectrum(radius: float, dens, k_max: int,
     second-order ratio is enforced.
     """
     mfd = Circle(radius)
-    if isinstance(dens, DensitySpec):
-        dens = make_density(mfd, dens)
     lams, vec, theta = _richardson(
-        partial(_weighted_circle_eigs, radius, dens, k_max), mesh,
+        partial(_weighted_circle_eigs, mfd, dens, k_max), mesh,
         "weighted_circle_spectrum")
     grid = np.append(theta, 2.0 * math.pi)
 
@@ -345,9 +343,7 @@ def weighted_circle_spectrum(radius: float, dens, k_max: int,
         return lambda zi, ze: np.interp(
             np.atleast_2d(zi)[:, 0] % (2.0 * math.pi), grid, table)
 
-    uniform_rho = (
-        1.0 / mfd.total_volume if dens.spec.kind == "uniform" else None
-    )
+    uniform_rho = 1.0 / mfd.total_volume if dens.kind == "uniform" else None
     entries = ((lam, periodic(k), (0, k)) for k, lam in enumerate(lams))
     return _spectrum(entries, k_max, "rho2_vol", mfd, uniform_rho)
 

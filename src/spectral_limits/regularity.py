@@ -195,16 +195,16 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
     endpoints inside the ball; the ball's volume cancels.  A hop ball is
     connected: a shortest path from its centre stays inside it.
     """
-    w = g.w_V[idx]
-    bad = np.nonzero(w <= 0)[0]
+    ball = g._subgraph(idx)
+    bad = np.nonzero(ball.w_V <= 0)[0]
     if len(bad):
         raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
-    B = _operator_csr(len(idx), g._ball_triangle(idx), g.w_E, w, g.epsilon)
+    B = _operator_csr(ball)
     if len(idx) <= DENSE_LIMIT:
         lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
     else:
         v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(len(idx))
-        lam = _lanczos_above_null(B, w, 1, v0, tol=1e-10)[0][1]
+        lam = _lanczos_above_null(B, ball.w_V, 1, v0, tol=1e-10)[0][1]
     return float(1.0 / (r * math.sqrt(lam)))
 
 

@@ -19,9 +19,7 @@ from .geometry import Circle, ManifoldModel
 
 __all__ = [
     "DensitySpec",
-    "Density",
     "PointCloud",
-    "make_density",
     "sample_dataset",
     "epsilon_schedule",
     "bernstein_bound",
@@ -32,9 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Declarative density description.
+    """A density on a model manifold: its pdf and an exact sampler.
 
-    ``amplitude`` only applies to ``cosine_tilt`` (must be <= 0.5).
+    ``amplitude`` only applies to ``cosine_tilt`` (must be <= 0.5), which
+    lives on the circle alone.  ``pdf`` is with respect to the Riemannian
+    volume of the model it is given, and integrates to one there.
     """
 
     kind: str = "uniform"
@@ -46,47 +46,26 @@ class DensitySpec:
         if self.kind == "cosine_tilt" and not 0.0 <= self.amplitude <= 0.5:
             raise ValueError("cosine_tilt amplitude must lie in [0, 0.5]")
 
+    def _check_circle(self, mfd: ManifoldModel):
+        if not isinstance(mfd, Circle):
+            raise ValueError(f"{self.kind} density is only available on the circle")
 
-class Density:
-    """A density bound to a manifold: its pdf and an exact sampler.
+    def pdf(self, mfd: ManifoldModel, intrinsic) -> np.ndarray:
+        """The density at the chart coordinates ``intrinsic`` of ``mfd``."""
+        z = np.atleast_2d(np.asarray(intrinsic, dtype=float))
+        if self.kind == "uniform":
+            return np.full(len(z), 1.0 / mfd.total_volume)
+        self._check_circle(mfd)
+        return ((1.0 + self.amplitude * np.cos(z[:, 0]))
+                / (2.0 * math.pi * mfd.radius))
 
-    ``pdf`` is with respect to the Riemannian volume measure and integrates
-    to one.
-    """
-
-    def __init__(self, mfd, spec, pdf, sampler):
-        self.manifold = mfd
-        self.spec = spec
-        self._pdf = pdf
-        self._sampler = sampler
-
-    def pdf(self, intrinsic: np.ndarray) -> np.ndarray:
-        return self._pdf(np.asarray(intrinsic, dtype=float))
-
-    def sample_intrinsic(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._sampler(n, rng)
-
-
-def make_density(mfd: ManifoldModel, spec: DensitySpec) -> Density:
-    """Bind a density spec to a manifold."""
-    if spec.kind == "uniform":
-        vol = mfd.total_volume
-
-        def pdf(z):
-            return np.full(len(np.atleast_2d(z)), 1.0 / vol)
-
-        return Density(mfd, spec, pdf, mfd.uniform_intrinsic)
-
-    if not isinstance(mfd, Circle):
-        raise ValueError(f"{spec.kind} density is only available on the circle")
-    R = mfd.radius
-    a0 = spec.amplitude
-
-    def pdf(z):
-        th = np.atleast_2d(z)[:, 0]
-        return (1.0 + a0 * np.cos(th)) / (2.0 * math.pi * R)
-
-    def sampler(n, rng):
+    def sample(self, mfd: ManifoldModel, n: int,
+               rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. draws from the density, as chart coordinates of ``mfd``."""
+        if self.kind == "uniform":
+            return mfd.uniform_intrinsic(n, rng)
+        self._check_circle(mfd)
+        a0 = self.amplitude
         # inverse CDF of F(t) = (t + a0 sin t)/(2 pi), Newton from t = 2 pi u
         u = rng.uniform(0.0, 1.0, size=n)
         t = 2.0 * math.pi * u
@@ -94,8 +73,6 @@ def make_density(mfd: ManifoldModel, spec: DensitySpec) -> Density:
             f = (t + a0 * np.sin(t)) / (2.0 * math.pi) - u
             t = t - 2.0 * math.pi * f / (1.0 + a0 * np.cos(t))
         return (t % (2.0 * math.pi))[:, None]
-
-    return Density(mfd, spec, pdf, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +84,6 @@ class PointCloud:
     """An i.i.d. sample of a density on a model manifold."""
 
     manifold: ManifoldModel
-    density: Density
     seed: int
     intrinsic: np.ndarray
     embedded: np.ndarray
@@ -132,18 +108,15 @@ class PointCloud:
             fh.write(self.to_csv())
 
 
-def sample_dataset(mfd: ManifoldModel, dens, n: int, seed: int) -> PointCloud:
+def sample_dataset(mfd: ManifoldModel, dens: DensitySpec, n: int,
+                   seed: int) -> PointCloud:
     """Draw n i.i.d. points from a density; bit-reproducible for fixed seed."""
     if n < 2:
         raise ValueError("need n >= 2 sample points")
-    if isinstance(dens, DensitySpec):
-        dens = make_density(mfd, dens)
     rng = np.random.Generator(np.random.PCG64(seed))
-    z = dens.sample_intrinsic(n, rng)
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.atleast_2d(np.asarray(dens.sample(mfd, n, rng), dtype=float))
     return PointCloud(
         manifold=mfd,
-        density=dens,
         seed=int(seed),
         intrinsic=z,
         embedded=mfd.embed(z),
@@ -181,25 +154,23 @@ def bernstein_bound(sup_norm: float, sigma: float, n: int, delta: float):
     return deviation, failure
 
 
-def bernstein_empirical_check(mfd, dens, f, n: int, delta: float,
+def bernstein_empirical_check(mfd, dens: DensitySpec, f, n: int, delta: float,
                               trials: int, seed: int) -> float:
     """Empirical violation rate of the Bernstein deviation bound.
 
     ``f`` maps (intrinsic, embedded) coordinate arrays to one value per
     point.  The model must be the circle: the true mean, variance and sup
-    norm are computed against the bound density by quadrature.
+    norm are computed against the density by quadrature.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if not isinstance(mfd, Circle):
         raise ValueError(f"the Bernstein check needs the circle, not {mfd.kind!r}")
-    if isinstance(dens, DensitySpec):
-        dens = make_density(mfd, dens)
 
     th = np.linspace(0.0, 2.0 * math.pi, 40001)
     z = th[:, None]
     vals = np.asarray(f(z, mfd.embed(z)), dtype=float)
-    w = dens.pdf(z) * mfd.radius
+    w = dens.pdf(mfd, z) * mfd.radius
     mean = np.trapezoid(vals * w, th)
     second = np.trapezoid(vals**2 * w, th)
     sup = float(np.max(np.abs(vals)))

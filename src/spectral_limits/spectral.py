@@ -6,9 +6,10 @@ with the square root of the weight matrix.  Small graphs (n <= 512) go to a
 dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
 known zero eigenpair deflated, and a deterministic start vector seeded from
 a sha256 of the graph's edge pairs, read from its edge triangle a block of
-rows at a time.  The operator is one CSR, written scaled from the
-triangle a block of rows at a time, so a solve holds the triangle, the
-operator and one block's scratch, and never the graph's own matrix.
+rows at a time.  The operator is one CSR, written scaled from the graph's
+triangle a block of rows at a time by the builder that also makes each
+Poincare ball's operator from its subgraph, so a solve holds the triangle,
+the operator and one block's scratch, and never the graph's own matrix.
 Every edge has the same positive weight, so the operator has an entry for
 each edge, and connectivity is one breadth-first search from vertex 0 over
 its entries; only a disconnected graph pays for its components, whose
@@ -72,17 +73,18 @@ class SpectralResult:
     solver: str
 
 
-def _symmetrized_operator(n: int, upper, w: float, w_V, eps: float):
+def _symmetrized_operator(g: WeightedGraph):
     """2 eps^-2 S (D - W) S with S = diag(w_V^-1/2), as
-    ``graph._operator_csr`` builds it from the edges ``upper`` with the
-    weight w, for a connected graph with positive vertex weights.
+    ``graph._operator_csr`` builds it, for a connected graph g with
+    positive vertex weights.
 
     Connectivity is checked before the vertex weights, since an isolated
     vertex of gamma_N has w_V = 0.  With a nonpositive vertex weight there
     is no operator, and the components are taken on the triangle itself.
     """
-    if np.all(w_V > 0):
-        B = _operator_csr(n, upper, w, w_V, eps)
+    n, upper = g.n_vertices, g.upper
+    if np.all(g.w_V > 0):
+        B = _operator_csr(g)
         if _is_connected(B):
             return B
     else:
@@ -93,7 +95,7 @@ def _symmetrized_operator(n: int, upper, w: float, w_V, eps: float):
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(
             f"graph is disconnected: {ncomp} components of sizes {sizes}")
-    bad = np.nonzero(w_V <= 0)[0]
+    bad = np.nonzero(g.w_V <= 0)[0]
     raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
 
 
@@ -165,11 +167,11 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     n = g.n_vertices
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
-    B = _symmetrized_operator(n, g.upper, g.w_E, g.w_V, g.epsilon)
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
+    B = _symmetrized_operator(g)
 
     if method == "dense":
         vals, vecs = eigh(B.toarray())

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tomllib
 import weakref
 from dataclasses import replace
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_cli_golden import SRC
 from spectral_limits import experiments, graph
 from spectral_limits.cli import main as cli_main
 from spectral_limits.experiments import (
@@ -26,6 +29,7 @@ from spectral_limits.experiments import (
     run_moser,
     run_regularity,
     run_spectrum_experiment,
+    write_run_meta,
 )
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.reference import ReferenceSpectrum, circle_spectrum, \
@@ -56,6 +60,30 @@ class TestConfig:
         assert cfg.n_list == [64, 128]
         assert cfg.seeds == [1, 2, 3]
         assert cfg.graph_kind == "gamma_N"
+
+    def test_utf8_config_under_an_ascii_locale(self, tmp_path):
+        # TOML is UTF-8: a config with a non-ASCII comment loads, and hashes
+        # the same, in a child python whose locale encoding is ASCII
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(("# \u03b5 = schedule" + CIRCLE_CFG).encode("utf-8"))
+        write_run_meta(load_config(path), tmp_path, [])
+        child = tmp_path / "child"
+        child.mkdir()
+        env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   LC_ALL="C", LANG="C")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        script = ("import sys\n"
+                  "from spectral_limits.experiments import load_config, "
+                  "write_run_meta\n"
+                  "write_run_meta(load_config(sys.argv[1]), sys.argv[2], [])\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(path),
+                               str(child)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        meta = [json.loads((d / "run_meta.json").read_text())
+                for d in (tmp_path, child)]
+        assert meta[1]["config_hash"] == meta[0]["config_hash"]
 
     def test_scalar_for_a_list_key_is_one_item(self, tmp_path):
         path = tmp_path / "cfg.txt"

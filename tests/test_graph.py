@@ -329,7 +329,7 @@ OPERATOR_PEAK = '''
 import json
 from spectral_limits import spectral
 from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
-from spectral_limits.sampling import DensitySpec, make_density
+from spectral_limits.sampling import DensitySpec
 
 
 def status(key):
@@ -352,7 +352,7 @@ def built(B, *args):
 cfg = ExperimentConfig(manifold="circle", n_list=[4000, 8000], seeds=[1],
                        k_max=6)
 mfd = make_manifold(cfg)
-density = make_density(mfd, DensitySpec("uniform"))
+density = DensitySpec("uniform")
 Cell(cfg, mfd, density, 4000, 1).spectrum(6)
 cell = Cell(cfg, mfd, density, 8000, 1)
 cell.graph
@@ -575,16 +575,15 @@ def oracle_operator_csr(n, upper, w, w_V, eps):
     return lw
 
 
-def random_triangle(n, n_edges, seed):
-    """A random graph's triangle, edge weight and positive vertex
-    weights."""
+def random_graph(n, n_edges, seed):
+    """A random graph with positive vertex weights."""
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(2 * n_edges, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     pairs = np.unique(np.sort(pairs, axis=1), axis=0)[:n_edges]
-    g = custom_graph(n, pairs[rng.permutation(len(pairs))],
-                     rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 3.0), eps=0.4)
-    return g.upper, g.w_E, g.w_V
+    return custom_graph(n, pairs[rng.permutation(len(pairs))],
+                        rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 3.0),
+                        eps=0.3)
 
 
 class TestBlockedBuilder:
@@ -594,40 +593,40 @@ class TestBlockedBuilder:
 
     def cases(self, circle, sphere2):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 900, seed=4)
-        g = gamma_N_eps(cloud, epsilon_schedule(900, 1))
-        yield "eps-graph", 900, g.upper, g.w_E, g.w_V
-        yield "random", 500, *random_triangle(500, 6000, seed=1)
+        yield "eps-graph", gamma_N_eps(cloud, epsilon_schedule(900, 1))
+        yield "random", random_graph(500, 6000, seed=1)
         empty = graph_module.UpperTriangle(np.zeros(6, dtype=np.int64),
                                            np.empty(0, dtype=np.int32))
-        yield "empty", 5, empty, 1.0, np.ones(5)
-        iso = custom_graph(5, [[0, 1], [1, 3], [3, 4]], np.ones(5), 2.0)
-        yield "isolated", 5, iso.upper, iso.w_E, iso.w_V
+        yield "empty", WeightedGraph(5, 1.0, empty, np.ones(5), 1.0)
+        yield "isolated", custom_graph(5, [[0, 1], [1, 3], [3, 4]],
+                                       np.ones(5), 2.0)
         # columns far above the block's rows, in more than 2^16 vertices
-        yield "wide", 70000, *random_triangle(70000, 800, seed=3)
+        yield "wide", random_graph(70000, 800, seed=3)
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
         g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
         (_, hops), = _hop_blocks(g, [0, 7, 31])
         for row, k in zip(hops, (1, 2, 3)):
             idx = np.nonzero(row <= k)[0]
-            yield f"ball-{k}", len(idx), g._ball_triangle(idx), g.w_E, g.w_V[idx]
+            yield f"ball-{k}", g._subgraph(idx)
 
     @pytest.mark.parametrize("block", [None, 7, 1])
     def test_same_arrays_as_the_oracle(self, monkeypatch, circle, sphere2,
                                        block):
         if block is not None:
             monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", block)
-        seen, eps = [], 0.3
-        for name, n, upper, w, w_V in self.cases(circle, sphere2):
-            assert_same_csr(graph_module._symmetric_csr(n, upper, w),
+        seen = []
+        for name, g in self.cases(circle, sphere2):
+            n, upper, w = g.n_vertices, g.upper, g.w_E
+            assert_same_csr(graph_module._symmetric_csr(g),
                             oracle_symmetric_csr(n, upper, w))
-            assert_same_csr(graph_module._operator_csr(n, upper, w, w_V, eps),
-                            oracle_operator_csr(n, upper, w, w_V, eps))
+            assert_same_csr(graph_module._operator_csr(g),
+                            oracle_operator_csr(n, upper, w, g.w_V, g.epsilon))
             seen.append(name)
         assert seen[:5] == ["eps-graph", "random", "empty", "isolated", "wide"]
         assert len(seen) == 8
 
     def test_one_block_is_one_pass(self, monkeypatch):
-        upper, w, w_V = random_triangle(300, 2000, seed=4)
+        g = random_graph(300, 2000, seed=4)
         transposed = []
         tocsc = sparse.csr_matrix.tocsc
 
@@ -636,13 +635,13 @@ class TestBlockedBuilder:
             return tocsc(self, *args, **kwargs)
 
         monkeypatch.setattr(sparse.csr_matrix, "tocsc", spied)
-        graph_module._symmetric_csr(300, upper, w)
+        graph_module._symmetric_csr(g)
         assert transposed == [2000]
         transposed.clear()
         monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 500)
-        graph_module._symmetric_csr(300, upper, w)
+        graph_module._symmetric_csr(g)
         assert len(transposed) >= 4 and sum(transposed) == 2000
-        assert max(transposed) <= 500 + max(np.diff(upper.indptr))
+        assert max(transposed) <= 500 + max(np.diff(g.upper.indptr))
 
     def test_nonpositive_vertex_weight(self):
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])

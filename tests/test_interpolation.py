@@ -16,7 +16,7 @@ from spectral_limits.interpolation import (
     theta_eps,
     theta_n_eps,
 )
-from spectral_limits.sampling import DensitySpec, epsilon_schedule, make_density, \
+from spectral_limits.sampling import DensitySpec, epsilon_schedule, \
     sample_dataset
 
 

@@ -188,14 +188,12 @@ class TestWeightedCircle:
     def test_fd_vectors_orthonormal_in_rho2(self):
         dens = DensitySpec("cosine_tilt", amplitude=0.2)
         spec = weighted_circle_spectrum(1.0, dens, 4, mesh=2048)
-        from spectral_limits.sampling import make_density
         from spectral_limits.geometry import Circle
 
-        rho = make_density(Circle(1.0), dens)
         th = np.linspace(0, 2 * math.pi, 8192, endpoint=False)[:, None]
         f = np.column_stack([spec.eigenfunctions[k](th, None)
                              for k in range(5)])
-        w = rho.pdf(th) ** 2 * (2 * math.pi / 8192)
+        w = dens.pdf(Circle(1.0), th) ** 2 * (2 * math.pi / 8192)
         gram = (f * w[:, None]).T @ f
         assert np.max(np.abs(gram - np.eye(5))) < 1e-3  # linear interpolants
 

@@ -11,9 +11,9 @@ from spectral_limits.sampling import (
     bernstein_empirical_check,
     derive_seeds,
     epsilon_schedule,
-    make_density,
     sample_dataset,
 )
+from spectral_limits.interpolation import theta_eps
 
 
 class TestDeterminism:
@@ -80,7 +80,7 @@ class TestMarginals:
 def circle_pdf_integral(circle, spec):
     """Trapezoid integral of the pdf over the circle's arclength."""
     th = np.linspace(0.0, 2.0 * math.pi, 20001)
-    vals = make_density(circle, spec).pdf(th[:, None])
+    vals = spec.pdf(circle, th[:, None])
     return np.trapezoid(vals, th) * circle.radius
 
 
@@ -96,6 +96,21 @@ class TestDensityValidation:
     def test_amplitude_cap(self):
         with pytest.raises(ValueError):
             DensitySpec("cosine_tilt", amplitude=0.7)
+
+    @pytest.mark.parametrize("use,match", [
+        (lambda spec, s: spec.pdf(s, np.zeros((3, 2))),
+         "only available on the circle"),
+        (lambda spec, s: spec.sample(s, 3, np.random.default_rng(0)),
+         "only available on the circle"),
+        (lambda spec, s: sample_dataset(s, spec, 3, seed=0),
+         "only available on the circle"),
+        (lambda spec, s: theta_eps(s, spec, np.zeros(2), eps=0.3),
+         "only the uniform density is supported off the circle"),
+    ], ids=["pdf", "sample", "sample_dataset", "theta_eps"])
+    def test_tilt_off_the_circle(self, sphere2, use, match):
+        spec = DensitySpec("cosine_tilt", amplitude=0.2)
+        with pytest.raises(ValueError, match=match):
+            use(spec, sphere2)
 
 
 class TestEpsilonSchedule:

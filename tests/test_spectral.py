@@ -13,8 +13,8 @@ from spectral_limits.graph import dirichlet_energy, gamma_N_eps, gamma_m_eps, \
     laplacian_apply
 from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
 from spectral_limits.regularity import _hop_blocks
-from spectral_limits.sampling import (DensitySpec, epsilon_schedule,
-                                      make_density, sample_dataset)
+from spectral_limits.sampling import DensitySpec, epsilon_schedule, \
+    sample_dataset
 from spectral_limits.spectral import (
     DisconnectedGraphError,
     SolverError,
@@ -137,6 +137,22 @@ class TestEigenDecompose:
         with pytest.raises(ValueError, match="0 <= k < n"):
             eigen_decompose(circle_graph_200, k, method=method)
 
+    @pytest.mark.parametrize("edges,w_V", [
+        ([[0, 1], [1, 2]], [1.0, 1.0, 1.0]),
+        ([[0, 1], [2, 3]], [1.0, 1.0, 1.0, 1.0]),
+        ([[0, 1], [1, 2]], [1.0, 0.0, 1.0]),
+    ], ids=["connected", "two-components", "zero-vertex-weight"])
+    def test_unknown_method_before_the_operator(self, monkeypatch, edges, w_V):
+        def built(g):
+            raise AssertionError("the operator was built")
+
+        monkeypatch.setattr(spectral, "_symmetrized_operator", built)
+        g = custom_graph(len(w_V), edges, w_V)
+        with pytest.raises(ValueError,
+                           match="^unknown solver method 'bogus'$") as err:
+            eigen_decompose(g, 1, method="bogus")
+        assert not isinstance(err.value, DisconnectedGraphError)
+
     def test_random_walk_spectrum_box(self, circle_graph_200):
         g = circle_graph_200
         res = eigen_decompose(g, 6)
@@ -197,8 +213,7 @@ def matrix_operator(adj, w_V, eps: float):
 
 def operator(g):
     """The operator as ``eigen_decompose`` builds it, from the triangle."""
-    return graph._operator_csr(g.n_vertices, g.upper, g.w_E, g.w_V,
-                               g.epsilon)
+    return graph._operator_csr(g)
 
 
 def assert_same_csr(a, b):
@@ -259,8 +274,7 @@ class TestOperatorFromTheTriangle:
                         continue
                     sub = g.weighted_adjacency[idx][:, idx]
                     w = g.w_V[idx]
-                    got = graph._operator_csr(len(idx), g._ball_triangle(idx),
-                                              g.w_E, w, g.epsilon)
+                    got = graph._operator_csr(g._subgraph(idx))
                     assert_same_csr(got, matrix_operator(sub, w, g.epsilon))
                     balls += 1
         assert balls == 9
@@ -368,8 +382,7 @@ class TestCellMemory:
         cfg = ExperimentConfig(manifold="circle", n_list=[4000], seeds=[1],
                                k_max=6)
         mfd = make_manifold(cfg)
-        cell = Cell(cfg, mfd, make_density(mfd, DensitySpec("uniform")),
-                    4000, 1)
+        cell = Cell(cfg, mfd, DensitySpec("uniform"), 4000, 1)
         cell.cloud
         res, peak = traced_peak(cell.spectrum, 6)
         assert res.solver == "lanczos"
