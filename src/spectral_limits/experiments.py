@@ -487,6 +487,8 @@ def run_convergence_sweep(cfg: ExperimentConfig, svg_path=None):
     """Medians over seeds per n and the log-log error slope per k."""
     if len(cfg.n_list) < 3 or len(cfg.seeds) < 3:
         raise ValueError("sweep needs at least 3 n values and 3 seeds")
+    if cfg.k_max < 1:
+        raise ValueError("sweep needs k_max >= 1")
     rows = run_spectrum_experiment(cfg)
     summary = []
     series = {}
@@ -610,6 +612,8 @@ def run_energy(cfg: ExperimentConfig):
 
 
 def run_moser(cfg: ExperimentConfig):
+    if cfg.k_max < 1:
+        raise ValueError("moser needs k_max >= 1")
     kp = [(k, p) for k in range(1, cfg.k_max + 1) for p in MOSER_P]
 
     def rows(cell):

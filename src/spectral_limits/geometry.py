@@ -98,6 +98,23 @@ def model_ball_volume(m: int, K: float, r: float) -> float:
 # manifold models
 
 
+def _dimension(m, least: int, what: str) -> int:
+    """``m`` as an int; a ValueError unless it is a whole number >= least."""
+    if not float(m).is_integer():
+        raise ValueError(f"{what} dimension must be an integer, got {m}")
+    if m < least:
+        raise ValueError(f"{what} dimension must be >= {least}")
+    return int(m)
+
+
+def _length(value, what: str) -> float:
+    """``value`` as a float; a ValueError unless it is positive and finite."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 class ManifoldModel:
     """Base class; concrete models supply metric, embedding and volumes."""
 
@@ -141,9 +158,7 @@ class Circle(ManifoldModel):
     embedding_dim = 2
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = _length(radius, "radius")
         self.total_volume = 2.0 * math.pi * self.radius
 
     def embed(self, intrinsic):
@@ -167,12 +182,8 @@ class Sphere(ManifoldModel):
     kind = "sphere"
 
     def __init__(self, m: int = 2, radius: float = 1.0):
-        if m < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.m = int(m)
-        self.radius = float(radius)
+        self.m = _dimension(m, 1, "sphere")
+        self.radius = _length(radius, "radius")
         self.embedding_dim = self.m + 1
         self.total_volume = sphere_area(self.m) * self.radius**self.m
 
@@ -210,13 +221,10 @@ class FlatTorus(ManifoldModel):
     kind = "flat_torus"
 
     def __init__(self, periods=(1.0, 1.0)):
-        periods = tuple(float(p) for p in periods)
-        if any(p <= 0 for p in periods):
-            raise ValueError("periods must be positive")
-        self.periods = periods
-        self.m = len(periods)
+        self.periods = tuple(_length(p, "periods") for p in periods)
+        self.m = len(self.periods)
         self.embedding_dim = 2 * self.m
-        self.total_volume = float(np.prod(periods))
+        self.total_volume = float(np.prod(self.periods))
 
     def embed(self, intrinsic):
         t = np.asarray(intrinsic, dtype=float)
@@ -266,14 +274,13 @@ class Spindle(ManifoldModel):
     kind = "spindle"
 
     def __init__(self, m: int = 2, c: float = 1.0 / math.sqrt(2.0)):
-        if m < 2:
-            raise ValueError("spindle dimension must be >= 2")
+        self.m = _dimension(m, 2, "spindle")
         if not 0.0 < c <= 1.0:
             raise ValueError("warp constant c must lie in (0, 1]")
-        self.m = int(m)
         self.c = float(c)
         self.embedding_dim = self.m + 1
         # total volume = vol(S^{m-1}) * c^{m-1} * int_0^pi sin^{m-1}
+        m = self.m
         prof, _ = _integrate().quad(
             lambda t: math.sin(t) ** (m - 1), 0.0, math.pi, epsabs=0.0, epsrel=1e-12
         )

@@ -423,21 +423,15 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
 
 
 def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
-    """Apply the graph Laplacian to a vertex function, or to each column of
-    an (n, k) block of them."""
+    """Apply the graph Laplacian to one vertex function, of shape (n,)."""
     phi = np.asarray(phi, dtype=float)
-    if phi.shape[0] != g.n_vertices:
+    if phi.shape != (g.n_vertices,):
         raise ValueError("function length does not match vertex count")
     bad = np.nonzero(g.w_V == 0)[0]
     if len(bad):
         raise ValueError(f"vertices with zero weight w_V: {bad[:10].tolist()}")
-    wa = g.weighted_adjacency
-    dw = g.incident_edge_weight()
     scale = 2.0 / (g.w_V * g.epsilon**2)
-    if phi.ndim == 2:
-        dw, scale = dw[:, None], scale[:, None]
-    out = dw * phi - wa @ phi
-    return scale * out
+    return scale * (g.incident_edge_weight() * phi - g.weighted_adjacency @ phi)
 
 
 def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -153,18 +153,18 @@ class TestFunction:
     """A smooth test function bundled with its analytic reference integrals.
 
     ``values`` maps (intrinsic, embedded) arrays to one value per point.
-    The integrals are against the sampling density: ``grad_sq_rho2`` is
-    int |grad f|^2 rho^2 dvol, ``sq_rho`` is int f^2 rho dvol, and
-    ``sq_rho2`` is int f^2 rho^2 dvol.
+    All three integrals are required, and are against the sampling
+    density: ``grad_sq_rho2`` is int |grad f|^2 rho^2 dvol, ``sq_rho`` is
+    int f^2 rho dvol, and ``sq_rho2`` is int f^2 rho^2 dvol.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     name: str
     values: Callable
-    grad_sq_rho2: Optional[float] = None
-    sq_rho: Optional[float] = None
-    sq_rho2: Optional[float] = None
+    grad_sq_rho2: float
+    sq_rho: float
+    sq_rho2: float
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,6 @@ def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
     continuous side is int |grad f|^2 rho^2 dvol / (m+2).  Reporting only;
     no bound is asserted.
     """
-    if f.grad_sq_rho2 is None:
-        raise ValueError("test function needs the gradient-square integral")
     n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
 
@@ -215,8 +213,6 @@ def energy_comparison_report(g: WeightedGraph, cloud: PointCloud,
 def l2_norm_comparison_report(g: WeightedGraph, cloud: PointCloud,
                               f: TestFunction) -> L2Comparison:
     """Discrete vs continuous L2 norms, plain and weighted by g's degrees."""
-    if f.sq_rho is None or f.sq_rho2 is None:
-        raise ValueError("test function needs both squared-norm integrals")
     n, m, eps = cloud.n, cloud.manifold.m, g.epsilon
     vals = discretize(f.values, cloud)
     plain = float(np.mean(vals**2))

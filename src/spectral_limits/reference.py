@@ -206,16 +206,7 @@ def _sphere_l1_functions(m: int, radius: float):
 
 def _sphere2_harmonics(l: int, radius: float):
     """Real spherical harmonics of degree l on S^2, rho_vol-normalized."""
-    try:
-        from scipy.special import sph_harm_y
-
-        def Y(mm, ll, theta, phi):
-            return sph_harm_y(ll, mm, theta, phi)
-    except ImportError:  # older scipy
-        from scipy.special import sph_harm
-
-        def Y(mm, ll, theta, phi):
-            return sph_harm(mm, ll, phi, theta)
+    from scipy.special import sph_harm_y
 
     out = []
     for mm in range(-l, l + 1):
@@ -223,7 +214,7 @@ def _sphere2_harmonics(l: int, radius: float):
             e = np.atleast_2d(ze) / _r
             theta = np.arccos(np.clip(e[:, 2], -1.0, 1.0))
             phi = np.arctan2(e[:, 1], e[:, 0])
-            y = Y(abs(_m), _l, theta, phi)
+            y = sph_harm_y(_l, abs(_m), theta, phi)
             if _m > 0:
                 val = math.sqrt(2.0) * np.real(y)
             elif _m < 0:
@@ -384,10 +375,6 @@ def spindle_spectrum(m: int, c: float, l_max: int, k_max: int,
     harmonic multiplicities.  Radial (l = 0) eigenfunctions ship as
     evaluators.
     """
-    if m < 2:
-        raise ValueError("spindle needs m >= 2")
-    if not 0.0 < c <= 1.0:
-        raise ValueError("c must lie in (0, 1]")
     mfd = Spindle(m, c)
     rho0 = 1.0 / mfd.total_volume
     # normalize in L^2(rho^2 H^m): rho0^2 * area * c^{m-1} * int u^2 J

@@ -81,31 +81,15 @@ def _word_bits(words) -> np.ndarray:
     return np.unpackbits(bytes_, bitorder="little").reshape(-1, _HOP_BLOCK)
 
 
-def _count_up(planes: list, mask) -> None:
-    """Add 1 to each bit-sliced counter whose bit is set in ``mask``.
-
-    ``planes[i]`` holds bit i of every counter; the carry ripples up and a
-    new plane is appended when it runs past the top one.
-    """
-    carry = mask
-    for i, plane in enumerate(planes):
-        planes[i] = plane ^ carry
-        carry = plane & carry
-        if not carry.any():
-            return
-    planes.append(carry)
-
-
 def _hop_blocks(g: WeightedGraph, sources):
     """(sources, hop rows) per block of ``sources``; inf when unreachable.
 
     One bit-parallel BFS per block of up to 64 sources (multi-source BFS,
     Then et al., PVLDB 2014): bit k of a vertex's uint64 word says that
     source k has reached it, and a level ORs each vertex's neighbours'
-    frontier words.  Every source's hop
-    count is a bit-sliced counter that gains 1 on each level at which
-    the source has not reached the vertex yet.  The search reads only the
-    CSR structure.
+    frontier words.  A vertex's hop count from source k is the number of
+    levels at which bit k of its word is still unseen.  The search reads
+    only the CSR structure.
     """
     adj = g.weighted_adjacency
     n = g.n_vertices
@@ -121,10 +105,10 @@ def _hop_blocks(g: WeightedGraph, sources):
         front = np.zeros(n, dtype=np.uint64)
         np.bitwise_or.at(front, src, _BITS[:b])
         seen = front.copy()
-        planes = []
+        count = np.zeros((n, _HOP_BLOCK), dtype=np.uint32)
         while True:
             unseen = ~seen
-            _count_up(planes, unseen)
+            count += _word_bits(unseen)
             nxt = np.zeros(n, dtype=np.uint64)
             nxt[has] = np.bitwise_or.reduceat(front[indices], starts)
             nxt &= unseen
@@ -132,9 +116,6 @@ def _hop_blocks(g: WeightedGraph, sources):
                 break
             seen |= nxt
             front = nxt
-        count = np.zeros((n, _HOP_BLOCK), dtype=np.uint32)
-        for i, plane in enumerate(planes):
-            count += _word_bits(plane).astype(np.uint32) << np.uint32(i)
         hops = count[:, :b].T.astype(float)
         hops[_word_bits(seen)[:, :b].T == 0] = np.inf
         yield src, hops
@@ -211,10 +192,11 @@ def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
 def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     """Sampled sharp constant of the Poincare inequality on graph balls.
 
-    For each of ``_POINCARE_CENTERS`` sampled centers x and six breakpoint
-    radii r, geometrically spaced up to the largest hop count seen, the
-    sharp constant of the ball B(x, r) is solved exactly: densely up to
-    ``DENSE_LIMIT`` vertices, by deflated Lanczos above.
+    For each of ``_POINCARE_CENTERS`` sampled centers x and six hop counts
+    k, geometrically spaced up to the largest hop count seen, the ball
+    B(x, (k + 1/2) eps) is the vertices at most k hops from x.  Its sharp
+    constant is solved exactly: densely up to ``DENSE_LIMIT`` vertices, by
+    deflated Lanczos above.
     """
     centers = _pick_centers(g, _POINCARE_CENTERS, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
@@ -224,13 +206,13 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     solved = {}
     for row in hops:
         for k in ks:
-            r = (k + 0.5) * g.epsilon
-            idx = np.nonzero(row * g.epsilon < r)[0]
+            idx = np.flatnonzero(row <= k)
             if len(idx) < 2:
                 continue
-            key = (idx.tobytes(), round(r, 12))
+            key = (idx.tobytes(), k)
             if key not in solved:
-                solved[key] = _poincare_ball_constant(g, idx, r)
+                solved[key] = _poincare_ball_constant(g, idx,
+                                                      (k + 0.5) * g.epsilon)
             p = max(p, solved[key])
     return p
 

@@ -383,7 +383,8 @@ def run_pinned():
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--json"],
+    proc = subprocess.run([sys.executable, "-W", "error",
+                           os.path.abspath(__file__), "--json"],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

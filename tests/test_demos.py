@@ -22,6 +22,7 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

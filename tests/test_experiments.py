@@ -77,9 +77,9 @@ class TestConfig:
                   "from spectral_limits.experiments import load_config, "
                   "write_run_meta\n"
                   "write_run_meta(load_config(sys.argv[1]), sys.argv[2], [])\n")
-        proc = subprocess.run([sys.executable, "-c", script, str(path),
-                               str(child)], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script,
+                               str(path), str(child)], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         meta = [json.loads((d / "run_meta.json").read_text())
                 for d in (tmp_path, child)]
@@ -458,6 +458,19 @@ class TestSweep:
                                seeds=[1, 2, 3], k_max=1)
         with pytest.raises(ValueError):
             run_convergence_sweep(cfg)
+
+
+@pytest.mark.parametrize("run, name", [(run_convergence_sweep, "sweep"),
+                                       (run_moser, "moser")])
+def test_k_max_zero_fails_before_any_cell(monkeypatch, run, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was sampled")
+
+    monkeypatch.setattr(experiments, "sample_dataset", refuse)
+    cfg = ExperimentConfig(manifold="circle", n_list=[64, 128, 256],
+                           seeds=[1, 2, 3], k_max=0)
+    with pytest.raises(ValueError, match=f"{name} needs k_max >= 1"):
+        run(cfg)
 
 
 class TestCli:

@@ -434,3 +434,24 @@ def test_total_volumes():
     assert FlatTorus((1.0, 2.0)).total_volume == pytest.approx(2.0)
     assert Spindle(2).total_volume == pytest.approx(2.0 * math.sqrt(2.0) * math.pi)
     assert Spindle(3).total_volume == pytest.approx(math.pi**2)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Sphere(1.5), "sphere dimension must be an integer, got 1.5"),
+    (lambda: Sphere(math.nan), "sphere dimension must be an integer"),
+    (lambda: Spindle(2.5), "spindle dimension must be an integer, got 2.5"),
+    (lambda: Circle(math.nan), "radius must be positive and finite"),
+    (lambda: Circle(-1.0), "radius must be positive and finite"),
+    (lambda: Sphere(2, math.inf), "radius must be positive and finite"),
+    (lambda: FlatTorus((1.0, math.nan)), "periods must be positive and finite"),
+    (lambda: FlatTorus((1.0, math.inf)), "periods must be positive and finite"),
+], ids=["sphere-m-1.5", "sphere-m-nan", "spindle-m-2.5", "circle-nan",
+        "circle-negative", "sphere-radius-inf", "torus-nan", "torus-inf"])
+def test_constructors_reject_what_a_config_rejects(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_whole_float_dimension_is_the_int():
+    assert Sphere(2.0).m == 2 and type(Sphere(2.0).m) is int
+    assert Spindle(2.0).total_volume == Spindle(2).total_volume

@@ -318,8 +318,8 @@ def test_edge_search_resident_peak():
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", EDGE_SEARCH_PEAK], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", EDGE_SEARCH_PEAK],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     peak = json.loads(proc.stdout)
     assert peak["rise"] < 4 * peak["triangle"]
@@ -376,8 +376,8 @@ def test_operator_build_resident_peak():
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", OPERATOR_PEAK], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", OPERATOR_PEAK],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     peak = json.loads(proc.stdout)
     assert peak["rise"] < 1.2 * peak["operator"]
@@ -681,13 +681,10 @@ class TestLaplacian:
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(lhs)))
             assert volume_inner(g, phi, laplacian_apply(g, phi)) >= -1e-12
 
-    def test_block_is_the_columns_applied_one_by_one(self, circle_graph_200):
-        g = circle_graph_200
-        block = np.random.default_rng(4).standard_normal((g.n_vertices, 5))
-        out = laplacian_apply(g, block)
-        assert out.shape == block.shape
-        for j in range(5):
-            assert np.array_equal(out[:, j], laplacian_apply(g, block[:, j]))
+    @pytest.mark.parametrize("shape", [(200, 3), (199,), (201,)])
+    def test_rejects_all_but_one_vertex_function(self, circle_graph_200, shape):
+        with pytest.raises(ValueError, match="does not match vertex count"):
+            laplacian_apply(circle_graph_200, np.ones(shape))
 
     def test_energy_equals_quadratic_form(self, circle_graph_200):
         g = circle_graph_200

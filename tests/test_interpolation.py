@@ -223,6 +223,12 @@ def circle_cos_testfunction(radius=1.0):
 
 
 class TestComparisonReports:
+    @pytest.mark.parametrize("given", [{}, {"grad_sq_rho2": 0.0},
+                                       {"sq_rho": 1.0, "sq_rho2": 1.0}])
+    def test_every_integral_is_required(self, given):
+        with pytest.raises(TypeError):
+            TestFunction("one", lambda zi, ze: 1.0, **given)
+
     def test_constant_function_zero_energy(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 100, seed=1)
         f = TestFunction("one", lambda zi, ze: np.ones(len(np.atleast_2d(zi))),

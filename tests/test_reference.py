@@ -164,6 +164,11 @@ class TestTorus:
         gram = f.T @ f / len(grid)
         assert np.max(np.abs(gram - np.eye(7))) < 1e-10
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0])
+    def test_rejects_the_periods_a_torus_rejects(self, period):
+        with pytest.raises(ValueError, match="periods must be positive and finite"):
+            torus_spectrum((1.0, period), 4)
+
 
 class TestWeightedCircle:
     def test_uniform_matches_closed_form(self):
@@ -245,6 +250,15 @@ class TestSpindle:
         with pytest.raises(ValueError, match="l_max"):
             spindle_spectrum(3, 1.0 / math.sqrt(2.0), l_max=0, k_max=6,
                              mesh=1024)
+
+    @pytest.mark.parametrize("m, c, match", [
+        (1, 0.7, r"spindle dimension must be >= 2"),
+        (2.5, 0.7, r"spindle dimension must be an integer, got 2.5"),
+        (2, 1.5, r"warp constant c must lie in \(0, 1\]"),
+    ], ids=["m-1", "m-2.5", "c-1.5"])
+    def test_rejects_what_the_spindle_rejects(self, m, c, match):
+        with pytest.raises(ValueError, match=match):
+            spindle_spectrum(m, c, l_max=2, k_max=2, mesh=256)
 
 
 class TestAppendixRatios:

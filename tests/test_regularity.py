@@ -139,8 +139,8 @@ class TestHopBlocksOracle:
         g = custom_graph(3, [], [1.0] * 3)
         self.check(g, np.array([1, 0]))
 
-    def test_long_path_carries_into_a_ninth_counter_plane(self):
-        # hop counts up to 299 need nine bits
+    def test_long_path_counts_past_one_byte(self):
+        # hop counts up to 299 run past the 255 that one byte holds
         n = 300
         g = custom_graph(n, [[i, i + 1] for i in range(n - 1)], [1.0] * n,
                          [1.0] * (n - 1))
@@ -607,3 +607,26 @@ def test_certify_takes_no_diameter(circle, monkeypatch):
     assert [(k, p) for k, p, _ in cert.moser_table] == \
         [(k, p) for k in (1, 2) for p in (2, 4, 8, np.inf)]
     assert all(r == moser_ratio(g, res, k, p) for k, p, r in cert.moser_table)
+
+
+# float.hex of Q, P, R and graph_diameter at the regularity benchmark's
+# sizes: every centre (n = 1500), 200 sampled centres and Lanczos Poincare
+# balls (S^2 n = 4000), and a circle above the sampling threshold
+CERTIFICATE_PINS = {
+    ("sphere", 1500, 1): ("0x1.d1e39fc4c7dd6p+2", "0x1.84ad6ea254805p+0",
+                          "0x1.1d89d89d89d8ap+1", "0x1.d9863e9bc6274p+1"),
+    ("sphere", 4000, 1): ("0x1.bdf017913bcd5p+2", "0x1.24772ff8236bbp+0",
+                          "0x1.321642c8590b2p+1", "0x1.d056e3f66e25dp+1"),
+    ("circle", 2000, 2): ("0x1.52d9b692a134cp+1", "0x1.1b4869788d74fp+0",
+                          "0x1.5b6db6db6db6ep+0", "0x1.a379fcf408ca1p+1"),
+}
+
+
+@pytest.mark.parametrize("kind, n, seed", sorted(CERTIFICATE_PINS))
+def test_certificate_is_pinned_at_benchmark_sizes(request, kind, n, seed):
+    mfd = request.getfixturevalue("sphere2" if kind == "sphere" else kind)
+    cloud = sample_dataset(mfd, DensitySpec("uniform"), n, seed=seed)
+    g = gamma_N_eps(cloud, epsilon_schedule(n, mfd.m))
+    cert = certify(g, eigen_decompose(g, 3), seed=seed)
+    got = tuple(x.hex() for x in (cert.Q, cert.P, cert.R, graph_diameter(g)))
+    assert got == CERTIFICATE_PINS[kind, n, seed]

@@ -50,8 +50,8 @@ def test_graph_commands_skip_quadrature_imports():
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", CHILD],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["spectrum"] == []
