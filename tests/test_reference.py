@@ -1,9 +1,9 @@
-"""Reference spectra against closed forms and frozen fixtures.
+"""Reference spectra against closed forms, oracles and frozen fixtures.
 
-The two Sturm-Liouville fixtures under ``tests/fixtures`` are frozen once
-from a verified run and must be reproduced; a missing one fails its test.
-To freeze the missing ones, run
-``PYTHONPATH=src python tests/test_reference.py``.
+The two fixtures under ``tests/fixtures`` are frozen once from the
+finite-difference oracles of ``fd_oracles.py`` and must be reproduced by
+the exact builders; a missing one fails its test.  To freeze the missing
+ones, run ``PYTHONPATH=src python tests/test_reference.py``.
 """
 
 import math
@@ -11,8 +11,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import roots_gegenbauer
 
-from spectral_limits.geometry import Sphere, sphere_area
+from fd_oracles import spindle_fd, weighted_circle_fd
+from spectral_limits.geometry import Circle, sphere_area
 from spectral_limits.reference import (
     appendix_ratio_check,
     circle_spectrum,
@@ -26,21 +28,24 @@ from spectral_limits.sampling import DensitySpec
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
-# fixture file: (mesh, builder call)
+TILT = DensitySpec("cosine_tilt", amplitude=0.2)
+C = 1.0 / math.sqrt(2.0)
+
+# fixture file: (mesh, oracle call)
 FIXTURES = {
-    "weighted_circle_tilt02.csv": (4096, lambda: weighted_circle_spectrum(
-        1.0, DensitySpec("cosine_tilt", amplitude=0.2), 4, mesh=4096)),
-    "spindle_m3_c0707.csv": (2048, lambda: spindle_spectrum(
-        3, 1.0 / math.sqrt(2.0), l_max=6, k_max=6, mesh=2048)),
+    "weighted_circle_tilt02.csv": (4096, lambda: weighted_circle_fd(
+        1.0, TILT, 4, mesh=4096)),
+    "spindle_m3_c0707.csv": (2048, lambda: spindle_fd(
+        3, C, l_max=6, k_max=6, mesh=2048)),
 }
 
 
-def save_fixture(spectrum, path, mesh):
-    """Write a Sturm-Liouville spectrum's ``l,j,lambda`` rows."""
+def save_fixture(eigenvalues, labels, path, mesh):
+    """Write an oracle spectrum's ``l,j,lambda`` rows."""
     with open(path, "w") as fh:
         fh.write(f"# provenance=sturm_liouville mesh={mesh} tolerance=1e-06\n")
         fh.write("l,j,lambda\n")
-        for (l, j), lam in zip(spectrum.labels, spectrum.eigenvalues):
+        for (l, j), lam in zip(labels, eigenvalues):
             fh.write(f"{l},{j},{lam:.17g}\n")
 
 
@@ -170,56 +175,88 @@ class TestTorus:
             torus_spectrum((1.0, period), 4)
 
 
+# (R, a): radius and cosine-tilt amplitude; a = 0 is the uniform density
+CIRCLE_CASES = [(1.0, 0.2), (1.0, 0.5), (2.0, 0.35), (1.0, 0.0)]
+
+
 class TestWeightedCircle:
     def test_uniform_matches_closed_form(self):
-        spec = weighted_circle_spectrum(1.0, DensitySpec("uniform"), 6,
-                                        mesh=4096)
+        spec = weighted_circle_spectrum(1.0, DensitySpec("uniform"), 6)
         want = circle_spectrum(1.0, 6).eigenvalues
-        assert np.max(np.abs(spec.eigenvalues - want)) < 1e-6
+        assert np.max(np.abs(spec.eigenvalues - want)) < 1e-12
 
     def test_tilt_fixture(self):
-        spec = FIXTURES["weighted_circle_tilt02.csv"][1]()
+        spec = weighted_circle_spectrum(1.0, TILT, 4)
         check_fixture(spec, "weighted_circle_tilt02.csv")
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("radius, a", CIRCLE_CASES)
+    def test_ground_eigenvalue_is_zero(self, radius, a):
+        dens = DensitySpec("cosine_tilt", amplitude=a)
+        assert weighted_circle_spectrum(radius, dens, 4).eigenvalues[0] == 0.0
+
     def test_ground_state_constant(self):
-        spec = weighted_circle_spectrum(
-            1.0, DensitySpec("cosine_tilt", amplitude=0.2), 2, mesh=2048
-        )
+        spec = weighted_circle_spectrum(1.0, TILT, 2)
         th = np.linspace(0, 2 * math.pi, 300)[:, None]
         vals = spec.eigenfunctions[0](th, None)
         assert np.std(vals) / np.mean(np.abs(vals)) < 1e-6
 
     def test_fd_vectors_orthonormal_in_rho2(self):
-        dens = DensitySpec("cosine_tilt", amplitude=0.2)
-        spec = weighted_circle_spectrum(1.0, dens, 4, mesh=2048)
-        from spectral_limits.geometry import Circle
-
+        spec = weighted_circle_spectrum(1.0, TILT, 4)
         th = np.linspace(0, 2 * math.pi, 8192, endpoint=False)[:, None]
         f = np.column_stack([spec.eigenfunctions[k](th, None)
                              for k in range(5)])
-        w = dens.pdf(Circle(1.0), th) ** 2 * (2 * math.pi / 8192)
+        w = TILT.pdf(Circle(1.0), th) ** 2 * (2 * math.pi / 8192)
         gram = (f * w[:, None]).T @ f
-        assert np.max(np.abs(gram - np.eye(5))) < 1e-3  # linear interpolants
+        assert np.max(np.abs(gram - np.eye(5))) < 1e-3
 
-    def test_mesh_validation(self):
-        with pytest.raises(ValueError):
-            weighted_circle_spectrum(1.0, DensitySpec("uniform"), 2, mesh=100)
+    @pytest.mark.parametrize("radius, a", CIRCLE_CASES)
+    def test_evaluators_orthonormal_to_rounding(self, radius, a):
+        # the periodic trapezoid rule on 400 points integrates the squared
+        # trigonometric sums, of degree <= 2 * 48 + 2, exactly
+        dens = DensitySpec("cosine_tilt", amplitude=a)
+        spec = weighted_circle_spectrum(radius, dens, 8)
+        th = np.linspace(0, 2 * math.pi, 400, endpoint=False)[:, None]
+        f = np.column_stack([spec.eigenfunctions[k](th, None)
+                             for k in range(9)])
+        w = dens.pdf(Circle(radius), th) ** 2 * (2 * math.pi * radius / 400)
+        gram = (f * w[:, None]).T @ f
+        assert np.max(np.abs(gram - np.eye(9))) < 1e-12
+
+    @pytest.mark.parametrize("radius, a", CIRCLE_CASES)
+    def test_fd_oracle_agrees(self, radius, a):
+        dens = DensitySpec("cosine_tilt", amplitude=a)
+        spec = weighted_circle_spectrum(radius, dens, 8)
+        lams, _ = weighted_circle_fd(radius, dens, 8, mesh=4096)
+        assert np.max(np.abs(spec.eigenvalues - lams)) < 1e-8
+
+
+# (m, c): dimension and warp constant
+SPINDLE_CASES = [(2, 0.7), (2, C), (3, C), (4, 0.8)]
 
 
 class TestSpindle:
     def test_c1_reduces_to_sphere(self):
-        spec = spindle_spectrum(2, 1.0, l_max=4, k_max=8, mesh=4096)
+        spec = spindle_spectrum(2, 1.0, l_max=4, k_max=8)
         want = sphere_spectrum(2, 1.0, 8).eigenvalues
         assert np.max(np.abs(spec.eigenvalues - want)) < 1e-4
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_c1_is_the_sphere_bit_for_bit(self, m):
+        spec = spindle_spectrum(m, 1.0, l_max=12, k_max=12)
+        want = sphere_spectrum(m, 1.0, 12).eigenvalues
+        assert spec.eigenvalues.tobytes() == want.tobytes()
+
     def test_ground_state(self):
-        spec = spindle_spectrum(2, 1.0 / math.sqrt(2.0), l_max=3, k_max=3,
-                                mesh=1024)
+        spec = spindle_spectrum(2, C, l_max=3, k_max=3)
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("m, c", SPINDLE_CASES)
+    def test_ground_eigenvalue_is_zero(self, m, c):
+        assert spindle_spectrum(m, c, l_max=6, k_max=4).eigenvalues[0] == 0.0
+
     def test_m3_fixture(self, spindle3):
-        spec = FIXTURES["spindle_m3_c0707.csv"][1]()
+        spec = spindle_spectrum(3, C, l_max=6, k_max=6)
         check_fixture(spec, "spindle_m3_c0707.csv")
         # the radial branch is curvature-only: lambda_1 = 3 exactly on the
         # topological S^3 radial problem, independent of the warp constant
@@ -227,13 +264,11 @@ class TestSpindle:
         assert spec.labels[1] == (0, 1)
 
     def test_m2_first_nonzero(self):
-        spec = spindle_spectrum(2, 1.0 / math.sqrt(2.0), l_max=4, k_max=2,
-                                mesh=2048)
+        spec = spindle_spectrum(2, C, l_max=4, k_max=2)
         assert spec.eigenvalues[1] == pytest.approx(2.0, abs=1e-5)
 
     def test_radial_functions_orthonormal(self):
-        spec = spindle_spectrum(3, 1.0 / math.sqrt(2.0), l_max=4, k_max=6,
-                                mesh=2048)
+        spec = spindle_spectrum(3, C, l_max=4, k_max=6)
         radial = [k for k, lab in enumerate(spec.labels) if lab[0] == 0]
         mfd = spec.manifold
         th = np.linspace(1e-4, math.pi - 1e-4, 20000)
@@ -246,10 +281,30 @@ class TestSpindle:
         gram = (f * w[:, None]).T @ f
         assert np.max(np.abs(gram - np.eye(len(radial)))) < 1e-3
 
+    @pytest.mark.parametrize("m, c", SPINDLE_CASES)
+    def test_radial_evaluators_orthonormal_to_rounding(self, m, c):
+        # Gauss-Gegenbauer nodes in x = cos(theta) with weight
+        # (1 - x^2)^(alpha - 1/2) = sin^(m-2)(theta) integrate the squared
+        # polynomials exactly; sin(theta) d theta = dx carries the rest
+        spec = spindle_spectrum(m, c, l_max=12, k_max=24)
+        radial = [k for k, lab in enumerate(spec.labels) if lab[0] == 0]
+        x, w = roots_gegenbauer(32, (m - 1) / 2.0)
+        z = np.column_stack([np.arccos(x), np.ones((32, m))])
+        f = np.column_stack([spec.eigenfunctions[k](z, None) for k in radial])
+        w = w * spec.uniform_rho**2 * sphere_area(m - 1) * c ** (m - 1)
+        gram = (f * w[:, None]).T @ f
+        assert len(radial) >= 4
+        assert np.max(np.abs(gram - np.eye(len(radial)))) < 1e-12
+
+    @pytest.mark.parametrize("m, c", SPINDLE_CASES)
+    def test_fd_oracle_agrees(self, m, c):
+        spec = spindle_spectrum(m, c, l_max=6, k_max=12)
+        lams, _ = spindle_fd(m, c, l_max=6, k_max=12, mesh=2048)
+        assert np.max(np.abs(spec.eigenvalues - lams)) < 1e-8
+
     def test_tail_guard(self):
         with pytest.raises(ValueError, match="l_max"):
-            spindle_spectrum(3, 1.0 / math.sqrt(2.0), l_max=0, k_max=6,
-                             mesh=1024)
+            spindle_spectrum(3, C, l_max=0, k_max=6)
 
     @pytest.mark.parametrize("m, c, match", [
         (1, 0.7, r"spindle dimension must be >= 2"),
@@ -258,7 +313,7 @@ class TestSpindle:
     ], ids=["m-1", "m-2.5", "c-1.5"])
     def test_rejects_what_the_spindle_rejects(self, m, c, match):
         with pytest.raises(ValueError, match=match):
-            spindle_spectrum(m, c, l_max=2, k_max=2, mesh=256)
+            spindle_spectrum(m, c, l_max=2, k_max=2)
 
 
 class TestAppendixRatios:
@@ -289,14 +344,12 @@ class TestAppendixRatios:
 
 
 def test_richardson_governs_mesh_quality():
-    # the FD solvers run a mesh-doubling sequence internally; a successful
+    # the FD oracles run a mesh-doubling sequence internally; a successful
     # return certifies second-order ratios, which we cross-check here by
     # comparing two resolutions of the extrapolated values
-    a = weighted_circle_spectrum(1.0, DensitySpec("cosine_tilt", amplitude=0.2),
-                                 3, mesh=1024)
-    b = weighted_circle_spectrum(1.0, DensitySpec("cosine_tilt", amplitude=0.2),
-                                 3, mesh=4096)
-    assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) < 1e-6
+    a, _ = weighted_circle_fd(1.0, TILT, 3, mesh=1024)
+    b, _ = weighted_circle_fd(1.0, TILT, 3, mesh=4096)
+    assert np.max(np.abs(a - b)) < 1e-6
 
 
 if __name__ == "__main__":
@@ -306,5 +359,5 @@ if __name__ == "__main__":
         if os.path.exists(path):
             print(f"kept {path}")
         else:
-            save_fixture(build(), path, mesh)
+            save_fixture(*build(), path, mesh)
             print(f"froze {path}")

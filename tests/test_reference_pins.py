@@ -38,20 +38,15 @@ CASES = {
     "sphere3": lambda: sphere_spectrum(3, 1.2, 6),
     "torus2": lambda: torus_spectrum((1.0, 1.0), 12),
     "torus3": lambda: torus_spectrum((1.0, 1.0, 2.0), 10),
-    "weighted-circle-tilt": lambda: weighted_circle_spectrum(1.0, TILT, 4,
-                                                             mesh=1024),
+    "weighted-circle-tilt": lambda: weighted_circle_spectrum(1.0, TILT, 4),
     "weighted-circle-uniform": lambda: weighted_circle_spectrum(
-        1.0, DensitySpec("uniform"), 4, mesh=1024),
-    "spindle2": lambda: spindle_spectrum(2, C, l_max=4, k_max=5, mesh=1024),
-    "spindle3": lambda: spindle_spectrum(3, C, l_max=4, k_max=6, mesh=1024),
+        1.0, DensitySpec("uniform"), 4),
+    "spindle2": lambda: spindle_spectrum(2, C, l_max=4, k_max=5),
+    "spindle3": lambda: spindle_spectrum(3, C, l_max=4, k_max=6),
 }
 
 ERROR_CASES = {
-    "weighted-circle-mesh": lambda: weighted_circle_spectrum(
-        1.0, TILT, 2, mesh=100),
-    "spindle-mesh": lambda: spindle_spectrum(2, C, l_max=2, k_max=2, mesh=1002),
-    "spindle-tail-guard": lambda: spindle_spectrum(3, C, l_max=0, k_max=6,
-                                                   mesh=1024),
+    "spindle-tail-guard": lambda: spindle_spectrum(3, C, l_max=0, k_max=6),
 }
 
 
@@ -180,7 +175,7 @@ PINS = {
     },
     "weighted-circle-tilt": {
         "eigenvalues":
-            'de5e3bcb60bb6124364c78fdfde2c3ff4d49f40967b693deac25a6d46ec6c8f7',
+            '46d96fb6670b17dadea98225587dcafa4ca020b9672e896804a0925a40bf97c9',
         "labels":
             '5cf1b42305533a2ab0e284804b208954618a61b0c82011119930279dc503d3b4',
         "weight":
@@ -190,11 +185,11 @@ PINS = {
         "rho_vol":
             'f6c60ab2e8254016b81134e8360c8664b35251bd3ab31dff344fc4c86c8475ab',
         "rho2_vol":
-            'd1fdfe56c24ca0b5709cdf5a2e340ddad3ac9886c94c00b19f716a51bc7512d5',
+            '74db60b2bcd137e69e983883695a3507590334f2ffa37ce65dc01ab5f1f0073b',
     },
     "weighted-circle-uniform": {
         "eigenvalues":
-            'c0fb6ad00a99e2b35d6b03427d8efbed46aa988589b5e8ac98cd0786d6d3b7dc',
+            '8ebfb93a2f924ee8ac23729ed89a7977a63e4bc294211f7275428f92e1bbd8c2',
         "labels":
             '5cf1b42305533a2ab0e284804b208954618a61b0c82011119930279dc503d3b4',
         "weight":
@@ -202,13 +197,13 @@ PINS = {
         "uniform_rho":
             '0.15915494309189535',
         "rho_vol":
-            '85a76e2cb5dffbfd7cae3773817fda857f0a7f83eb2c18c7fdc23a5f523b78c5',
+            '16144903436dab75c26c78865ad7128b712bcef2fb3005ced603c43ebbe4e3df',
         "rho2_vol":
-            'c859f5df5c154aa1ca20a206fe7e53b3bed18b6918470e60ae05d86d49fb2355',
+            'e56c7471e093d4f2c92aa8480564a17bfa70b404f59447e3b2da5882a093bd9e',
     },
     "spindle2": {
         "eigenvalues":
-            '9bf6a6c3fc5c62cf241899763e6a23ab201174da5e618c75ff4057a219d4010f',
+            'ff497036382fab617b8f609bd0da60112152666efef36f82e50b363c434212d7',
         "labels":
             '47a6a881795c88a5b84a18b745e6bac91378ce69cf48ecef18a3daa4774124ee',
         "weight":
@@ -216,13 +211,13 @@ PINS = {
         "uniform_rho":
             '0.11253953951963826',
         "rho_vol":
-            '09a3d3697c12180fb3d339a7f471d1c8b1f55d6a91a50216486a28875cc2f6d7',
+            '3eb2b333adf87a2d6d6b2b7670650056c6e06ed7a58c8fef1e75dcbb9afdc771',
         "rho2_vol":
-            'd161b4b67e4e177bd0a2b6763bb5b2afed890b2c396ed0f77b27aece68ff509e',
+            'cdd149a51e5383d6c6d7e8209b661d2b7956b5486e81e74da000bd320eac17c2',
     },
     "spindle3": {
         "eigenvalues":
-            '3dff9ea1ae524d484fd83d8a1ef4d8334a4b864bcb044020fbe3d4dc9fb19375',
+            '56f7d2b94b448e61e26f5a94c42aa476614ebbb141a59aaf1f0ea17132ff566b',
         "labels":
             '5e4bfb4290da39d40e1e8d91690b791d82f489832fe2d1eb14d6d28371bea140',
         "weight":
@@ -230,17 +225,9 @@ PINS = {
         "uniform_rho":
             '0.10132118364233779',
         "rho_vol":
-            'c0c7be727bee861fc488b4a8a0c46723aab0e079d000acaabcdbbdbbf07729d2',
+            '6502c28ee341ecff9a5ed02c34431db3d91574c4f19ad27c3c5d6cb8a1405939',
         "rho2_vol":
-            '65bc61a68867036b56fdd00a6dd9fb52ee66e63a47938d7fa967cbcb1753ca2f',
-    },
-    "weighted-circle-mesh": {
-        "error":
-            'ValueError: mesh must be >= 512 and divisible by 4',
-    },
-    "spindle-mesh": {
-        "error":
-            'ValueError: mesh must be >= 512 and divisible by 4',
+            'd586d6713cded67ccd17926e8a2acc3ecc46716bd294a44e8aa8326830b53a86',
     },
     "spindle-tail-guard": {
         "error":
