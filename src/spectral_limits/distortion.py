@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel, ball_volume, model_ball_volume
+from .geometry import ManifoldModel, _length, ball_volume, model_ball_volume
 
 __all__ = [
     "Estimate",
@@ -45,8 +45,7 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _length(eps, "eps")
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2 for a standard error")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -81,8 +80,7 @@ def s_eps(mfd: ManifoldModel, eps: float, n_mc_outer: int = 200,
     the embedded metric need a geodesic evaluation, since the embedded
     distance never exceeds the geodesic one.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _length(eps, "eps")
     if n_mc_outer < 2:
         raise ValueError("n_mc_outer must be >= 2 for a standard error")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -8,11 +8,13 @@ its chart coordinates.  Spindle geodesics are great-circle arcs in closed
 form: with psi = c*phi each 2-D section through the axis is the unit
 sphere minus a lune.
 
-``scipy.integrate``, which pulls in ``scipy.optimize``, loads on the first
-quadrature (``_integrate``): the comparison volume V_K, the spindle's
-volume and sampler, sphere ball volumes for m >= 3 and the kernel masses
-theta of ``interpolation``.  The graph pipeline itself takes none, so a
-graph command loads it only to build a spindle.
+Every integral of sin^p that the models need (sphere ball volumes, the
+spindle's volume and its polar-angle law) is a regularized incomplete
+beta function, ``_sin_power_integral``.  ``scipy.integrate``, which pulls
+in ``scipy.optimize``, loads on the first quadrature (``_integrate``):
+the comparison volume V_K and the kernel masses theta of
+``interpolation`` on the circle, the sphere and the comparison model.
+No graph command takes one.
 """
 
 from __future__ import annotations
@@ -39,9 +41,23 @@ __all__ = [
 
 
 def _integrate():
-    """``scipy.integrate``, imported on first use (see the module docstring)."""
+    """``scipy.integrate`` on first use, for V_K and the kernel masses theta."""
     from scipy import integrate
     return integrate
+
+
+def _sin_power_integral(p: int, t: float) -> float:
+    """int_0^t sin^p for a whole p >= 0 and 0 <= t <= pi.
+
+    With x = sin^2(s/2) the integrand is 2^p (x(1-x))^(a-1) dx, a = (p+1)/2,
+    so the integral is the Wallis mass int_0^pi sin^p = (p-1)!!/p!! times
+    pi (p even) or 2 (p odd), times the regularized incomplete beta
+    function I_x(a, a) at x = sin^2(t/2).
+    """
+    a = (p + 1) / 2.0
+    wallis = math.prod(range(p - 1, 0, -2)) / math.prod(range(p, 0, -2))
+    wallis *= math.pi if p % 2 == 0 else 2.0
+    return wallis * float(special.betainc(a, a, math.sin(t / 2.0) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +98,9 @@ def model_ball_volume(m: int, K: float, r: float) -> float:
     """Comparison ball volume V_K(r) = vol(S^{m-1}) * int_0^r sn_K^{m-1}."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
+    r = _length(r, "radius")
     if m == 1:
         return 2.0 * r
     val, _ = _integrate().quad(
@@ -205,14 +220,8 @@ class Sphere(ManifoldModel):
 
     def ball_volume_exact(self, xi, r):
         t = min(r / self.radius, math.pi)
-        if t <= 0:
-            return 0.0
-        if self.m == 2:
-            return 2.0 * math.pi * self.radius**2 * (1.0 - math.cos(t))
-        val, _ = _integrate().quad(
-            lambda s: math.sin(s) ** (self.m - 1), 0.0, t, epsabs=0.0, epsrel=1e-12
-        )
-        return sphere_area(self.m - 1) * self.radius**self.m * val
+        return (sphere_area(self.m - 1) * self.radius**self.m
+                * _sin_power_integral(self.m - 1, t))
 
 
 class FlatTorus(ManifoldModel):
@@ -222,7 +231,7 @@ class FlatTorus(ManifoldModel):
 
     def __init__(self, periods=(1.0, 1.0)):
         self.periods = tuple(_length(p, "periods") for p in periods)
-        self.m = len(self.periods)
+        self.m = _dimension(len(self.periods), 1, "flat_torus")
         self.embedding_dim = 2 * self.m
         self.total_volume = float(np.prod(self.periods))
 
@@ -280,11 +289,8 @@ class Spindle(ManifoldModel):
         self.c = float(c)
         self.embedding_dim = self.m + 1
         # total volume = vol(S^{m-1}) * c^{m-1} * int_0^pi sin^{m-1}
-        m = self.m
-        prof, _ = _integrate().quad(
-            lambda t: math.sin(t) ** (m - 1), 0.0, math.pi, epsabs=0.0, epsrel=1e-12
-        )
-        self.total_volume = sphere_area(m - 1) * self.c ** (m - 1) * prof
+        self.total_volume = (sphere_area(self.m - 1) * self.c ** (self.m - 1)
+                             * _sin_power_integral(self.m - 1, math.pi))
 
     def _profile_x0(self, theta):
         # int_0^theta sqrt(1 - c^2 cos^2 t) dt via incomplete elliptic E
@@ -346,23 +352,14 @@ class Spindle(ManifoldModel):
 
 
 def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw angles on (0, pi) with density proportional to sin^p, p >= 1."""
-    if p == 1:
-        return np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0, size=n))
-    # inverse CDF by Newton on F(t) = int_0^t sin^p, vectorized
-    norm, _ = _integrate().quad(lambda t: math.sin(t) ** p, 0.0, math.pi)
-    u = rng.uniform(0.0, 1.0, size=n) * norm
-    grid = np.linspace(0.0, math.pi, 4097)
-    pdf = np.sin(grid) ** p
-    cdf = _integrate().cumulative_trapezoid(pdf, grid, initial=0.0)
-    cdf *= norm / cdf[-1]
-    t = np.interp(u, cdf, grid)
-    for _ in range(40):
-        f = np.interp(t, grid, cdf) - u
-        df = np.sin(t) ** p
-        step = np.where(df > 1e-14, f / np.maximum(df, 1e-14), 0.0)
-        t = np.clip(t - step, 0.0, math.pi)
-    return t
+    """Draw angles on (0, pi) with density proportional to sin^p, p >= 1.
+
+    Exact inverse CDF: by ``_sin_power_integral`` the CDF at t is I_x(a, a)
+    with a = (p+1)/2 and x = sin^2(t/2) = (1 - cos t)/2.
+    """
+    a = (p + 1) / 2.0
+    x = special.betaincinv(a, a, rng.uniform(0.0, 1.0, size=n))
+    return np.arccos(1.0 - 2.0 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +380,9 @@ def mc_ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None):
 
 def ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None) -> float:
     """Volume of the geodesic ball B(xi, r); closed form where available."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
+    r = _length(r, "radius")
     exact = mfd.ball_volume_exact(xi, r)
     if exact is not None:
         return exact

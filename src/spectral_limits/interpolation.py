@@ -6,8 +6,9 @@ function on the sample's eps-neighborhood (a convex combination of vertex
 values, hence a partition of unity).  The continuum counterparts of the
 kernel density and the Dirichlet-form / L2-norm comparison reports of the
 discretization direction live here as well.  ``theta_K_eps`` and
-``theta_eps`` are radial quadratures; ``scipy.integrate`` loads on the
-first of them, through ``geometry._integrate``.
+``theta_eps`` on the circle and sphere are radial quadratures;
+``scipy.integrate`` loads on the first of them, through
+``geometry._integrate``.  On the flat torus ``theta_eps`` is closed form.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def theta_n_eps(ctx: KernelContext, xi) -> float:
 def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
     """Continuum kernel density: integral of psi_eps(d_g(xi, .)) against rho.
 
-    Radial quadrature on the circle, sphere and torus (below the
-    injectivity radius); any other model raises.
+    Radial quadrature on the circle and sphere, and the closed form
+    rho0 omega_m eps^m / (m+2) on the torus below its injectivity radius;
+    any other model raises.
     """
     if isinstance(mfd, Circle):
         R = mfd.radius
@@ -106,13 +108,8 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
         return rho0 * sphere_area(m - 1) * val
     if isinstance(mfd, FlatTorus):
         if eps > mfd.injectivity_radius:
-            raise ValueError("torus radial quadrature needs eps below min period/2")
-        m = mfd.m
-        val, _ = _integrate().quad(
-            lambda r: psi_eps(r, eps) * r ** (m - 1),
-            0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,
-        )
-        return rho0 * m * unit_ball_volume(m) * val
+            raise ValueError("torus kernel mass needs eps below min period/2")
+        return rho0 * unit_ball_volume(mfd.m) * eps**mfd.m / (mfd.m + 2.0)
     raise ValueError(f"unsupported manifold {mfd.kind!r}")
 
 

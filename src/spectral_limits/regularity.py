@@ -52,7 +52,7 @@ def weighted_p_norm(g: WeightedGraph, phi, p) -> float:
     phi = np.asarray(phi, dtype=float)
     if p == np.inf:
         return float(np.max(np.abs(phi)))
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     vol = float(np.sum(g.w_V))
     if vol <= 0:

@@ -98,6 +98,17 @@ class TestSEps:
             s_eps(circle, eps=0.5, n_mc_outer=1, seed=0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("estimate", [
+    lambda mfd, eps: v_p_eps(mfd, p=2.0, eps=eps, K=1.0, n_mc=10, seed=0),
+    lambda mfd, eps: s_eps(mfd, eps=eps, n_mc_outer=4, n_mc_inner=10),
+], ids=["v_p_eps", "s_eps"])
+def test_estimators_reject_non_finite_eps(torus, estimate, eps):
+    with pytest.raises(ValueError,
+                       match=f"eps must be positive and finite, got {eps}"):
+        estimate(torus, eps)
+
+
 class TestErrorTerms:
     def test_shapes(self):
         t1, t2, t3 = theorem_error_terms(2, 0.2134, 0.0, 0.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.optimize import brentq
 
 from spectral_limits.geometry import (
@@ -10,6 +10,8 @@ from spectral_limits.geometry import (
     FlatTorus,
     Sphere,
     Spindle,
+    _sample_sin_power,
+    _sin_power_integral,
     ball_volume,
     bishop_gromov_ratio,
     mc_ball_volume,
@@ -399,6 +401,51 @@ class TestBallVolumes:
         want *= sphere_area(2)
         assert ball_volume(s3, x, 0.7) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("R", [1.0, 2.5])
+    def test_tiny_sphere_cap_is_exact(self, R):
+        # 2 pi R^2 (1 - cos t) loses digits to cancellation as t -> 0
+        x = np.array([0.0, 0.0, 1.0])
+        r = 1e-6
+        want = 4.0 * math.pi * R**2 * math.sin(r / (2.0 * R)) ** 2
+        assert ball_volume(Sphere(2, R), x, r) == pytest.approx(want, rel=1e-15,
+                                                             abs=0.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -0.5],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("volume", [
+    lambda r: model_ball_volume(2, 1.0, r),
+    lambda r: ball_volume(Sphere(2), np.array([0.0, 0.0, 1.0]), r),
+], ids=["model", "sphere"])
+def test_ball_volumes_reject_bad_radius(volume, r):
+    with pytest.raises(ValueError,
+                       match=f"radius must be positive and finite, got {r}"):
+        volume(r)
+
+
+class TestSinPower:
+    @pytest.mark.parametrize("p", range(7))
+    def test_integral_matches_quadrature(self, p):
+        for t in (1e-3, 0.7, 2.0, math.pi):
+            want, _ = integrate.quad(lambda s: math.sin(s) ** p, 0.0, t,
+                                     epsabs=0.0, epsrel=1e-13)
+            assert _sin_power_integral(p, t) == pytest.approx(want, rel=1e-13,
+                                                              abs=0.0)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_sampler_is_the_exact_inverse_cdf(self, p):
+        # the sampler's own uniform draws, replayed from the same seed
+        u = np.random.default_rng(5).uniform(0.0, 1.0, size=20000)
+        th = _sample_sin_power(p, len(u), np.random.default_rng(5))
+        a = (p + 1) / 2.0
+        cdf = special.betainc(a, a, np.sin(th / 2.0) ** 2)
+        assert np.max(np.abs(cdf - u)) <= 1e-12
+
+    def test_p1_draws_are_arccos(self):
+        u = np.random.default_rng(6).uniform(0.0, 1.0, size=20000)
+        th = _sample_sin_power(1, len(u), np.random.default_rng(6))
+        np.testing.assert_array_equal(th, np.arccos(1.0 - 2.0 * u))
+
 
 class TestBishopGromov:
     def test_sphere_value(self, sphere2):
@@ -445,8 +492,10 @@ def test_total_volumes():
     (lambda: Sphere(2, math.inf), "radius must be positive and finite"),
     (lambda: FlatTorus((1.0, math.nan)), "periods must be positive and finite"),
     (lambda: FlatTorus((1.0, math.inf)), "periods must be positive and finite"),
+    (lambda: FlatTorus(()), "flat_torus dimension must be >= 1"),
 ], ids=["sphere-m-1.5", "sphere-m-nan", "spindle-m-2.5", "circle-nan",
-        "circle-negative", "sphere-radius-inf", "torus-nan", "torus-inf"])
+        "circle-negative", "sphere-radius-inf", "torus-nan", "torus-inf",
+        "torus-empty"])
 def test_constructors_reject_what_a_config_rejects(build, match):
     with pytest.raises(ValueError, match=match):
         build()

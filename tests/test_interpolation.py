@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from spectral_limits.geometry import FlatTorus, unit_ball_volume
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
@@ -108,9 +110,19 @@ class TestThetaContinuum:
             got = theta_eps(torus, DensitySpec("uniform"), x, eps=eps)
             assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("periods", [(1.0,), (1.0, 2.0), (1.0, 1.5, 2.0)])
+    def test_torus_matches_tight_quadrature(self, periods):
+        torus = FlatTorus(periods)
+        m, eps = torus.m, 0.37
+        val, _ = quad(lambda r: psi_eps(r, eps) * r ** (m - 1), 0.0, eps,
+                      epsabs=0.0, epsrel=1e-13)
+        want = m * unit_ball_volume(m) * val / torus.total_volume
+        got = theta_eps(torus, DensitySpec("uniform"), np.full(m, 0.1), eps=eps)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("model, x, eps, match", [
         ("torus", [0.3, 0.7], 0.6,
-         "torus radial quadrature needs eps below min period/2"),
+         "torus kernel mass needs eps below min period/2"),
         ("spindle2", [1.2, 1.0, 0.0], 0.3, "unsupported manifold 'spindle'"),
     ], ids=["torus-eps-0.6", "spindle"])
     def test_rejected(self, request, model, x, eps, match):

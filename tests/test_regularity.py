@@ -108,6 +108,11 @@ class TestWeightedPNorm:
                  for p in (1, 2, 4, 8, np.inf)]
         assert np.all(np.diff(norms) >= -1e-12)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5], ids=["nan", "half"])
+    def test_rejects_p_below_one(self, path3_gamma_N, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            weighted_p_norm(path3_gamma_N, np.ones(3), p)
+
 
 class TestHopBlocksOracle:
     """The bit-parallel BFS against one unweighted Dijkstra per source."""
@@ -611,7 +616,8 @@ def test_certify_takes_no_diameter(circle, monkeypatch):
 
 # float.hex of Q, P, R and graph_diameter at the regularity benchmark's
 # sizes: every centre (n = 1500), 200 sampled centres and Lanczos Poincare
-# balls (S^2 n = 4000), and a circle above the sampling threshold
+# balls (S^2 n = 4000), and a circle at n = 2000, the largest n whose
+# doubling check still takes every centre
 CERTIFICATE_PINS = {
     ("sphere", 1500, 1): ("0x1.d1e39fc4c7dd6p+2", "0x1.84ad6ea254805p+0",
                           "0x1.1d89d89d89d8ap+1", "0x1.d9863e9bc6274p+1"),

@@ -1,11 +1,12 @@
 """Graph commands never load ``scipy.integrate`` or ``scipy.optimize``.
 
-Quadrature serves only V_K, the spindle, sphere volumes for m >= 3 and the
-kernel masses theta, so ``spectrum`` and ``regularity`` must not pay for
-the import.  The check runs in a child ``python``: the pytest process has
-already imported ``scipy.integrate`` through other test modules.  The same
-child then builds a spindle, whose volume is a quadrature, so the check
-cannot pass because the modules never show up in ``sys.modules``.
+Quadrature serves only V_K and the kernel masses theta, so ``spectrum`` and
+``regularity`` must not pay for the import on any model, the spindle
+included: its volume and sampler are incomplete beta functions.  The check
+runs in a child ``python``: the pytest process has already imported
+``scipy.integrate`` through other test modules.  The same child then takes
+a comparison volume V_K, a quadrature, so the check cannot pass because the
+modules never show up in ``sys.modules``.
 """
 
 import json
@@ -21,6 +22,7 @@ from spectral_limits.cli import main
 
 CIRCLE = 'manifold = "circle"\\nn = [64]\\nseeds = [1]\\nk_max = 2\\n'
 SPHERE = 'manifold = "sphere"\\nm = 2\\nn = [300]\\nseeds = [4]\\nk_max = 3\\n'
+SPINDLE = 'manifold = "spindle"\\nm = 3\\nn = [200]\\nseeds = [1]\\nk_max = 2\\n'
 QUADRATURE = ("scipy.integrate", "scipy.optimize")
 
 
@@ -30,18 +32,22 @@ def loaded():
 
 report = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for command, text in (("spectrum", CIRCLE), ("regularity", SPHERE)):
-        cfg = os.path.join(tmp, command + ".toml")
+    for name, command, text in (("spectrum", "spectrum", CIRCLE),
+                                ("regularity", "regularity", SPHERE),
+                                ("spectrum-spindle3", "spectrum", SPINDLE)):
+        cfg = os.path.join(tmp, name + ".toml")
         with open(cfg, "w") as fh:
             fh.write(text)
-        out = os.path.join(tmp, command)
+        out = os.path.join(tmp, name)
         assert main([command, "--config", cfg, "--out", out]) == 0
-        report[command] = loaded()
+        report[name] = loaded()
 
-from spectral_limits.geometry import Spindle
+from spectral_limits.geometry import Spindle, model_ball_volume
 
-Spindle(2)
-report["Spindle(2)"] = loaded()
+Spindle(3)
+report["Spindle(3)"] = loaded()
+model_ball_volume(2, 1.0, 0.5)
+report["model_ball_volume"] = loaded()
 print(json.dumps(report))
 '''
 
@@ -54,7 +60,7 @@ def test_graph_commands_skip_quadrature_imports():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["spectrum"] == []
-    assert report["regularity"] == []
+    for run in ("spectrum", "regularity", "spectrum-spindle3", "Spindle(3)"):
+        assert report[run] == [], run
     # positive control: the first quadrature does load both
-    assert report["Spindle(2)"] == ["scipy.integrate", "scipy.optimize"]
+    assert report["model_ball_volume"] == ["scipy.integrate", "scipy.optimize"]
