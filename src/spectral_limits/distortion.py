@@ -43,7 +43,7 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
     otherwise.  The standard error of the p-th power integral is pushed
     through the 1/p power by the delta method.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     eps = _length(eps, "eps")
     if n_mc < 2:
@@ -83,6 +83,8 @@ def s_eps(mfd: ManifoldModel, eps: float, n_mc_outer: int = 200,
     eps = _length(eps, "eps")
     if n_mc_outer < 2:
         raise ValueError("n_mc_outer must be >= 2 for a standard error")
+    if n_mc_inner < 1:
+        raise ValueError("n_mc_inner must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     vol = mfd.total_volume
     means = np.empty(n_mc_outer)
@@ -109,8 +111,7 @@ def theorem_error_terms(m: int, eps: float, v_m2_eps: float, s_eps_val: float):
     Returns (eps^(m/(m+2)), V_{m+2,eps} * eps^(-2/(m+2)), S_eps * eps^-m);
     the multiplicative constant in front is non-constructive and omitted.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _length(eps, "eps")
     t1 = eps ** (m / (m + 2.0))
     t2 = v_m2_eps * eps ** (-2.0 / (m + 2.0))
     t3 = s_eps_val * eps ** (-float(m))
@@ -120,7 +121,7 @@ def theorem_error_terms(m: int, eps: float, v_m2_eps: float, s_eps_val: float):
 def delta_p_eps_a(m: int, p: float, eps: float, a: float,
                   v_p_eps_val: float, s_eps_val: float) -> float:
     """Composite accuracy for the eigenspace-approximation estimates."""
-    if p <= 2:
+    if not p > 2:
         raise ValueError("p must exceed 2")
     expo = min(1.0 - 2.0 / p, m / (p - 2.0) - 2.0 / p)
     return a + eps**expo + v_p_eps_val * eps ** (-2.0 / p) + s_eps_val * eps ** (-float(m))

@@ -84,8 +84,7 @@ def model_sn(K: float, r) -> float:
     The geometric class keeps K >= 1, but the formula is accepted for any
     positive K (it tends to the Euclidean coefficient r as K -> 0).
     """
-    if K <= 0.0:
-        raise ValueError(f"K must be positive, got {K}")
+    K = _length(K, "K")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
@@ -98,6 +97,7 @@ def model_ball_volume(m: int, K: float, r: float) -> float:
     """Comparison ball volume V_K(r) = vol(S^{m-1}) * int_0^r sn_K^{m-1}."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    K = _length(K, "K")
     if r == 0.0:
         return 0.0
     r = _length(r, "radius")
@@ -391,6 +391,5 @@ def ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None) -> float:
 
 def bishop_gromov_ratio(mfd, xi, r: float, K: float) -> float:
     """vol(B(xi, r)) / V_K(r); non-increasing in r under the curvature bound."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    r = _length(r, "radius")
     return ball_volume(mfd, xi, r) / model_ball_volume(mfd.m, K, r)

@@ -26,14 +26,14 @@ energies, the CSV writer and the Laplacian operator of ``spectral`` all
 read the triangle.  The symmetric CSR matrix of the edge weights is built
 from it on first access and kept, for the reports that read it: hop
 distances, the Laplacian and random-walk matrices, smoothing and the
-regularity certificates.  A Poincare ball is a subgraph: the edges with
-both ends in the ball, its vertex weights, and the graph's edge weight and
-eps.  One builder makes every symmetric CSR from a graph: its matrix, and
-with a diagonal and a scaling, its operator 2 eps^-2 S (D - W) S, so a
-graph and a ball take the same path.  It writes the final arrays one block
-of triangle rows at a time, each block handing its entry (i, j) on to row j
-as that row's entry below the diagonal, so no transposed copy of the
-triangle is made.
+regularity certificates.  One builder makes every symmetric CSR from a
+graph: its matrix, and with a diagonal and a scaling, its operator
+2 eps^-2 S (D - W) S.  It writes the final arrays one block of triangle
+rows at a time, each block handing its entry (i, j) on to row j as that
+row's entry below the diagonal, so no transposed copy of the triangle is
+made.  A Poincare ball's operator, with the ball's own Laplacian, is a
+principal submatrix of the graph's operator with its diagonal rewritten
+from the ball's degrees: no entry off the diagonal depends on them.
 """
 
 from __future__ import annotations
@@ -206,6 +206,22 @@ def _operator_csr(g: WeightedGraph) -> sparse.csr_matrix:
                           2.0 / g.epsilon**2)
 
 
+def _ball_operator(g: WeightedGraph, B, idx) -> sparse.csr_matrix:
+    """The operator of the hop ball on the sorted vertices ``idx`` with its
+    own Laplacian, from g's operator B = ``_operator_csr(g)``: off the
+    diagonal ``B[idx][:, idx]``, whose entries do not depend on the degrees,
+    and on it ((s_i * d_i) * s_i) * (2 / eps**2), d the row sums over the
+    ball's degrees.  A hop ball of two or more vertices is connected, so
+    each row holds its diagonal entry, and its degree is its length less 1."""
+    ball = B[idx][:, idx]
+    lengths = np.diff(ball.indptr)
+    at = np.flatnonzero(ball.indices == np.repeat(np.arange(len(idx)), lengths))
+    s = 1.0 / np.sqrt(g.w_V[idx])
+    d = _row_sums(g.w_E, lengths - 1)
+    ball.data[at] = s * d * s * (2.0 / g.epsilon**2)
+    return ball
+
+
 class WeightedGraph:
     """Finite weighted graph (V, E, w_V, w_E, eps) held as its edge triangle.
 
@@ -256,25 +272,6 @@ class WeightedGraph:
             row = np.repeat(np.arange(r0, r1, dtype=np.int64),
                             np.diff(ptr[r0:r1 + 1]))
             yield row, self.upper.indices[a:b].astype(np.int64)
-
-    def _subgraph(self, idx) -> WeightedGraph:
-        """The subgraph on the sorted vertices ``idx``, numbered by position
-        in ``idx``: the edges with both ends among them, their weights and
-        the same eps."""
-        ptr = self.upper.indptr
-        lengths = ptr[idx + 1] - ptr[idx]
-        ends = np.cumsum(lengths)
-        row = np.repeat(np.arange(len(idx)), lengths)
-        at = np.arange(ends[-1]) + np.repeat(ptr[idx] - (ends - lengths),
-                                             lengths)
-        local = np.full(self.n_vertices, -1, dtype=np.int64)
-        local[idx] = np.arange(len(idx))
-        col = local[self.upper.indices[at]]
-        keep = col >= 0
-        indptr = np.searchsorted(row[keep], np.arange(len(idx) + 1))
-        upper = UpperTriangle(indptr, col[keep].astype(_index_dtype(len(idx))))
-        return WeightedGraph(len(idx), self.epsilon, upper, self.w_V[idx],
-                             self.w_E)
 
     @property
     def edges(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _integrate, \
-    model_sn, sphere_area, unit_ball_volume
+    _length, model_sn, sphere_area, unit_ball_volume
 from .sampling import DensitySpec, PointCloud
 from .graph import WeightedGraph, _edge_scale, _edge_sum
 
@@ -42,8 +42,9 @@ __all__ = [
 
 def psi_eps(dist, eps: float):
     """Truncated parabola kernel (1 - (d/eps)^2)/2 on [0, eps]."""
+    eps = _length(eps, "eps")
     d = np.asarray(dist, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("distances must be nonnegative")
     out = np.where(d <= eps, 0.5 * (1.0 - (d / eps) ** 2), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -53,10 +54,8 @@ class KernelContext:
     """A sample with its eps-kernel; caches kernel sums at query points."""
 
     def __init__(self, cloud: PointCloud, eps: float):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.cloud = cloud
-        self.eps = float(eps)
+        self.eps = _length(eps, "eps")
         self._cache: dict = {}
 
     def kernel_row(self, xi) -> np.ndarray:
@@ -85,6 +84,7 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
     rho0 omega_m eps^m / (m+2) on the torus below its injectivity radius;
     any other model raises.
     """
+    eps = _length(eps, "eps")
     if isinstance(mfd, Circle):
         R = mfd.radius
         half = min(eps, math.pi * R)
@@ -115,6 +115,7 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
 
 def theta_K_eps(m: int, K: float, eps: float) -> float:
     """Comparison-model kernel mass m omega_m int_0^eps psi_eps sn_K^{m-1}."""
+    eps, K = _length(eps, "eps"), _length(K, "K")
     val, _ = _integrate().quad(
         lambda r: psi_eps(r, eps) * model_sn(K, r) ** (m - 1),
         0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,

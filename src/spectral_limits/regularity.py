@@ -10,7 +10,8 @@ breakpoints (k + 1/2) * eps, where the quantized graph metric makes ball
 membership exact.  Hop counts come from a bit-parallel BFS, 64 sources
 per uint64 word, over the stored entries of the graph's matrix.  Each
 ball's Poincare constant is exact, from the first nonzero eigenvalue of
-the ball's Laplacian, in memory that grows with its edge count.
+the ball's Laplacian, in memory that grows with its edge count, and the
+ball's operator is cut from the graph's, which is built once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .graph import WeightedGraph, _operator_csr, dirichlet_energy
+from .graph import WeightedGraph, _ball_operator, _operator_csr, \
+    dirichlet_energy
 from .spectral import DENSE_LIMIT, SpectralResult, _lanczos_above_null
 
 __all__ = [
@@ -168,24 +170,21 @@ def doubling_constant(g: WeightedGraph, seed: int = 0) -> float:
 # Poincare
 
 
-def _poincare_ball_constant(g: WeightedGraph, idx, r: float) -> float:
+def _poincare_ball_constant(g: WeightedGraph, B, idx, r: float) -> float:
     """Sharp constant 1 / (r sqrt(lam_1)) on the ball of vertices ``idx``.
 
     lam_1 is the smallest nonzero eigenvalue of the ball's own Laplacian
     (2 / eps^2) W^-1 L, with the gradient counting edges with both
-    endpoints inside the ball; the ball's volume cancels.  A hop ball is
+    endpoints inside the ball; the ball's volume cancels.  Its operator is
+    ``graph._ball_operator`` of the graph's operator B.  A hop ball is
     connected: a shortest path from its centre stays inside it.
     """
-    ball = g._subgraph(idx)
-    bad = np.nonzero(ball.w_V <= 0)[0]
-    if len(bad):
-        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
-    B = _operator_csr(ball)
+    ball = _ball_operator(g, B, idx)
     if len(idx) <= DENSE_LIMIT:
-        lam = eigvalsh(B.toarray(), subset_by_index=[1, 1])[0]
+        lam = eigvalsh(ball.toarray(), subset_by_index=[1, 1])[0]
     else:
         v0 = np.random.Generator(np.random.PCG64(0)).standard_normal(len(idx))
-        lam = _lanczos_above_null(B, ball.w_V, 1, v0, tol=1e-10)[0][1]
+        lam = _lanczos_above_null(ball, g.w_V[idx], 1, v0, tol=1e-10)[0][1]
     return float(1.0 / (r * math.sqrt(lam)))
 
 
@@ -196,8 +195,12 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     k, geometrically spaced up to the largest hop count seen, the ball
     B(x, (k + 1/2) eps) is the vertices at most k hops from x.  Its sharp
     constant is solved exactly: densely up to ``DENSE_LIMIT`` vertices, by
-    deflated Lanczos above.
+    deflated Lanczos above.  Every vertex weight must be positive.
     """
+    bad = np.flatnonzero(g.w_V <= 0)
+    if len(bad):
+        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    B = _operator_csr(g)
     centers = _pick_centers(g, _POINCARE_CENTERS, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
     top = int(np.max(hops, initial=1, where=np.isfinite(hops)))
@@ -211,7 +214,7 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
                 continue
             key = (idx.tobytes(), k)
             if key not in solved:
-                solved[key] = _poincare_ball_constant(g, idx,
+                solved[key] = _poincare_ball_constant(g, B, idx,
                                                       (k + 0.5) * g.epsilon)
             p = max(p, solved[key])
     return p

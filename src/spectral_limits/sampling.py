@@ -147,7 +147,7 @@ def bernstein_bound(sup_norm: float, sigma: float, n: int, delta: float):
     the true mean by more than ``2*sup*delta^2 + 4*sigma*delta`` with
     probability at most ``2*exp(-n*delta^2)``.
     """
-    if sup_norm < 0 or sigma < 0 or n <= 0 or delta < 0:
+    if not (sup_norm >= 0 and sigma >= 0 and n > 0 and delta >= 0):
         raise ValueError("bernstein_bound arguments must be nonnegative, n > 0")
     deviation = 2.0 * sup_norm * delta**2 + 4.0 * sigma * delta
     failure = 2.0 * math.exp(-n * delta**2)

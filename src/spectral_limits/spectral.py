@@ -7,13 +7,12 @@ dense solver; larger ones to Lanczos (ARPACK, smallest algebraic) with the
 known zero eigenpair deflated, and a deterministic start vector seeded from
 a sha256 of the graph's edge pairs, read from its edge triangle a block of
 rows at a time.  The operator is one CSR, written scaled from the graph's
-triangle a block of rows at a time by the builder that also makes each
-Poincare ball's operator from its subgraph, so a solve holds the triangle,
-the operator and one block's scratch, and never the graph's own matrix.
-Every edge has the same positive weight, so the operator has an entry for
-each edge, and connectivity is one breadth-first search from vertex 0 over
-its entries; only a disconnected graph pays for its components, whose
-sizes the error names.
+triangle a block of rows at a time by ``graph._operator_csr``, so a solve
+holds the triangle, the operator and one block's scratch, and never the
+graph's own matrix.  Every edge has the same positive weight, so the
+operator has an entry for each edge, and connectivity is one breadth-first
+search from vertex 0 over its entries; only a disconnected graph pays for
+its components, whose sizes the error names.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .graph import WeightedGraph, _operator_csr
+from .graph import WeightedGraph, _operator_csr, _symmetric_csr
 
 __all__ = [
     "DisconnectedGraphError",
@@ -80,16 +78,14 @@ def _symmetrized_operator(g: WeightedGraph):
 
     Connectivity is checked before the vertex weights, since an isolated
     vertex of gamma_N has w_V = 0.  With a nonpositive vertex weight there
-    is no operator, and the components are taken on the triangle itself.
+    is no operator, and the components are taken on the graph's matrix.
     """
-    n, upper = g.n_vertices, g.upper
     if np.all(g.w_V > 0):
         B = _operator_csr(g)
         if _is_connected(B):
             return B
     else:
-        B = sparse.csr_matrix((np.ones(len(upper), dtype=np.int8),
-                               upper.indices, upper.indptr), shape=(n, n))
+        B = _symmetric_csr(g)
     ncomp, labels = csgraph.connected_components(B, directed=False)
     if ncomp > 1:
         sizes = np.bincount(labels).tolist()

@@ -9,7 +9,8 @@ from spectral_limits.distortion import (
     theorem_error_terms,
     v_p_eps,
 )
-from spectral_limits.geometry import Spindle
+from spectral_limits.geometry import Sphere, Spindle, bishop_gromov_ratio, \
+    model_ball_volume, model_sn
 
 
 def torus_deficit(eps):
@@ -107,6 +108,34 @@ def test_estimators_reject_non_finite_eps(torus, estimate, eps):
     with pytest.raises(ValueError,
                        match=f"eps must be positive and finite, got {eps}"):
         estimate(torus, eps)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: v_p_eps(Sphere(2), p=math.nan, eps=0.3, K=1.0, n_mc=10, seed=0),
+     "p must be >= 1"),
+    (lambda: v_p_eps(Sphere(2), p=2.0, eps=0.3, K=math.nan, n_mc=10, seed=0),
+     "K must be positive and finite, got nan"),
+    (lambda: delta_p_eps_a(2, math.nan, 0.2, 0.0, 0.1, 0.1), "p must exceed 2"),
+    (lambda: theorem_error_terms(2, math.nan, 0.1, 0.1),
+     "eps must be positive and finite, got nan"),
+    (lambda: theorem_error_terms(2, math.inf, 0.1, 0.1),
+     "eps must be positive and finite, got inf"),
+    (lambda: model_sn(math.nan, 0.5), "K must be positive and finite, got nan"),
+    (lambda: model_ball_volume(2, math.nan, 0.5),
+     "K must be positive and finite, got nan"),
+    (lambda: bishop_gromov_ratio(Sphere(2), np.array([1.0, 0.5]), 0.5, math.nan),
+     "K must be positive and finite, got nan"),
+], ids=["v_p_eps-p", "v_p_eps-K", "delta_p_eps_a-p", "error-terms-eps-nan",
+        "error-terms-eps-inf", "model_sn-K", "model_ball_volume-K",
+        "bishop_gromov_ratio-K"])
+def test_nan_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_s_eps_needs_an_inner_sample(circle):
+    with pytest.raises(ValueError, match="n_mc_inner must be >= 1"):
+        s_eps(circle, 0.3, n_mc_outer=5, n_mc_inner=0)
 
 
 class TestErrorTerms:

@@ -602,12 +602,18 @@ class TestBlockedBuilder:
                                        np.ones(5), 2.0)
         # columns far above the block's rows, in more than 2^16 vertices
         yield "wide", random_graph(70000, 800, seed=3)
+
+    def balls(self, sphere2):
+        """Three hop balls of an S^2 graph, each with the triangle of its
+        own edges, those with both ends in the ball."""
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
         g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
         (_, hops), = _hop_blocks(g, [0, 7, 31])
         for row, k in zip(hops, (1, 2, 3)):
             idx = np.nonzero(row <= k)[0]
-            yield f"ball-{k}", g._subgraph(idx)
+            own = sparse.triu(g.weighted_adjacency[idx][:, idx], 1, format="csr")
+            upper = graph_module.UpperTriangle(own.indptr, own.indices)
+            yield f"ball-{k}", g, idx, upper
 
     @pytest.mark.parametrize("block", [None, 7, 1])
     def test_same_arrays_as_the_oracle(self, monkeypatch, circle, sphere2,
@@ -622,8 +628,16 @@ class TestBlockedBuilder:
             assert_same_csr(graph_module._operator_csr(g),
                             oracle_operator_csr(n, upper, w, g.w_V, g.epsilon))
             seen.append(name)
-        assert seen[:5] == ["eps-graph", "random", "empty", "isolated", "wide"]
-        assert len(seen) == 8
+        # a ball's operator, cut from the graph's, is the operator of the
+        # ball's own triangle
+        for name, g, idx, upper in self.balls(sphere2):
+            got = graph_module._ball_operator(g, graph_module._operator_csr(g),
+                                              idx)
+            assert_same_csr(got, oracle_operator_csr(len(idx), upper, g.w_E,
+                                                     g.w_V[idx], g.epsilon))
+            seen.append(name)
+        assert seen == ["eps-graph", "random", "empty", "isolated", "wide",
+                        "ball-1", "ball-2", "ball-3"]
 
     def test_one_block_is_one_pass(self, monkeypatch):
         g = random_graph(300, 2000, seed=4)

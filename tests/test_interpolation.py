@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spectral_limits.geometry import FlatTorus, unit_ball_volume
+from spectral_limits.geometry import FlatTorus, Sphere, unit_ball_volume
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
@@ -36,6 +36,29 @@ class TestPsi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             psi_eps(-0.1, 0.3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda c: psi_eps(0.1, 0.0), "eps must be positive and finite, got 0.0"),
+    (lambda c: psi_eps(0.1, -0.1), "eps must be positive and finite, got -0.1"),
+    (lambda c: psi_eps(0.1, math.nan), "eps must be positive and finite, got nan"),
+    (lambda c: psi_eps(math.nan, 0.3), "distances must be nonnegative"),
+    (lambda c: KernelContext(c, math.nan), "eps must be positive and finite"),
+    (lambda c: theta_eps(c.manifold, DensitySpec("uniform"), [0.0], eps=-0.1),
+     "eps must be positive and finite, got -0.1"),
+    (lambda c: theta_eps(Sphere(2), DensitySpec("uniform"), [1.0, 0.5],
+                         eps=math.nan), "eps must be positive and finite"),
+    (lambda c: theta_K_eps(2, 1.0, math.nan), "eps must be positive and finite"),
+    (lambda c: theta_K_eps(2, math.nan, 0.3), "K must be positive and finite"),
+    (lambda c: theta_K_eps(2, 1.0, -0.3),
+     "eps must be positive and finite, got -0.3"),
+], ids=["psi-eps-0", "psi-eps-negative", "psi-eps-nan", "psi-distance-nan",
+        "context-eps-nan", "theta-circle-eps-negative", "theta-sphere-eps-nan",
+        "theta_K-eps-nan", "theta_K-K-nan", "theta_K-eps-negative"])
+def test_kernels_reject_bad_input(circle, call, match):
+    cloud = sample_dataset(circle, DensitySpec("uniform"), 5, seed=0)
+    with pytest.raises(ValueError, match=match):
+        call(cloud)
 
 
 class TestThetaN:

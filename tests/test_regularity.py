@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 
 from conftest import custom_graph
 from spectral_limits import experiments, regularity, spectral
-from spectral_limits.graph import dirichlet_energy, gamma_N_eps
+from spectral_limits.graph import WeightedGraph, dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
     certify,
@@ -363,6 +363,35 @@ class TestPoincare:
         with pytest.raises(ValueError, match="positive vertex weights"):
             poincare_constant(g)
 
+    def test_zero_weight_outside_every_ball_is_rejected(self):
+        # a path of 20 vertices and an isolated vertex 20 of weight zero,
+        # which no ball of two or more vertices holds
+        path = [[i, i + 1] for i in range(19)]
+        g = custom_graph(21, path, [1.0] * 20 + [0.0], [1.0] * 19)
+        with pytest.raises(ValueError,
+                           match=r"nonpositive vertex weights at \[20\]"):
+            poincare_constant(g)
+
+    def test_balls_are_cut_from_one_operator(self, monkeypatch, sphere2):
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
+        g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
+        built, made = [], []
+        build, init = regularity._operator_csr, WeightedGraph.__init__
+
+        def spied_build(h):
+            built.append(h)
+            return build(h)
+
+        def spied_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(regularity, "_operator_csr", spied_build)
+        monkeypatch.setattr(WeightedGraph, "__init__", spied_init)
+        assert math.isfinite(poincare_constant(g, seed=1))
+        assert built == [g]
+        assert made == []
+
     @pytest.mark.parametrize("case", ["sphere2-1500", "circle-300", "torus-400"])
     def test_every_ball_matches_the_dense_pencil(self, request, monkeypatch,
                                                   case):
@@ -370,8 +399,8 @@ class TestPoincare:
         balls = []
         solve = regularity._poincare_ball_constant
 
-        def recorded(g, idx, r):
-            val = solve(g, idx, r)
+        def recorded(g, B, idx, r):
+            val = solve(g, B, idx, r)
             balls.append((idx, r, val))
             return val
 

@@ -148,6 +148,16 @@ class TestBernstein:
         assert dev == pytest.approx(0.96)
         assert fail == pytest.approx(2.0 * math.exp(-4.0))
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.5, 100, 0.1), (1.0, math.nan, 100, 0.1),
+        (1.0, 0.5, math.nan, 0.1), (1.0, 0.5, 100, math.nan),
+        (-1.0, 0.5, 100, 0.1), (1.0, 0.5, 0, 0.1),
+    ], ids=["sup-nan", "sigma-nan", "n-nan", "delta-nan", "sup-negative",
+            "n-zero"])
+    def test_bad_arguments_rejected(self, args):
+        with pytest.raises(ValueError, match="must be nonnegative, n > 0"):
+            bernstein_bound(*args)
+
     def test_constant_function_never_violates(self, circle):
         f = lambda zi, ze: np.full(len(np.atleast_2d(zi)), 3.0)
         rate = bernstein_empirical_check(circle, DensitySpec("uniform"), f,

@@ -254,7 +254,7 @@ class TestOperatorFromTheTriangle:
             assert_same_csr(got, matrix_operator(adj, g.w_V, g.epsilon))
 
     @pytest.mark.parametrize("case", ["sphere", "random"])
-    def test_poincare_balls(self, sphere2, case):
+    def test_poincare_balls(self, monkeypatch, sphere2, case):
         if case == "sphere":
             cloud = sample_dataset(sphere2, DensitySpec("uniform"), 900, seed=4)
             g = gamma_N_eps(cloud, epsilon_schedule(900, 2))
@@ -266,18 +266,22 @@ class TestOperatorFromTheTriangle:
             g = custom_graph(n, np.column_stack([i[keep], j[keep]]),
                              rng.uniform(0.5, 2.0, n), 1.5, eps=0.3)
         balls = 0
-        for _, hops in _hop_blocks(g, [0, 7, 31]):
-            for row in hops:
-                for k in (1, 2, 3):
-                    idx = np.nonzero(row <= k)[0]
-                    if len(idx) < 2:
-                        continue
-                    sub = g.weighted_adjacency[idx][:, idx]
-                    w = g.w_V[idx]
-                    got = graph._operator_csr(g._subgraph(idx))
-                    assert_same_csr(got, matrix_operator(sub, w, g.epsilon))
-                    balls += 1
-        assert balls == 9
+        for block in (None, 7, 1):
+            if block is not None:
+                monkeypatch.setattr(graph, "_BLOCK_ENTRIES", block)
+            B = graph._operator_csr(g)
+            for _, hops in _hop_blocks(g, [0, 7, 31]):
+                for row in hops:
+                    for k in (1, 2, 3):
+                        idx = np.nonzero(row <= k)[0]
+                        if len(idx) < 2:
+                            continue
+                        sub = g.weighted_adjacency[idx][:, idx]
+                        w = g.w_V[idx]
+                        assert_same_csr(graph._ball_operator(g, B, idx),
+                                        matrix_operator(sub, w, g.epsilon))
+                        balls += 1
+        assert balls == 27
 
     def test_eigenvalues_do_not_depend_on_the_matrix(self, circle):
         cloud = sample_dataset(circle, DensitySpec("uniform"), 900, seed=4)
