@@ -10,11 +10,10 @@ sphere minus a lune.
 
 Every integral of sin^p that the models need (sphere ball volumes, the
 spindle's volume and its polar-angle law) is a regularized incomplete
-beta function, ``_sin_power_integral``.  ``scipy.integrate``, which pulls
-in ``scipy.optimize``, loads on the first quadrature (``_integrate``):
-the comparison volume V_K and the kernel masses theta of
-``interpolation`` on the circle, the sphere and the comparison model.
-No graph command takes one.
+beta function, ``_sin_power_integral``.  The remaining model integrals,
+the comparison volume V_K and the kernel masses theta of ``interpolation``
+on the circle, the sphere and the comparison model, share one fixed
+64-point Gauss-Legendre rule, ``_gauss``.
 """
 
 from __future__ import annotations
@@ -40,10 +39,18 @@ __all__ = [
 ]
 
 
-def _integrate():
-    """``scipy.integrate`` on first use, for V_K and the kernel masses theta."""
-    from scipy import integrate
-    return integrate
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _gauss(f, a: float, b: float) -> float:
+    """int_a^b f by the 64-point Gauss-Legendre rule; ``f`` maps arrays.
+
+    Every integrand it is given is entire on an interval no longer than
+    pi R or r, so the rule is exact to rounding.
+    """
+    half = 0.5 * (b - a)
+    x = half * _GAUSS_NODES + 0.5 * (a + b)
+    return half * float(_GAUSS_WEIGHTS @ f(x))
 
 
 def _sin_power_integral(p: int, t: float) -> float:
@@ -86,7 +93,7 @@ def model_sn(K: float, r) -> float:
     """
     K = _length(K, "K")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise ValueError("radius must be nonnegative")
     s = math.sqrt(K)
     out = np.sinh(s * r) / s
@@ -103,9 +110,7 @@ def model_ball_volume(m: int, K: float, r: float) -> float:
     r = _length(r, "radius")
     if m == 1:
         return 2.0 * r
-    val, _ = _integrate().quad(
-        lambda t: model_sn(K, t) ** (m - 1), 0.0, r, epsabs=0.0, epsrel=1e-12
-    )
+    val = _gauss(lambda t: model_sn(K, t) ** (m - 1), 0.0, r)
     return sphere_area(m - 1) * val
 
 

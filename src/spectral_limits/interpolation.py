@@ -6,9 +6,9 @@ function on the sample's eps-neighborhood (a convex combination of vertex
 values, hence a partition of unity).  The continuum counterparts of the
 kernel density and the Dirichlet-form / L2-norm comparison reports of the
 discretization direction live here as well.  ``theta_K_eps`` and
-``theta_eps`` on the circle and sphere are radial quadratures;
-``scipy.integrate`` loads on the first of them, through
-``geometry._integrate``.  On the flat torus ``theta_eps`` is closed form.
+``theta_eps`` on the circle and sphere are radial integrals by the fixed
+Gauss-Legendre rule ``geometry._gauss``.  On the flat torus ``theta_eps``
+is closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _integrate, \
+from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _gauss, \
     _length, model_sn, sphere_area, unit_ball_volume
 from .sampling import DensitySpec, PointCloud
 from .graph import WeightedGraph, _edge_scale, _edge_sum
@@ -80,31 +80,25 @@ def theta_n_eps(ctx: KernelContext, xi) -> float:
 def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
     """Continuum kernel density: integral of psi_eps(d_g(xi, .)) against rho.
 
-    Radial quadrature on the circle and sphere, and the closed form
-    rho0 omega_m eps^m / (m+2) on the torus below its injectivity radius;
-    any other model raises.
+    A Gauss-Legendre radial integral on the circle and sphere, and the
+    closed form rho0 omega_m eps^m / (m+2) on the torus below its
+    injectivity radius; any other model raises.
     """
     eps = _length(eps, "eps")
     if isinstance(mfd, Circle):
         R = mfd.radius
         half = min(eps, math.pi * R)
         th0 = float(xi[0])
-
-        def f(s):
-            return psi_eps(abs(s), eps) * float(dens.pdf(mfd, np.array([[th0 + s / R]]))[0])
-
-        val, _ = _integrate().quad(f, -half, half, epsabs=0.0, epsrel=1e-10, limit=200)
-        return float(val)
+        return _gauss(lambda s: psi_eps(np.abs(s), eps)
+                      * dens.pdf(mfd, (th0 + s / R)[:, None]), -half, half)
     if dens.kind != "uniform":
         raise ValueError("only the uniform density is supported off the circle")
     rho0 = 1.0 / mfd.total_volume
     if isinstance(mfd, Sphere):
         R, m = mfd.radius, mfd.m
         top = min(eps, math.pi * R)
-        val, _ = _integrate().quad(
-            lambda r: psi_eps(r, eps) * (R * math.sin(r / R)) ** (m - 1),
-            0.0, top, epsabs=0.0, epsrel=1e-10, limit=200,
-        )
+        val = _gauss(lambda r: psi_eps(r, eps) * (R * np.sin(r / R))
+                     ** (m - 1), 0.0, top)
         return rho0 * sphere_area(m - 1) * val
     if isinstance(mfd, FlatTorus):
         if eps > mfd.injectivity_radius:
@@ -116,10 +110,8 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
 def theta_K_eps(m: int, K: float, eps: float) -> float:
     """Comparison-model kernel mass m omega_m int_0^eps psi_eps sn_K^{m-1}."""
     eps, K = _length(eps, "eps"), _length(K, "K")
-    val, _ = _integrate().quad(
-        lambda r: psi_eps(r, eps) * model_sn(K, r) ** (m - 1),
-        0.0, eps, epsabs=0.0, epsrel=1e-10, limit=200,
-    )
+    val = _gauss(lambda r: psi_eps(r, eps) * model_sn(K, r) ** (m - 1),
+                 0.0, eps)
     return m * unit_ball_volume(m) * val
 
 

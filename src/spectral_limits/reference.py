@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import eval_gegenbauer
+from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .geometry import (Circle, FlatTorus, ManifoldModel, Sphere, Spindle,
                        sphere_area)
@@ -203,8 +203,6 @@ def _sphere_l1_functions(m: int, radius: float):
 
 def _sphere2_harmonics(l: int, radius: float):
     """Real spherical harmonics of degree l on S^2, rho_vol-normalized."""
-    from scipy.special import sph_harm_y
-
     out = []
     for mm in range(-l, l + 1):
         def f(zi, ze, _m=mm, _l=l, _r=radius):

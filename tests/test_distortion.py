@@ -121,13 +121,14 @@ def test_estimators_reject_non_finite_eps(torus, estimate, eps):
     (lambda: theorem_error_terms(2, math.inf, 0.1, 0.1),
      "eps must be positive and finite, got inf"),
     (lambda: model_sn(math.nan, 0.5), "K must be positive and finite, got nan"),
+    (lambda: model_sn(1.0, [0.1, math.nan]), "radius must be nonnegative"),
     (lambda: model_ball_volume(2, math.nan, 0.5),
      "K must be positive and finite, got nan"),
     (lambda: bishop_gromov_ratio(Sphere(2), np.array([1.0, 0.5]), 0.5, math.nan),
      "K must be positive and finite, got nan"),
 ], ids=["v_p_eps-p", "v_p_eps-K", "delta_p_eps_a-p", "error-terms-eps-nan",
-        "error-terms-eps-inf", "model_sn-K", "model_ball_volume-K",
-        "bishop_gromov_ratio-K"])
+        "error-terms-eps-inf", "model_sn-K", "model_sn-r",
+        "model_ball_volume-K", "bishop_gromov_ratio-K"])
 def test_nan_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

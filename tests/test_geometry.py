@@ -142,6 +142,18 @@ class TestModelFunctions:
         vols = [model_ball_volume(2, 1.5, r) for r in rs]
         assert np.all(np.diff(vols) > 0)
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_model_ball_volume_matches_tight_quadrature(self, m):
+        # sinh^5(10 r) up to r = 3 is the steepest integrand of the grid
+        for K in (1e-3, 0.1, 1.0, 10.0, 100.0):
+            for r in (1e-6, 1e-3, 0.1, 1.0, 2.0, 3.0):
+                val, _ = integrate.quad(lambda t: model_sn(K, t) ** (m - 1),
+                                        0.0, r, epsabs=0.0, epsrel=1e-13,
+                                        limit=200)
+                want = sphere_area(m - 1) * val
+                assert model_ball_volume(m, K, r) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (K, r)
+
 
 class TestDistances:
     def test_circle_antipodal(self, circle):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spectral_limits.geometry import FlatTorus, Sphere, unit_ball_volume
+from spectral_limits.geometry import Circle, FlatTorus, Sphere, model_sn, \
+    sphere_area, unit_ball_volume
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
     KernelContext,
@@ -115,8 +116,6 @@ class TestThetaContinuum:
         dens = DensitySpec("cosine_tilt", amplitude=0.3)
         x = np.array([0.5])
         eps = 0.2
-        from scipy.integrate import quad
-
         want = quad(
             lambda s: psi_eps(abs(s), eps) * (1 + 0.3 * math.cos(0.5 + s))
             / (2 * math.pi), -eps, eps,
@@ -143,6 +142,36 @@ class TestThetaContinuum:
         got = theta_eps(torus, DensitySpec("uniform"), np.full(m, 0.1), eps=eps)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_circle_matches_tight_quadrature(self, R, amplitude):
+        # eps = 10 is beyond pi R: the window is then the whole circle
+        dens = DensitySpec("cosine_tilt", amplitude=amplitude)
+        for x in (0.0, 1.3):
+            for eps in (0.01, 0.3, 1.0, 3.0, 10.0):
+                half = min(eps, math.pi * R)
+                want, _ = quad(
+                    lambda s: psi_eps(abs(s), eps)
+                    * (1.0 + amplitude * math.cos(x + s / R))
+                    / (2 * math.pi * R),
+                    -half, half, epsabs=0.0, epsrel=1e-13, limit=200)
+                got = theta_eps(Circle(R), dens, np.array([x]), eps=eps)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (x, eps)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_sphere_matches_tight_quadrature(self, m, R):
+        sphere = Sphere(m, R)
+        for eps in (0.01, 0.3, 1.0, 3.0, 10.0):
+            top = min(eps, math.pi * R)
+            val, _ = quad(lambda r: psi_eps(r, eps) * (R * math.sin(r / R))
+                          ** (m - 1), 0.0, top, epsabs=0.0, epsrel=1e-13,
+                          limit=200)
+            want = sphere_area(m - 1) * val / sphere.total_volume
+            got = theta_eps(sphere, DensitySpec("uniform"), np.eye(m + 1)[0],
+                            eps=eps)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), eps
+
     @pytest.mark.parametrize("model, x, eps, match", [
         ("torus", [0.3, 0.7], 0.6,
          "torus kernel mass needs eps below min period/2"),
@@ -167,6 +196,17 @@ class TestThetaK:
         integral = (ch - 1.0) - 4.0 * (e**2 * ch - 2.0 * e * sh + 2.0 * ch - 2.0)
         want = math.pi * integral
         assert theta_K_eps(2, 1.0, e) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_tight_quadrature(self, m):
+        for K in (1e-3, 1.0, 100.0):
+            for eps in (1e-3, 0.1, 0.5, 1.0, 2.0):
+                val, _ = quad(lambda r: psi_eps(r, eps) * model_sn(K, r)
+                              ** (m - 1), 0.0, eps, epsabs=0.0, epsrel=1e-13,
+                              limit=200)
+                want = m * unit_ball_volume(m) * val
+                assert theta_K_eps(m, K, eps) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (K, eps)
 
     def test_euclidean_limit(self):
         # K -> 0 proxy: m omega_m int psi r^{m-1} dr = omega_m eps^m / (m+2)

@@ -1,12 +1,13 @@
-"""Graph commands never load ``scipy.integrate`` or ``scipy.optimize``.
+"""No command or model integral loads ``scipy.integrate`` or ``scipy.optimize``.
 
-Quadrature serves only V_K and the kernel masses theta, so ``spectrum`` and
-``regularity`` must not pay for the import on any model, the spindle
-included: its volume and sampler are incomplete beta functions.  The check
-runs in a child ``python``: the pytest process has already imported
-``scipy.integrate`` through other test modules.  The same child then takes
-a comparison volume V_K, a quadrature, so the check cannot pass because the
-modules never show up in ``sys.modules``.
+The spindle's volume and sampler are incomplete beta functions, and the
+comparison volume V_K and the kernel masses theta take one fixed
+Gauss-Legendre rule, so none of the nine commands, on any model, and none
+of those integrals pays for either import.  The check runs in a child
+``python``: the pytest process has already imported ``scipy.integrate``
+through other test modules.  The same child then imports
+``scipy.integrate`` itself, so the check cannot pass because the modules
+never show up in ``sys.modules``.
 """
 
 import json
@@ -18,11 +19,16 @@ from test_cli_golden import PINNED_THREADS, SRC
 
 CHILD = '''
 import json, os, sys, tempfile
+import numpy as np
 from spectral_limits.cli import main
 
 CIRCLE = 'manifold = "circle"\\nn = [64]\\nseeds = [1]\\nk_max = 2\\n'
 SPHERE = 'manifold = "sphere"\\nm = 2\\nn = [300]\\nseeds = [4]\\nk_max = 3\\n'
 SPINDLE = 'manifold = "spindle"\\nm = 3\\nn = [200]\\nseeds = [1]\\nk_max = 2\\n'
+SPINDLE2 = ('manifold = "spindle"\\nm = 2\\nn = [200]\\nseeds = [1]\\n'
+            'mc_outer = 4\\nmc_inner = 50\\n')
+SWEEP = ('manifold = "circle"\\nn = [64, 96, 128]\\nseeds = [1, 2, 3]\\n'
+         'k_max = 2\\n')
 QUADRATURE = ("scipy.integrate", "scipy.optimize")
 
 
@@ -32,27 +38,50 @@ def loaded():
 
 report = {}
 with tempfile.TemporaryDirectory() as tmp:
-    for name, command, text in (("spectrum", "spectrum", CIRCLE),
+    for name, command, text in (("sample", "sample", CIRCLE),
+                                ("graph", "graph", CIRCLE),
+                                ("spectrum", "spectrum", CIRCLE),
+                                ("align", "align", CIRCLE),
                                 ("regularity", "regularity", SPHERE),
-                                ("spectrum-spindle3", "spectrum", SPINDLE)):
+                                ("spectrum-spindle3", "spectrum", SPINDLE),
+                                ("distortion", "distortion", SPINDLE2),
+                                ("energy", "energy", SPHERE),
+                                ("moser", "moser", CIRCLE),
+                                ("sweep", "sweep", SWEEP)):
         cfg = os.path.join(tmp, name + ".toml")
         with open(cfg, "w") as fh:
             fh.write(text)
         out = os.path.join(tmp, name)
         assert main([command, "--config", cfg, "--out", out]) == 0
+        assert len(os.listdir(out)) > 1, name
         report[name] = loaded()
 
-from spectral_limits.geometry import Spindle, model_ball_volume
+from spectral_limits.geometry import Circle, Sphere, Spindle, \\
+    bishop_gromov_ratio, model_ball_volume
+from spectral_limits.interpolation import theta_K_eps, theta_eps
+from spectral_limits.sampling import DensitySpec
 
 Spindle(3)
 report["Spindle(3)"] = loaded()
 model_ball_volume(2, 1.0, 0.5)
-report["model_ball_volume"] = loaded()
+bishop_gromov_ratio(Sphere(2), np.array([0.0, 0.0, 1.0]), 0.5, 1.0)
+theta_eps(Circle(), DensitySpec("cosine_tilt", amplitude=0.3), [0.5], 0.2)
+theta_eps(Sphere(2), DensitySpec("uniform"), [0.0, 0.0, 1.0], 0.7)
+theta_K_eps(2, 1.0, 0.5)
+report["model integrals"] = loaded()
+
+import scipy.integrate
+
+report["import scipy.integrate"] = loaded()
 print(json.dumps(report))
 '''
 
+RUNS = ("sample", "graph", "spectrum", "align", "regularity",
+        "spectrum-spindle3", "distortion", "energy", "moser", "sweep",
+        "Spindle(3)", "model integrals")
 
-def test_graph_commands_skip_quadrature_imports():
+
+def test_commands_and_model_integrals_skip_quadrature_imports():
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -60,7 +89,9 @@ def test_graph_commands_skip_quadrature_imports():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    for run in ("spectrum", "regularity", "spectrum-spindle3", "Spindle(3)"):
+    assert list(report) == [*RUNS, "import scipy.integrate"]
+    for run in RUNS:
         assert report[run] == [], run
-    # positive control: the first quadrature does load both
-    assert report["model_ball_volume"] == ["scipy.integrate", "scipy.optimize"]
+    # positive control: the import itself does load both
+    assert report["import scipy.integrate"] == ["scipy.integrate",
+                                                "scipy.optimize"]
