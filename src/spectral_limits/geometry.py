@@ -13,11 +13,13 @@ spindle's volume and its polar-angle law) is a regularized incomplete
 beta function, ``_sin_power_integral``.  The remaining model integrals,
 the comparison volume V_K and the kernel masses theta of ``interpolation``
 on the circle, the sphere and the comparison model, share one fixed
-64-point Gauss-Legendre rule, ``_gauss``.
+64-point Gauss-Legendre rule, ``_gauss``, built on first use, so a
+command that integrates nothing never builds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,18 +41,26 @@ __all__ = [
 ]
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _gauss_rule():
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1],
+    read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss(f, a: float, b: float) -> float:
     """int_a^b f by the 64-point Gauss-Legendre rule; ``f`` maps arrays.
 
-    Every integrand it is given is entire on an interval no longer than
-    pi R or r, so the rule is exact to rounding.
+    The rule is built on first use.  Every integrand it is given is entire
+    on an interval no longer than pi R or r, so the rule is exact to
+    rounding.
     """
+    nodes, weights = _gauss_rule()
     half = 0.5 * (b - a)
-    x = half * _GAUSS_NODES + 0.5 * (a + b)
-    return half * float(_GAUSS_WEIGHTS @ f(x))
+    x = half * nodes + 0.5 * (a + b)
+    return half * float(weights @ f(x))
 
 
 def _sin_power_integral(p: int, t: float) -> float:

@@ -419,11 +419,17 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
 # operators
 
 
-def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
-    """Apply the graph Laplacian to one vertex function, of shape (n,)."""
+def _vertex_function(g: WeightedGraph, phi) -> np.ndarray:
+    """``phi`` as a float array, which must have shape (n,)."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (g.n_vertices,):
         raise ValueError("function length does not match vertex count")
+    return phi
+
+
+def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
+    """Apply the graph Laplacian to one vertex function, of shape (n,)."""
+    phi = _vertex_function(g, phi)
     bad = np.nonzero(g.w_V == 0)[0]
     if len(bad):
         raise ValueError(f"vertices with zero weight w_V: {bad[:10].tolist()}")

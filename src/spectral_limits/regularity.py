@@ -7,9 +7,12 @@ almost-regularity ratio, a neighbor-averaging (smoothing) operator, a
 Nash-type fitted constant, and the Moser-shape check on eigenvector
 p-norm ratios with the exact graph diameter.  All radii live on the
 breakpoints (k + 1/2) * eps, where the quantized graph metric makes ball
-membership exact.  Hop counts come from a bit-parallel BFS, 64 sources
-per uint64 word, over the stored entries of the graph's matrix.  Each
-ball's Poincare constant is exact, from the first nonzero eigenvalue of
+membership exact.  Every ball comes from a bit-parallel BFS, 64 sources
+per uint64 word, over the stored entries of the graph's matrix.  The
+doubling constant sums its ball volumes level by level as the search
+runs, and stops a block of sources once no larger radius can raise it;
+a relative slack of 1e-9 keeps the stop exact.  Each ball's Poincare
+constant is exact, from the first nonzero eigenvalue of
 the ball's Laplacian, in memory that grows with its edge count, and the
 ball's operator is cut from the graph's, which is built once.
 """
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .graph import WeightedGraph, _ball_operator, _operator_csr, \
-    dirichlet_energy
+    _vertex_function, dirichlet_energy
 from .spectral import DENSE_LIMIT, SpectralResult, _lanczos_above_null
 
 __all__ = [
@@ -51,7 +54,7 @@ def weighted_p_norm(g: WeightedGraph, phi, p) -> float:
     ``(1/vol(V) * sum_x |phi(x)|^p w_V(x))^(1/p)``; the sup norm for
     p = inf.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _vertex_function(g, phi)
     if p == np.inf:
         return float(np.max(np.abs(phi)))
     if not p >= 1:
@@ -83,15 +86,14 @@ def _word_bits(words) -> np.ndarray:
     return np.unpackbits(bytes_, bitorder="little").reshape(-1, _HOP_BLOCK)
 
 
-def _hop_blocks(g: WeightedGraph, sources):
-    """(sources, hop rows) per block of ``sources``; inf when unreachable.
+def _bfs_levels(g: WeightedGraph, src):
+    """The words of the vertices first reached at each BFS level from
+    ``src``, level 0 being the sources; bit k is source k.
 
-    One bit-parallel BFS per block of up to 64 sources (multi-source BFS,
-    Then et al., PVLDB 2014): bit k of a vertex's uint64 word says that
-    source k has reached it, and a level ORs each vertex's neighbours'
-    frontier words.  A vertex's hop count from source k is the number of
-    levels at which bit k of its word is still unseen.  The search reads
-    only the CSR structure.
+    One bit-parallel BFS of up to 64 sources (multi-source BFS, Then et
+    al., PVLDB 2014): a level ORs each vertex's neighbours' frontier words
+    and keeps the bits the vertex has not yet seen.  The search reads only
+    the CSR structure.  Each yielded array is fresh: the caller may keep it.
     """
     adj = g.weighted_adjacency
     n = g.n_vertices
@@ -100,24 +102,36 @@ def _hop_blocks(g: WeightedGraph, sources):
     starts = adj.indptr[:-1][has]
     # gathering through int32 indices converts them on every level
     indices = adj.indices.astype(np.intp)
+    front = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(front, src, _BITS[:len(src)])
+    seen = front.copy()
+    while True:
+        yield front
+        nxt = np.zeros(n, dtype=np.uint64)
+        nxt[has] = np.bitwise_or.reduceat(front[indices], starts)
+        nxt &= ~seen
+        if not nxt.any():
+            return
+        seen |= nxt
+        front = nxt
+
+
+def _hop_blocks(g: WeightedGraph, sources):
+    """(sources, hop rows) per block of ``sources``; inf when unreachable.
+
+    A vertex's hop count from source k is the number of ``_bfs_levels``
+    after which bit k of its word is still unseen.
+    """
+    n = g.n_vertices
     sources = np.asarray(sources, dtype=np.int64)
     for start in range(0, len(sources), _HOP_BLOCK):
         src = sources[start:start + _HOP_BLOCK]
         b = len(src)
-        front = np.zeros(n, dtype=np.uint64)
-        np.bitwise_or.at(front, src, _BITS[:b])
-        seen = front.copy()
+        seen = np.zeros(n, dtype=np.uint64)
         count = np.zeros((n, _HOP_BLOCK), dtype=np.uint32)
-        while True:
-            unseen = ~seen
-            count += _word_bits(unseen)
-            nxt = np.zeros(n, dtype=np.uint64)
-            nxt[has] = np.bitwise_or.reduceat(front[indices], starts)
-            nxt &= unseen
-            if not nxt.any():
-                break
-            seen |= nxt
-            front = nxt
+        for new in _bfs_levels(g, src):
+            seen |= new
+            count += _word_bits(~seen)
         hops = count[:, :b].T.astype(float)
         hops[_word_bits(seen)[:, :b].T == 0] = np.inf
         yield src, hops
@@ -136,33 +150,59 @@ def _pick_centers(g: WeightedGraph, count: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=count, replace=False))
 
 
-def _cumulative_ball_volumes(g: WeightedGraph, hops_row) -> np.ndarray:
-    finite = np.isfinite(hops_row)
-    h = hops_row[finite].astype(np.int64)
-    vols = np.bincount(h, weights=g.w_V[finite])
-    return np.cumsum(vols)
+def _max_ratio(q: float, outer, inner) -> float:
+    """max(q, largest outer / inner over the entries with inner > 0)."""
+    ok = inner > 0
+    return max(q, float(np.max(outer[ok] / inner[ok], initial=q)))
 
 
 def doubling_constant(g: WeightedGraph, seed: int = 0) -> float:
     """Worst ratio vol(B(x, 2r)) / vol(B(x, r)) over breakpoint radii r > eps.
 
     Every vertex is a centre up to n = 2000, and 200 sampled ones above.
-    The centres' hop rows are streamed a block at a time.  Each centre's
-    radii stop at its eccentricity: past it both balls are the whole
-    component, and the ratio is exactly 1.
+    Each block of 64 centres runs one ``_bfs_levels`` search, and a level
+    adds the weights of the vertices it reaches to its sources' ball
+    volumes, so no hop row is formed.  Past a centre's eccentricity both
+    balls are its component, and the ratio is exactly 1.  After L levels
+    every radius k <= L // 2 is scored, and every larger radius has a ratio
+    at most vol(V) / vol(B(x, L // 2 + 1)); a block stops once that bound
+    is at most Q for each of its centres, so no later level can raise Q.
+    The bound takes vol(V) with a relative slack of 1e-9, so rounding never
+    stops a block early.
     """
     n = g.n_vertices
     centers = _pick_centers(g, n if n <= 2000 else 200, seed)
+    # The stop must not cut a ratio that rounds above Q.  Each volume sums
+    # at most n nonnegative terms, so it is off the exact sum by a relative
+    # n * 2^-53 at most, and the slack of 1e-9 covers n <= 10^6.  On a
+    # disconnected graph vol(V) is larger than any ball's outer volume,
+    # which only loosens the bound, and a ball of zero volume never stops a
+    # block, since q * 0 < total whenever any weight is positive.
+    total = float(np.sum(g.w_V)) * (1 + 1e-9)
     q = 1.0
-    for _, hops in _hop_blocks(g, centers):
-        for row in hops:
-            cum = _cumulative_ball_volumes(g, row)
-            top = len(cum) - 1
-            # radius (k + 1/2) eps contains hop counts <= k
-            k = np.arange(1, top + 1)
-            inner, outer = cum[k], cum[np.minimum(2 * k, top)]
-            ok = inner > 0
-            q = max(q, float(np.max(outer[ok] / inner[ok], initial=q)))
+    for start in range(0, len(centers), _HOP_BLOCK):
+        src = centers[start:start + _HOP_BLOCK]
+        b = len(src)
+        cum = np.zeros(b)
+        vols = []                   # vols[k][s]: vol B(src[s], (k + 1/2) eps)
+        for top, new in enumerate(_bfs_levels(g, src)):
+            act = np.flatnonzero(new)
+            # summed row by row in vertex order, as bincount and cumsum do;
+            # w @ bits sums in BLAS order and moves Q in its last bits, and
+            # so would a lone column, which numpy sums pairwise: all 64 are
+            # summed and the block's b kept
+            lvl = (g.w_V[act][:, None] * _word_bits(new[act])).sum(axis=0)
+            cum = cum + lvl[:b]
+            vols.append(cum)
+            if top >= 2 and top % 2 == 0:
+                q = _max_ratio(q, cum, vols[top // 2])
+            if top >= 1 and np.all(total <= q * vols[top // 2 + 1]):
+                break
+        else:
+            # the search ended: every radius in (top // 2, top] has the last
+            # level's volumes as its outer ball
+            for inner in vols[top // 2 + 1:]:
+                q = _max_ratio(q, cum, inner)
     return q
 
 
@@ -195,7 +235,9 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     k, geometrically spaced up to the largest hop count seen, the ball
     B(x, (k + 1/2) eps) is the vertices at most k hops from x.  Its sharp
     constant is solved exactly: densely up to ``DENSE_LIMIT`` vertices, by
-    deflated Lanczos above.  Every vertex weight must be positive.
+    deflated Lanczos above.  The constant falls as r grows, so each
+    distinct vertex set is solved once, at the smallest radius that
+    reaches it.  Every vertex weight must be positive.
     """
     bad = np.flatnonzero(g.w_V <= 0)
     if len(bad):
@@ -205,19 +247,15 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
     top = int(np.max(hops, initial=1, where=np.isfinite(hops)))
     ks = np.unique(np.clip(np.round(np.geomspace(1, top, 6)).astype(int), 1, top))
-    p = 0.0
-    solved = {}
+    balls = {}                      # vertex set -> (vertices, smallest k)
     for row in hops:
         for k in ks:
             idx = np.flatnonzero(row <= k)
-            if len(idx) < 2:
-                continue
-            key = (idx.tobytes(), k)
-            if key not in solved:
-                solved[key] = _poincare_ball_constant(g, B, idx,
-                                                      (k + 0.5) * g.epsilon)
-            p = max(p, solved[key])
-    return p
+            key = idx.tobytes()
+            if len(idx) >= 2 and k < balls.get(key, (idx, top + 1))[1]:
+                balls[key] = (idx, k)
+    return max((_poincare_ball_constant(g, B, idx, (k + 0.5) * g.epsilon)
+                for idx, k in balls.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +288,19 @@ def _worst_ratio(a, b) -> float:
 
 def smoothing_apply(g: WeightedGraph, phi) -> np.ndarray:
     """Edge-weighted neighbor average I(phi)."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _vertex_function(g, phi)
     dw = g.incident_edge_weight()
     if np.any(dw == 0):
         bad = np.nonzero(dw == 0)[0]
         raise ValueError(f"isolated vertices: {bad[:10].tolist()}")
     return (g.weighted_adjacency @ phi) / dw
+
+
+def _check_nonnegative(**values) -> None:
+    """Reject each named value that is NaN or negative."""
+    for name, v in values.items():
+        if not v >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
@@ -264,6 +309,7 @@ def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
     min(||phi||_2, ||I phi||_2) <= (C (D ||grad phi||_2)^(nu/(nu+2))
     + ||phi||_1^(nu/(nu+2))) * ||phi||_1^(2/(nu+2)).
     """
+    _check_nonnegative(D=D, nu=nu)
     phi = np.asarray(phi, dtype=float)
     if not np.any(phi != 0):
         raise ValueError("phi must be nonzero")
@@ -323,6 +369,9 @@ def moser_alpha(g: WeightedGraph) -> float:
 
 def moser_ratio(g: WeightedGraph, spectral: SpectralResult, k: int, p) -> float:
     """|||phi_k|||_p / |||phi_k|||_1 for the k-th eigenvector phi_k."""
+    count = len(spectral.eigenvalues)
+    if not 0 <= k < count:
+        raise ValueError(f"k must be in 0..{count - 1}, got {k}")
     phi = np.abs(spectral.eigenvectors[:, k])
     return float(weighted_p_norm(g, phi, p) / weighted_p_norm(g, phi, 1))
 
@@ -336,8 +385,9 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
     multiplicative constant of the bound is set to one, so only the shape
     (stability across n) is meaningful, never a literal inequality.
     """
-    lam = float(spectral.eigenvalues[k])
+    _check_nonnegative(alpha_param=alpha_param, D=D)
     ratio = moser_ratio(g, spectral, k, p)
+    lam = float(spectral.eigenvalues[k])
     power = 2.0 * lam * alpha_param * g.epsilon**2
     growth = math.exp(D * math.sqrt(max(lam, 0.0)))
     if p == np.inf:

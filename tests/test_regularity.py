@@ -89,6 +89,47 @@ def dense_doubling(g):
     return q
 
 
+def per_row_doubling(g, seed=0):
+    """Doubling constant of the same centres from their hop rows, one
+    ``bincount`` and ``cumsum`` per row up to the row's eccentricity: the
+    oracle, bit for bit, for the level volumes and the early stop."""
+    n = g.n_vertices
+    centers = regularity._pick_centers(g, n if n <= 2000 else 200, seed)
+    q = 1.0
+    for _, hops in regularity._hop_blocks(g, centers):
+        for row in hops:
+            finite = np.isfinite(row)
+            cum = np.cumsum(np.bincount(row[finite].astype(np.int64),
+                                        weights=g.w_V[finite]))
+            top = len(cum) - 1
+            k = np.arange(1, top + 1)
+            inner, outer = cum[k], cum[np.minimum(2 * k, top)]
+            ok = inner > 0
+            q = max(q, float(np.max(outer[ok] / inner[ok], initial=q)))
+    return q
+
+
+def count_levels(monkeypatch):
+    """Record the number of levels each ``_bfs_levels`` search yields from
+    now on."""
+    levels = []
+    bfs_levels = regularity._bfs_levels
+
+    def counted(g, src):
+        levels.append(0)
+        for new in bfs_levels(g, src):
+            levels[-1] += 1
+            yield new
+
+    monkeypatch.setattr(regularity, "_bfs_levels", counted)
+    return levels
+
+
+# vertex functions of another shape than (2,), for a graph of two vertices
+wrong_shapes = pytest.mark.parametrize("phi", [np.ones((2, 2)), np.ones(3)],
+                                       ids=["2x2", "length-3"])
+
+
 class TestWeightedPNorm:
     def test_hand_example(self):
         g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
@@ -112,6 +153,12 @@ class TestWeightedPNorm:
     def test_rejects_p_below_one(self, path3_gamma_N, p):
         with pytest.raises(ValueError, match="p must be >= 1"):
             weighted_p_norm(path3_gamma_N, np.ones(3), p)
+
+    @wrong_shapes
+    def test_rejects_a_function_of_another_shape(self, phi):
+        g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="function length does not match"):
+            weighted_p_norm(g, phi, 2)
 
 
 class TestHopBlocksOracle:
@@ -274,6 +321,54 @@ class TestDoubling:
         g = gamma_N_eps(cloud, epsilon_schedule(600, 2))
         assert doubling_constant(g) == dense_doubling(g)
 
+    @pytest.mark.parametrize("kind, seed", [("sphere2", 1), ("sphere2", 2),
+                                            ("sphere2", 3), ("circle", 1),
+                                            ("torus", 1)])
+    def test_matches_the_per_row_oracle_at_4000(self, request, kind, seed):
+        mfd = request.getfixturevalue(kind)
+        cloud = sample_dataset(mfd, DensitySpec("uniform"), 4000, seed=seed)
+        g = gamma_N_eps(cloud, epsilon_schedule(4000, mfd.m))
+        assert doubling_constant(g, seed=seed) == per_row_doubling(g, seed)
+
+    @pytest.mark.parametrize("n", [65, 120, 193])
+    def test_matches_the_per_row_oracle_on_random_graphs(self, n):
+        # weights over twelve decades, a fifth of them zero, and a tenth of
+        # the vertices cut off; at n = 65 and 193 the last block has one
+        # source, whose levels are long enough for the summation order to
+        # show in the last bits
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = random_graph(n, 0.15, seed)
+            cut = rng.random(n) < 0.1
+            edges = g.edges[~(cut[g.edges[:, 0]] | cut[g.edges[:, 1]])]
+            w = g.w_V * 10.0 ** rng.uniform(-6, 6, n)
+            w[rng.random(n) < 0.2] = 0.0
+            g = custom_graph(n, edges, w, eps=g.epsilon)
+            assert csgraph.connected_components(g.weighted_adjacency)[0] > 1
+            assert doubling_constant(g) == per_row_doubling(g), seed
+
+    def test_radii_past_half_the_last_level_count(self, monkeypatch):
+        # from vertex 0 of the path 0-1-2-3 the search ends at level 3, and
+        # radius 2, whose outer ball is the whole path, is never half a level
+        g = custom_graph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 1.0, 1.0, 9.0])
+        monkeypatch.setattr(regularity, "_pick_centers",
+                            lambda g, count, seed: np.array([0]))
+        assert doubling_constant(g) == 12.0 / 3.0 == per_row_doubling(g)
+
+    def test_stops_each_block_before_its_search_ends(self, sphere2,
+                                                     monkeypatch):
+        n = 1500
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        levels = count_levels(monkeypatch)
+        q = doubling_constant(g)
+        monkeypatch.undo()
+        full = [sum(1 for _ in regularity._bfs_levels(g, src))
+                for src in np.array_split(np.arange(n), range(64, n, 64))]
+        assert len(levels) == len(full)
+        assert all(ran < every for ran, every in zip(levels, full))
+        assert q == per_row_doubling(g)
+
     def test_memory_is_not_n_squared(self, sphere2):
         n = 2000                      # every vertex is a centre up to 2000
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
@@ -286,6 +381,19 @@ class TestDoubling:
             tracemalloc.stop()
         # all n hop rows at once are an n x n float64 matrix: 32 MB
         assert peak < 16 * 2**20
+        # 200 centres at n = 4000: no block holds (n, 64) hop counts, and
+        # the graph's own matrix, 2 MB, is built before the count starts
+        n = 4000
+        cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
+        g = gamma_N_eps(cloud, epsilon_schedule(n, 2))
+        g.weighted_adjacency
+        tracemalloc.start()
+        try:
+            doubling_constant(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_invariant_under_vertex_weight_scaling(self, circle_graph_200):
         g = circle_graph_200
@@ -415,6 +523,29 @@ class TestPoincare:
         if case == "sphere2-1500":
             assert max(len(idx) for idx, _, _ in balls) > spectral.DENSE_LIMIT
 
+    @pytest.mark.parametrize("edges", [[[i, i + 1] for i in range(5)],
+                                       [[0, i] for i in range(1, 6)]],
+                             ids=["path-6", "star-k15"])
+    def test_each_ball_is_solved_once(self, monkeypatch, edges):
+        # six vertices: every vertex is a centre, and the hop counts k are
+        # 1..5 on the path and 1..2 on the star, every count up to the
+        # largest; at the largest several centres reach the whole graph
+        g = custom_graph(6, edges, [1.0] * 6, eps=0.5)
+        solved = []
+        solve = regularity._poincare_ball_constant
+
+        def recorded(g, B, idx, r):
+            solved.append(tuple(idx.tolist()))
+            return solve(g, B, idx, r)
+
+        monkeypatch.setattr(regularity, "_poincare_ball_constant", recorded)
+        poincare_constant(g)
+        hops = dense_hops(g)
+        balls = {tuple(np.flatnonzero(row <= k).tolist())
+                 for row in hops for k in range(1, int(hops.max()) + 1)}
+        assert sorted(solved) == sorted(b for b in balls if len(b) >= 2)
+        assert solved.count(tuple(range(6))) == 1
+
     def test_memory_is_not_n_squared(self, sphere2):
         n = 2000
         cloud = sample_dataset(sphere2, DensitySpec("uniform"), n, seed=1)
@@ -525,6 +656,12 @@ class TestSmoothing:
         with pytest.raises(ValueError, match="isolated"):
             smoothing_apply(g, np.ones(3))
 
+    @wrong_shapes
+    def test_rejects_a_function_of_another_shape(self, phi):
+        g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="function length does not match"):
+            smoothing_apply(g, phi)
+
     def test_eigenvector_lower_bound(self, circle_graph_200):
         # for nonnegative phi with (Lap phi) <= lam phi one has
         # (1 - alpha lam eps^2 / 2) phi <= I phi pointwise
@@ -562,6 +699,15 @@ class TestNash:
     def test_zero_function_rejected(self, path3_gamma_N):
         with pytest.raises(ValueError):
             nash_diagnostic(path3_gamma_N, np.zeros(3), 1.0, 1.0)
+
+    @pytest.mark.parametrize("name, value", [("D", math.nan), ("D", -1.0),
+                                             ("nu", math.nan), ("nu", -2.0)])
+    def test_rejects_nan_or_negative_parameters(self, path3_gamma_N, name,
+                                                value):
+        kwargs = {"D": 1.0, "nu": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            nash_diagnostic(path3_gamma_N, np.array([1.0, 0.0, 0.0]),
+                            **kwargs)
 
 
 class TestMoser:
@@ -601,6 +747,32 @@ class TestMoser:
         for p in (2, 4, 8, np.inf):
             assert moser_ratio(circle_graph_200, res, 2, p) == \
                 self.check(circle_graph_200, res, 2, p)[0]
+
+    @pytest.mark.parametrize("past", [False, True], ids=["minus-one", "count"])
+    def test_ratio_rejects_k_outside_the_eigenvalues(self, circle_graph_200,
+                                                     past):
+        res = eigen_decompose(circle_graph_200, 2)
+        k = len(res.eigenvalues) if past else -1
+        with pytest.raises(ValueError, match="k must be in 0.."):
+            moser_ratio(circle_graph_200, res, k, 2)
+
+    @pytest.mark.parametrize("past", [False, True], ids=["minus-one", "count"])
+    def test_check_rejects_k_outside_the_eigenvalues(self, circle_graph_200,
+                                                     past):
+        res = eigen_decompose(circle_graph_200, 2)
+        k = len(res.eigenvalues) if past else -1
+        with pytest.raises(ValueError, match="k must be in 0.."):
+            moser_check(circle_graph_200, res, k, 2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name, value", [("alpha_param", math.nan),
+                                             ("alpha_param", -1.0),
+                                             ("D", math.nan), ("D", -1.0)])
+    def test_check_rejects_nan_or_negative_parameters(self, circle_graph_200,
+                                                      name, value):
+        res = eigen_decompose(circle_graph_200, 2)
+        kwargs = {"alpha_param": 1.0, "D": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            moser_check(circle_graph_200, res, 1, 2, **kwargs)
 
     def test_run_moser_takes_one_diameter_per_cell(self, monkeypatch):
         calls = []

@@ -1,13 +1,17 @@
-"""No command or model integral loads ``scipy.integrate`` or ``scipy.optimize``.
+"""No command or model integral loads ``scipy.integrate`` or ``scipy.optimize``,
+and only the integrals build the Gauss-Legendre rule.
 
 The spindle's volume and sampler are incomplete beta functions, and the
 comparison volume V_K and the kernel masses theta take one fixed
 Gauss-Legendre rule, so none of the nine commands, on any model, and none
-of those integrals pays for either import.  The check runs in a child
-``python``: the pytest process has already imported ``scipy.integrate``
-through other test modules.  The same child then imports
-``scipy.integrate`` itself, so the check cannot pass because the modules
-never show up in ``sys.modules``.
+of those integrals pays for either import.  The rule itself is built on
+first use: the child counts the calls of numpy's ``leggauss``, from the
+import of the CLI on, and clears the rule's cache after each run.  Only
+``distortion``, through V_K, and the model integrals build it, once per
+run.  The check runs in a child ``python``: the pytest process has
+already imported ``scipy.integrate`` through other test modules.  The
+same child then imports ``scipy.integrate`` itself, so the check cannot
+pass because the modules never show up in ``sys.modules``.
 """
 
 import json
@@ -20,6 +24,18 @@ from test_cli_golden import PINNED_THREADS, SRC
 CHILD = '''
 import json, os, sys, tempfile
 import numpy as np
+
+RULES = []
+leggauss = np.polynomial.legendre.leggauss
+
+
+def counted(deg):
+    RULES.append(deg)
+    return leggauss(deg)
+
+
+np.polynomial.legendre.leggauss = counted
+from spectral_limits import geometry
 from spectral_limits.cli import main
 
 CIRCLE = 'manifold = "circle"\\nn = [64]\\nseeds = [1]\\nk_max = 2\\n'
@@ -33,10 +49,15 @@ QUADRATURE = ("scipy.integrate", "scipy.optimize")
 
 
 def loaded():
-    return [name for name in QUADRATURE if name in sys.modules]
+    """The quadrature modules loaded, and the rules built since the last
+    call, with the rule's cache cleared for the next run."""
+    rules = list(RULES)
+    RULES.clear()
+    geometry._gauss_rule.cache_clear()
+    return [name for name in QUADRATURE if name in sys.modules], rules
 
 
-report = {}
+report = {"import": loaded()}
 with tempfile.TemporaryDirectory() as tmp:
     for name, command, text in (("sample", "sample", CIRCLE),
                                 ("graph", "graph", CIRCLE),
@@ -72,13 +93,15 @@ report["model integrals"] = loaded()
 
 import scipy.integrate
 
-report["import scipy.integrate"] = loaded()
+report["import scipy.integrate"] = loaded()[0]
 print(json.dumps(report))
 '''
 
-RUNS = ("sample", "graph", "spectrum", "align", "regularity",
+RUNS = ("import", "sample", "graph", "spectrum", "align", "regularity",
         "spectrum-spindle3", "distortion", "energy", "moser", "sweep",
         "Spindle(3)", "model integrals")
+# the runs that integrate: each builds the 64-point rule once
+RULE_RUNS = ("distortion", "model integrals")
 
 
 def test_commands_and_model_integrals_skip_quadrature_imports():
@@ -91,7 +114,9 @@ def test_commands_and_model_integrals_skip_quadrature_imports():
     report = json.loads(proc.stdout)
     assert list(report) == [*RUNS, "import scipy.integrate"]
     for run in RUNS:
-        assert report[run] == [], run
+        modules, rules = report[run]
+        assert modules == [], run
+        assert rules == ([64] if run in RULE_RUNS else []), run
     # positive control: the import itself does load both
     assert report["import scipy.integrate"] == ["scipy.integrate",
                                                 "scipy.optimize"]
