@@ -18,7 +18,6 @@ from .geometry import (
     ball_volume,
     bishop_gromov_ratio,
     model_ball_volume,
-    model_sn,
     unit_ball_volume,
 )
 from .sampling import (

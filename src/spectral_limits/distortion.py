@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldModel, _length, ball_volume, model_ball_volume
+from .geometry import ManifoldModel, _count, _exponent, _length, \
+    _mc_ball_volume, _nonnegative, model_ball_volume
 
 __all__ = [
     "Estimate",
@@ -38,16 +39,14 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
             n_mc: int, seed: int) -> Estimate:
     """L^p ball-volume deficit (integral over M of |1 - vol(B)/V_K|^p)^(1/p).
 
-    Uniform Monte-Carlo over the manifold; ball volumes are closed-form
-    where the model provides them and Monte-Carlo from ``_BALL_MC`` samples
-    otherwise.  The standard error of the p-th power integral is pushed
-    through the 1/p power by the delta method.
+    Uniform Monte-Carlo over the manifold.  On the circle, the sphere and
+    the flat torus a closed-form ball volume is the same at every point, so
+    the integrand is a constant; elsewhere each ball volume is Monte-Carlo
+    from ``_BALL_MC`` samples.  The standard error of the p-th power
+    integral is pushed through the 1/p power by the delta method.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    eps = _length(eps, "eps")
-    if n_mc < 2:
-        raise ValueError("n_mc must be >= 2 for a standard error")
+    p, eps, K = _exponent(p), _length(eps, "eps"), _length(K, "K")
+    n_mc = _count(n_mc, "n_mc", 2)      # for a standard error
     rng = np.random.Generator(np.random.PCG64(seed))
     vk = model_ball_volume(mfd.m, K, eps)
     z = mfd.uniform_intrinsic(n_mc, rng)
@@ -56,9 +55,8 @@ def v_p_eps(mfd: ManifoldModel, p: float, eps: float, K: float,
         # homogeneous model: the integrand is a constant
         integrand = np.full(n_mc, abs(1.0 - exact0 / vk) ** p)
     else:
-        vals = np.empty(n_mc)
-        for i in range(n_mc):
-            vals[i] = ball_volume(mfd, z[i], eps, n_mc=_BALL_MC, rng=rng)
+        vals = np.array([_mc_ball_volume(mfd, zi, eps, _BALL_MC, rng)[0]
+                         for zi in z])
         integrand = np.abs(1.0 - vals / vk) ** p
     total = mfd.total_volume * float(np.mean(integrand))
     se_total = mfd.total_volume * float(np.std(integrand, ddof=1)) / math.sqrt(n_mc)
@@ -81,10 +79,8 @@ def s_eps(mfd: ManifoldModel, eps: float, n_mc_outer: int = 200,
     distance never exceeds the geodesic one.
     """
     eps = _length(eps, "eps")
-    if n_mc_outer < 2:
-        raise ValueError("n_mc_outer must be >= 2 for a standard error")
-    if n_mc_inner < 1:
-        raise ValueError("n_mc_inner must be >= 1")
+    n_mc_outer = _count(n_mc_outer, "n_mc_outer", 2)  # for a standard error
+    n_mc_inner = _count(n_mc_inner, "n_mc_inner", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     vol = mfd.total_volume
     means = np.empty(n_mc_outer)
@@ -111,7 +107,9 @@ def theorem_error_terms(m: int, eps: float, v_m2_eps: float, s_eps_val: float):
     Returns (eps^(m/(m+2)), V_{m+2,eps} * eps^(-2/(m+2)), S_eps * eps^-m);
     the multiplicative constant in front is non-constructive and omitted.
     """
-    eps = _length(eps, "eps")
+    m, eps = _count(m, "m", 1), _length(eps, "eps")
+    v_m2_eps = _nonnegative(v_m2_eps, "v_m2_eps")
+    s_eps_val = _nonnegative(s_eps_val, "s_eps_val")
     t1 = eps ** (m / (m + 2.0))
     t2 = v_m2_eps * eps ** (-2.0 / (m + 2.0))
     t3 = s_eps_val * eps ** (-float(m))
@@ -121,7 +119,9 @@ def theorem_error_terms(m: int, eps: float, v_m2_eps: float, s_eps_val: float):
 def delta_p_eps_a(m: int, p: float, eps: float, a: float,
                   v_p_eps_val: float, s_eps_val: float) -> float:
     """Composite accuracy for the eigenspace-approximation estimates."""
-    if not p > 2:
-        raise ValueError("p must exceed 2")
+    m, p = _count(m, "m", 1), _exponent(p, above_two=True)
+    eps, a = _length(eps, "eps"), _nonnegative(a, "a")
+    v_p_eps_val = _nonnegative(v_p_eps_val, "v_p_eps_val")
+    s_eps_val = _nonnegative(s_eps_val, "s_eps_val")
     expo = min(1.0 - 2.0 / p, m / (p - 2.0) - 2.0 / p)
     return a + eps**expo + v_p_eps_val * eps ** (-2.0 / p) + s_eps_val * eps ** (-float(m))

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .distortion import s_eps, v_p_eps
-from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle
+from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, Spindle, \
+    _count
 from .graph import WeightedGraph, gamma_N_eps, gamma_m_eps
 from .interpolation import TestFunction, energy_comparison_report, \
     l2_norm_comparison_report
@@ -375,9 +376,9 @@ def align_eigenspaces(g: WeightedGraph, spectral: SpectralResult,
     weighted inner product, and finally rotated onto them by orthogonal
     Procrustes on the cross-Gram matrix.
     """
-    k, l = int(cluster[0]), int(cluster[1])
-    if not 0 <= k <= l:
-        raise ValueError("cluster must satisfy 0 <= k <= l")
+    k, l = (_count(c, "cluster") for c in cluster)
+    if k > l:
+        raise ValueError(f"cluster must satisfy 0 <= k <= l, got {cluster}")
     lam_ref = reference.eigenvalues
     gamma, span_width = _cluster_gap(lam_ref, k, l)
     if l >= spectral.eigenvectors.shape[1]:

@@ -33,7 +33,6 @@ __all__ = [
     "Spindle",
     "unit_ball_volume",
     "sphere_area",
-    "model_sn",
     "model_ball_volume",
     "ball_volume",
     "mc_ball_volume",
@@ -78,71 +77,97 @@ def _sin_power_integral(p: int, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# argument checks, called once at the top of each public function; each
+# ValueError names the argument ``what``
+
+
+def _length(value, what: str) -> float:
+    """``value`` as a float, which must be positive and finite."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
+def _nonnegative(value, what: str, finite: bool = False):
+    """A float or float array of entries >= 0, and finite with ``finite``."""
+    value = np.asarray(value, dtype=float)
+    if not np.all((value >= 0) & (np.isfinite(value) | (not finite))):
+        rule = " and finite" if finite else ""
+        raise ValueError(f"{what} must be nonnegative{rule}, got {value}")
+    return float(value) if value.ndim == 0 else value
+
+
+def _exponent(p, above_two: bool = False, inf: bool = False) -> float:
+    """``p`` as a float >= 1, or > 2 with ``above_two``; inf with ``inf``."""
+    p = float(p)
+    if not (p > 2 if above_two else p >= 1):
+        rule = "exceed 2" if above_two else "be >= 1"
+        raise ValueError(f"p must {rule}, got {p}")
+    if p == math.inf and not inf:
+        raise ValueError(f"p must be finite, got {p}")
+    return p
+
+
+def _count(value, what: str, least: int = 0, below=None) -> int:
+    """A whole number >= ``least``, and < ``below`` if given, as an int."""
+    if not (float(value).is_integer() and value >= least
+            and (below is None or value < below)):
+        top = "" if below is None else f" and < {below}"
+        raise ValueError(f"{what} must be an integer >= {least}{top}, got {value}")
+    return int(value)
+
+
+def _vertex_function(phi, n: int, what: str = "phi") -> np.ndarray:
+    """``phi`` as a float array, which must have shape (n,)."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {phi.shape}")
+    return phi
+
+
+def _no_vertex(bad, what: str) -> None:
+    """A ValueError naming ``what`` at the first ten vertices ``bad`` marks."""
+    at = np.flatnonzero(bad)
+    if len(at):
+        raise ValueError(f"{what} at {at[:10].tolist()}")
+
+
+# ---------------------------------------------------------------------------
 # model functions of constant curvature -K
 
 
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _count(m, "m", 1)
     return math.pi ** (m / 2.0) / special.gamma(m / 2.0 + 1.0)
 
 
 def sphere_area(m: int) -> float:
     """Surface measure of the unit sphere S^m in R^{m+1}."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count(m, "m")
     return 2.0 * math.pi ** ((m + 1) / 2.0) / special.gamma((m + 1) / 2.0)
 
 
-def model_sn(K: float, r) -> float:
-    """Comparison coefficient sinh(sqrt(K) r) / sqrt(K) for curvature -K.
-
-    The geometric class keeps K >= 1, but the formula is accepted for any
-    positive K (it tends to the Euclidean coefficient r as K -> 0).
-    """
-    K = _length(K, "K")
-    r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0):
-        raise ValueError("radius must be nonnegative")
+def _sn(K: float, r):
+    """sinh(sqrt(K) r) / sqrt(K), the comparison coefficient for curvature
+    -K at the radii r >= 0 of the integrands of V_K and theta_K."""
     s = math.sqrt(K)
-    out = np.sinh(s * r) / s
-    return float(out) if out.ndim == 0 else out
+    return np.sinh(s * r) / s
 
 
 def model_ball_volume(m: int, K: float, r: float) -> float:
     """Comparison ball volume V_K(r) = vol(S^{m-1}) * int_0^r sn_K^{m-1}."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    K = _length(K, "K")
-    if r == 0.0:
-        return 0.0
-    r = _length(r, "radius")
+    m, K = _count(m, "m", 1), _length(K, "K")
+    r = _nonnegative(r, "r", finite=True)
     if m == 1:
         return 2.0 * r
-    val = _gauss(lambda t: model_sn(K, t) ** (m - 1), 0.0, r)
+    val = _gauss(lambda t: _sn(K, t) ** (m - 1), 0.0, r)
     return sphere_area(m - 1) * val
 
 
 # ---------------------------------------------------------------------------
 # manifold models
-
-
-def _dimension(m, least: int, what: str) -> int:
-    """``m`` as an int; a ValueError unless it is a whole number >= least."""
-    if not float(m).is_integer():
-        raise ValueError(f"{what} dimension must be an integer, got {m}")
-    if m < least:
-        raise ValueError(f"{what} dimension must be >= {least}")
-    return int(m)
-
-
-def _length(value, what: str) -> float:
-    """``value`` as a float; a ValueError unless it is positive and finite."""
-    value = float(value)
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return value
 
 
 class ManifoldModel:
@@ -212,7 +237,7 @@ class Sphere(ManifoldModel):
     kind = "sphere"
 
     def __init__(self, m: int = 2, radius: float = 1.0):
-        self.m = _dimension(m, 1, "sphere")
+        self.m = _count(m, "m", 1)
         self.radius = _length(radius, "radius")
         self.embedding_dim = self.m + 1
         self.total_volume = sphere_area(self.m) * self.radius**self.m
@@ -246,7 +271,7 @@ class FlatTorus(ManifoldModel):
 
     def __init__(self, periods=(1.0, 1.0)):
         self.periods = tuple(_length(p, "periods") for p in periods)
-        self.m = _dimension(len(self.periods), 1, "flat_torus")
+        self.m = _count(len(self.periods), "len(periods)", 1)
         self.embedding_dim = 2 * self.m
         self.total_volume = float(np.prod(self.periods))
 
@@ -298,7 +323,7 @@ class Spindle(ManifoldModel):
     kind = "spindle"
 
     def __init__(self, m: int = 2, c: float = 1.0 / math.sqrt(2.0)):
-        self.m = _dimension(m, 2, "spindle")
+        self.m = _count(m, "m", 2)
         if not 0.0 < c <= 1.0:
             raise ValueError("warp constant c must lie in (0, 1]")
         self.c = float(c)
@@ -383,6 +408,12 @@ def _sample_sin_power(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def mc_ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None):
     """Monte-Carlo volume of B(xi, r); returns (value, standard error)."""
+    return _mc_ball_volume(mfd, xi, _nonnegative(r, "r"),
+                           _count(n_mc, "n_mc", 1), rng)
+
+
+def _mc_ball_volume(mfd, xi, r: float, n_mc: int, rng):
+    """``mc_ball_volume`` of checked arguments."""
     if rng is None:
         rng = np.random.default_rng(0)
     z = mfd.uniform_intrinsic(n_mc, rng)
@@ -395,9 +426,7 @@ def mc_ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None):
 
 def ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None) -> float:
     """Volume of the geodesic ball B(xi, r); closed form where available."""
-    if r == 0.0:
-        return 0.0
-    r = _length(r, "radius")
+    r = _nonnegative(r, "r", finite=True)
     exact = mfd.ball_volume_exact(xi, r)
     if exact is not None:
         return exact
@@ -406,5 +435,5 @@ def ball_volume(mfd, xi, r: float, n_mc: int = 40000, rng=None) -> float:
 
 def bishop_gromov_ratio(mfd, xi, r: float, K: float) -> float:
     """vol(B(xi, r)) / V_K(r); non-increasing in r under the curvature bound."""
-    r = _length(r, "radius")
+    r = _length(r, "r")
     return ball_volume(mfd, xi, r) / model_ball_volume(mfd.m, K, r)

@@ -45,7 +45,8 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .geometry import unit_ball_volume
+from .geometry import _length, _no_vertex, _nonnegative, \
+    _vertex_function, unit_ball_volume
 from .sampling import PointCloud
 
 __all__ = [
@@ -240,18 +241,11 @@ class WeightedGraph:
     def __init__(self, n_vertices: int, epsilon: float, upper: UpperTriangle,
                  w_V, w_E: float, kind: str = "custom"):
         self.n_vertices = n_vertices
-        self.epsilon = epsilon
-        self.w_V = np.asarray(w_V, dtype=float)
-        self.w_E = float(w_E)
+        self.epsilon = _length(epsilon, "epsilon")
+        self.w_V = _nonnegative(_vertex_function(w_V, n_vertices, "w_V"),
+                                "w_V", finite=True)
+        self.w_E = _length(w_E, "w_E")
         self.kind = kind
-        if not (np.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        if len(self.w_V) != n_vertices:
-            raise ValueError("w_V length does not match n_vertices")
-        if not np.all(np.isfinite(self.w_V) & (self.w_V >= 0)):
-            raise ValueError("w_V must be finite and nonnegative")
-        if not (np.isfinite(self.w_E) and self.w_E > 0):
-            raise ValueError(f"w_E must be finite and positive, got {w_E}")
         self.upper = upper
         # a vertex's edge count: its row of the triangle plus its column
         deg = np.diff(upper.indptr) + _column_counts(n_vertices, upper)
@@ -324,8 +318,7 @@ def build_edges(cloud: PointCloud, eps: float) -> UpperTriangle:
     columns the indices: the same pairs, order and dtypes as one search over
     all points.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    eps = _length(eps, "eps")
     x, n = cloud.embedded, cloud.n
     idx = _index_dtype(n)
     sure = eps * (1.0 - _DISTANCE_BAND)
@@ -419,20 +412,10 @@ def gamma_N_eps(cloud: PointCloud, eps: float) -> WeightedGraph:
 # operators
 
 
-def _vertex_function(g: WeightedGraph, phi) -> np.ndarray:
-    """``phi`` as a float array, which must have shape (n,)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (g.n_vertices,):
-        raise ValueError("function length does not match vertex count")
-    return phi
-
-
 def laplacian_apply(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     """Apply the graph Laplacian to one vertex function, of shape (n,)."""
-    phi = _vertex_function(g, phi)
-    bad = np.nonzero(g.w_V == 0)[0]
-    if len(bad):
-        raise ValueError(f"vertices with zero weight w_V: {bad[:10].tolist()}")
+    phi = _vertex_function(phi, g.n_vertices)
+    _no_vertex(g.w_V == 0, "zero vertex weights w_V")
     scale = 2.0 / (g.w_V * g.epsilon**2)
     return scale * (g.incident_edge_weight() * phi - g.weighted_adjacency @ phi)
 
@@ -448,10 +431,7 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
     wa = g.weighted_adjacency
     A = sparse.csr_matrix((np.ones(wa.nnz), wa.indices, wa.indptr), shape=(n, n))
     deg = g.degrees
-    if np.any(deg == 0):
-        raise ValueError(
-            f"zero-degree rows at {np.nonzero(deg == 0)[0][:10].tolist()}"
-        )
+    _no_vertex(deg == 0, "zero-degree rows")
     Dinv = sparse.diags(1.0 / deg)
     eye = sparse.identity(n, format="csr")
     return (2.0 / eps**2) * (eye - Dinv @ A)
@@ -463,7 +443,7 @@ def random_walk_matrix(cloud: PointCloud, eps: float) -> sparse.csr_matrix:
 
 def dirichlet_energy(g: WeightedGraph, phi: np.ndarray) -> float:
     """Double-counted edge energy sum_x sum_{y~x} ((phi_x-phi_y)/eps)^2 w_E."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _vertex_function(phi, g.n_vertices)
 
     def term(i, j):
         diff = (phi[i] - phi[j]) / g.epsilon

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _gauss, \
-    _length, model_sn, sphere_area, unit_ball_volume
+from .geometry import Circle, FlatTorus, ManifoldModel, Sphere, _count, \
+    _gauss, _length, _nonnegative, _sn, _vertex_function, sphere_area, \
+    unit_ball_volume
 from .sampling import DensitySpec, PointCloud
 from .graph import WeightedGraph, _edge_scale, _edge_sum
 
@@ -42,12 +43,13 @@ __all__ = [
 
 def psi_eps(dist, eps: float):
     """Truncated parabola kernel (1 - (d/eps)^2)/2 on [0, eps]."""
-    eps = _length(eps, "eps")
-    d = np.asarray(dist, dtype=float)
-    if not np.all(d >= 0):
-        raise ValueError("distances must be nonnegative")
-    out = np.where(d <= eps, 0.5 * (1.0 - (d / eps) ** 2), 0.0)
+    out = _psi(_nonnegative(dist, "dist"), _length(eps, "eps"))
     return float(out) if out.ndim == 0 else out
+
+
+def _psi(d, eps: float):
+    """``psi_eps`` of checked arguments."""
+    return np.where(d <= eps, 0.5 * (1.0 - (d / eps) ** 2), 0.0)
 
 
 class KernelContext:
@@ -66,7 +68,7 @@ class KernelContext:
         row = self._cache.get(key)
         if row is None:
             d = self.cloud.manifold.geodesic_to_many(xi, self.cloud.intrinsic)
-            row = psi_eps(d, self.eps)
+            row = _psi(d, self.eps)
             self._cache[key] = row
         return row
 
@@ -89,7 +91,7 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
         R = mfd.radius
         half = min(eps, math.pi * R)
         th0 = float(xi[0])
-        return _gauss(lambda s: psi_eps(np.abs(s), eps)
+        return _gauss(lambda s: _psi(np.abs(s), eps)
                       * dens.pdf(mfd, (th0 + s / R)[:, None]), -half, half)
     if dens.kind != "uniform":
         raise ValueError("only the uniform density is supported off the circle")
@@ -97,7 +99,7 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
     if isinstance(mfd, Sphere):
         R, m = mfd.radius, mfd.m
         top = min(eps, math.pi * R)
-        val = _gauss(lambda r: psi_eps(r, eps) * (R * np.sin(r / R))
+        val = _gauss(lambda r: _psi(r, eps) * (R * np.sin(r / R))
                      ** (m - 1), 0.0, top)
         return rho0 * sphere_area(m - 1) * val
     if isinstance(mfd, FlatTorus):
@@ -109,9 +111,8 @@ def theta_eps(mfd: ManifoldModel, dens: DensitySpec, xi, eps: float) -> float:
 
 def theta_K_eps(m: int, K: float, eps: float) -> float:
     """Comparison-model kernel mass m omega_m int_0^eps psi_eps sn_K^{m-1}."""
-    eps, K = _length(eps, "eps"), _length(K, "K")
-    val = _gauss(lambda r: psi_eps(r, eps) * model_sn(K, r) ** (m - 1),
-                 0.0, eps)
+    m, eps, K = _count(m, "m", 1), _length(eps, "eps"), _length(K, "K")
+    val = _gauss(lambda r: _psi(r, eps) * _sn(K, r) ** (m - 1), 0.0, eps)
     return m * unit_ball_volume(m) * val
 
 
@@ -121,7 +122,7 @@ def interpolate(ctx: KernelContext, phi, xi) -> float:
     The weights form a partition of unity on the support of the kernel
     density, so the value is a convex combination of vertex values.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _vertex_function(phi, ctx.cloud.n)
     row = ctx.kernel_row(xi)
     total = float(np.sum(row))
     if total <= 0.0:

@@ -22,7 +22,7 @@ def svg_line_chart(series: dict, path, xlabel: str, ylabel: str):
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys if y > 0]
     if not xs_all or not ys_all:
-        raise ValueError("nothing to plot")
+        raise ValueError("series holds nothing to plot")
     f = math.log10
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)

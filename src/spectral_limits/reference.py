@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 from scipy.special import eval_gegenbauer, sph_harm_y
 
 from .geometry import (Circle, FlatTorus, ManifoldModel, Sphere, Spindle,
-                       sphere_area)
+                       _count, sphere_area)
 from .sampling import DensitySpec
 
 __all__ = [
@@ -74,7 +74,7 @@ class ReferenceSpectrum:
 
     def evaluator(self, k: int, weight: Optional[str] = None):
         """Eigenfunction k, renormalized to the requested weight."""
-        f = self.eigenfunctions[k]
+        f = self.eigenfunctions[_count(k, "k", 0, len(self.eigenfunctions))]
         if f is None:
             raise ValueError(f"no evaluator stored for eigenvalue index {k}")
         if weight is None or weight == self.weight:
@@ -93,10 +93,10 @@ class ReferenceSpectrum:
         return lambda zi, ze, _f=f, _c=c: _c * np.asarray(_f(zi, ze))
 
 
-def _spectrum(entries, k_max: int, weight: str, manifold: ManifoldModel,
-              uniform_rho: Optional[float]) -> ReferenceSpectrum:
-    """The first k_max + 1 of ascending (eigenvalue, eigenfunction, label)
-    entries, as a reference spectrum orthonormal in ``weight``."""
+def _spectrum(entries, k_max: int, manifold: ManifoldModel, weight="rho_vol",
+              uniform: bool = True) -> ReferenceSpectrum:
+    """The first k_max + 1 ascending (eigenvalue, eigenfunction, label)
+    entries, orthonormal in ``weight``; ``uniform``: of a uniform density."""
     lams, funcs, labels = zip(*islice(entries, k_max + 1))
     return ReferenceSpectrum(
         eigenvalues=np.array(lams),
@@ -104,7 +104,7 @@ def _spectrum(entries, k_max: int, weight: str, manifold: ManifoldModel,
         weight=weight,
         manifold=manifold,
         labels=list(labels),
-        uniform_rho=uniform_rho,
+        uniform_rho=1.0 / manifold.total_volume if uniform else None,
     )
 
 
@@ -133,9 +133,8 @@ def _circle_entries(radius: float):
 
 def circle_spectrum(radius: float, k_max: int) -> ReferenceSpectrum:
     """Spectrum (j/R)^2 with cos/sin pairs, uniform density normalization."""
-    mfd = Circle(radius)
-    return _spectrum(_circle_entries(radius), k_max, "rho_vol", mfd,
-                     1.0 / mfd.total_volume)
+    mfd, k_max = Circle(radius), _count(k_max, "k_max")
+    return _spectrum(_circle_entries(radius), k_max, mfd)
 
 
 def _torus_entries(frequencies, p):
@@ -160,7 +159,7 @@ def _torus_entries(frequencies, p):
 
 def torus_spectrum(periods, k_max: int) -> ReferenceSpectrum:
     """Flat-torus spectrum sum_j (2 pi k_j / p_j)^2 over frequency vectors."""
-    mfd = FlatTorus(periods)
+    mfd, k_max = FlatTorus(periods), _count(k_max, "k_max")
     p = np.asarray(periods, dtype=float)
     # enumerate enough lattice vectors; bound grows until we have k_max+1
     kmax_per_axis = 1
@@ -180,12 +179,12 @@ def torus_spectrum(periods, k_max: int) -> ReferenceSpectrum:
             if (2.0 * math.pi * kmax_per_axis / np.max(p)) ** 2 > cutoff:
                 break
         kmax_per_axis += 1
-    return _spectrum(_torus_entries(frequencies, p), k_max, "rho_vol", mfd,
-                     1.0 / mfd.total_volume)
+    return _spectrum(_torus_entries(frequencies, p), k_max, mfd)
 
 
 def sphere_harmonic_multiplicity(l: int, m: int) -> int:
     """Multiplicity of the degree-l harmonic eigenvalue on S^m."""
+    l, m = _count(l, "l"), _count(m, "m")
     if l == 0:
         return 1
     return int(round(math.comb(l + m, m) - math.comb(l + m - 2, m)))
@@ -246,9 +245,8 @@ def sphere_spectrum(m: int, radius: float, k_max: int) -> ReferenceSpectrum:
     Evaluators ship for l <= 1 on every sphere and for all listed l on S^2;
     higher harmonics on higher spheres carry eigenvalues only.
     """
-    mfd = Sphere(m, radius)
-    return _spectrum(_sphere_entries(m, radius), k_max, "rho_vol", mfd,
-                     1.0 / mfd.total_volume)
+    mfd, k_max = Sphere(m, radius), _count(k_max, "k_max")
+    return _spectrum(_sphere_entries(m, radius), k_max, mfd)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def weighted_circle_spectrum(radius: float, dens: DensitySpec,
     geometrically, so the truncation is exact to rounding: K = 32 and
     K = 48 agree to 5e-13.
     """
-    mfd = Circle(radius)
+    mfd, k_max = Circle(radius), _count(k_max, "k_max")
     K = max(48, k_max)
     n = 2 * K + 3
     theta = np.arange(n) * (2.0 * math.pi / n)
@@ -289,10 +287,9 @@ def weighted_circle_spectrum(radius: float, dens: DensitySpec,
     def trig_sum(c):
         return lambda zi, ze: _fourier(np.atleast_2d(zi)[:, 0], K) @ c
 
-    uniform_rho = 1.0 / mfd.total_volume if dens.kind == "uniform" else None
     entries = ((lam, trig_sum(coef[:, k]), (0, k))
                for k, lam in enumerate(lams))
-    return _spectrum(entries, k_max, "rho2_vol", mfd, uniform_rho)
+    return _spectrum(entries, k_max, mfd, "rho2_vol", dens.kind == "uniform")
 
 
 def _gegenbauer(j: int, alpha: float, scale2: float):
@@ -322,7 +319,8 @@ def spindle_spectrum(m: int, c: float, l_max: int,
     eigenfunctions, Gegenbauer polynomials C_j^{((m-1)/2)}(cos theta), ship
     as evaluators.
     """
-    mfd = Spindle(m, c)
+    mfd, l_max = Spindle(m, c), _count(l_max, "l_max")
+    k_max = _count(k_max, "k_max")
     rho0 = 1.0 / mfd.total_volume
     # normalize in L^2(rho^2 H^m): rho0^2 * area * c^{m-1} * int u^2 J
     scale2 = rho0**2 * sphere_area(m - 1) * c ** (m - 1)
@@ -335,7 +333,7 @@ def spindle_spectrum(m: int, c: float, l_max: int,
             f = _gegenbauer(j, (m - 1) / 2.0, scale2) if l == 0 else None
             entries += [((mu + j) * (mu + j + m - 1), f, (l, j))] * mult
     entries.sort(key=lambda t: (t[0], t[2]))
-    spec = _spectrum(entries, k_max, "rho2_vol", mfd, rho0)
+    spec = _spectrum(entries, k_max, mfd, "rho2_vol")
     # tail guard: the ground eigenvalue of fiber index l is at least
     # l(l+m-2)/c^2 (the potential term alone), so anything truncated away
     # must lie above the reported top

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
+from .geometry import _count, _exponent, _no_vertex, _nonnegative, \
+    _vertex_function
 from .graph import WeightedGraph, _ball_operator, _operator_csr, \
-    _vertex_function, dirichlet_energy
+    dirichlet_energy
 from .spectral import DENSE_LIMIT, SpectralResult, _lanczos_above_null
 
 __all__ = [
@@ -54,11 +56,10 @@ def weighted_p_norm(g: WeightedGraph, phi, p) -> float:
     ``(1/vol(V) * sum_x |phi(x)|^p w_V(x))^(1/p)``; the sup norm for
     p = inf.
     """
-    phi = _vertex_function(g, phi)
+    phi = _vertex_function(phi, g.n_vertices)
+    p = _exponent(p, inf=True)
     if p == np.inf:
         return float(np.max(np.abs(phi)))
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
     vol = float(np.sum(g.w_V))
     if vol <= 0:
         raise ValueError("the graph has zero volume")
@@ -239,9 +240,7 @@ def poincare_constant(g: WeightedGraph, seed: int = 0) -> float:
     distinct vertex set is solved once, at the smallest radius that
     reaches it.  Every vertex weight must be positive.
     """
-    bad = np.flatnonzero(g.w_V <= 0)
-    if len(bad):
-        raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    _no_vertex(g.w_V <= 0, "nonpositive vertex weights")
     B = _operator_csr(g)
     centers = _pick_centers(g, _POINCARE_CENTERS, seed)
     hops = np.vstack([h for _, h in _hop_blocks(g, centers)])
@@ -288,19 +287,10 @@ def _worst_ratio(a, b) -> float:
 
 def smoothing_apply(g: WeightedGraph, phi) -> np.ndarray:
     """Edge-weighted neighbor average I(phi)."""
-    phi = _vertex_function(g, phi)
+    phi = _vertex_function(phi, g.n_vertices)
     dw = g.incident_edge_weight()
-    if np.any(dw == 0):
-        bad = np.nonzero(dw == 0)[0]
-        raise ValueError(f"isolated vertices: {bad[:10].tolist()}")
+    _no_vertex(dw == 0, "isolated vertices")
     return (g.weighted_adjacency @ phi) / dw
-
-
-def _check_nonnegative(**values) -> None:
-    """Reject each named value that is NaN or negative."""
-    for name, v in values.items():
-        if not v >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
@@ -309,8 +299,8 @@ def nash_diagnostic(g: WeightedGraph, phi, D: float, nu: float) -> float:
     min(||phi||_2, ||I phi||_2) <= (C (D ||grad phi||_2)^(nu/(nu+2))
     + ||phi||_1^(nu/(nu+2))) * ||phi||_1^(2/(nu+2)).
     """
-    _check_nonnegative(D=D, nu=nu)
-    phi = np.asarray(phi, dtype=float)
+    phi = _vertex_function(phi, g.n_vertices)
+    D, nu = _nonnegative(D, "D"), _nonnegative(nu, "nu", finite=True)
     if not np.any(phi != 0):
         raise ValueError("phi must be nonzero")
     n1 = weighted_p_norm(g, phi, 1)
@@ -362,16 +352,13 @@ def graph_diameter(g: WeightedGraph) -> float:
 def moser_alpha(g: WeightedGraph) -> float:
     """max_x w_V(x) / sum of incident edge weights."""
     dw = g.incident_edge_weight()
-    if np.any(dw == 0):
-        raise ValueError("isolated vertex: alpha undefined")
+    _no_vertex(dw == 0, "alpha undefined: isolated vertices")
     return float(np.max(g.w_V / dw))
 
 
 def moser_ratio(g: WeightedGraph, spectral: SpectralResult, k: int, p) -> float:
     """|||phi_k|||_p / |||phi_k|||_1 for the k-th eigenvector phi_k."""
-    count = len(spectral.eigenvalues)
-    if not 0 <= k < count:
-        raise ValueError(f"k must be in 0..{count - 1}, got {k}")
+    k = _count(k, "k", 0, len(spectral.eigenvalues))
     phi = np.abs(spectral.eigenvectors[:, k])
     return float(weighted_p_norm(g, phi, p) / weighted_p_norm(g, phi, 1))
 
@@ -385,9 +372,10 @@ def moser_check(g: WeightedGraph, spectral: SpectralResult, k: int, p,
     multiplicative constant of the bound is set to one, so only the shape
     (stability across n) is meaningful, never a literal inequality.
     """
-    _check_nonnegative(alpha_param=alpha_param, D=D)
+    alpha_param = _nonnegative(alpha_param, "alpha_param")
+    D = _nonnegative(D, "D")
     ratio = moser_ratio(g, spectral, k, p)
-    lam = float(spectral.eigenvalues[k])
+    lam = float(spectral.eigenvalues[int(k)])
     power = 2.0 * lam * alpha_param * g.epsilon**2
     growth = math.exp(D * math.sqrt(max(lam, 0.0)))
     if p == np.inf:

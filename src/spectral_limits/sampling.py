@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, ManifoldModel
+from .geometry import Circle, ManifoldModel, _count, _nonnegative
 
 __all__ = [
     "DensitySpec",
@@ -111,8 +111,7 @@ class PointCloud:
 def sample_dataset(mfd: ManifoldModel, dens: DensitySpec, n: int,
                    seed: int) -> PointCloud:
     """Draw n i.i.d. points from a density; bit-reproducible for fixed seed."""
-    if n < 2:
-        raise ValueError("need n >= 2 sample points")
+    n = _count(n, "n", 2)
     rng = np.random.Generator(np.random.PCG64(seed))
     z = np.atleast_2d(np.asarray(dens.sample(mfd, n, rng), dtype=float))
     return PointCloud(
@@ -125,14 +124,13 @@ def sample_dataset(mfd: ManifoldModel, dens: DensitySpec, n: int,
 
 def derive_seeds(seed: int, k: int) -> list[int]:
     """Derive k disjoint 64-bit child seeds from one parent seed."""
-    children = np.random.SeedSequence(seed).spawn(k)
+    children = np.random.SeedSequence(seed).spawn(_count(k, "k"))
     return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in children]
 
 
 def epsilon_schedule(n: int, m: int) -> float:
     """Connectivity scale (log n / n)^(1/(m+2)) for an n-point sample."""
-    if n < 3:
-        raise ValueError("need n >= 3 for the epsilon schedule")
+    n, m = _count(n, "n", 3), _count(m, "m", 1)
     return (math.log(n) / n) ** (1.0 / (m + 2))
 
 
@@ -147,8 +145,9 @@ def bernstein_bound(sup_norm: float, sigma: float, n: int, delta: float):
     the true mean by more than ``2*sup*delta^2 + 4*sigma*delta`` with
     probability at most ``2*exp(-n*delta^2)``.
     """
-    if not (sup_norm >= 0 and sigma >= 0 and n > 0 and delta >= 0):
-        raise ValueError("bernstein_bound arguments must be nonnegative, n > 0")
+    sup_norm = _nonnegative(sup_norm, "sup_norm")
+    sigma, delta = _nonnegative(sigma, "sigma"), _nonnegative(delta, "delta")
+    n = _count(n, "n", 1)
     deviation = 2.0 * sup_norm * delta**2 + 4.0 * sigma * delta
     failure = 2.0 * math.exp(-n * delta**2)
     return deviation, failure
@@ -162,8 +161,7 @@ def bernstein_empirical_check(mfd, dens: DensitySpec, f, n: int, delta: float,
     point.  The model must be the circle: the true mean, variance and sup
     norm are computed against the density by quadrature.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    n, trials = _count(n, "n", 2), _count(trials, "trials", 100)
     if not isinstance(mfd, Circle):
         raise ValueError(f"the Bernstein check needs the circle, not {mfd.kind!r}")
 

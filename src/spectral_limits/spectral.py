@@ -25,6 +25,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .geometry import _count, _no_vertex, _vertex_function
 from .graph import WeightedGraph, _operator_csr, _symmetric_csr
 
 __all__ = [
@@ -49,7 +50,9 @@ class SolverError(RuntimeError):
 
 def volume_inner(g: WeightedGraph, phi, psi) -> float:
     """Inner product weighted by the vertex measure."""
-    return float(np.sum(np.asarray(phi) * np.asarray(psi) * g.w_V))
+    phi = _vertex_function(phi, g.n_vertices)
+    psi = _vertex_function(psi, g.n_vertices, "psi")
+    return float(np.sum(phi * psi * g.w_V))
 
 
 def volume_norm(g: WeightedGraph, phi) -> float:
@@ -91,8 +94,7 @@ def _symmetrized_operator(g: WeightedGraph):
         sizes = np.bincount(labels).tolist()
         raise DisconnectedGraphError(
             f"graph is disconnected: {ncomp} components of sizes {sizes}")
-    bad = np.nonzero(g.w_V <= 0)[0]
-    raise ValueError(f"nonpositive vertex weights at {bad[:10].tolist()}")
+    _no_vertex(g.w_V <= 0, "nonpositive vertex weights")
 
 
 def _is_connected(adj) -> bool:
@@ -161,12 +163,14 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     dense below 513 vertices.
     """
     n = g.n_vertices
-    if not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+    k = _count(k, "k", 0, n)
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown solver method {method!r}")
+    # tol <= 0, -inf included, is scipy's machine precision
+    if method == "lanczos" and not tol < np.inf:
+        raise ValueError(f"tol must not be NaN or inf for Lanczos, got {tol}")
     B = _symmetrized_operator(g)
 
     if method == "dense":

@@ -10,7 +10,7 @@ from spectral_limits.distortion import (
     v_p_eps,
 )
 from spectral_limits.geometry import Sphere, Spindle, bishop_gromov_ratio, \
-    model_ball_volume, model_sn
+    model_ball_volume
 
 
 def torus_deficit(eps):
@@ -120,22 +120,19 @@ def test_estimators_reject_non_finite_eps(torus, estimate, eps):
      "eps must be positive and finite, got nan"),
     (lambda: theorem_error_terms(2, math.inf, 0.1, 0.1),
      "eps must be positive and finite, got inf"),
-    (lambda: model_sn(math.nan, 0.5), "K must be positive and finite, got nan"),
-    (lambda: model_sn(1.0, [0.1, math.nan]), "radius must be nonnegative"),
     (lambda: model_ball_volume(2, math.nan, 0.5),
      "K must be positive and finite, got nan"),
     (lambda: bishop_gromov_ratio(Sphere(2), np.array([1.0, 0.5]), 0.5, math.nan),
      "K must be positive and finite, got nan"),
 ], ids=["v_p_eps-p", "v_p_eps-K", "delta_p_eps_a-p", "error-terms-eps-nan",
-        "error-terms-eps-inf", "model_sn-K", "model_sn-r",
-        "model_ball_volume-K", "bishop_gromov_ratio-K"])
+        "error-terms-eps-inf", "model_ball_volume-K", "bishop_gromov_ratio-K"])
 def test_nan_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 
 
 def test_s_eps_needs_an_inner_sample(circle):
-    with pytest.raises(ValueError, match="n_mc_inner must be >= 1"):
+    with pytest.raises(ValueError, match="n_mc_inner must be an integer >= 1"):
         s_eps(circle, 0.3, n_mc_outer=5, n_mc_inner=0)
 
 

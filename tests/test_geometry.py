@@ -12,11 +12,11 @@ from spectral_limits.geometry import (
     Spindle,
     _sample_sin_power,
     _sin_power_integral,
+    _sn,
     ball_volume,
     bishop_gromov_ratio,
     mc_ball_volume,
     model_ball_volume,
-    model_sn,
     sphere_area,
     unit_ball_volume,
 )
@@ -108,17 +108,13 @@ SPINDLE_SHAPES = [(2, 1.0 / math.sqrt(2.0)), (3, 1.0 / math.sqrt(2.0)),
 
 class TestModelFunctions:
     def test_sn_at_zero(self):
-        assert model_sn(1.0, 0.0) == 0.0
+        assert _sn(1.0, 0.0) == 0.0
 
     def test_sn_k1(self):
-        assert model_sn(1.0, 1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
+        assert _sn(1.0, 1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_sn_k4(self):
-        assert model_sn(4.0, 0.5) == pytest.approx(math.sinh(1.0) / 2.0, rel=1e-15)
-
-    def test_sn_negative_radius(self):
-        with pytest.raises(ValueError):
-            model_sn(1.0, -0.1)
+        assert _sn(4.0, 0.5) == pytest.approx(math.sinh(1.0) / 2.0, rel=1e-15)
 
     def test_unit_ball_volumes(self):
         assert unit_ball_volume(1) == pytest.approx(2.0)
@@ -147,7 +143,7 @@ class TestModelFunctions:
         # sinh^5(10 r) up to r = 3 is the steepest integrand of the grid
         for K in (1e-3, 0.1, 1.0, 10.0, 100.0):
             for r in (1e-6, 1e-3, 0.1, 1.0, 2.0, 3.0):
-                val, _ = integrate.quad(lambda t: model_sn(K, t) ** (m - 1),
+                val, _ = integrate.quad(lambda t: _sn(K, t) ** (m - 1),
                                         0.0, r, epsabs=0.0, epsrel=1e-13,
                                         limit=200)
                 want = sphere_area(m - 1) * val
@@ -431,7 +427,7 @@ class TestBallVolumes:
 ], ids=["model", "sphere"])
 def test_ball_volumes_reject_bad_radius(volume, r):
     with pytest.raises(ValueError,
-                       match=f"radius must be positive and finite, got {r}"):
+                       match=f"r must be nonnegative and finite, got {r}"):
         volume(r)
 
 
@@ -496,15 +492,15 @@ def test_total_volumes():
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: Sphere(1.5), "sphere dimension must be an integer, got 1.5"),
-    (lambda: Sphere(math.nan), "sphere dimension must be an integer"),
-    (lambda: Spindle(2.5), "spindle dimension must be an integer, got 2.5"),
+    (lambda: Sphere(1.5), "m must be an integer >= 1, got 1.5"),
+    (lambda: Sphere(math.nan), "m must be an integer >= 1, got nan"),
+    (lambda: Spindle(2.5), "m must be an integer >= 2, got 2.5"),
     (lambda: Circle(math.nan), "radius must be positive and finite"),
     (lambda: Circle(-1.0), "radius must be positive and finite"),
     (lambda: Sphere(2, math.inf), "radius must be positive and finite"),
     (lambda: FlatTorus((1.0, math.nan)), "periods must be positive and finite"),
     (lambda: FlatTorus((1.0, math.inf)), "periods must be positive and finite"),
-    (lambda: FlatTorus(()), "flat_torus dimension must be >= 1"),
+    (lambda: FlatTorus(()), r"len\(periods\) must be an integer >= 1, got 0"),
 ], ids=["sphere-m-1.5", "sphere-m-nan", "spindle-m-2.5", "circle-nan",
         "circle-negative", "sphere-radius-inf", "torus-nan", "torus-inf",
         "torus-empty"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spectral_limits.geometry import Circle, FlatTorus, Sphere, model_sn, \
+from spectral_limits.geometry import Circle, FlatTorus, Sphere, _sn, \
     sphere_area, unit_ball_volume
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.interpolation import (
@@ -43,7 +43,7 @@ class TestPsi:
     (lambda c: psi_eps(0.1, 0.0), "eps must be positive and finite, got 0.0"),
     (lambda c: psi_eps(0.1, -0.1), "eps must be positive and finite, got -0.1"),
     (lambda c: psi_eps(0.1, math.nan), "eps must be positive and finite, got nan"),
-    (lambda c: psi_eps(math.nan, 0.3), "distances must be nonnegative"),
+    (lambda c: psi_eps(math.nan, 0.3), "dist must be nonnegative"),
     (lambda c: KernelContext(c, math.nan), "eps must be positive and finite"),
     (lambda c: theta_eps(c.manifold, DensitySpec("uniform"), [0.0], eps=-0.1),
      "eps must be positive and finite, got -0.1"),
@@ -201,7 +201,7 @@ class TestThetaK:
     def test_matches_tight_quadrature(self, m):
         for K in (1e-3, 1.0, 100.0):
             for eps in (1e-3, 0.1, 0.5, 1.0, 2.0):
-                val, _ = quad(lambda r: psi_eps(r, eps) * model_sn(K, r)
+                val, _ = quad(lambda r: psi_eps(r, eps) * _sn(K, r)
                               ** (m - 1), 0.0, eps, epsabs=0.0, epsrel=1e-13,
                               limit=200)
                 want = m * unit_ball_volume(m) * val

@@ -307,8 +307,8 @@ class TestSpindle:
             spindle_spectrum(3, C, l_max=0, k_max=6)
 
     @pytest.mark.parametrize("m, c, match", [
-        (1, 0.7, r"spindle dimension must be >= 2"),
-        (2.5, 0.7, r"spindle dimension must be an integer, got 2.5"),
+        (1, 0.7, r"m must be an integer >= 2, got 1"),
+        (2.5, 0.7, r"m must be an integer >= 2, got 2.5"),
         (2, 1.5, r"warp constant c must lie in \(0, 1\]"),
     ], ids=["m-1", "m-2.5", "c-1.5"])
     def test_rejects_what_the_spindle_rejects(self, m, c, match):

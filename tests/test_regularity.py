@@ -157,7 +157,7 @@ class TestWeightedPNorm:
     @wrong_shapes
     def test_rejects_a_function_of_another_shape(self, phi):
         g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="function length does not match"):
+        with pytest.raises(ValueError, match=r"phi must have shape \(2,\)"):
             weighted_p_norm(g, phi, 2)
 
 
@@ -659,7 +659,7 @@ class TestSmoothing:
     @wrong_shapes
     def test_rejects_a_function_of_another_shape(self, phi):
         g = custom_graph(2, [[0, 1]], [1.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="function length does not match"):
+        with pytest.raises(ValueError, match=r"phi must have shape \(2,\)"):
             smoothing_apply(g, phi)
 
     def test_eigenvector_lower_bound(self, circle_graph_200):
@@ -753,7 +753,7 @@ class TestMoser:
                                                      past):
         res = eigen_decompose(circle_graph_200, 2)
         k = len(res.eigenvalues) if past else -1
-        with pytest.raises(ValueError, match="k must be in 0.."):
+        with pytest.raises(ValueError, match="k must be an integer >= 0 and < 3"):
             moser_ratio(circle_graph_200, res, k, 2)
 
     @pytest.mark.parametrize("past", [False, True], ids=["minus-one", "count"])
@@ -761,7 +761,7 @@ class TestMoser:
                                                      past):
         res = eigen_decompose(circle_graph_200, 2)
         k = len(res.eigenvalues) if past else -1
-        with pytest.raises(ValueError, match="k must be in 0.."):
+        with pytest.raises(ValueError, match="k must be an integer >= 0 and < 3"):
             moser_check(circle_graph_200, res, k, 2, 1.0, 1.0)
 
     @pytest.mark.parametrize("name, value", [("alpha_param", math.nan),

@@ -128,13 +128,14 @@ class TestEigenDecompose:
             eigen_decompose(circle_graph_200, 3, method="lanczos")
 
     def test_k_bound(self, path3_gamma_N):
-        with pytest.raises(ValueError, match="k < n"):
+        with pytest.raises(ValueError, match="k must be an integer >= 0 and < 3"):
             eigen_decompose(path3_gamma_N, 3)
 
     @pytest.mark.parametrize("method", ["dense", "lanczos"])
     @pytest.mark.parametrize("k", [-1, -2])
     def test_negative_k_rejected(self, circle_graph_200, method, k):
-        with pytest.raises(ValueError, match="0 <= k < n"):
+        with pytest.raises(ValueError,
+                           match="k must be an integer >= 0 and < 200"):
             eigen_decompose(circle_graph_200, k, method=method)
 
     @pytest.mark.parametrize("edges,w_V", [
