@@ -6,7 +6,8 @@ log-log slope per eigenvalue index, and draws a minimal SVG line chart,
 ``sweep_circle.svg``, in the working directory.
 """
 
-from spectral_limits.experiments import ExperimentConfig, run_convergence_sweep
+from spectral_limits.config import ExperimentConfig
+from spectral_limits.experiments import run_convergence_sweep
 
 cfg = ExperimentConfig(
     manifold="circle",

@@ -11,44 +11,31 @@ run_meta.json with the tool version, a config hash, and the seeds used.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import replace
 
-from .experiments import (
-    ALL_REPORTS,
-    load_config,
-    map_cells,
-    run_alignment,
-    run_convergence_sweep,
-    run_distortion,
-    run_energy,
-    run_moser,
-    run_regularity,
-    run_spectrum_experiment,
-    write_rows_csv,
-    write_run_meta,
-)
-from .graph import save_graph_csv
+from .config import ALL_REPORTS, load_config, write_rows_csv, write_run_meta
 
 
-def _cmd_sample(cfg, out):
+def _cmd_sample(experiments, cfg, out):
     def save(cell):
         path = os.path.join(out, f"points_n{cell.n}_seed{cell.seed}.csv")
         cell.cloud.save(path)
         return path
 
-    return map_cells(cfg, save)
+    return experiments.map_cells(cfg, save)
 
 
-def _cmd_graph(cfg, out):
+def _cmd_graph(experiments, cfg, out):
     def save(cell):
         paths = [os.path.join(out, f"{kind}_n{cell.n}_seed{cell.seed}.csv")
                  for kind in ("edges", "vertices")]
-        save_graph_csv(cell.graph, *paths)
+        experiments.save_graph_csv(cell.graph, *paths)
         return paths
 
-    return [p for paths in map_cells(cfg, save) for p in paths]
+    return [p for paths in experiments.map_cells(cfg, save) for p in paths]
 
 
 def _write_report(rows, out, name):
@@ -59,27 +46,31 @@ def _write_report(rows, out, name):
     return [path]
 
 
-def _cmd_sweep(cfg, out):
+def _cmd_sweep(experiments, cfg, out):
     svg = os.path.join(out, "sweep.svg")
-    rows = run_convergence_sweep(cfg, svg_path=svg)
+    rows = experiments.run_convergence_sweep(cfg, svg_path=svg)
     return _write_report(rows, out, "sweep_summary") + ([svg] if rows else [])
 
 
 def _report(run, name):
-    return lambda cfg, out: _write_report(run(cfg), out, name)
+    return lambda module, cfg, out: _write_report(run(module)(cfg), out, name)
 
 
-# one writer per command: (cfg, out) -> the paths it wrote, for run_meta.json
+# one row per command: the module its report runs in, and its writer,
+# (module, cfg, out) -> the paths it wrote, for run_meta.json
 WRITERS = {
-    "sample": _cmd_sample,
-    "graph": _cmd_graph,
-    "spectrum": _report(run_spectrum_experiment, "spectrum"),
-    "align": _report(run_alignment, "alignment"),
-    "regularity": _report(run_regularity, "regularity"),
-    "distortion": _report(run_distortion, "distortion"),
-    "energy": _report(run_energy, "energy"),
-    "moser": _report(run_moser, "moser"),
-    "sweep": _cmd_sweep,
+    "sample": ("experiments", _cmd_sample),
+    "graph": ("experiments", _cmd_graph),
+    "spectrum": ("experiments",
+                 _report(lambda m: m.run_spectrum_experiment, "spectrum")),
+    "align": ("experiments", _report(lambda m: m.run_alignment, "alignment")),
+    "regularity": ("experiments",
+                   _report(lambda m: m.run_regularity, "regularity")),
+    "distortion": ("distortion",
+                   _report(lambda m: m.run_distortion, "distortion")),
+    "energy": ("experiments", _report(lambda m: m.run_energy, "energy")),
+    "moser": ("experiments", _report(lambda m: m.run_moser, "moser")),
+    "sweep": ("experiments", _cmd_sweep),
 }
 
 
@@ -105,7 +96,10 @@ def main(argv=None) -> int:
 
     written = []
     if args.command in cfg.reports:
-        written = WRITERS[args.command](cfg, args.out)
+        module, write = WRITERS[args.command]
+        # imported only now, so that distortion never loads the graph stack
+        written = write(importlib.import_module(f".{module}", __package__),
+                        cfg, args.out)
     write_run_meta(cfg, args.out, written)
     return 0
 

@@ -4,7 +4,8 @@
 against the curvature -K comparison model; ``s_eps`` measures the mass of
 pairs that are eps-close in the surrogate metric but not in the geodesic
 one.  Both feed the composite error expressions whose shape controls the
-eigenvalue approximation.
+eigenvalue approximation.  ``run_distortion`` is the ``distortion`` report:
+both integrals at the eps of each (n, seed) pair, with no sample or graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig, _sorted_rows, map_pairs
 from .geometry import ManifoldModel, _count, _exponent, _length, \
     _mc_ball_volume, _nonnegative, model_ball_volume
 
@@ -23,6 +25,7 @@ __all__ = [
     "s_eps",
     "theorem_error_terms",
     "delta_p_eps_a",
+    "run_distortion",
 ]
 
 # Monte-Carlo samples per ball volume, where the model has no closed form
@@ -125,3 +128,17 @@ def delta_p_eps_a(m: int, p: float, eps: float, a: float,
     s_eps_val = _nonnegative(s_eps_val, "s_eps_val")
     expo = min(1.0 - 2.0 / p, m / (p - 2.0) - 2.0 / p)
     return a + eps**expo + v_p_eps_val * eps ** (-2.0 / p) + s_eps_val * eps ** (-float(m))
+
+
+def run_distortion(cfg: ExperimentConfig):
+    """Both estimates, one row per (n, seed), at the eps the config gives n."""
+    def rows(mfd, dens, n, seed):
+        eps = cfg.epsilon_for(n, mfd.m)
+        v = v_p_eps(mfd, cfg.p, eps, cfg.K, cfg.mc_outer, seed)
+        s = s_eps(mfd, eps, n_mc_outer=max(cfg.mc_outer // cfg.mc_inner, 50),
+                  n_mc_inner=cfg.mc_inner, seed=seed)
+        return [dict(n=n, seed=seed, eps=eps,
+                     v_p_eps=v.value, v_stderr=v.stderr,
+                     s_eps=s.value, s_stderr=s.stderr)]
+
+    return _sorted_rows(map_pairs(cfg, rows))

@@ -56,9 +56,11 @@ class ReferenceSpectrum:
     uniform_rho: Optional[float] = None
 
     def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(self.eigenvalues) < -1e-12):
-            raise ValueError("eigenvalues must be nondecreasing")
+        lam = self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
+        # a NaN fails no comparison, so finiteness is checked apart
+        if not np.all(np.isfinite(lam)) or np.any(np.diff(lam) < -1e-12):
+            raise ValueError(f"eigenvalues must be finite and nondecreasing, "
+                             f"got {lam.tolist()}")
 
     def clusters(self):
         """Index ranges [start, end] of equal eigenvalues up to CLUSTER_TOL."""
@@ -368,6 +370,7 @@ def appendix_ratio_check(spectrum: ReferenceSpectrum, k_max: int,
     spectrum's stored weight; for the shipped closed forms that norm is one,
     so the ratios are the plain sup norm and Lipschitz constant.
     """
+    k_max = _count(k_max, "k_max", 0, len(spectrum.eigenfunctions))
     mfd = spectrum.manifold
     rows = []
     for k in range(k_max + 1):

@@ -41,11 +41,8 @@ from spectral_limits.sampling import (
     sample_dataset,
 )
 from spectral_limits.spectral import eigen_decompose
-from spectral_limits.experiments import (
-    ExperimentConfig,
-    align_eigenspaces,
-    run_convergence_sweep,
-)
+from spectral_limits.config import ExperimentConfig
+from spectral_limits.experiments import align_eigenspaces, run_convergence_sweep
 
 SEEDS = [1, 2, 3, 4, 5]
 

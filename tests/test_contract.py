@@ -26,9 +26,10 @@ import pytest
 
 import spectral_limits
 from conftest import custom_graph
+from spectral_limits.config import ExperimentConfig, write_rows_csv
 from spectral_limits.distortion import delta_p_eps_a, s_eps, \
     theorem_error_terms, v_p_eps
-from spectral_limits.experiments import ExperimentConfig, align_eigenspaces, \
+from spectral_limits.experiments import align_eigenspaces, \
     reference_spectrum_for
 from spectral_limits.geometry import Circle, FlatTorus, Sphere, Spindle, \
     ball_volume, bishop_gromov_ratio, mc_ball_volume, model_ball_volume, \
@@ -39,9 +40,9 @@ from spectral_limits.graph import WeightedGraph, build_edges, \
 from spectral_limits.interpolation import KernelContext, interpolate, \
     psi_eps, theta_eps, theta_K_eps
 from spectral_limits.plotting import svg_line_chart
-from spectral_limits.reference import ReferenceSpectrum, circle_spectrum, \
-    sphere_harmonic_multiplicity, sphere_spectrum, spindle_spectrum, \
-    torus_spectrum, weighted_circle_spectrum
+from spectral_limits.reference import ReferenceSpectrum, \
+    appendix_ratio_check, circle_spectrum, sphere_harmonic_multiplicity, \
+    sphere_spectrum, spindle_spectrum, torus_spectrum, weighted_circle_spectrum
 from spectral_limits.regularity import moser_check, moser_ratio, \
     nash_diagnostic, smoothing_apply, weighted_p_norm
 from spectral_limits.sampling import DensitySpec, bernstein_bound, \
@@ -299,6 +300,7 @@ TABLE = [
         lambda v: delta_p_eps_a(2, 4.0, 0.3, 0.0, v, 0.1), 0.1),
     Row("distortion.delta_p_eps_a", "s_eps_val", nonnegative(),
         lambda v: delta_p_eps_a(2, 4.0, 0.3, 0.0, 0.1, v), 0.1),
+    Row("distortion.run_distortion"),
     # interpolation
     Row("interpolation.KernelContext", "eps", length(),
         lambda v: KernelContext(CLOUD, v), 0.5),
@@ -325,7 +327,8 @@ TABLE = [
     Row("interpolation.l2_norm_comparison_report"),
     # reference
     Row("reference.ReferenceSpectrum", "eigenvalues",
-        {"decreasing": [1.0, 0.0]},
+        {"decreasing": [1.0, 0.0], "nan": [0.0, NAN, 1.0],
+         "inf": [0.0, 1.0, INF]},
         lambda v: ReferenceSpectrum(v, [None, None], "rho_vol"), [0.0, 1.0]),
     Row("reference.ReferenceSpectrum.evaluator", "k", count(0, 5),
         REF.evaluator, 1),
@@ -356,19 +359,25 @@ TABLE = [
         lambda v: spindle_spectrum(2, 0.7, v, 4), 6),
     Row("reference.spindle_spectrum", "k_max", count(0),
         lambda v: spindle_spectrum(2, 0.7, 6, v), 4),
-    Row("reference.appendix_ratio_check"),
+    Row("reference.appendix_ratio_check", "k_max", count(0, 5),
+        lambda v: appendix_ratio_check(REF, v, grid=64), 4),
     Row("reference.sphere_harmonic_multiplicity", "l", count(0),
         lambda v: sphere_harmonic_multiplicity(v, 2), 3),
     Row("reference.sphere_harmonic_multiplicity", "m", count(0),
         lambda v: sphere_harmonic_multiplicity(3, v), 2),
-    # experiments: ExperimentConfig's keys are checked against CONFIG_KEYS,
-    # which the config tests walk key by key
-    Row("experiments.ExperimentConfig", "threads", count(1),
+    # config: ExperimentConfig's keys are checked against CONFIG_KEYS, which
+    # the config tests walk key by key
+    Row("config.CONFIG_KEYS"),
+    Row("config.ExperimentConfig", "threads", count(1),
         lambda v: ExperimentConfig(threads=v), 1),
+    Row("config.load_config"),
+    Row("config.make_manifold"),
+    Row("config.map_pairs"),
+    Row("config.write_rows_csv", "rows", {"empty": []},
+        lambda v: write_rows_csv(v, os.devnull), [{"n": 16}]),
+    Row("config.write_run_meta"),
+    # experiments
     Row("experiments.AlignmentReport"),
-    Row("experiments.CONFIG_KEYS"),
-    Row("experiments.load_config"),
-    Row("experiments.make_manifold"),
     Row("experiments.reference_spectrum_for", "k_max", count(0),
         lambda v: reference_spectrum_for(ExperimentConfig(), CIRCLE, v), 4),
     Row("experiments.Cell"),
@@ -380,11 +389,8 @@ TABLE = [
     Row("experiments.run_alignment"),
     Row("experiments.run_convergence_sweep"),
     Row("experiments.run_regularity"),
-    Row("experiments.run_distortion"),
     Row("experiments.run_energy"),
     Row("experiments.run_moser"),
-    Row("experiments.write_rows_csv"),
-    Row("experiments.write_run_meta"),
     # plotting
     Row("plotting.svg_line_chart", "series", {"empty": {}},
         lambda v: svg_line_chart(v, os.devnull, "n", "error"),

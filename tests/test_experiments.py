@@ -14,14 +14,11 @@ import pytest
 from test_cli_golden import SRC
 from spectral_limits import experiments, graph
 from spectral_limits.cli import main as cli_main
+from spectral_limits.config import CONFIG_KEYS, ExperimentConfig, \
+    _bound_text, load_config, make_manifold, write_run_meta
 from spectral_limits.experiments import (
-    CONFIG_KEYS,
-    ExperimentConfig,
-    _bound_text,
     _loglog_slope,
     align_eigenspaces,
-    load_config,
-    make_manifold,
     map_cells,
     run_alignment,
     run_convergence_sweep,
@@ -29,7 +26,6 @@ from spectral_limits.experiments import (
     run_moser,
     run_regularity,
     run_spectrum_experiment,
-    write_run_meta,
 )
 from spectral_limits.graph import gamma_N_eps
 from spectral_limits.reference import ReferenceSpectrum, circle_spectrum, \
@@ -74,7 +70,7 @@ class TestConfig:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, env.get("PYTHONPATH")) if p)
         script = ("import sys\n"
-                  "from spectral_limits.experiments import load_config, "
+                  "from spectral_limits.config import load_config, "
                   "write_run_meta\n"
                   "write_run_meta(load_config(sys.argv[1]), sys.argv[2], [])\n")
         proc = subprocess.run([sys.executable, "-W", "error", "-c", script,

@@ -66,3 +66,12 @@ def test_every_exported_name_has_a_caller(name):
     module = importlib.import_module(f"spectral_limits.{name}")
     used = referenced_names()
     assert [n for n in getattr(module, "__all__", []) if n not in used] == []
+
+
+@pytest.mark.parametrize("name", sorted(spectral_limits._EXPORTS))
+def test_every_lazy_name_is_its_submodules(name):
+    # the package's re-export is the submodule's object, and dir() lists it
+    module = importlib.import_module(
+        f"spectral_limits.{spectral_limits._EXPORTS[name]}")
+    assert getattr(spectral_limits, name) is getattr(module, name)
+    assert name in dir(spectral_limits)

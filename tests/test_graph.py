@@ -328,7 +328,8 @@ def test_edge_search_resident_peak():
 OPERATOR_PEAK = '''
 import json
 from spectral_limits import spectral
-from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
+from spectral_limits.config import ExperimentConfig, make_manifold
+from spectral_limits.experiments import Cell
 from spectral_limits.sampling import DensitySpec
 
 

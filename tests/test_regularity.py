@@ -8,6 +8,7 @@ from scipy.sparse import csgraph
 
 from conftest import custom_graph
 from spectral_limits import experiments, regularity, spectral
+from spectral_limits.config import ExperimentConfig
 from spectral_limits.graph import WeightedGraph, dirichlet_energy, gamma_N_eps
 from spectral_limits.regularity import (
     almost_regularity,
@@ -784,8 +785,8 @@ class TestMoser:
         diameter = regularity.graph_diameter
         monkeypatch.setattr(experiments, "graph_diameter", counted)
         monkeypatch.setattr(regularity, "graph_diameter", counted)
-        cfg = experiments.ExperimentConfig(manifold="circle", n_list=[64, 128],
-                                           seeds=[1, 2], k_max=2)
+        cfg = ExperimentConfig(manifold="circle", n_list=[64, 128],
+                               seeds=[1, 2], k_max=2)
         rows = experiments.run_moser(cfg)
         assert len(rows) == 4 * 2 * 4
         assert sorted(calls) == [64, 64, 128, 128]

@@ -11,7 +11,8 @@ from conftest import custom_graph, fake_cloud
 from spectral_limits import graph, spectral
 from spectral_limits.graph import dirichlet_energy, gamma_N_eps, gamma_m_eps, \
     laplacian_apply
-from spectral_limits.experiments import Cell, ExperimentConfig, make_manifold
+from spectral_limits.config import ExperimentConfig, make_manifold
+from spectral_limits.experiments import Cell
 from spectral_limits.regularity import _hop_blocks
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, \
     sample_dataset

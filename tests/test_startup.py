@@ -1,5 +1,6 @@
 """No command or model integral loads ``scipy.integrate`` or ``scipy.optimize``,
-and only the integrals build the Gauss-Legendre rule.
+only the integrals build the Gauss-Legendre rule, and ``distortion`` loads
+none of the graph stack.
 
 The spindle's volume and sampler are incomplete beta functions, and the
 comparison volume V_K and the kernel masses theta take one fixed
@@ -12,6 +13,12 @@ run.  The check runs in a child ``python``: the pytest process has
 already imported ``scipy.integrate`` through other test modules.  The
 same child then imports ``scipy.integrate`` itself, so the check cannot
 pass because the modules never show up in ``sys.modules``.
+
+A command imports only the modules its report runs, and the package's
+names resolve on first access.  So ``distortion``, whose integrals need
+no graph, loads neither ``scipy.sparse``, ``scipy.spatial`` nor
+``scipy.linalg``.  That check needs a fresh child: the first child has run
+``graph`` by then.  A fresh ``graph`` child is the positive control.
 """
 
 import json
@@ -120,3 +127,59 @@ def test_commands_and_model_integrals_skip_quadrature_imports():
     # positive control: the import itself does load both
     assert report["import scipy.integrate"] == ["scipy.integrate",
                                                 "scipy.optimize"]
+
+
+# run one command in a fresh child, which reports the package's submodules
+# loaded by ``import spectral_limits`` and after the run, and which of the
+# modules named after the config text are loaded after the run
+FRESH = '''
+import json, os, sys, tempfile
+
+import spectral_limits
+
+report = {"package": sorted(m for m in sys.modules
+                            if m.startswith("spectral_limits."))}
+from spectral_limits.cli import main
+
+command, text, watched = sys.argv[1], sys.argv[2], sys.argv[3:]
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = os.path.join(tmp, "cfg.toml")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp, "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    assert len(os.listdir(out)) > 1, command
+report["run"] = sorted(m for m in sys.modules
+                       if m.startswith("spectral_limits."))
+report["watched"] = [m for m in watched if m in sys.modules]
+print(json.dumps(report))
+'''
+
+GRAPH_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg")
+SPINDLE = ('manifold = "spindle"\nm = 2\nn = [200]\nseeds = [1]\n'
+           'mc_outer = 4\nmc_inner = 50\n')
+CIRCLE = 'manifold = "circle"\nn = [64]\nseeds = [1]\nk_max = 2\n'
+
+
+def fresh_run(command, text):
+    env = dict(os.environ, **PINNED_THREADS)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", FRESH,
+                           command, text, *GRAPH_STACK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_distortion_runs_without_the_graph_stack():
+    report = fresh_run("distortion", SPINDLE)
+    # the package itself loads no submodule: its names resolve on access
+    assert report["package"] == []
+    assert report["run"] == ["spectral_limits.cli", "spectral_limits.config",
+                             "spectral_limits.distortion",
+                             "spectral_limits.geometry",
+                             "spectral_limits.sampling"]
+    assert report["watched"] == []
+    # positive control: a graph command in a fresh child loads all three
+    assert fresh_run("graph", CIRCLE)["watched"] == list(GRAPH_STACK)
