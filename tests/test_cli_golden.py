@@ -13,6 +13,13 @@ more BLAS threads, so an unpinned run would tie the hashes to the host's
 core count.  ``run_meta.json`` lists file names relative to ``--out``, so
 its hash does not depend on the output directory.
 
+No golden config reaches the 2^19 stored entries per part at which an
+operator's products split into row parts.  So the entries that eigensolve
+run once more at ``--threads 1`` with every product forced into three row
+parts, and must give the same hashes: the Lanczos spectrum, sweep and
+Moser cells, the regularity Poincare balls, and the dense residual check of
+``align``.
+
 The hashes pin this platform's floating-point output.  To re-record them
 after an intended output change, run ``python tests/test_cli_golden.py`` and
 paste the printed table over ``GOLDEN``.
@@ -128,6 +135,10 @@ CONFIGS = {
     "energy-torus": ("energy", TORUS),
     "spectrum-gamma-m": ("spectrum", CIRCLE_GAMMA_M),
 }
+
+# the entries whose products run again, split into three row parts
+SPLIT = ("align", "moser-lanczos", "regularity-lanczos", "spectrum-lanczos",
+         "sweep-lanczos")
 
 GOLDEN = {
     "align": {
@@ -367,24 +378,30 @@ def run_command(entry, threads, workdir):
     return hashes
 
 
-def run_all():
-    """{threads: {entry: {file name: sha256}}} for every entry."""
+def run_all(split=False):
+    """{threads: {entry: {file name: sha256}}} for every entry, or with
+    ``split`` for the SPLIT entries at one thread, every product in three
+    row parts."""
+    if split:
+        from spectral_limits import spectral
+
+        spectral._part_count = lambda nnz: 3
     hashes = {}
-    for threads in THREADS:
+    for threads in THREADS[:1] if split else THREADS:
         hashes[str(threads)] = {}
-        for entry in sorted(CONFIGS):
+        for entry in SPLIT if split else sorted(CONFIGS):
             with tempfile.TemporaryDirectory() as tmp:
                 hashes[str(threads)][entry] = run_command(entry, threads, tmp)
     return hashes
 
 
-def run_pinned():
+def run_pinned(*flags):
     """``run_all`` in a child python with BLAS pinned to one thread."""
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-W", "error",
-                           os.path.abspath(__file__), "--json"],
+                           os.path.abspath(__file__), "--json", *flags],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -395,6 +412,11 @@ def pinned_hashes():
     return run_pinned()
 
 
+@pytest.fixture(scope="module")
+def split_hashes():
+    return run_pinned("--split")
+
+
 @pytest.mark.parametrize("entry", sorted(CONFIGS))
 def test_outputs_match_recorded_hashes(entry, pinned_hashes):
     for threads in THREADS:
@@ -402,9 +424,14 @@ def test_outputs_match_recorded_hashes(entry, pinned_hashes):
             f"--threads {threads}"
 
 
+@pytest.mark.parametrize("entry", SPLIT)
+def test_split_products_match_recorded_hashes(entry, split_hashes):
+    assert split_hashes[str(THREADS[0])][entry] == GOLDEN[entry]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--json"]:
-        print(json.dumps(run_all()))
+    if sys.argv[1:2] == ["--json"]:
+        print(json.dumps(run_all(split=sys.argv[2:] == ["--split"])))
         sys.exit(0)
     runs = run_pinned()
     for threads in THREADS[1:]:

@@ -106,6 +106,11 @@ class Row:
     bad: dict | None = None         # label -> a forbidden value
     call: Callable | None = None     # call(value) passes value as ``arg``
     good: object = None
+    case: str = ""                  # tells apart two rows of one argument
+
+    @property
+    def id(self) -> str:
+        return "-".join(filter(None, (self.name, self.arg, self.case)))
 
 
 CIRCLE, SPHERE, SPINDLE = Circle(), Sphere(2), Spindle(2)
@@ -222,6 +227,8 @@ TABLE = [
     Row("spectral.SpectralResult"),
     Row("spectral.eigen_decompose", "k", count(0, N),
         lambda v: eigen_decompose(GRAPH, v), 2),
+    Row("spectral.eigen_decompose", "k", count(0, N),
+        lambda v: eigen_decompose(GRAPH, v, method="lanczos"), 2, "lanczos"),
     Row("spectral.eigen_decompose", "tol", {"nan": NAN, "inf": INF},
         lambda v: eigen_decompose(GRAPH, 2, tol=v, method="lanczos"),
         1e-10),
@@ -401,7 +408,7 @@ CHECKED = [row for row in TABLE if row.arg is not None]
 
 
 @pytest.mark.parametrize("row, value", [
-    pytest.param(row, value, id=f"{row.name}-{row.arg}-{label}")
+    pytest.param(row, value, id=f"{row.id}-{label}")
     for row in CHECKED for label, value in row.bad.items()])
 def test_forbidden_value_is_rejected(row, value):
     with pytest.raises(ValueError, match=rf"\b{re.escape(row.arg)}\b"):
@@ -409,7 +416,7 @@ def test_forbidden_value_is_rejected(row, value):
 
 
 @pytest.mark.parametrize("row", CHECKED,
-                         ids=[f"{row.name}-{row.arg}" for row in CHECKED])
+                         ids=[row.id for row in CHECKED])
 def test_good_value_passes(row):
     row.call(row.good)
 

@@ -1,5 +1,8 @@
+import gc
 import math
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from spectral_limits.graph import dirichlet_energy, gamma_N_eps, gamma_m_eps, \
     laplacian_apply
 from spectral_limits.config import ExperimentConfig, make_manifold
 from spectral_limits.experiments import Cell
+from spectral_limits.geometry import Circle
 from spectral_limits.regularity import _hop_blocks
 from spectral_limits.sampling import DensitySpec, epsilon_schedule, \
     sample_dataset
@@ -127,17 +131,6 @@ class TestEigenDecompose:
         monkeypatch.setattr(spectral, "eigsh", no_convergence)
         with pytest.raises(SolverError, match="got 1 of 4 eigenvalues"):
             eigen_decompose(circle_graph_200, 3, method="lanczos")
-
-    def test_k_bound(self, path3_gamma_N):
-        with pytest.raises(ValueError, match="k must be an integer >= 0 and < 3"):
-            eigen_decompose(path3_gamma_N, 3)
-
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    @pytest.mark.parametrize("k", [-1, -2])
-    def test_negative_k_rejected(self, circle_graph_200, method, k):
-        with pytest.raises(ValueError,
-                           match="k must be an integer >= 0 and < 200"):
-            eigen_decompose(circle_graph_200, k, method=method)
 
     @pytest.mark.parametrize("edges,w_V", [
         ([[0, 1], [1, 2]], [1.0, 1.0, 1.0]),
@@ -416,3 +409,165 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             rayleigh_quotient(circle_graph_200, np.zeros(200))
 
+
+def blocks_csr(n_blocks=12, size=9, seed=3):
+    """A random symmetric CSR of ``n_blocks`` diagonal blocks, each with the
+    same number of entries, between empty rows: it starts and ends with an
+    empty row, and the row parts of 2, 3 and 4 begin at one."""
+    rng = np.random.default_rng(seed)
+    upper = sparse.triu(sparse.random(size, size, density=0.5, rng=rng), k=1)
+    diag = [sparse.csr_matrix((1, 1))]
+    for _ in range(n_blocks):
+        upper.data = rng.standard_normal(upper.nnz)
+        diag += [upper + upper.T + sparse.eye(size), sparse.csr_matrix((1, 1))]
+    return sparse.block_diag(diag, format="csr")
+
+
+@pytest.fixture(scope="module")
+def circle_2000():
+    cloud = sample_dataset(Circle(), DensitySpec("uniform"), 2000, seed=1)
+    return gamma_N_eps(cloud, epsilon_schedule(2000, 1))
+
+
+def force_parts(monkeypatch, parts, cpus=None):
+    """Split every product into ``parts`` row parts, on ``cpus`` CPUs."""
+    monkeypatch.setattr(spectral, "_part_count", lambda nnz: parts)
+    if cpus is not None:
+        monkeypatch.setattr(spectral, "_CPUS", cpus)
+
+
+class TestSplitProduct:
+    """``B @ x`` split into row parts: every part count, with or without a
+    helper per part, gives the serial product bit for bit, since each row's
+    sum runs over the same entries in the same order.  These tests are what
+    make the private scipy kernel safe to call."""
+
+    @pytest.fixture(params=["blocks", "circle-2000"])
+    def operator_and_weights(self, request, circle_2000):
+        if request.param == "blocks":
+            B = blocks_csr()
+            return B, np.linspace(0.5, 2.0, B.shape[0])
+        return spectral._symmetrized_operator(circle_2000), circle_2000.w_V
+
+    def test_part_bounds_start_at_empty_rows(self, monkeypatch):
+        B = blocks_csr()
+        empty = np.diff(B.indptr) == 0
+        starts = []
+        original = spectral._part
+        monkeypatch.setattr(spectral, "_part", lambda B, x, y, lo, hi: (
+            starts.append(lo), original(B, x, y, lo, hi)))
+        for parts in (2, 3, 4):
+            force_parts(monkeypatch, parts)
+            spectral._product(B, np.ones(B.shape[0]))
+        assert len(starts) == 9
+        assert empty[0] and empty[-1] and all(empty[lo] for lo in starts)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_lanczos_matvec(self, monkeypatch, operator_and_weights, parts,
+                            cpus):
+        B, w_V = operator_and_weights
+        ops = []
+
+        def captured(op, k, **kwargs):
+            ops.append(op)
+            return np.zeros(k), np.zeros((op.shape[0], k))
+
+        monkeypatch.setattr(spectral, "eigsh", captured)
+        spectral._lanczos_above_null(B, w_V, 2, None, 1e-10)
+        u = np.sqrt(w_V / np.sum(w_V))
+        shift = 2.0 * float(np.max(B.diagonal()))
+        force_parts(monkeypatch, parts, cpus)
+        rng = np.random.default_rng(parts)
+        for _ in range(3):
+            x = rng.standard_normal(B.shape[0])
+            assert np.array_equal(ops[0].matvec(x),
+                                  B @ x + (shift * (u @ x)) * u)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_residual_product(self, monkeypatch, operator_and_weights, parts,
+                              cpus):
+        B = operator_and_weights[0]
+        X = np.random.default_rng(parts).standard_normal((B.shape[0], 7))
+        force_parts(monkeypatch, parts, cpus)
+        # C-ordered, a column slice as the dense solver returns, one column
+        for x in (X, X[:, :4], X[:, :1]):
+            y = spectral._product(B, x)
+            assert y.shape == x.shape
+            assert np.array_equal(y, B @ x)
+
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_eigen_decompose(self, monkeypatch, circle_2000, parts):
+        serial = eigen_decompose(circle_2000, 6)
+        force_parts(monkeypatch, parts)
+        split = eigen_decompose(circle_2000, 6)
+        assert split.solver == serial.solver == "lanczos"
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(getattr(split, name),
+                                  getattr(serial, name)), name
+
+    def test_part_count_of_the_sweep_operators(self, monkeypatch):
+        # circle n = 8000 has 2,125,184 entries, n = 4000 has 651,760
+        monkeypatch.setattr(spectral, "_CPUS", 8)
+        assert spectral._part_count(2_125_184) == 4
+        assert spectral._part_count(651_760) == 1
+        monkeypatch.setattr(spectral, "_CPUS", 2)
+        assert spectral._part_count(2_125_184) == 2
+        monkeypatch.setattr(spectral, "_CPUS", 1)
+        assert spectral._part_count(2_125_184) == 1
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failing_part_raises_in_the_caller(self, monkeypatch, failing):
+        B = blocks_csr()
+        x = np.ones(B.shape[0])
+        force_parts(monkeypatch, 2, cpus=2)
+        original = spectral._part
+        ran_on = []
+
+        def part(B, x, y, lo, hi):
+            ran_on.append(threading.get_ident())
+            if (lo > 0) == (failing == "helper"):
+                raise ZeroDivisionError(f"part at row {lo}")
+            original(B, x, y, lo, hi)
+
+        monkeypatch.setattr(spectral, "_part", part)
+        with pytest.raises(ZeroDivisionError, match="part at row"):
+            spectral._product(B, x)
+        assert len(set(ran_on)) == 2
+        # the helper is free again: the next product runs without a deadlock
+        monkeypatch.setattr(spectral, "_part", original)
+        for _ in range(3):
+            assert np.array_equal(spectral._product(B, x), B @ x)
+
+    def test_helpers_release_the_operator(self, monkeypatch, circle_2000):
+        force_parts(monkeypatch, 2, cpus=2)
+        B = spectral._symmetrized_operator(circle_2000)
+        alive = weakref.ref(B)
+        spectral._lanczos_above_null(B, circle_2000.w_V, 2,
+                                     spectral._start_vector(circle_2000),
+                                     1e-10)
+        assert spectral._HELPERS
+        del B
+        gc.collect()
+        assert alive() is None
+
+    def test_off_the_main_thread_no_helper_runs(self, monkeypatch):
+        B = blocks_csr()
+        x = np.ones(B.shape[0])
+        force_parts(monkeypatch, 2, cpus=2)
+        handed = []
+        original = spectral._Helper.run
+        monkeypatch.setattr(spectral._Helper, "run", lambda self, task: (
+            handed.append(task), original(self, task)))
+        out = []
+        worker = threading.Thread(target=lambda: out.append(
+            spectral._product(B, x)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert handed == []
+        assert np.array_equal(out[0], B @ x)
+        # positive control: on the main thread the second part goes out
+        spectral._product(B, x)
+        assert len(handed) == 1

@@ -19,6 +19,10 @@ names resolve on first access.  So ``distortion``, whose integrals need
 no graph, loads neither ``scipy.sparse``, ``scipy.spatial`` nor
 ``scipy.linalg``.  That check needs a fresh child: the first child has run
 ``graph`` by then.  A fresh ``graph`` child is the positive control.
+
+Only an eigensolve whose products split into row parts starts helper
+threads, so a fresh ``distortion`` child and a fresh small ``spectrum``
+child each end with the main thread as their only thread.
 """
 
 import json
@@ -130,10 +134,11 @@ def test_commands_and_model_integrals_skip_quadrature_imports():
 
 
 # run one command in a fresh child, which reports the package's submodules
-# loaded by ``import spectral_limits`` and after the run, and which of the
-# modules named after the config text are loaded after the run
+# loaded by ``import spectral_limits`` and after the run, which of the
+# modules named after the config text are loaded after the run, and the
+# number of live threads after the run
 FRESH = '''
-import json, os, sys, tempfile
+import json, os, sys, tempfile, threading
 
 import spectral_limits
 
@@ -152,6 +157,7 @@ with tempfile.TemporaryDirectory() as tmp:
 report["run"] = sorted(m for m in sys.modules
                        if m.startswith("spectral_limits."))
 report["watched"] = [m for m in watched if m in sys.modules]
+report["threads"] = threading.active_count()
 print(json.dumps(report))
 '''
 
@@ -159,6 +165,9 @@ GRAPH_STACK = ("scipy.sparse", "scipy.spatial", "scipy.linalg")
 SPINDLE = ('manifold = "spindle"\nm = 2\nn = [200]\nseeds = [1]\n'
            'mc_outer = 4\nmc_inner = 50\n')
 CIRCLE = 'manifold = "circle"\nn = [64]\nseeds = [1]\nk_max = 2\n'
+# Lanczos cells far below the entries at which a product splits
+CIRCLE_LANCZOS = ('manifold = "circle"\nn = [600, 1000]\nseeds = [1]\n'
+                  'k_max = 3\n')
 
 
 def fresh_run(command, text):
@@ -181,5 +190,12 @@ def test_distortion_runs_without_the_graph_stack():
                              "spectral_limits.geometry",
                              "spectral_limits.sampling"]
     assert report["watched"] == []
+    assert report["threads"] == 1
     # positive control: a graph command in a fresh child loads all three
     assert fresh_run("graph", CIRCLE)["watched"] == list(GRAPH_STACK)
+
+
+def test_small_spectrum_starts_no_helper_thread():
+    report = fresh_run("spectrum", CIRCLE_LANCZOS)
+    assert "spectral_limits.spectral" in report["run"]
+    assert report["threads"] == 1
