@@ -28,10 +28,11 @@ from it on first access and kept, for the reports that read it: hop
 distances, the Laplacian and random-walk matrices, smoothing and the
 regularity certificates.  One builder makes every symmetric CSR from a
 graph: its matrix, and with a diagonal and a scaling, its operator
-2 eps^-2 S (D - W) S.  It writes the final arrays one block of triangle
-rows at a time, each block handing its entry (i, j) on to row j as that
-row's entry below the diagonal, so no transposed copy of the triangle is
-made.  A Poincare ball's operator, with the ball's own Laplacian, is a
+2 eps^-2 S (D - W) S.  It places each row's upper entries from the
+triangle and its lower ones from one scipy transpose of the triangle's
+pattern, which it writes into the bytes of the values' array before the
+values, so it holds no scratch beside its output but one block of rows.
+A Poincare ball's operator, with the ball's own Laplacian, is a
 principal submatrix of the graph's operator with its diagonal rewritten
 from the ball's degrees: no entry off the diagonal depends on them.
 """
@@ -43,6 +44,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.spatial import cKDTree
 
 from .geometry import _length, _no_vertex, _nonnegative, \
@@ -128,15 +130,13 @@ def _symmetric_csr(g: WeightedGraph, diag=None, s=None,
 
     Each row is its lower entries, then its diagonal entry, if any, then
     its upper ones, so its columns come out sorted, and the row pointers
-    follow from the row and column counts.  The final arrays are then
-    filled one block of triangle rows at a time, by Gustavson's permuted
-    transpose: a block writes its rows' upper entries, and hands each of
-    its entries (i, j) on to row j's next free lower slot, taking them in
-    the order of the block's transpose, by column and then row, so every
-    row's lower entries come out in row order.  The transpose is a
-    counting sort with 1-byte pattern data.  Only one block's scratch is
-    held beside the output, and a triangle that fits in one block takes
-    one pass.
+    follow from the row and column counts.  The upper entries are the
+    triangle's rows, and the lower ones the rows of its transpose, which
+    the private scipy kernel of ``tocsc`` writes into the bytes of ``data``
+    before any value: a transpose held beside the output stays resident in
+    the heap, 11 MB of a sweep's peak RSS at circle n = 8000.  Only
+    test_graph's oracle tests, at every block size, make the kernel safe
+    to use.  Rows are moved and values written a block of rows at a time.
     """
     n, w = g.n_vertices, g.w_E
     upper_ptr, upper_idx = g.upper.indptr, g.upper.indices
@@ -150,52 +150,41 @@ def _symmetric_csr(g: WeightedGraph, diag=None, s=None,
     np.cumsum(lengths, out=indptr[1:])
     del lengths
     indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    # a row's upper entries end it, and its lower ones start it
+    _move_rows(indices, upper_ptr, upper_idx, indptr[1:] - upper_ptr[1:])
+    scratch = data.view(np.int8)
+    width, values = indices.itemsize * len(upper_idx), len(upper_idx)
+    lower_ptr, lower_idx = np.empty(n + 1, dtype=idx), scratch[:width].view(idx)
+    _sparsetools.csr_tocsc(n, n, upper_ptr.astype(idx),
+                           upper_idx.astype(idx, copy=False),
+                           scratch[width:][:values], lower_ptr, lower_idx,
+                           scratch[width + values:][:values])
+    _move_rows(indices, lower_ptr, lower_idx, indptr[:-1] - lower_ptr[:-1])
     if diag is None:
-        data = np.full(indptr[-1], w)
-    else:
-        data = np.empty(indptr[-1])
-        v = 0.0 - w
-    free = indptr[:-1].astype(np.int64)     # each row's next lower slot
-    for r0, r1 in _row_blocks(upper_ptr):
-        a, b = upper_ptr[r0], upper_ptr[r1]
-        col, count = upper_idx[a:b], above[r0:r1]
-        # a row's upper entries end it
-        at = np.repeat(indptr[r0 + 1:r1 + 1] - upper_ptr[r0 + 1:r1 + 1], count)
-        at += np.arange(a, b)
-        indices[at] = col
-        if diag is not None:
-            t = np.repeat(s[r0:r1], count)
-            t *= v
-            t *= s[col]
-            t *= c
-            data[at] = t
-            del t
-        del at
-        lower = sparse.csr_matrix((np.ones(b - a, dtype=np.int8), col,
-                                   upper_ptr[r0:r1 + 1] - a),
-                                  shape=(r1 - r0, n)).tocsc()
-        handed = np.diff(lower.indptr)
-        slot = np.repeat(free - lower.indptr[:-1], handed)
-        slot += np.arange(len(slot))
-        free += handed
-        row = lower.indices
-        row += r0
-        indices[slot] = row
-        if diag is not None:
-            t = np.repeat(s, handed)
-            t *= v
-            t *= s[row]
-            t *= c
-            data[slot] = t
-    if diag is not None:
-        on_diag = np.flatnonzero(diag)
-        at = indptr[on_diag] + columns[on_diag]
-        indices[at] = on_diag
-        t = s[on_diag] * diag[on_diag]
-        t *= s[on_diag]
-        t *= c
-        data[at] = t
+        data.fill(w)
+        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    on_diag = np.flatnonzero(diag)
+    at = indptr[on_diag] + columns[on_diag]
+    indices[at] = on_diag
+    v = 0.0 - w
+    for r0, r1 in _row_blocks(indptr):
+        a, b = indptr[r0], indptr[r1]
+        np.multiply(np.repeat(s[r0:r1] * v, np.diff(indptr[r0:r1 + 1])),
+                    s[indices[a:b]], out=data[a:b])
+    data *= c
+    data[at] = s[on_diag] * diag[on_diag] * s[on_diag] * c
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _move_rows(out, ptr, cols, shift):
+    """Write the columns ``cols`` of the CSR rows ``ptr`` into ``out``, each
+    row r moved by ``shift[r]`` slots, one block of rows at a time."""
+    for r0, r1 in _row_blocks(ptr):
+        a, b = ptr[r0], ptr[r1]
+        at = np.repeat(shift[r0:r1], np.diff(ptr[r0:r1 + 1]))
+        at += np.arange(a, b)
+        out[at] = cols[a:b]
 
 
 def _operator_csr(g: WeightedGraph) -> sparse.csr_matrix:

@@ -14,17 +14,18 @@ operator has an entry for each edge, and connectivity is one breadth-first
 search from vertex 0 over its entries; only a disconnected graph pays for
 its components, whose sizes the error names.
 
-The Lanczos products ``B @ x`` and the residual check's ``B @ vecs`` of an
-operator with at least 2^20 stored entries run as row parts of nearly equal
-entry counts, k = min(usable CPUs, floor(nnz / 2^19)) of them: the caller
-computes one part, and persistent daemon helper threads, one per extra
-CPU, the others.  Each part runs the kernel that ``B @ x`` runs on a slice
-of B's row pointers, into the shared ``indices`` and ``data``; the kernel
-releases the GIL, and the slice copies nothing.  Each row's sum is the
-same sum over the same entries in the same order, so every product, and
-with it every eigenpair and residual, is bit-identical to the serial one on
-any CPU count.  Only the main thread splits: with more than one cell
-worker, the workers already occupy the CPUs.
+The Lanczos products ``B @ x`` of an operator with at least 2^20 stored
+entries run as row parts of nearly equal entry counts,
+k = min(usable CPUs, floor(nnz / 2^19)) of them: the caller computes one
+part, and a thread pool of usable CPUs - 1 workers, made on the first
+split, the others.  Each part runs the kernel that ``B @ x`` runs on a
+slice of B's row pointers, into the shared ``indices`` and ``data``; the
+kernel releases the GIL, and the slice copies nothing.  Each row's sum is
+the same sum over the same entries in the same order, so every product,
+and with it every eigenpair and residual, is bit-identical to the serial
+one on any CPU count.  Only the main thread splits: with more than one
+cell worker, the workers already occupy the CPUs.  The residual check's
+one ``B @ vecs`` per solve stays serial.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh
@@ -130,86 +131,46 @@ def _part_count(nnz: int) -> int:
     return max(1, min(_CPUS, nnz // _PART_ENTRIES))
 
 
-class _Helper:
-    """A daemon thread that runs one task at a time, handed to it through a
-    pair of locks: ``_go`` starts the task and ``_done`` hands it back."""
-
-    def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._task = self._error = None
-        threading.Thread(target=self._serve, daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            try:
-                self._task()
-            except BaseException as exc:    # re-raised by the caller
-                self._error = exc
-            # a kept task would keep its operator alive after the solve
-            self._task = None
-            self._done.release()
-
-    def run(self, task):
-        self._task = task
-        self._go.release()
-
-    def join(self):
-        """Wait for the task; return its exception, or None."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-
-_HELPERS: list[_Helper] = []     # started on first use, by the main thread
+# the workers of the product parts, made on the first split; only the main
+# thread splits, so nothing else reads or sets it
+_POOL = None
 
 
 def _part(B, x, y, lo: int, hi: int):
     """Rows lo..hi-1 of ``B @ x`` into ``y[lo:hi]``, by the private scipy
-    kernel that ``B @ x`` runs, on a slice of B's row pointers.  Only
-    test_spectral's split-product tests, which hold every part count to
-    ``B @ x`` bit for bit, make the private kernel safe to use."""
-    ptr = B.indptr[lo:hi + 1]
-    if x.ndim == 1 or x.shape[1] == 1:      # scipy's vector path
-        _sparsetools.csr_matvec(hi - lo, B.shape[1], ptr, B.indices, B.data,
-                                x.ravel(), y[lo:hi].ravel())
-    else:
-        _sparsetools.csr_matvecs(hi - lo, B.shape[1], x.shape[1], ptr,
-                                 B.indices, B.data, x.ravel(),
-                                 y[lo:hi].ravel())
+    kernel that ``B @ x`` runs for a vector, on a slice of B's row
+    pointers.  Only test_spectral's split-product tests, which hold every
+    part count to ``B @ x`` bit for bit, make the private kernel safe to
+    use."""
+    _sparsetools.csr_matvec(hi - lo, B.shape[1], B.indptr[lo:hi + 1],
+                            B.indices, B.data, x, y[lo:hi])
 
 
 def _product(B, x):
-    """``B @ x`` for a float64 CSR B and a float64 x of shape (n,) or
-    (n, m), bit for bit, split into ``_part_count(B.nnz)`` row parts of
-    nearly equal entry counts.  The caller runs the first part and any part
-    that has no helper; a helper's exception is re-raised here."""
+    """``B @ x`` for a float64 CSR B and a float64 vector x, bit for bit,
+    split into ``_part_count(B.nnz)`` row parts of nearly equal entry
+    counts.  The caller runs the first part and the pool the others; a
+    part's exception is re-raised here once every part is done."""
+    global _POOL
     # off the main thread, cell workers already occupy the CPUs: stay serial
     if threading.current_thread() is not threading.main_thread():
         return B @ x
     k = _part_count(B.nnz)
     if k < 2:
         return B @ x
-    x = np.ascontiguousarray(x)
-    y = np.zeros(x.shape)
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max(1, _CPUS - 1))
+    y = np.zeros(B.shape[0])
     bounds = np.searchsorted(B.indptr, B.indptr[-1] * np.arange(k + 1) // k)
     bounds[0], bounds[-1] = 0, B.shape[0]
-    n_helpers = min(k, _CPUS) - 1
-    while len(_HELPERS) < n_helpers:
-        _HELPERS.append(_Helper())
-    helpers = _HELPERS[:n_helpers]
-    for j, helper in enumerate(helpers, 1):
-        helper.run(partial(_part, B, x, y, bounds[j], bounds[j + 1]))
+    parts = [_POOL.submit(_part, B, x, y, bounds[j], bounds[j + 1])
+             for j in range(1, k)]
     try:
-        for j in [0, *range(n_helpers + 1, k)]:
-            _part(B, x, y, bounds[j], bounds[j + 1])
+        _part(B, x, y, bounds[0], bounds[1])
     finally:
-        errors = [helper.join() for helper in helpers]
-    for error in errors:
-        if error is not None:
-            raise error
+        wait(parts)
+    for part in parts:
+        part.result()
     return y
 
 
@@ -286,7 +247,7 @@ def eigen_decompose(g: WeightedGraph, k: int, tol: float = 1e-10,
     else:
         vals, vecs = _lanczos_above_null(B, g.w_V, k, _start_vector(g), tol)
 
-    resid = np.linalg.norm(_product(B, vecs) - vals * vecs, axis=0)
+    resid = np.linalg.norm(B @ vecs - vals * vecs, axis=0)
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
         # back to original coordinates; columns orthonormal in the w_V measure

@@ -421,29 +421,6 @@ class TestGraphConstructions:
         assert path3_gamma_N.degrees.tolist() == [1, 2, 1]
 
 
-class TestGraphValidation:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            custom_graph(2, [[0, 1]], [1.0, -1.0], [1.0])
-
-    @pytest.mark.parametrize("name,bad", [
-        ("epsilon", math.inf), ("epsilon", math.nan),
-        ("w_V", math.inf), ("w_V", math.nan),
-        ("w_E", math.inf), ("w_E", math.nan), ("w_E", 0.0), ("w_E", -1.0),
-    ], ids=["epsilon-inf", "epsilon-nan", "w_V-inf", "w_V-nan",
-            "w_E-inf", "w_E-nan", "w_E-zero", "w_E-negative"])
-    def test_non_finite_input_rejected(self, name, bad):
-        # w_V = 0 stays allowed: an isolated gamma_N vertex weighs 0
-        args = {"epsilon": 1.0, "w_V": [1.0, 0.0, 1.0], "w_E": 1.0}
-        if name == "w_V":
-            args[name][1] = bad
-        else:
-            args[name] = bad
-        path = custom_graph(3, [[0, 1], [1, 2]], np.ones(3)).upper
-        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            WeightedGraph(3, args["epsilon"], path, args["w_V"], args["w_E"])
-
-
 class TestOneMatrix:
     def test_holds_w_E_both_ways(self):
         rng = np.random.default_rng(3)
@@ -588,8 +565,8 @@ def random_graph(n, n_edges, seed):
 
 
 class TestBlockedBuilder:
-    """The graph matrix and the operator, filled a block of triangle rows
-    at a time, have the arrays and dtypes of the former whole-triangle
+    """The graph matrix and the operator, their data written a block of
+    rows at a time, have the arrays and dtypes of the former whole-triangle
     build, whatever the block size."""
 
     def cases(self, circle, sphere2):
@@ -602,7 +579,7 @@ class TestBlockedBuilder:
         yield "isolated", custom_graph(5, [[0, 1], [1, 3], [3, 4]],
                                        np.ones(5), 2.0)
         # columns far above the block's rows, in more than 2^16 vertices
-        yield "wide", random_graph(70000, 800, seed=3)
+        yield "wide", random_graph(70000, 3000, seed=3)
 
     def balls(self, sphere2):
         """Three hop balls of an S^2 graph, each with the triangle of its
@@ -639,24 +616,6 @@ class TestBlockedBuilder:
             seen.append(name)
         assert seen == ["eps-graph", "random", "empty", "isolated", "wide",
                         "ball-1", "ball-2", "ball-3"]
-
-    def test_one_block_is_one_pass(self, monkeypatch):
-        g = random_graph(300, 2000, seed=4)
-        transposed = []
-        tocsc = sparse.csr_matrix.tocsc
-
-        def spied(self, *args, **kwargs):
-            transposed.append(self.nnz)
-            return tocsc(self, *args, **kwargs)
-
-        monkeypatch.setattr(sparse.csr_matrix, "tocsc", spied)
-        graph_module._symmetric_csr(g)
-        assert transposed == [2000]
-        transposed.clear()
-        monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 500)
-        graph_module._symmetric_csr(g)
-        assert len(transposed) >= 4 and sum(transposed) == 2000
-        assert max(transposed) <= 500 + max(np.diff(g.upper.indptr))
 
     def test_nonpositive_vertex_weight(self):
         g = custom_graph(3, [[0, 1], [1, 2]], [1.0, 0.0, 1.0], [1.0, 1.0])
@@ -695,11 +654,6 @@ class TestLaplacian:
             rhs = volume_inner(g, phi, laplacian_apply(g, psi))
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(lhs)))
             assert volume_inner(g, phi, laplacian_apply(g, phi)) >= -1e-12
-
-    @pytest.mark.parametrize("shape", [(200, 3), (199,), (201,)])
-    def test_rejects_all_but_one_vertex_function(self, circle_graph_200, shape):
-        with pytest.raises(ValueError, match=r"phi must have shape \(200,\)"):
-            laplacian_apply(circle_graph_200, np.ones(shape))
 
     def test_energy_equals_quadratic_form(self, circle_graph_200):
         g = circle_graph_200

@@ -20,9 +20,11 @@ no graph, loads neither ``scipy.sparse``, ``scipy.spatial`` nor
 ``scipy.linalg``.  That check needs a fresh child: the first child has run
 ``graph`` by then.  A fresh ``graph`` child is the positive control.
 
-Only an eigensolve whose products split into row parts starts helper
-threads, so a fresh ``distortion`` child and a fresh small ``spectrum``
-child each end with the main thread as their only thread.
+Only an eigensolve whose products split into row parts starts the
+product pool's workers, so a fresh ``distortion`` child and a fresh small
+``spectrum`` child each end with the main thread as their only thread.
+The workers are not daemon threads: a fresh child that forces a split ends
+with one worker beside the main thread, and still exits.
 """
 
 import json
@@ -115,14 +117,20 @@ RUNS = ("import", "sample", "graph", "spectrum", "align", "regularity",
 RULE_RUNS = ("distortion", "model integrals")
 
 
-def test_commands_and_model_integrals_skip_quadrature_imports():
+def run_child(*args):
+    """Run ``python -W error -c`` with ``args`` in a fresh child, on pinned
+    threads; return its stdout."""
     env = dict(os.environ, **PINNED_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", CHILD],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def test_commands_and_model_integrals_skip_quadrature_imports():
+    report = json.loads(run_child(CHILD))
     assert list(report) == [*RUNS, "import scipy.integrate"]
     for run in RUNS:
         modules, rules = report[run]
@@ -171,14 +179,7 @@ CIRCLE_LANCZOS = ('manifold = "circle"\nn = [600, 1000]\nseeds = [1]\n'
 
 
 def fresh_run(command, text):
-    env = dict(os.environ, **PINNED_THREADS)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", FRESH,
-                           command, text, *GRAPH_STACK], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(run_child(FRESH, command, text, *GRAPH_STACK))
 
 
 def test_distortion_runs_without_the_graph_stack():
@@ -199,3 +200,26 @@ def test_small_spectrum_starts_no_helper_thread():
     report = fresh_run("spectrum", CIRCLE_LANCZOS)
     assert "spectral_limits.spectral" in report["run"]
     assert report["threads"] == 1
+
+
+# every product of circle n = 2000 split into two parts, on two CPUs
+POOL_EXIT = '''
+import threading
+
+from spectral_limits import spectral
+from spectral_limits.geometry import Circle
+from spectral_limits.graph import gamma_N_eps
+from spectral_limits.sampling import DensitySpec, epsilon_schedule, \\
+    sample_dataset
+
+spectral._part_count = lambda nnz: 2
+spectral._CPUS = 2
+cloud = sample_dataset(Circle(), DensitySpec("uniform"), 2000, seed=1)
+spectral.eigen_decompose(gamma_N_eps(cloud, epsilon_schedule(2000, 1)), 3)
+print(threading.active_count())
+'''
+
+
+def test_exit_with_a_live_pool():
+    # the pool's one worker is alive at exit, and the child still ends
+    assert run_child(POOL_EXIT).split() == ["2"]
