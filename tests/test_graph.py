@@ -421,6 +421,29 @@ class TestGraphConstructions:
         assert path3_gamma_N.degrees.tolist() == [1, 2, 1]
 
 
+class TestGraphValidation:
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            custom_graph(2, [[0, 1]], [1.0, -1.0], [1.0])
+
+    @pytest.mark.parametrize("name,bad", [
+        ("epsilon", math.inf), ("epsilon", math.nan),
+        ("w_V", math.inf), ("w_V", math.nan),
+        ("w_E", math.inf), ("w_E", math.nan), ("w_E", 0.0), ("w_E", -1.0),
+    ], ids=["epsilon-inf", "epsilon-nan", "w_V-inf", "w_V-nan",
+            "w_E-inf", "w_E-nan", "w_E-zero", "w_E-negative"])
+    def test_non_finite_input_rejected(self, name, bad):
+        # w_V = 0 stays allowed: an isolated gamma_N vertex weighs 0
+        args = {"epsilon": 1.0, "w_V": [1.0, 0.0, 1.0], "w_E": 1.0}
+        if name == "w_V":
+            args[name][1] = bad
+        else:
+            args[name] = bad
+        path = custom_graph(3, [[0, 1], [1, 2]], np.ones(3)).upper
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            WeightedGraph(3, args["epsilon"], path, args["w_V"], args["w_E"])
+
+
 class TestOneMatrix:
     def test_holds_w_E_both_ways(self):
         rng = np.random.default_rng(3)
@@ -654,6 +677,11 @@ class TestLaplacian:
             rhs = volume_inner(g, phi, laplacian_apply(g, psi))
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1, abs(lhs)))
             assert volume_inner(g, phi, laplacian_apply(g, phi)) >= -1e-12
+
+    @pytest.mark.parametrize("shape", [(200, 3), (199,), (201,)])
+    def test_rejects_all_but_one_vertex_function(self, circle_graph_200, shape):
+        with pytest.raises(ValueError, match=r"phi must have shape \(200,\)"):
+            laplacian_apply(circle_graph_200, np.ones(shape))
 
     def test_energy_equals_quadratic_form(self, circle_graph_200):
         g = circle_graph_200
